@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-par verify examples soak faults chaos netchaos fsck figures kill-resume serve bench-serve bench-netchaos serve-smoke largen bench-largen parlargen bench-parlargen cache-clean journal-clean clean
+.PHONY: all build test bench bench-par verify examples soak faults chaos netchaos fsck figures kill-resume serve bench-serve bench-netchaos serve-smoke largen bench-largen parlargen bench-parlargen perfbench cache-clean journal-clean clean
 
 all: build
 
@@ -107,12 +107,21 @@ parlargen:
 	dune exec test/test_perf_guard.exe
 	MAXIS_LARGEN_MAX_N=10000 dune exec bench/main.exe -- PARLARGEN
 
-# Full-scale parallel sweep: run_flat_par vs run_flat parity + scaling
+# Full-scale parallel sweep: run_flat with vs without a pool, parity + scaling
 # at every width, flood/BFS/Luby to MAXIS_LARGEN_MAX_N (default 10⁵)
 # plus both gadget families with the sharded row sort (writes
 # results/parlargen.csv and appends to BENCH_largen.json).
 bench-parlargen:
 	dune exec bench/main.exe -- PARLARGEN
+
+# The benchmark (perfbench/README.md): build from source, run workload W
+# (sparse-sweep, gadget-cut, theorem5-gather, serve-solve) for SECONDS
+# of timed passes; the last stdout line is the JSON result.
+W ?= gadget-cut
+SEED ?= 1
+SECONDS ?= 25
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 0
 
 # Drop cached exact-MIS results; the next run recomputes and repopulates.
 cache-clean:

@@ -1,11 +1,11 @@
-(* Experiment PARLARGEN: the domain-sharded flat runtime
-   ([Runtime.run_flat_par]) against sequential [run_flat] at n in the
-   10³–10⁵(10⁶) range, across pool widths.
+(* Experiment PARLARGEN: the flat runtime sharded across a pool
+   ([Runtime.run_flat ~pool]) against the same executor without a pool
+   at n in the 10³–10⁵(10⁶) range, across pool widths.
 
    Three legs:
 
    - an algorithm sweep — flood, BFS and Luby on the same sparse random
-     CSR graphs as LARGEN, run once sequentially and then at every
+     CSR graphs as LARGEN, run once without a pool and then at every
      width in [jobs_widths].  Outputs, round counts and Light-trace
      digests are asserted byte-identical at every width; the
      deterministic parity table lands on stdout, wall-clock and the
@@ -65,7 +65,7 @@ let config rounds =
 type row = {
   r_n : int;
   r_algo : string;
-  r_jobs : int;  (* 0 = sequential run_flat reference *)
+  r_jobs : int;  (* 0 = the no-pool reference run *)
   r_rounds : int;
   r_messages : int;
   r_bits : int;
@@ -134,7 +134,7 @@ let run () =
               (fun (j, pool) ->
                 let par, par_trace, wall =
                   run_once (fun ~trace fp ->
-                      Congest.Runtime.run_flat_par ~config:(config rounds)
+                      Congest.Runtime.run_flat ~config:(config rounds)
                         ~trace ~pool fp c)
                 in
                 let parity =
@@ -195,7 +195,8 @@ let run () =
         Congest.Runtime.default_config.Congest.Runtime.max_rounds
         (fun () -> Congest.Fastpath.luby_mis))
     sizes;
-  T.print ~title:"run_flat_par = run_flat at every width (sparse random graphs)"
+  T.print
+    ~title:"run_flat with a pool = without one, at every width (sparse random graphs)"
     table;
   note "parity verdict: %s"
     (if !all_parity then "all widths byte-identical" else "PARITY FAILURE");

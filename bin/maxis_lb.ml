@@ -464,11 +464,10 @@ let simulate_cmd =
         "simulate: --drop and --corrupt must be probabilities in [0,1]@.";
       exit 2
     end;
-    if engine <> `List && (drop > 0.0 || corrupt > 0.0) then begin
+    if engine = `Flat && (drop > 0.0 || corrupt > 0.0) then begin
       Format.eprintf
-        "simulate: --engine=%s rejects fault injection (--drop/--corrupt \
-         need --engine=list)@."
-        (match engine with `Flat -> "flat" | _ -> "flat-par");
+        "simulate: --engine=flat rejects fault injection (--drop/--corrupt \
+         need --engine=list)@.";
       exit 2
     end;
     let p = params alpha ell players in
@@ -494,10 +493,10 @@ let simulate_cmd =
     match
       match engine with
       | `List -> decide Maxis_core.Simulation.List_mode
-      | `Flat -> decide Maxis_core.Simulation.Flat
-      | `Flat_par ->
+      | `Flat when jobs = 1 -> decide (Maxis_core.Simulation.Flat None)
+      | `Flat ->
           with_pool_checked jobs (fun pool ->
-              decide (Maxis_core.Simulation.Flat_par pool))
+              decide (Maxis_core.Simulation.Flat (Some pool)))
     with
     | Error e ->
         Format.printf "simulation FAILED: %a@." Maxis_core.Simulation.pp_error e;
@@ -546,15 +545,15 @@ let simulate_cmd =
     Arg.(
       value
       & opt
-          (enum [ ("list", `List); ("flat", `Flat); ("flat-par", `Flat_par) ])
+          (enum [ ("list", `List); ("flat", `Flat) ])
           `List
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Executor for the gather protocol: $(b,list) (historical \
-             per-message allocation), $(b,flat) (zero-allocation CSR \
-             runtime), or $(b,flat-par) (flat runtime sharded across \
-             $(b,--jobs) domains).  All engines print byte-identical \
-             reports; fault injection requires $(b,list).")
+             per-message allocation) or $(b,flat) (zero-allocation CSR \
+             runtime, sharded across $(b,--jobs) domains when that is \
+             above 1).  Both engines print byte-identical reports; fault \
+             injection requires $(b,list).")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the Theorem-5 simulation on an instance.")

@@ -88,7 +88,7 @@ let gather ~m ~solve =
 
 let exact_maxis ~m = gather ~m ~solve:(fun g -> (Mis.Exact.solve g).Mis.Exact.weight)
 
-(* Flat port for the sharded executors.  Facts travel as one packed int —
+(* Flat port for [Runtime.run_flat].  Facts travel as one packed int —
    kind at bit 3·idw, then a (idw bits), then b (2·idw bits) — under
    [Fastpath.tag_int], with the same 1 + 3·idw bit charge as the
    list-mode [Msg.triple_msg].  Per-round message counts, round counts

@@ -30,14 +30,13 @@ val exact_maxis : m:int -> int Program.t
 
 val gather_flat :
   m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Fastpath.t
-(** Flat port of {!gather} for {!Runtime.run_flat} /
-    {!Runtime.run_flat_par}: facts travel as packed ints under the same
-    [1 + 3·⌈log n⌉] bit charge, and per-round message counts, round
-    counts and outputs are identical to the list-mode program (learning
-    order is the only thing that may differ, and nothing observable
-    depends on it).  The fact log itself still allocates — the flat
-    executors' zero-allocation guarantee covers delivery, not program
-    state. *)
+(** Flat port of {!gather} for {!Runtime.run_flat}: facts travel as
+    packed ints under the same [1 + 3·⌈log n⌉] bit charge, and per-round
+    message counts, round counts and outputs are identical to the
+    list-mode program (learning order is the only thing that may differ,
+    and nothing observable depends on it).  The fact log itself still
+    allocates — the flat executor's zero-allocation guarantee covers
+    delivery, not program state. *)
 
 val exact_maxis_flat : m:int -> int Fastpath.t
 (** {!gather_flat} composed with the exact solver. *)

@@ -48,41 +48,25 @@ let[@inline] in_word b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 2)
 let make_emitter () =
   { e_dst = [||]; e_tag = [||]; e_bits = [||]; e_word = [||]; e_len = 0 }
 
-let grow a len =
-  let a' = Array.make (max 8 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
-
-(* The only unsafe array accesses in the library live in these two
-   staging functions and the [Runtime.run_flat] loop that drains them:
+(* The only unsafe array accesses in the library live in the two
+   staging functions below and the [Runtime.run_flat] loop that drains them:
    the grow check just above each write puts the index in range by
    construction, and at 10⁷–10⁸ messages per sweep the bounds checks are
    a measurable slice of the whole run. *)
 
-let grow3 a len =
-  (* Capacity stays a multiple of 3 (24, 48, 96, ...), so a full buffer
-     is detected by [base = length] exactly. *)
-  let a' = Array.make (max 24 (2 * Array.length a)) 0 in
+let grow_strided ~stride a len =
+  (* Capacity stays a multiple of [stride] (8·stride, 16·stride, ...), so
+     a full buffer is detected by [base = length] exactly. *)
+  let a' = Array.make (max (8 * stride) (2 * Array.length a)) 0 in
   Array.blit a 0 a' 0 len;
   a'
 
-(* Same contract for the executor's stride-4 staging buffer. *)
-let grow4 a len =
-  let a' = Array.make (max 32 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
-
-(* And for the sharded executor's stride-5 staging buffers, which keep
-   each message's bit size alongside the quad so the trace can be
-   recorded after the parallel phase. *)
-let grow5 a len =
-  let a' = Array.make (max 40 (2 * Array.length a)) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
+let grow a len = grow_strided ~stride:1 a len
 
 let[@inline] push_inbox b ~src ~tag ~word =
   let base = 3 * (b.i_off + b.i_len) in
-  if base = Array.length b.i_buf then b.i_buf <- grow3 b.i_buf base;
+  if base = Array.length b.i_buf then
+    b.i_buf <- grow_strided ~stride:3 b.i_buf base;
   Array.unsafe_set b.i_buf base src;
   Array.unsafe_set b.i_buf (base + 1) tag;
   Array.unsafe_set b.i_buf (base + 2) word;

@@ -72,15 +72,11 @@ val push_inbox : inbox -> src:int -> tag:int -> word:int -> unit
 (** Append one (src, tag, word) entry; used by tests to build inboxes by
     hand (the executor delivers via its own counting-sort arena). *)
 
-val grow4 : int array -> int -> int array
-(** Double a stride-4 staging buffer (capacity stays a multiple of 4),
-    preserving the first [len] slots.  For {!Runtime.run_flat}. *)
-
-val grow5 : int array -> int -> int array
-(** Double a stride-5 staging buffer (capacity stays a multiple of 5):
-    the sharded executor ({!Runtime.run_flat_par}) stages
-    (dst, src, tag, word, bits) quints so trace recording can happen
-    after the parallel phase. *)
+val grow_strided : stride:int -> int array -> int -> int array
+(** Double a staging buffer of [stride]-int records (capacity stays a
+    multiple of [stride]), preserving the first [len] slots.  For
+    {!Runtime.run_flat}, which stages quads without a pool and quints
+    with one. *)
 
 (** {1 Programs} *)
 

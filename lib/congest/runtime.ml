@@ -101,7 +101,7 @@ let metrics_for algo =
     m_deliveries = Obs.Metrics.counter ~labels "congest_deliveries_total";
   }
 
-(* Memory-footprint gauges for the flat executors: the resident size of
+(* Memory-footprint gauges for the flat executor: the resident size of
    the CSR graph being executed and the peak words held in the staging +
    delivery buffers, so large-n memory shows up in --metrics exports
    next to the time series. *)
@@ -482,17 +482,79 @@ let run_csr_checked ?(config = default_config) ?trace
    No cons lists, no tuples, no [Msg.t] on the per-round path — messages
    live in preallocated int buffers, counting-sorted into one shared
    delivery arena per round.  Fault plans and [Broadcast] mode keep to
-   the list-mode executor. *)
+   the list-mode executor.
 
-let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
-  (match config.faults with
-  | Some _ ->
-      invalid_arg "Runtime.run_flat: fault plans need the list-mode runtime"
-  | None -> ());
+   The node range [0, n) is split into contiguous chunks, one per shard:
+   a single shard without a pool, [Exec.Pool.jobs pool] with one.  A
+   round is four range phases — plain calls on the caller without a
+   pool, {!Exec.Pool.run_range} barriers with one — arranged so the
+   delivered inbox windows, and therefore outputs, round counts and
+   trace digests, are byte-identical at every pool width (docs/PERF.md):
+
+   - node [v] always lives in the same chunk (run_range splits [0, n)
+     the same way every call), and every chunk owns private staging,
+     tallies, bandwidth book and emitter — no cross-domain writes;
+   - the merge assembles per-destination windows as
+     [offs.(d) + Σ_{s' < s} counts_{s'}(d)]: shard segments concatenate
+     in ascending shard = ascending source order, the (src asc, emit
+     order) layout per-node inbox buffers would produce;
+   - spawning stays sequential: PRNG splitting is one master stream.
+
+   The phases: (1) stage — each shard steps its nodes against the
+   previous round's windows, validates every send against its own book
+   and stages it; (2) prefix pass A — each shard of the destination
+   range turns the per-shard tallies into within-column prefixes and
+   computes its chunk total, with the chunk bases then prefix-summed
+   sequentially (O(jobs)); (3) prefix pass B — writes the global windows
+   and lifts the within-column prefixes to absolute write cursors;
+   (4) scatter — each shard copies its staged messages into its
+   (disjoint) arena slots.
+
+   Staging has two layouts.  Without a pool the one shard stages
+   (dst, src, tag, word) quads and records each node's validated sends
+   into the trace straight from its emitter.  With a pool
+   (any width, 1 included) worker domains must not touch the trace — the
+   Light digest is an order-sensitive fold — so shards stage
+   (dst, src, tag, word, bits) quints and the calling domain replays
+   them in ascending shard order after the barrier, giving the identical
+   event sequence.  The fifth word and the replay pass cost ~13% on a
+   dense cut-metered flood, which is why the pool-less path keeps the
+   narrower layout.
+
+   Worker deaths are never retried (a chunk mutates node state and PRNG
+   streams in place, so re-running half a chunk would corrupt the run):
+   the round is torn down, no trace is recorded for it, and the same
+   width-independent [Error.Error (Worker_death _)] escapes at every
+   [jobs], including 1.  A model violation (oversend / non-neighbor)
+   under a pool replays the trace prefix the inline path would have
+   recorded — every staged message of lower shards plus the failing
+   shard's prefix — before re-raising, so [run_flat_checked] returns
+   identical post-mortem traces with or without a pool. *)
+
+(* Per-shard hot tallies are spread [shard_pad] ints apart so two
+   domains never bump the same cache line. *)
+let shard_pad = 8
+
+let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
+    (fp : 'out Fastpath.t) c =
+  if Option.is_some config.faults then
+    invalid_arg "Runtime.run_flat: fault plans need the list-mode runtime";
   if config.mode = Broadcast then
     invalid_arg "Runtime.run_flat: Broadcast mode needs the list-mode runtime";
   let trace = make_trace trace in
   let n = Csr.n c in
+  let jobs = match pool with None -> 1 | Some p -> Exec.Pool.jobs p in
+  (match alloc_probe with
+  | Some p when Array.length p < jobs ->
+      invalid_arg "Runtime.run_flat: alloc_probe shorter than pool width"
+  | _ -> ());
+  let inline = Option.is_none pool in
+  let stride = if inline then 4 else 5 in
+  let range f =
+    match pool with
+    | None -> f 0 n
+    | Some p -> Exec.Pool.run_range p ~lo:0 ~hi:n f
+  in
   Obs.Metrics.set g_graph_words (Csr.resident_words c);
   let limit = bandwidth_bits config ~n in
   let mx = metrics_for fp.Fastpath.fname in
@@ -512,246 +574,8 @@ let run_flat ?(config = default_config) ?trace (fp : 'out Fastpath.t) c =
     in
     fp.Fastpath.fspawn view
   in
-  let instances =
-    let rec build v acc =
-      if v = n then List.rev acc else build (v + 1) (spawn v :: acc)
-    in
-    Array.of_list (build 0 [])
-  in
-  (* Delivery is a per-round counting sort into one shared arena: sends
-     are appended sequentially to [stage] as (dst, src, tag, word) quads
-     while [counts] tallies per-destination totals; at round end a
-     prefix sum turns the tallies into arena windows and one scatter
-     pass groups the triples by destination.  Every node then reads its
-     messages through the single reused [view] — no per-node inbox
-     structures exist at all, and the only random memory access per
-     message is the one arena write (measurably faster than scattering
-     into 2n per-node buffers, and O(n + messages) memory instead of 2n
-     growable buffers at n = 10⁶). *)
-  let stage = ref [||] in
-  let stage_len = ref 0 in
-  let arena = ref [||] in
-  let counts = Array.make (max n 1) 0 in
-  let offs = Array.make (max n 1 + 1) 0 in
-  let cursor = Array.make (max n 1) 0 in
-  let view = Fastpath.make_inbox () in
-  let em = Fastpath.make_emitter () in
-  (* Per-destination bookkeeping, packed two-to-a-slot so each send
-     touches one cache line: [book.(2d)] is the (sender, round) token
-     stamped while marking the sender's CSR row — neighbor validation is
-     then one read instead of a [has_edge] binary search — and
-     [book.(2d+1)] the bits already sent to [d] this round, reset by the
-     same marking pass.  Marking work per round is O(Σ deg), the order
-     of the messages a full-rate round carries. *)
-  let book = Array.make (2 * max n 1) (-1) in
-  let token = ref 0 in
-  (* One closure for the whole run — allocating it per node-round would
-     show up in the perf guard. *)
-  let mark u =
-    book.(2 * u) <- !token;
-    book.((2 * u) + 1) <- 0
-  in
-  let round = ref 0 in
-  (* Metric totals are flushed once per run, not per send: three atomic
-     bumps per message would dominate the otherwise allocation-free send
-     path.  Every delivery succeeds here (no fault plans), so messages
-     and deliveries share one counter.  [edge_obs] likewise keeps the
-     running per-(edge, round) maximum out of the per-send path. *)
-  let sent = ref 0 in
-  let sent_bits = ref 0 in
-  let edge_obs = ref 0 in
-  let all_halted () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if not (instances.(v).Fastpath.fhalted ()) then ok := false
-    done;
-    !ok
-  in
-  while !round < config.max_rounds && not (all_halted ()) do
-    Array.fill counts 0 (Array.length counts) 0;
-    stage_len := 0;
-    for v = 0 to n - 1 do
-      let inst = instances.(v) in
-      if not (inst.Fastpath.fhalted ()) then begin
-        (* [offs] holds the previous round's windows (all zero before the
-           first round, i.e. empty inboxes); re-aim the shared view since
-           the arena array may have been replaced by growth. *)
-        view.Fastpath.i_buf <- !arena;
-        view.Fastpath.i_off <- Array.unsafe_get offs v;
-        view.Fastpath.i_len <- Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
-        em.Fastpath.e_len <- 0;
-        inst.Fastpath.fstep ~round:!round ~inbox:view em;
-        if em.Fastpath.e_len > 0 then begin
-          incr token;
-          Csr.iter_neighbors mark c v
-        end;
-        (* Unsafe reads/writes here are in range by construction: [k] is
-           below the emitter's grown length, and [dst] is range-checked
-           before indexing the n-sized bookkeeping arrays. *)
-        let e_dst = em.Fastpath.e_dst
-        and e_tag = em.Fastpath.e_tag
-        and e_bits = em.Fastpath.e_bits
-        and e_word = em.Fastpath.e_word in
-        for k = 0 to em.Fastpath.e_len - 1 do
-          let dst = Array.unsafe_get e_dst k in
-          if
-            dst < 0 || dst >= n
-            || Array.unsafe_get book (2 * dst) <> !token
-          then raise (Illegal_recipient { round = !round; src = v; dst });
-          let bits = Array.unsafe_get e_bits k in
-          let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
-          if total > limit then
-            raise
-              (Bandwidth_exceeded
-                 { round = !round; src = v; dst; bits = total; limit });
-          Array.unsafe_set book ((2 * dst) + 1) total;
-          if total > !edge_obs then edge_obs := total;
-          Trace.record_send trace ~round:!round ~src:v ~dst ~bits;
-          sent := !sent + 1;
-          sent_bits := !sent_bits + bits;
-          let base = 4 * !stage_len in
-          if base = Array.length !stage then
-            stage := Fastpath.grow4 !stage base;
-          let s = !stage in
-          Array.unsafe_set s base dst;
-          Array.unsafe_set s (base + 1) v;
-          Array.unsafe_set s (base + 2) (Array.unsafe_get e_tag k);
-          Array.unsafe_set s (base + 3) (Array.unsafe_get e_word k);
-          incr stage_len;
-          Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
-        done
-      end
-    done;
-    (* Counting-sort scatter: prefix-sum the tallies into windows, then
-       group this round's triples by destination.  Staging order is
-       (src asc, emit order), so within each window delivery order is
-       exactly what per-node buffers produced. *)
-    let total = !stage_len in
-    let acc = ref 0 in
-    for v = 0 to n - 1 do
-      offs.(v) <- !acc;
-      cursor.(v) <- !acc;
-      acc := !acc + counts.(v)
-    done;
-    offs.(n) <- !acc;
-    if 3 * total > Array.length !arena then
-      arena := Array.make (max 24 (2 * (3 * total))) 0;
-    let a = !arena and s = !stage in
-    for i = 0 to total - 1 do
-      let q = 4 * i in
-      let dst = Array.unsafe_get s q in
-      let pos = Array.unsafe_get cursor dst in
-      Array.unsafe_set cursor dst (pos + 1);
-      let b = 3 * pos in
-      Array.unsafe_set a b (Array.unsafe_get s (q + 1));
-      Array.unsafe_set a (b + 1) (Array.unsafe_get s (q + 2));
-      Array.unsafe_set a (b + 2) (Array.unsafe_get s (q + 3))
-    done;
-    incr round
-  done;
-  Trace.set_rounds trace !round;
-  Trace.observe_edge_total trace !edge_obs;
-  Obs.Metrics.add mx.m_rounds !round;
-  Obs.Metrics.add mx.m_messages !sent;
-  Obs.Metrics.add mx.m_bits !sent_bits;
-  Obs.Metrics.add mx.m_deliveries !sent;
-  Obs.Metrics.set g_arena_peak (Array.length !arena + Array.length !stage);
-  {
-    outputs = Array.map (fun inst -> inst.Fastpath.foutput ()) instances;
-    rounds_executed = !round;
-    all_halted = all_halted ();
-    crashed = Array.make n false;
-    trace;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Domain-sharded flat executor.
-
-   [run_flat_par] is [run_flat] with every per-node / per-destination
-   phase of the round partitioned across an [Exec.Pool] via
-   {!Exec.Pool.run_range}, arranged so the delivered inbox windows —
-   and therefore outputs, round counts and trace digests — are
-   byte-identical to the sequential executor at every pool width.  The
-   determinism argument (docs/PERF.md):
-
-   - node [v] always lives in the same chunk (run_range splits [0, n)
-     the same way every call), and every chunk owns private staging,
-     tallies, bandwidth book and emitter — no cross-domain writes;
-   - the merge assembles per-destination windows as
-     [offs.(d) + Σ_{s' < s} counts_{s'}(d)]: shard segments concatenate
-     in ascending shard = ascending source order, which is exactly the
-     (src asc, emit order) layout the sequential counting sort
-     produces;
-   - trace recording is replayed on the calling domain in ascending
-     shard order after the barrier (the Light digest is an
-     order-sensitive fold, so it cannot be parallelized — it is
-     re-folded from the staged quints instead), giving the identical
-     event sequence;
-   - spawning stays sequential: PRNG splitting is one master stream.
-
-   A round executes as four barriers: (1) stage — each shard steps its
-   nodes against the previous round's windows and stages
-   (dst, src, tag, word, bits) quints; (2) prefix pass A — each shard
-   of the destination range turns the per-shard tallies into
-   within-column prefixes and computes its chunk total, with the chunk
-   bases then prefix-summed sequentially (O(jobs)); (3) prefix pass B —
-   writes the global windows and lifts the within-column prefixes to
-   absolute write cursors; (4) scatter — each shard copies its staged
-   quints into its (disjoint) arena slots.
-
-   Worker deaths are never retried (a chunk mutates node state and PRNG
-   streams in place, so re-running half a chunk would corrupt the run):
-   the round is torn down, no trace is recorded for it, and the same
-   width-independent [Error.Error (Worker_death _)] escapes at every
-   [jobs], including 1.  A model violation (oversend / non-neighbor)
-   replays the trace prefix the sequential executor would have recorded
-   — every staged message of lower shards plus the failing shard's
-   prefix — before re-raising, so [run_flat_par_checked]-style drivers
-   see identical post-mortem traces. *)
-
-(* Per-shard hot tallies are spread [shard_pad] ints apart so two
-   domains never bump the same cache line. *)
-let shard_pad = 8
-
-let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
-    (fp : 'out Fastpath.t) c =
-  (match config.faults with
-  | Some _ ->
-      invalid_arg "Runtime.run_flat_par: fault plans need the list-mode runtime"
-  | None -> ());
-  if config.mode = Broadcast then
-    invalid_arg
-      "Runtime.run_flat_par: Broadcast mode needs the list-mode runtime";
-  let trace = make_trace trace in
-  let n = Csr.n c in
-  let jobs = Exec.Pool.jobs pool in
-  (match alloc_probe with
-  | Some p when Array.length p < jobs ->
-      invalid_arg "Runtime.run_flat_par: alloc_probe shorter than pool width"
-  | _ -> ());
-  Obs.Metrics.set g_graph_words (Csr.resident_words c);
-  let limit = bandwidth_bits config ~n in
-  let mx = metrics_for fp.Fastpath.fname in
-  Obs.Metrics.inc mx.m_runs;
-  let master_rng = Stdx.Prng.create config.seed in
-  let spawn v =
-    let view =
-      {
-        Program.id = v;
-        n;
-        weight = Csr.weight c v;
-        neighbors = Csr.neighbors_array c v;
-        rng = Stdx.Prng.split master_rng;
-      }
-    in
-    fp.Fastpath.fspawn view
-  in
-  let instances =
-    let rec build v acc =
-      if v = n then List.rev acc else build (v + 1) (spawn v :: acc)
-    in
-    Array.of_list (build 0 [])
-  in
+  (* [Array.init] applies [spawn] in ascending order. *)
+  let instances = Array.init n spawn in
   (* Chunk geometry is fixed for the run, so a chunk's lo bound inverts
      to its shard index in O(1).  Chunks that are empty (n < jobs) stay
      empty forever and their shard state is never touched. *)
@@ -766,13 +590,20 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
      pass B would otherwise leave stale cursors in their count arrays
      that the next round's pass A mistakes for real tallies. *)
   let used = if q = 0 then r else jobs in
-  (* Global delivery state: written only between barriers (arena
+  (* Global delivery state: written only between phases (arena
      replacement, offs.(n)) or in provably disjoint slots (pass B / the
-     scatter). *)
+     scatter).  Every node reads its messages through its shard's reused
+     inbox view aimed at its [offs] window — no per-node inbox
+     structures exist at all. *)
   let arena = ref [||] in
   let offs = Array.make (max n 1 + 1) 0 in
   let col = Array.make (max n 1) 0 in
-  (* Per-shard private state. *)
+  (* Per-shard private state.  [sh_book] packs per-destination
+     bookkeeping two-to-a-slot so each send touches one cache line:
+     [book.(2d)] is the (sender, round) token stamped while marking the
+     sender's CSR row — neighbor validation is then one read instead of
+     a [has_edge] binary search — and [book.(2d+1)] the bits already
+     sent to [d] this round, reset by the same marking pass. *)
   let sh_stage = Array.make jobs [||] in
   let sh_counts = Array.init jobs (fun _ -> Array.make (max n 1) 0) in
   let sh_book = Array.init jobs (fun _ -> Array.make (2 * max n 1) (-1)) in
@@ -786,8 +617,8 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
   let sh_failed = Array.make (jobs * shard_pad) 0 in
   let ct = Array.make (jobs * shard_pad) 0 in
   let cb = Array.make jobs 0 in
-  (* One mark closure per shard for the whole run, mirroring the
-     sequential executor's single [mark]. *)
+  (* One mark closure per shard for the whole run — allocating it per
+     node-round would show up in the perf guard. *)
   let sh_mark =
     Array.init jobs (fun s ->
         let book = sh_book.(s) in
@@ -797,71 +628,109 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
           Array.unsafe_set book ((2 * u) + 1) 0)
   in
   let round = ref 0 in
+  (* Metric totals are flushed once per run, not per send: atomic bumps
+     per message would dominate the otherwise allocation-free send path.
+     Every delivery succeeds here (no fault plans), so messages and
+     deliveries share one counter. *)
   let sent = ref 0 in
   let sent_bits = ref 0 in
-  (* Phase 1: step + stage.  Identical per-message semantics to the
-     sequential loop — validate against the shard's own book, then stage
-     — with the trace recording deferred to the post-barrier merge. *)
+  (* The inline trace of one node's first [upto] sends, read back from
+     its emitter once they are validated (no-pool path only; [upto] is
+     at most the emitter's length).  Called once per node, after its
+     message loop, so that loop makes no trace call. *)
+  let record_node rnd v (em : Fastpath.emitter) upto =
+    for k = 0 to upto - 1 do
+      Trace.record_send trace ~round:rnd ~src:v
+        ~dst:(Array.unsafe_get em.Fastpath.e_dst k)
+        ~bits:(Array.unsafe_get em.Fastpath.e_bits k)
+    done
+  in
+  (* Phase 1: step + stage.  The hot counters live in locals, written
+     back to the shard's padded slots at the end of the chunk; [sh_len]
+     is also written after every emitting node and before every raise,
+     since a torn shard's staged prefix is what the violation replay
+     reads. *)
   let stage_body clo chi s =
     let slot = s * shard_pad in
     sh_len.(slot) <- 0;
-    sh_round_bits.(slot) <- 0;
-    sh_halted.(slot) <- 0;
     sh_failed.(slot) <- 0;
     let counts = sh_counts.(s) in
     Array.fill counts 0 (Array.length counts) 0;
     let view = sh_view.(s) and em = sh_em.(s) in
     let mark = sh_mark.(s) and book = sh_book.(s) in
     let rnd = !round in
+    let len = ref 0 and round_bits = ref 0 and halted = ref 0 in
+    let edge_obs = ref sh_edge_obs.(slot) in
+    let st = ref sh_stage.(s) in
     for v = clo to chi - 1 do
       let inst = instances.(v) in
-      if inst.Fastpath.fhalted () then sh_halted.(slot) <- sh_halted.(slot) + 1
+      if inst.Fastpath.fhalted () then incr halted
       else begin
+        (* [offs] holds the previous round's windows (all zero before the
+           first round, i.e. empty inboxes); re-aim the view since the
+           arena array may have been replaced by growth. *)
         view.Fastpath.i_buf <- !arena;
         view.Fastpath.i_off <- Array.unsafe_get offs v;
         view.Fastpath.i_len <-
           Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
         em.Fastpath.e_len <- 0;
         inst.Fastpath.fstep ~round:rnd ~inbox:view em;
-        if em.Fastpath.e_len > 0 then begin
-          sh_token.(slot) <- sh_token.(slot) + 1;
-          Csr.iter_neighbors mark c v
+        let e_len = em.Fastpath.e_len in
+        if e_len > 0 then begin
+          let tok = sh_token.(slot) + 1 in
+          sh_token.(slot) <- tok;
+          Csr.iter_neighbors mark c v;
+          (* Unsafe reads/writes here are in range by construction: [k]
+             is below the emitter's grown length, [dst] is range-checked
+             before indexing the n-sized bookkeeping arrays, and the grow
+             check precedes every staged write. *)
+          let e_dst = em.Fastpath.e_dst
+          and e_tag = em.Fastpath.e_tag
+          and e_bits = em.Fastpath.e_bits
+          and e_word = em.Fastpath.e_word in
+          for k = 0 to e_len - 1 do
+            let dst = Array.unsafe_get e_dst k in
+            if dst < 0 || dst >= n || Array.unsafe_get book (2 * dst) <> tok
+            then begin
+              sh_len.(slot) <- !len;
+              if inline then record_node rnd v em k;
+              raise (Illegal_recipient { round = rnd; src = v; dst })
+            end;
+            let bits = Array.unsafe_get e_bits k in
+            let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
+            if total > limit then begin
+              sh_len.(slot) <- !len;
+              if inline then record_node rnd v em k;
+              raise
+                (Bandwidth_exceeded
+                   { round = rnd; src = v; dst; bits = total; limit })
+            end;
+            Array.unsafe_set book ((2 * dst) + 1) total;
+            if total > !edge_obs then edge_obs := total;
+            let base = stride * !len in
+            if base = Array.length !st then begin
+              st := Fastpath.grow_strided ~stride !st base;
+              sh_stage.(s) <- !st
+            end;
+            let a = !st in
+            Array.unsafe_set a base dst;
+            Array.unsafe_set a (base + 1) v;
+            Array.unsafe_set a (base + 2) (Array.unsafe_get e_tag k);
+            Array.unsafe_set a (base + 3) (Array.unsafe_get e_word k);
+            if not inline then Array.unsafe_set a (base + 4) bits;
+            incr len;
+            round_bits := !round_bits + bits;
+            Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
+          done;
+          sh_len.(slot) <- !len;
+          if inline then record_node rnd v em e_len
         end;
-        let e_dst = em.Fastpath.e_dst
-        and e_tag = em.Fastpath.e_tag
-        and e_bits = em.Fastpath.e_bits
-        and e_word = em.Fastpath.e_word in
-        for k = 0 to em.Fastpath.e_len - 1 do
-          let dst = Array.unsafe_get e_dst k in
-          if
-            dst < 0 || dst >= n
-            || Array.unsafe_get book (2 * dst) <> sh_token.(slot)
-          then raise (Illegal_recipient { round = rnd; src = v; dst });
-          let bits = Array.unsafe_get e_bits k in
-          let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
-          if total > limit then
-            raise
-              (Bandwidth_exceeded
-                 { round = rnd; src = v; dst; bits = total; limit });
-          Array.unsafe_set book ((2 * dst) + 1) total;
-          if total > sh_edge_obs.(slot) then sh_edge_obs.(slot) <- total;
-          let base = 5 * sh_len.(slot) in
-          if base = Array.length sh_stage.(s) then
-            sh_stage.(s) <- Fastpath.grow5 sh_stage.(s) base;
-          let st = sh_stage.(s) in
-          Array.unsafe_set st base dst;
-          Array.unsafe_set st (base + 1) v;
-          Array.unsafe_set st (base + 2) (Array.unsafe_get e_tag k);
-          Array.unsafe_set st (base + 3) (Array.unsafe_get e_word k);
-          Array.unsafe_set st (base + 4) bits;
-          sh_len.(slot) <- sh_len.(slot) + 1;
-          sh_round_bits.(slot) <- sh_round_bits.(slot) + bits;
-          Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
-        done;
-        if inst.Fastpath.fhalted () then
-          sh_halted.(slot) <- sh_halted.(slot) + 1
+        if inst.Fastpath.fhalted () then incr halted
       end
-    done
+    done;
+    sh_round_bits.(slot) <- !round_bits;
+    sh_halted.(slot) <- !halted;
+    sh_edge_obs.(slot) <- !edge_obs
   in
   let f_stage clo chi =
     if clo < chi then begin
@@ -874,7 +743,7 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
       | Exec.Pool.Chaos_kill as e -> raise e
       | e ->
           (* Model violation (or a program bug): remember which shard so
-             the caller can replay the sequential trace prefix. *)
+             the caller can replay the trace prefix. *)
           sh_failed.(shard_pad * s) <- 1;
           raise e);
       match alloc_probe with
@@ -920,86 +789,56 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
       done
     end
   in
-  (* Phase 4: scatter each shard's staged quints into its disjoint
-     arena slots ([sh_counts] now holds absolute write cursors). *)
+  (* Phase 4: scatter each shard's staged messages into its disjoint
+     arena slots ([sh_counts] now holds absolute write cursors), as
+     interleaved (src, tag, word) triples. *)
   let f_scatter clo chi =
     if clo < chi then begin
       let s = shard_of clo in
       let st = sh_stage.(s) and counts = sh_counts.(s) and a = !arena in
       for i = 0 to sh_len.(s * shard_pad) - 1 do
-        let b5 = 5 * i in
-        let dst = Array.unsafe_get st b5 in
+        let bs = stride * i in
+        let dst = Array.unsafe_get st bs in
         let pos = Array.unsafe_get counts dst in
         Array.unsafe_set counts dst (pos + 1);
         let b3 = 3 * pos in
-        Array.unsafe_set a b3 (Array.unsafe_get st (b5 + 1));
-        Array.unsafe_set a (b3 + 1) (Array.unsafe_get st (b5 + 2));
-        Array.unsafe_set a (b3 + 2) (Array.unsafe_get st (b5 + 3))
+        Array.unsafe_set a b3 (Array.unsafe_get st (bs + 1));
+        Array.unsafe_set a (b3 + 1) (Array.unsafe_get st (bs + 2));
+        Array.unsafe_set a (b3 + 2) (Array.unsafe_get st (bs + 3))
       done
     end
+  in
+  (* Replay the staged quints of shards [0, last] into the trace, in
+     ascending shard = source order (pool path only). *)
+  let replay_sends last =
+    let rnd = !round in
+    for s = 0 to last do
+      let st = sh_stage.(s) in
+      for i = 0 to sh_len.(s * shard_pad) - 1 do
+        let b = 5 * i in
+        Trace.record_send trace ~round:rnd ~src:(Array.unsafe_get st (b + 1))
+          ~dst:(Array.unsafe_get st b)
+          ~bits:(Array.unsafe_get st (b + 4))
+      done
+    done
   in
   (* Trace prefix of a round torn by a model violation: every staged
      message of shards below the (lowest) failing one, then the failing
-     shard's own staged prefix — exactly what sequential execution had
+     shard's own staged prefix — exactly what the inline path had
      recorded when it raised. *)
   let replay_violation_prefix () =
-    let rec first_failed s =
-      if s >= jobs then jobs
-      else if sh_failed.(s * shard_pad) <> 0 then s
-      else first_failed (s + 1)
-    in
-    let sf = first_failed 0 in
-    if sf < jobs then begin
-      let rnd = !round in
-      for s = 0 to sf do
-        let st = sh_stage.(s) in
-        for i = 0 to sh_len.(s * shard_pad) - 1 do
-          let b = 5 * i in
-          Trace.record_send trace ~round:rnd ~src:st.(b + 1) ~dst:st.(b)
-            ~bits:st.(b + 4)
-        done
-      done
-    end
+    List.init jobs Fun.id
+    |> List.find_opt (fun s -> sh_failed.(s * shard_pad) <> 0)
+    |> Option.iter replay_sends
   in
-  let seq_all_halted () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if not (instances.(v).Fastpath.fhalted ()) then ok := false
-    done;
-    !ok
-  in
-  (* Post-round halted totals come from the shard tallies; before the
-     first round there are none, so scan once. *)
-  let halted_sum = ref (-1) in
-  let all_halted_now () =
-    if !halted_sum < 0 then seq_all_halted () else !halted_sum = n
-  in
-  while !round < config.max_rounds && not (all_halted_now ()) do
-    (match Exec.Pool.run_range pool ~lo:0 ~hi:n f_stage with
-    | () -> ()
-    | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        (match e with
-        | Exec.Error.Error (Exec.Error.Worker_death _) ->
-            (* A torn round records no trace at any width: jobs = 1
-               quarantines the kill through the same path. *)
-            ()
-        | _ -> replay_violation_prefix ());
-        Printexc.raise_with_backtrace e bt);
-    (* Sequential merge on the calling domain, ascending shard = source
-       order: the trace sees the identical event sequence the
-       sequential executor records. *)
+  (* The post-barrier trace merge of the pool path.  Per-send events
+     (Full mode or a registered cut) replay one by one; otherwise the
+     round is recorded in bulk and the Light digest — an order-sensitive
+     fold, the one inherently sequential part of the round — is re-folded
+     from the staged quints in a tight loop. *)
+  let record_round () =
     let rnd = !round in
-    if Trace.per_send_required trace then
-      for s = 0 to jobs - 1 do
-        let st = sh_stage.(s) in
-        for i = 0 to sh_len.(s * shard_pad) - 1 do
-          let b = 5 * i in
-          Trace.record_send trace ~round:rnd ~src:(Array.unsafe_get st (b + 1))
-            ~dst:(Array.unsafe_get st b)
-            ~bits:(Array.unsafe_get st (b + 4))
-        done
-      done
+    if Trace.per_send_required trace then replay_sends (jobs - 1)
     else begin
       let cnt = ref 0 and bits = ref 0 in
       for s = 0 to jobs - 1 do
@@ -1008,9 +847,6 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
       done;
       Trace.record_send_bulk trace ~round:rnd ~count:!cnt ~bits:!bits;
       if !cnt > 0 then begin
-        (* The Light digest is an order-sensitive fold — the one part of
-           the round that is inherently sequential.  Re-fold it from the
-           staged quints in a tight loop. *)
         let h = ref (Trace.send_digest_state trace) in
         for s = 0 to jobs - 1 do
           let st = sh_stage.(s) in
@@ -1025,7 +861,34 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
         done;
         Trace.set_send_digest_state trace !h
       end
-    end;
+    end
+  in
+  (* Post-round halted totals come from the shard tallies; before the
+     first round there are none, so scan once. *)
+  let halted_sum = ref (-1) in
+  let all_halted () =
+    if !halted_sum >= 0 then !halted_sum = n
+    else begin
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        if not (instances.(v).Fastpath.fhalted ()) then ok := false
+      done;
+      !ok
+    end
+  in
+  while !round < config.max_rounds && not (all_halted ()) do
+    (match range f_stage with
+    | () -> ()
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        (match e with
+        | Exec.Error.Error (Exec.Error.Worker_death _) ->
+            (* A torn round records no trace at any width: jobs = 1
+               quarantines the kill through the same path. *)
+            ()
+        | _ -> if not inline then replay_violation_prefix ());
+        Printexc.raise_with_backtrace e bt);
+    if not inline then record_round ();
     let halted = ref 0 in
     for s = 0 to jobs - 1 do
       sent := !sent + sh_len.(s * shard_pad);
@@ -1034,7 +897,7 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     done;
     halted_sum := !halted;
     (* Two-pass prefix-sum merge with an O(jobs) sequential seam. *)
-    Exec.Pool.run_range pool ~lo:0 ~hi:n f_pass_a;
+    range f_pass_a;
     let accb = ref 0 in
     for s = 0 to jobs - 1 do
       cb.(s) <- !accb;
@@ -1044,15 +907,14 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
     offs.(n) <- total;
     if 3 * total > Array.length !arena then
       arena := Array.make (max 24 (2 * (3 * total))) 0;
-    Exec.Pool.run_range pool ~lo:0 ~hi:n f_pass_b;
-    Exec.Pool.run_range pool ~lo:0 ~hi:n f_scatter;
+    range f_pass_b;
+    range f_scatter;
     incr round
   done;
   Trace.set_rounds trace !round;
   let edge_obs = ref 0 in
   for s = 0 to jobs - 1 do
-    if sh_edge_obs.(s * shard_pad) > !edge_obs then
-      edge_obs := sh_edge_obs.(s * shard_pad)
+    edge_obs := max !edge_obs sh_edge_obs.(s * shard_pad)
   done;
   Trace.observe_edge_total trace !edge_obs;
   Obs.Metrics.add mx.m_rounds !round;
@@ -1066,15 +928,14 @@ let run_flat_par ?(config = default_config) ?trace ?alloc_probe ~pool
   {
     outputs = Array.map (fun inst -> inst.Fastpath.foutput ()) instances;
     rounds_executed = !round;
-    all_halted = all_halted_now ();
+    all_halted = all_halted ();
     crashed = Array.make n false;
     trace;
   }
 
-let run_flat_checked ?(config = default_config) ?trace (fp : 'out Fastpath.t)
-    c =
-  checked (fun trace -> run_flat ~config ~trace fp c) (make_trace trace)
+let run_flat_par ?config ?trace ?alloc_probe ~pool fp c =
+  run_flat ?config ?trace ?alloc_probe ~pool fp c
 
-let run_flat_par_checked ?(config = default_config) ?trace ~pool
+let run_flat_checked ?(config = default_config) ?trace ?pool
     (fp : 'out Fastpath.t) c =
-  checked (fun trace -> run_flat_par ~config ~trace ~pool fp c) (make_trace trace)
+  checked (fun trace -> run_flat ~config ~trace ?pool fp c) (make_trace trace)

@@ -18,8 +18,12 @@
     drive one shared round loop over preallocated arena message buffers
     (docs/PERF.md describes the arena lifecycle).  Identical graphs
     produce identical executions — same outputs, same trace digests —
-    whichever representation carries them.  {!run_flat} executes the
-    allocation-free {!Fastpath} program form for large-n sweeps. *)
+    whichever representation carries them.
+
+    {!run_flat} executes the allocation-free {!Fastpath} program form for
+    large-n sweeps: one counting-sort round loop that runs on the caller
+    without a pool and shards its phases across the domains of an
+    {!Exec.Pool.t} with one, byte-identical either way. *)
 
 exception Bandwidth_exceeded of { round : int; src : int; dst : int; bits : int; limit : int }
 exception Illegal_recipient of { round : int; src : int; dst : int }
@@ -126,6 +130,8 @@ val run_csr_checked :
 val run_flat :
   ?config:config ->
   ?trace:Trace.t ->
+  ?alloc_probe:float array ->
+  ?pool:Exec.Pool.t ->
   'out Fastpath.t ->
   Wgraph.Csr.t ->
   'out result
@@ -134,9 +140,32 @@ val run_flat :
     records per round (test/test_perf_guard.ml pins the per-round
     allocation ceiling).  Spawn order and PRNG splitting match the
     list-mode executors, so faithful flat ports are output-identical.
-    Raises [Invalid_argument] if [config.faults] is set or
+
+    Without [pool] the round's phases run on the caller and the trace is
+    recorded inline.  With [pool] every per-node and per-destination
+    phase runs as an {!Exec.Pool.run_range} barrier over private
+    per-shard staging arenas, merged by a two-pass prefix sum into the
+    same delivery-arena layout, and the trace is replayed on the calling
+    domain after each barrier (docs/PERF.md).  Outputs, round counts,
+    recorded traces and digests are byte-identical with or without a
+    pool, at every pool width, cold or warm (test/test_csr.ml pins this
+    differentially at jobs ∈ {1, 2, 3, 8}).  Per-run [congest_*] metric
+    totals are flushed once at the end of the run, and the
+    [runtime_arena_peak_words] / [graph_resident_words] gauges record
+    the memory footprint.
+
+    A worker death under a pool ({!Exec.Pool.Chaos_kill}) is never
+    retried — shard bodies mutate node state and PRNG streams in place —
+    so the run raises the same width-independent
+    [Exec.Error.Error (Worker_death _)] at every [jobs] (including 1),
+    with no trace recorded for the torn round.
+
+    [alloc_probe] (a test hook; length ≥ the shard count, 1 without a
+    pool) accumulates, per shard, the minor words its stage phase
+    allocates each round — the per-domain allocation guard reads it.
+    Raises [Invalid_argument] if [config.faults] is set, if
     [config.mode = Broadcast] — adversarial runs keep to the list-mode
-    executor. *)
+    executor — or if [alloc_probe] is too short. *)
 
 val run_flat_par :
   ?config:config ->
@@ -146,52 +175,17 @@ val run_flat_par :
   'out Fastpath.t ->
   Wgraph.Csr.t ->
   'out result
-(** {!run_flat} sharded across the domains of [pool] (docs/PERF.md):
-    every per-node and per-destination phase of the round runs as an
-    {!Exec.Pool.run_range} barrier over private per-shard staging
-    arenas and tallies, merged by a two-pass prefix sum into the same
-    delivery-arena layout the sequential counting sort produces.
-    Outputs, round counts, recorded traces and digests are
-    byte-identical to {!run_flat} at every pool width, cold or warm
-    (test/test_csr.ml pins this differentially at jobs ∈ {1, 2, 3, 8}).
-
-    Spawning, trace recording and the O(jobs) prefix seam stay on the
-    calling domain; per-run [congest_*] metric totals are merged from
-    per-shard tallies at the end of the run, and the
-    [runtime_arena_peak_words] / [graph_resident_words] gauges record
-    the memory footprint.
-
-    A worker death mid-round ({!Exec.Pool.Chaos_kill}) is never
-    retried — shard bodies mutate node state and PRNG streams in place
-    — so the run raises the same width-independent
-    [Exec.Error.Error (Worker_death _)] at every [jobs] (including 1),
-    with no trace recorded for the torn round.  Model violations raise
-    the same exceptions as {!run_flat}, after replaying the identical
-    trace prefix.
-
-    [alloc_probe] (a test hook; length ≥ pool width) accumulates, per
-    shard, the minor words its stage phase allocates each round — the
-    per-domain allocation guard reads it.  Raises [Invalid_argument]
-    under fault plans, in [Broadcast] mode, or if [alloc_probe] is too
-    short. *)
+(** [run_flat ~pool]: an alias kept for perfbench/adapter.ml. *)
 
 val run_flat_checked :
   ?config:config ->
   ?trace:Trace.t ->
+  ?pool:Exec.Pool.t ->
   'out Fastpath.t ->
   Wgraph.Csr.t ->
   ('out result, failure) Stdlib.result
 (** {!run_flat} with model violations returned as structured failures,
-    like {!run_checked}.  [Invalid_argument] (faults / Broadcast) still
-    raises. *)
-
-val run_flat_par_checked :
-  ?config:config ->
-  ?trace:Trace.t ->
-  pool:Exec.Pool.t ->
-  'out Fastpath.t ->
-  Wgraph.Csr.t ->
-  ('out result, failure) Stdlib.result
-(** {!run_flat_par} behind the same checked wrapper.  A worker death
-    ([Exec.Error.Error (Worker_death _)]) is an executor fault, not a
-    model violation, and still raises. *)
+    like {!run_checked}; the failure and its trace prefix are the same
+    with or without [pool].  [Invalid_argument] (faults / Broadcast) and
+    a worker death ([Exec.Error.Error (Worker_death _)], an executor
+    fault rather than a model violation) still raise. *)

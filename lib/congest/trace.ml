@@ -175,16 +175,16 @@ let record_send t ~round ~src ~dst ~bits =
       mix_int (mix_int (mix_int (mix_int t.h_sends round) src) dst) bits
 
 (* ------------------------------------------------------------------ *)
-(* Bulk recording (the domain-sharded executor's path).
+(* Bulk recording (the flat executor's path under a pool).
 
    [record_send] is per-message because Full mode retains the log and a
    registered cut needs each (src, dst).  When neither applies — Light
    mode, no cut — everything the trace maintains per send is an
-   aggregate plus the streamed digest, so the parallel executor records
-   a whole round's shard in O(1) with [record_send_bulk] and folds the
-   digest itself with [send_mix] over its staged messages (in shard
-   order = ascending source order, exactly the sequence the sequential
-   executor would have recorded). *)
+   aggregate plus the streamed digest, so the sharded executor records
+   a whole round in O(1) with [record_send_bulk] and folds the digest
+   itself with [send_mix] over its staged messages (in shard order =
+   ascending source order, exactly the sequence the pool-less executor
+   records inline). *)
 
 let per_send_required t = t.mode = Full || t.cut <> None
 

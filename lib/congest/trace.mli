@@ -70,7 +70,7 @@ val per_send_required : t -> bool
     When [false] — [Light] mode, no cut — a whole round of traffic can
     be recorded with {!record_send_bulk} plus a caller-side
     {!send_mix} digest fold, with no observable difference from
-    per-message {!record_send} calls.  The domain-sharded executor
+    per-message {!record_send} calls.  {!Runtime.run_flat} under a pool
     branches on this. *)
 
 val record_send_bulk : t -> round:int -> count:int -> bits:int -> unit

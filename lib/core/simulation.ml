@@ -89,7 +89,7 @@ let simulate_checked ?(config = Runtime.default_config) program
       Ok (result, report_of ~config ~algo:program.Congest.Program.name inst result)
   | Error failure -> Error failure
 
-type engine = List_mode | Flat | Flat_par of Exec.Pool.t
+type engine = List_mode | Flat of Exec.Pool.t option
 
 type decision = {
   report : report;
@@ -113,33 +113,22 @@ let decide_disjointness_checked ?(config = Runtime.default_config)
     ?(engine = List_mode) (inst : Family.instance) ~predicate =
   let g = inst.Family.graph in
   let m = Wgraph.Graph.edge_count g in
-  (* The flat engines run the CSR twin of the instance graph under the
+  (* The flat engine runs the CSR twin of the instance graph under the
      flat gather port; report aggregates (rounds, cut bits, outputs) are
      engine-independent, which test/test_cli.ml pins via stdout parity. *)
   let run_engine () =
+    let with_report algo =
+      Result.map (fun r -> (r, report_of ~config ~algo inst r))
+    in
     match engine with
     | List_mode ->
         let program = Congest.Algo_gather.exact_maxis ~m in
-        (match Runtime.run_checked ~config program g with
-        | Ok result ->
-            Ok
-              ( result,
-                report_of ~config ~algo:program.Congest.Program.name inst
-                  result )
-        | Error failure -> Error failure)
-    | Flat | Flat_par _ -> (
+        with_report program.Congest.Program.name
+          (Runtime.run_checked ~config program g)
+    | Flat pool ->
         let fp = Congest.Algo_gather.exact_maxis_flat ~m in
-        let c = Wgraph.Csr.of_graph g in
-        let checked =
-          match engine with
-          | Flat_par pool -> Runtime.run_flat_par_checked ~config ~pool fp c
-          | _ -> Runtime.run_flat_checked ~config fp c
-        in
-        match checked with
-        | Ok result ->
-            Ok
-              (result, report_of ~config ~algo:fp.Congest.Fastpath.fname inst result)
-        | Error failure -> Error failure)
+        with_report fp.Congest.Fastpath.fname
+          (Runtime.run_flat_checked ~config ?pool fp (Wgraph.Csr.of_graph g))
   in
   match run_engine () with
   | Error failure -> Error (Runtime_failure failure)

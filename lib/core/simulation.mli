@@ -55,16 +55,16 @@ val simulate_checked :
 
 type engine =
   | List_mode  (** the historical [(int * Msg.t) list] executor *)
-  | Flat  (** {!Congest.Runtime.run_flat} on the CSR twin of the graph *)
-  | Flat_par of Exec.Pool.t
-      (** {!Congest.Runtime.run_flat_par} sharded across the pool *)
+  | Flat of Exec.Pool.t option
+      (** {!Congest.Runtime.run_flat} on the CSR twin of the graph,
+          sharded across the pool if one is given *)
 
 (** Which executor carries the gather protocol in
     {!decide_disjointness}.  All engines produce the same decision and
     the same report fields — rounds, cut traffic and outputs are
     engine-independent (pinned by stdout parity in test/test_cli.ml) —
-    the flat ones just get there without per-message allocation.  Fault
-    plans require [List_mode] (the flat executors reject them). *)
+    the flat one just gets there without per-message allocation.  Fault
+    plans require [List_mode] (the flat executor rejects them). *)
 
 type decision = {
   report : report;

@@ -180,8 +180,8 @@ let test_watchdog_condemns_wedge () =
 (* Sharded flat executor under a worker kill mid-round *)
 
 (* Wrap a flat program so node [at_node] kills its executing domain in
-   round [at_round] — from inside [Runtime.run_flat_par]'s stage phase,
-   which is where a real domain loss would land. *)
+   round [at_round] — from inside [Runtime.run_flat]'s sharded stage
+   phase, which is where a real domain loss would land. *)
 let kill_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
   {
     fp with
@@ -216,7 +216,7 @@ let test_flat_par_kill_mid_round () =
         let fp =
           kill_wrap (Congest.Fastpath.max_id ~rounds) ~at_round ~at_node:3
         in
-        match Congest.Runtime.run_flat_par ~config ~trace ~pool fp c with
+        match Congest.Runtime.run_flat ~config ~trace ~pool fp c with
         | _ -> Alcotest.fail "kill did not surface"
         | exception Exec.Error.Error (Exec.Error.Worker_death msg) ->
             (* [Trace.digest] mixes in the executed-round count, which a

@@ -121,9 +121,10 @@ let test_bench_metrics_parity () =
   List.iter Sys.remove [ plain; metered; jsonl ]
 
 (* ------------------------------------------------------------------ *)
-(* simulate --engine parity: the flat and sharded executors must print a
-   byte-identical report (same rounds, cut traffic, OPT and answer) —
-   the engine choice is a performance knob, never an observable one. *)
+(* simulate --engine parity: the list and flat executors, the latter
+   with and without a pool, must print a byte-identical report (same
+   rounds, cut traffic, OPT and answer) — the engine choice is a
+   performance knob, never an observable one. *)
 
 let sim_base = "simulate --players 2 --ell 3"
 
@@ -131,29 +132,28 @@ let test_engine_stdout_parity () =
   let out_list = Filename.temp_file "sim_list" ".out" in
   let out_flat = Filename.temp_file "sim_flat" ".out" in
   let out_fpar = Filename.temp_file "sim_fpar" ".out" in
-  let cmd engine out =
+  let cmd flags out =
     run_capture
-      (Printf.sprintf "%s %s --engine=%s" (Filename.quote exe) sim_base engine)
+      (Printf.sprintf "%s %s %s" (Filename.quote exe) sim_base flags)
       out
   in
-  check_int "list engine" 0 (cmd "list" out_list);
-  check_int "flat engine" 0 (cmd "flat" out_flat);
-  check_int "flat-par engine" 0
-    (run_capture
-       (Printf.sprintf "%s %s --engine=flat-par --jobs 3" (Filename.quote exe)
-          sim_base)
-       out_fpar);
+  check_int "list engine" 0 (cmd "--engine=list" out_list);
+  check_int "flat engine" 0 (cmd "--engine=flat" out_flat);
+  check_int "flat engine on 3 domains" 0
+    (cmd "--engine=flat --jobs 3" out_fpar);
   Alcotest.(check string)
     "flat stdout = list stdout" (slurp out_list) (slurp out_flat);
   Alcotest.(check string)
-    "flat-par stdout = list stdout" (slurp out_list) (slurp out_fpar);
+    "flat --jobs 3 stdout = list stdout" (slurp out_list) (slurp out_fpar);
   List.iter Sys.remove [ out_list; out_flat; out_fpar ]
 
 let test_engine_rejects_faults () =
   check_int "flat + --drop is a usage error" 2
     (run (sim_base ^ " --engine=flat --drop 0.1"));
-  check_int "flat-par + --corrupt is a usage error" 2
-    (run (sim_base ^ " --engine=flat-par --corrupt 0.1"));
+  check_int "flat --jobs 3 + --corrupt is a usage error" 2
+    (run (sim_base ^ " --engine=flat --jobs 3 --corrupt 0.1"));
+  check_int "flat-par is no longer an engine" 124
+    (run (sim_base ^ " --engine=flat-par"));
   check_int "list + --drop still runs" 0 (run (sim_base ^ " --drop 0.01"))
 
 (* ------------------------------------------------------------------ *)

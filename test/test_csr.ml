@@ -1,6 +1,7 @@
 (* Differential battery for the CSR graph core and the large-n engine:
    Csr ≡ Graph property-by-property, exact-solver parity across the
-   representations, and run ≡ run_csr ≡ run_flat executor parity. *)
+   representations, run ≡ run_csr ≡ run_flat executor parity, and
+   run_flat with a pool ≡ without one. *)
 
 module Graph = Wgraph.Graph
 module Csr = Wgraph.Csr
@@ -213,19 +214,18 @@ let luby_parity =
       run_all_three Congest.Algo_luby.mis Congest.Fastpath.luby_mis g)
 
 (* ------------------------------------------------------------------ *)
-(* Domain-sharded executor parity: run_flat_par = run_flat at every
-   pool width, cold and warm, Full and Light traces. *)
+(* Sharded executor parity: run_flat ~pool = run_flat at every pool
+   width, cold and warm, for Full, Light and cut-metered traces. *)
 
 let par_pools =
   lazy (List.map (fun jobs -> Exec.Pool.create ~jobs ()) [ 1; 2; 3; 8 ])
 
 let run_par_matches (type a) (fp : a Congest.Fastpath.t) g =
   let c = Csr.of_graph g in
-  let seq = Congest.Runtime.run_flat fp c in
-  let seq_light_digest =
-    let tr = Congest.Trace.create ~mode:Congest.Trace.Light () in
-    let r = Congest.Runtime.run_flat ~trace:tr fp c in
-    Congest.Trace.digest r.Congest.Runtime.trace
+  let n = Csr.n c in
+  let part =
+    let rng = Prng.create (Hashtbl.hash (n, Csr.edge_count c, "cut")) in
+    Array.init n (fun _ -> Prng.int rng 2)
   in
   let same (a : a Congest.Runtime.result) (b : a Congest.Runtime.result) =
     a.Congest.Runtime.outputs = b.Congest.Runtime.outputs
@@ -234,17 +234,30 @@ let run_par_matches (type a) (fp : a Congest.Fastpath.t) g =
     && trace_summary a.Congest.Runtime.trace
        = trace_summary b.Congest.Runtime.trace
   in
+  let observe pool =
+    let cold = Congest.Runtime.run_flat ?pool fp c in
+    (* Warm: same pool, buffers of the previous run already grown. *)
+    let warm = Congest.Runtime.run_flat ?pool fp c in
+    let light =
+      let tr = Congest.Trace.create ~mode:Congest.Trace.Light () in
+      ignore (Congest.Runtime.run_flat ~trace:tr ?pool fp c);
+      Congest.Trace.digest tr
+    in
+    let cut =
+      let tr = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
+      ignore (Congest.Runtime.run_flat ~trace:tr ?pool fp c);
+      ( Congest.Trace.digest tr,
+        Congest.Trace.cut_bits tr part,
+        Congest.Trace.cut_bits_by_side tr part,
+        Congest.Trace.cut_bits_by_round tr part )
+    in
+    (cold, warm, light, cut)
+  in
+  let seq, _, light0, cut0 = observe None in
   List.for_all
     (fun pool ->
-      let cold = Congest.Runtime.run_flat_par ~pool fp c in
-      (* Warm: same pool, buffers of the previous run already grown. *)
-      let warm = Congest.Runtime.run_flat_par ~pool fp c in
-      let light =
-        let tr = Congest.Trace.create ~mode:Congest.Trace.Light () in
-        let r = Congest.Runtime.run_flat_par ~trace:tr ~pool fp c in
-        Congest.Trace.digest r.Congest.Runtime.trace
-      in
-      same seq cold && same seq warm && light = seq_light_digest)
+      let cold, warm, light, cut = observe (Some pool) in
+      same seq cold && same seq warm && light = light0 && cut = cut0)
     (Lazy.force par_pools)
 
 let flood_par_parity =
@@ -270,41 +283,93 @@ let luby_par_parity =
     QCheck.(pair small_int small_int)
     (fun (seed, nn) -> run_par_matches Congest.Fastpath.luby_mis (random_graph seed nn))
 
-let test_par_rejects () =
-  let g = Build.path 4 in
-  let c = Csr.of_graph g in
-  let fp = Congest.Fastpath.max_id ~rounds:4 in
-  Exec.Pool.with_pool ~jobs:2 (fun pool ->
-      (try
-         ignore
-           (Congest.Runtime.run_flat_par
-              ~config:
-                {
-                  Congest.Runtime.default_config with
-                  Congest.Runtime.mode = Congest.Runtime.Broadcast;
-                }
-              ~pool fp c);
-         Alcotest.fail "broadcast accepted"
-       with Invalid_argument _ -> ());
-      let plan =
-        Congest.Faults.plan ~default:(Congest.Faults.link ~drop:0.5 ()) 1
+(* Model violations: every node sends one id-width word to each neighbor
+   every round; node [bad_node] in round [bad_round] commits [fault]
+   halfway through its sends, so the torn round's trace prefix holds
+   whole shards, part of the failing node's row, and nothing after. *)
+type violation = Oversend | Non_neighbor
+
+let chatter ~fault ~bad_round ~bad_node : unit Congest.Fastpath.t =
+  let module F = Congest.Fastpath in
+  {
+    F.fname = "chatter";
+    fspawn =
+      (fun view ->
+        let v = view.Congest.Program.id in
+        let nbrs = view.Congest.Program.neighbors in
+        let width = Congest.Msg.id_width ~n:view.Congest.Program.n in
+        let deg = Array.length nbrs in
+        {
+          F.fstep =
+            (fun ~round ~inbox:_ em ->
+              for k = 0 to deg - 1 do
+                if round = bad_round && v = bad_node && k = deg / 2 then
+                  (match fault with
+                  | Oversend ->
+                      F.emit em ~dst:nbrs.(k) ~tag:F.tag_int ~bits:10_000 ~word:0
+                  | Non_neighbor ->
+                      F.emit em ~dst:v ~tag:F.tag_int ~bits:width ~word:0);
+                F.emit em ~dst:nbrs.(k) ~tag:F.tag_int ~bits:width ~word:v
+              done);
+          fhalted = (fun () -> false);
+          foutput = (fun () -> None);
+        });
+  }
+
+(* A cycle with chords: every node has a neighbor to oversend to, and
+   rows are uneven enough that shards stage different volumes. *)
+let chorded_cycle n =
+  let b = Csr.Builder.create n in
+  for v = 0 to n - 1 do
+    Csr.Builder.add_edge b v ((v + 1) mod n);
+    let u = ((3 * v) + 5) mod n in
+    if u <> v then Csr.Builder.add_edge b v u
+  done;
+  Csr.Builder.finish b
+
+let test_violation_parity () =
+  let c = chorded_cycle 29 in
+  let config =
+    { Congest.Runtime.default_config with Congest.Runtime.max_rounds = 6 }
+  in
+  List.iter
+    (fun (fault, bad_round, bad_node) ->
+      let fp = chatter ~fault ~bad_round ~bad_node in
+      let observe pool =
+        let failure mode =
+          let trace = Congest.Trace.create ~mode () in
+          match Congest.Runtime.run_flat_checked ~config ~trace ?pool fp c with
+          | Ok _ -> Alcotest.fail "violation not reported"
+          | Error f -> f
+        in
+        let full = failure Congest.Trace.Full in
+        let light = failure Congest.Trace.Light in
+        let tr = full.Congest.Runtime.trace_prefix in
+        ( (full.Congest.Runtime.round, full.Congest.Runtime.src,
+           full.Congest.Runtime.reason),
+          Congest.Trace.total_messages tr,
+          Array.length (Congest.Trace.send_events tr),
+          Congest.Trace.send_digest_state light.Congest.Runtime.trace_prefix )
       in
-      (try
-         ignore
-           (Congest.Runtime.run_flat_par
-              ~config:
-                {
-                  Congest.Runtime.default_config with
-                  Congest.Runtime.faults = Some plan;
-                }
-              ~pool fp c);
-         Alcotest.fail "faults accepted"
-       with Invalid_argument _ -> ());
-      try
-        ignore
-          (Congest.Runtime.run_flat_par ~alloc_probe:[| 0.0 |] ~pool fp c);
-        Alcotest.fail "short alloc_probe accepted"
-      with Invalid_argument _ -> ())
+      let (((round, src, _), msgs, _, _) as reference) = observe None in
+      check_int "failing round" bad_round round;
+      check_int "failing node" bad_node src;
+      check "prefix is non-trivial" true (msgs > 0);
+      List.iter
+        (fun pool ->
+          check
+            (Printf.sprintf "jobs=%d = no pool" (Exec.Pool.jobs pool))
+            true
+            (observe (Some pool) = reference))
+        (Lazy.force par_pools))
+    [
+      (Oversend, 0, 0);
+      (Oversend, 2, 14);
+      (Oversend, 3, 28);
+      (Non_neighbor, 0, 17);
+      (Non_neighbor, 1, 0);
+      (Non_neighbor, 4, 28);
+    ]
 
 (* The chunk decomposition is a partition of [lo, hi) in ascending
    order with sizes differing by at most one. *)
@@ -328,31 +393,48 @@ let chunk_bounds_partition =
       contiguous lo pieces && mx - mn <= 1)
 
 let test_flat_rejects () =
-  let g = Build.path 4 in
-  let c = Csr.of_graph g in
+  let c = Csr.of_graph (Build.path 4) in
   let fp = Congest.Fastpath.max_id ~rounds:4 in
-  (try
-     ignore
-       (Congest.Runtime.run_flat
-          ~config:
-            {
-              Congest.Runtime.default_config with
-              Congest.Runtime.mode = Congest.Runtime.Broadcast;
-            }
-          fp c);
-     Alcotest.fail "broadcast accepted"
-   with Invalid_argument _ -> ());
   let plan =
     Congest.Faults.plan ~default:(Congest.Faults.link ~drop:0.5 ()) 1
   in
-  try
-    ignore
-      (Congest.Runtime.run_flat
-         ~config:
-           { Congest.Runtime.default_config with Congest.Runtime.faults = Some plan }
-         fp c);
-    Alcotest.fail "faults accepted"
-  with Invalid_argument _ -> ()
+  let rejects what ?alloc_probe config pool =
+    try
+      ignore (Congest.Runtime.run_flat ~config ?alloc_probe ?pool fp c);
+      Alcotest.fail (what ^ " accepted")
+    with Invalid_argument _ -> ()
+  in
+  let d = Congest.Runtime.default_config in
+  Exec.Pool.with_pool ~jobs:2 (fun p ->
+      List.iter
+        (fun pool ->
+          rejects "broadcast"
+            { d with Congest.Runtime.mode = Congest.Runtime.Broadcast }
+            pool;
+          rejects "faults" { d with Congest.Runtime.faults = Some plan } pool)
+        [ None; Some p ];
+      rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] d (Some p);
+      rejects "empty alloc_probe" ~alloc_probe:[||] d None)
+
+(* The [run_flat_par] alias rejects what [run_flat ~pool] rejects. *)
+let test_par_rejects () =
+  let c = Csr.of_graph (Build.path 4) in
+  let fp = Congest.Fastpath.max_id ~rounds:4 in
+  let plan =
+    Congest.Faults.plan ~default:(Congest.Faults.link ~drop:0.5 ()) 1
+  in
+  let d = Congest.Runtime.default_config in
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      let rejects what ?alloc_probe config =
+        try
+          ignore (Congest.Runtime.run_flat_par ~config ?alloc_probe ~pool fp c);
+          Alcotest.fail (what ^ " accepted")
+        with Invalid_argument _ -> ()
+      in
+      rejects "broadcast"
+        { d with Congest.Runtime.mode = Congest.Runtime.Broadcast };
+      rejects "faults" { d with Congest.Runtime.faults = Some plan };
+      rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] d)
 
 (* ------------------------------------------------------------------ *)
 (* Gadget construction parity *)
@@ -451,6 +533,8 @@ let () =
         [
           Alcotest.test_case "run_flat rejects" `Quick test_flat_rejects;
           Alcotest.test_case "run_flat_par rejects" `Quick test_par_rejects;
+          Alcotest.test_case "violations: pool = no pool" `Quick
+            test_violation_parity;
         ] );
       ( "gadgets",
         [

@@ -129,7 +129,7 @@ let test_pool_default_jobs_env () =
   set ""
 
 (* ------------------------------------------------------------------ *)
-(* Pool: run_range, the barrier primitive behind run_flat_par *)
+(* Pool: run_range, the barrier primitive behind run_flat ~pool *)
 
 let test_run_range_matches_loop () =
   (* Every index of [lo, hi) touched exactly once, at every width,

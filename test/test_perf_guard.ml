@@ -1,7 +1,7 @@
 (* Allocation-regression guard for the zero-allocation CONGEST hot path.
 
    [Runtime.run_flat] stages messages in preallocated int buffers and the
-   Light trace streams scalars, so once buffer sizes settle a round
+   Light trace streams scalars, with or without a pool, so once buffer sizes settle a round
    allocates (next to) nothing on the minor heap.  Any per-message record,
    tuple or cons creeping back into the hot path shows up as thousands of
    minor words per round — orders of magnitude above the pinned ceiling.
@@ -54,8 +54,9 @@ let test_flat_alloc_per_round () =
        per-message allocation has crept back in"
       per_round ceiling_words_per_round
 
-(* The sharded executor must hold the same bar per domain: once arenas
-   settle, a shard's stage phase allocates nothing.  [alloc_probe]
+(* The pool-less path above is pinned whole-run; with a pool the
+   executor must hold the same bar per domain: once arenas settle, a
+   shard's stage phase allocates nothing.  [alloc_probe]
    accumulates each shard's own minor-word delta around its stage body
    (measured on the domain that ran the chunk — minor heaps are
    per-domain), so the long-minus-short difference isolates the settled
@@ -72,7 +73,7 @@ let par_minor_words_for pool probe rounds c =
   let fp = Congest.Fastpath.max_id ~rounds in
   let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
   let result =
-    Congest.Runtime.run_flat_par ~config ~trace ~alloc_probe:probe ~pool fp c
+    Congest.Runtime.run_flat ~config ~trace ~alloc_probe:probe ~pool fp c
   in
   Alcotest.(check int)
     "ran all rounds" rounds result.Congest.Runtime.rounds_executed;
