@@ -464,7 +464,7 @@ let simulate_cmd =
         "simulate: --drop and --corrupt must be probabilities in [0,1]@.";
       exit 2
     end;
-    if engine = `Flat && (drop > 0.0 || corrupt > 0.0) then begin
+    if engine = Some `Flat && (drop > 0.0 || corrupt > 0.0) then begin
       Format.eprintf
         "simulate: --engine=flat rejects fault injection (--drop/--corrupt \
          need --engine=list)@.";
@@ -484,19 +484,22 @@ let simulate_cmd =
         { Congest.Runtime.default_config with Congest.Runtime.faults = Some plan }
       end
     in
-    let decide engine =
-      Maxis_core.Simulation.decide_disjointness_checked ~config ~engine inst
+    let decide ?engine () =
+      Maxis_core.Simulation.decide_disjointness_checked ~config ?engine inst
         ~predicate:(LF.predicate p)
     in
     (* The checked entry point: a misbehaving or fault-starved run degrades
-       to a structured report instead of an escaping exception. *)
+       to a structured report instead of an escaping exception.  Without
+       --engine the library picks (flat, or list under a fault plan). *)
     match
       match engine with
-      | `List -> decide Maxis_core.Simulation.List_mode
-      | `Flat when jobs = 1 -> decide (Maxis_core.Simulation.Flat None)
-      | `Flat ->
+      | None -> decide ()
+      | Some `List -> decide ~engine:Maxis_core.Simulation.List_mode ()
+      | Some `Flat when jobs = 1 ->
+          decide ~engine:(Maxis_core.Simulation.Flat None) ()
+      | Some `Flat ->
           with_pool_checked jobs (fun pool ->
-              decide (Maxis_core.Simulation.Flat (Some pool)))
+              decide ~engine:(Maxis_core.Simulation.Flat (Some pool)) ())
     with
     | Error e ->
         Format.printf "simulation FAILED: %a@." Maxis_core.Simulation.pp_error e;
@@ -544,16 +547,17 @@ let simulate_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt
-          (enum [ ("list", `List); ("flat", `Flat) ])
-          `List
+      & opt (some (enum [ ("list", `List); ("flat", `Flat) ])) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "Executor for the gather protocol: $(b,list) (historical \
              per-message allocation) or $(b,flat) (zero-allocation CSR \
              runtime, sharded across $(b,--jobs) domains when that is \
-             above 1).  Both engines print byte-identical reports; fault \
-             injection requires $(b,list).")
+             above 1).  Without this flag the run uses $(b,flat) with no \
+             pool, or $(b,list) when $(b,--drop) or $(b,--corrupt) is \
+             set.  Every engine prints a byte-identical report; fault \
+             injection requires $(b,list), and an explicit $(b,flat) \
+             with fault flags exits 2.")
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the Theorem-5 simulation on an instance.")

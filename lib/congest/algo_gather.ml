@@ -160,7 +160,10 @@ let gather_flat ~m ~solve =
                 if Fastpath.in_tag inbox k = Fastpath.tag_int then
                   learn (Fastpath.in_word inbox k)
               done;
-              for i = 0 to deg - 1 do
+              (* Highest neighbor first, the order the list port's consed
+                 outbox comes out in, so both engines emit the same send
+                 sequence and stop at the same oversend. *)
+              for i = deg - 1 downto 0 do
                 if cursor.(i) < Stdx.Dynvec.length log then begin
                   Fastpath.emit em ~dst:nbrs.(i) ~tag:Fastpath.tag_int
                     ~bits:fact_bits

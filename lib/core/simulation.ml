@@ -109,13 +109,23 @@ let pp_error ppf = function
         "gathering did not complete within %d rounds (increase max_rounds)"
         rounds
 
-let decide_disjointness_checked ?(config = Runtime.default_config)
-    ?(engine = List_mode) (inst : Family.instance) ~predicate =
+let decide_disjointness_checked ?(config = Runtime.default_config) ?engine
+    (inst : Family.instance) ~predicate =
   let g = inst.Family.graph in
   let m = Wgraph.Graph.edge_count g in
-  (* The flat engine runs the CSR twin of the instance graph under the
-     flat gather port; report aggregates (rounds, cut bits, outputs) are
-     engine-independent, which test/test_cli.ml pins via stdout parity. *)
+  (* The flat runtime rejects fault plans, so it is the default only
+     without one. *)
+  let engine =
+    match engine with
+    | Some e -> e
+    | None -> if config.Runtime.faults = None then Flat None else List_mode
+  in
+  (* Every report field reads a streamed accumulator of the registered
+     player cut, so no engine keeps a per-send log.  The flat engine runs
+     the CSR twin of the instance graph under the flat gather port; report
+     aggregates (rounds, cut bits, outputs) are engine-independent, which
+     test/test_simulation.ml pins against a Full-trace [simulate]. *)
+  let trace = Trace.create ~mode:Light ~cut:inst.Family.partition () in
   let run_engine () =
     let with_report algo =
       Result.map (fun r -> (r, report_of ~config ~algo inst r))
@@ -124,11 +134,12 @@ let decide_disjointness_checked ?(config = Runtime.default_config)
     | List_mode ->
         let program = Congest.Algo_gather.exact_maxis ~m in
         with_report program.Congest.Program.name
-          (Runtime.run_checked ~config program g)
+          (Runtime.run_checked ~config ~trace program g)
     | Flat pool ->
         let fp = Congest.Algo_gather.exact_maxis_flat ~m in
         with_report fp.Congest.Fastpath.fname
-          (Runtime.run_flat_checked ~config ?pool fp (Wgraph.Csr.of_graph g))
+          (Runtime.run_flat_checked ~config ~trace ?pool fp
+             (Wgraph.Csr.of_graph g))
   in
   match run_engine () with
   | Error failure -> Error (Runtime_failure failure)

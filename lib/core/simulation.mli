@@ -62,7 +62,8 @@ type engine =
 (** Which executor carries the gather protocol in
     {!decide_disjointness}.  All engines produce the same decision and
     the same report fields — rounds, cut traffic and outputs are
-    engine-independent (pinned by stdout parity in test/test_cli.ml) —
+    engine-independent (pinned against the Full-trace {!simulate} in
+    test/test_simulation.ml and by stdout parity in test/test_cli.ml) —
     the flat one just gets there without per-message allocation.  Fault
     plans require [List_mode] (the flat executor rejects them). *)
 
@@ -76,7 +77,7 @@ type decision = {
 type error =
   | Runtime_failure of Congest.Runtime.failure
       (** the algorithm violated the model (oversend / non-neighbor /
-          broadcast mismatch) *)
+          broadcast mismatch); the prefix is a [Light] trace *)
   | Incomplete of { rounds : int }
       (** gathering did not finish within [max_rounds] *)
 
@@ -91,7 +92,18 @@ val decide_disjointness :
 (** The full Theorem-5 pipeline on the universal algorithm.  The runtime
     config's [max_rounds] must allow gathering to complete ([O(n + m)]
     rounds); the default config usually suffices for test-sized
-    instances.  Raises [Invalid_argument] on failure — prefer
+    instances.
+
+    [engine] defaults to [Flat None] when [config.faults = None] and to
+    [List_mode] otherwise; an explicit [Flat _] with a fault plan raises
+    [Invalid_argument].  Whatever the engine, the run records into a
+    [Light] trace with the instance's player partition registered
+    ({!Congest.Trace.create}[ ~mode:Light ~cut]), so no per-send log is
+    kept and every report field is an O(1) read of the streamed cut
+    accumulators — the same values {!simulate} folds out of its [Full]
+    log.
+
+    Raises [Invalid_argument] on failure — prefer
     {!decide_disjointness_checked} in drivers. *)
 
 val decide_disjointness_checked :
@@ -101,4 +113,7 @@ val decide_disjointness_checked :
   predicate:Predicate.t ->
   (decision, error) Stdlib.result
 (** As {!decide_disjointness}, with graceful degradation: failures carry
-    structured context for report-and-continue drivers. *)
+    structured context for report-and-continue drivers.  The
+    [trace_prefix] of a [Runtime_failure] is the decision's [Light]
+    trace (player cut registered): its cut and round aggregates are
+    available, its send log is not. *)

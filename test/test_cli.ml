@@ -156,6 +156,31 @@ let test_engine_rejects_faults () =
     (run (sim_base ^ " --engine=flat-par"));
   check_int "list + --drop still runs" 0 (run (sim_base ^ " --drop 0.01"))
 
+(* Without --engine the run picks flat, or list mode under fault flags;
+   either way its stdout is the explicit list-mode stdout. *)
+let test_default_engine_stdout_parity () =
+  let capture flags =
+    let out = Filename.temp_file "sim_engine" ".out" in
+    let code =
+      run_capture
+        (Printf.sprintf "%s %s %s" (Filename.quote exe) sim_base flags)
+        out
+    in
+    let text = slurp out in
+    Sys.remove out;
+    (code, text)
+  in
+  List.iter
+    (fun (label, faults) ->
+      let code_default, out_default = capture faults in
+      let code_list, out_list = capture ("--engine=list " ^ faults) in
+      check_int (label ^ ": default exits 0") 0 code_default;
+      check_int (label ^ ": list exits 0") 0 code_list;
+      Alcotest.(check string)
+        (label ^ ": default stdout = list stdout")
+        out_list out_default)
+    [ ("fault-free", ""); ("--drop 0.01", "--drop 0.01") ]
+
 (* ------------------------------------------------------------------ *)
 (* Verification.exit_code precedence *)
 
@@ -199,6 +224,8 @@ let () =
             test_engine_stdout_parity;
           Alcotest.test_case "flat engines reject faults" `Quick
             test_engine_rejects_faults;
+          Alcotest.test_case "default engine stdout parity" `Quick
+            test_default_engine_stdout_parity;
         ] );
       ( "exit-code-unit",
         [ Alcotest.test_case "precedence" `Quick test_exit_code_unit ] );

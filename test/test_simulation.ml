@@ -100,6 +100,165 @@ let test_decide_raises_when_truncated () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
+(* Engine routing: decisions meter the registered player cut on a Light
+   trace; [simulate] folds a Full log and is the oracle for every field. *)
+
+let report_fields (r : Simulation.report) =
+  [
+    ("n", r.Simulation.n);
+    ("rounds", r.Simulation.rounds);
+    ("cut_size", r.Simulation.cut_size);
+    ("bandwidth", r.Simulation.bandwidth);
+    ("blackboard_bits", r.Simulation.blackboard_bits);
+    ("blackboard_writes", r.Simulation.blackboard_writes);
+    ("blackboard_bits_dropped", r.Simulation.blackboard_bits_dropped);
+    ("blackboard_bits_delivered", r.Simulation.blackboard_bits_delivered);
+    ("bound_bits", r.Simulation.bound_bits);
+    ("within_bound", Bool.to_int r.Simulation.within_bound);
+    ("total_bits", r.Simulation.total_bits);
+    ("faults_injected", r.Simulation.faults_injected);
+  ]
+
+let check_report label ~(expected : Simulation.report) (got : Simulation.report) =
+  Alcotest.(check string) (label ^ ": algorithm") expected.Simulation.algorithm
+    got.Simulation.algorithm;
+  Alcotest.(check (list (pair string int)))
+    (label ^ ": report") (report_fields expected) (report_fields got)
+
+(* Report fields do not depend on the predicate; ℓ = 3, t = 3 has no
+   linear gap (low = high), so it decides against a placeholder. *)
+let oracle_predicate p =
+  try LF.predicate p
+  with Invalid_argument _ ->
+    Maxis_core.Predicate.make ~name:"reports only" ~high:1 ~low:0
+
+(* ℓ ∈ {3, 4} × t ∈ {2, 3} × both promise sides; two seeds at t = 2. *)
+let oracle_instances () =
+  List.concat_map
+    (fun (ell, players, seeds) ->
+      let p = P.make ~alpha:1 ~ell ~players in
+      List.concat_map
+        (fun seed ->
+          List.map
+            (fun intersecting ->
+              let inst, _ = instance seed p ~intersecting in
+              ( Printf.sprintf "l=%d t=%d seed=%d inter=%b" ell players seed
+                  intersecting,
+                p,
+                inst ))
+            [ true; false ])
+        seeds)
+    [ (3, 2, [ 41; 43 ]); (4, 2, [ 41; 43 ]); (3, 3, [ 47 ]); (4, 3, [ 47 ]) ]
+
+(* [None] is the default engine. *)
+let engines pool =
+  [
+    ("default", None);
+    ("list", Some Simulation.List_mode);
+    ("flat", Some (Simulation.Flat None));
+    ("flat jobs=2", Some (Simulation.Flat (Some pool)));
+  ]
+
+let oracle_report ?config inst =
+  let m = Wgraph.Graph.edge_count inst.Family.graph in
+  snd (Simulation.simulate ?config (Congest.Algo_gather.exact_maxis ~m) inst)
+
+let test_decision_reports_match_oracle () =
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (label, p, inst) ->
+          let expected = oracle_report inst in
+          List.iter
+            (fun (engine_name, engine) ->
+              let d =
+                Simulation.decide_disjointness ?engine inst
+                  ~predicate:(oracle_predicate p)
+              in
+              check_report (label ^ " " ^ engine_name) ~expected
+                d.Simulation.report)
+            (engines pool))
+        (oracle_instances ()))
+
+let fault_config =
+  {
+    Runtime.default_config with
+    Runtime.faults =
+      Some
+        (Congest.Faults.plan
+           ~default:(Congest.Faults.link ~drop:0.001 ())
+           7);
+  }
+
+(* Under faults the default engine is list mode on both sides, so the
+   ℓ = 3 instances suffice to pin the Light fault metering. *)
+let test_decision_fault_reports_match_oracle () =
+  let config = fault_config in
+  List.iter
+    (fun (label, p, inst) ->
+      let expected = oracle_report ~config inst in
+      let d =
+        Simulation.decide_disjointness ~config inst
+          ~predicate:(oracle_predicate p)
+      in
+      check_report (label ^ " faults") ~expected d.Simulation.report)
+    (List.filter (fun (_, p, _) -> P.ell p = 3) (oracle_instances ()))
+
+let test_default_engine_routes_faults_to_list_mode () =
+  let config = fault_config in
+  let inst, _ = instance 53 p2 ~intersecting:true in
+  let d =
+    Simulation.decide_disjointness ~config inst ~predicate:(LF.predicate p2)
+  in
+  check "faults injected" true (d.Simulation.report.Simulation.faults_injected > 0);
+  check "explicit flat rejects faults" true
+    (try
+       ignore
+         (Simulation.decide_disjointness ~config ~engine:(Simulation.Flat None)
+            inst ~predicate:(LF.predicate p2));
+       false
+     with Invalid_argument _ -> true)
+
+let test_oversend_failure_same_on_every_engine () =
+  (* At bandwidth factor 1 the gather's first facts exceed the edge budget
+     in round 0; every engine must stop at the same violation and hand back
+     a Light prefix metering the registered cut. *)
+  let config = { Runtime.default_config with Runtime.bandwidth_factor = 1 } in
+  let inst, _ = instance 59 p2 ~intersecting:false in
+  let failure engine =
+    match
+      Simulation.decide_disjointness_checked ~config ?engine inst
+        ~predicate:(LF.predicate p2)
+    with
+    | Error (Simulation.Runtime_failure f) -> f
+    | Error (Simulation.Incomplete _) -> Alcotest.fail "incomplete, not a violation"
+    | Ok _ -> Alcotest.fail "bandwidth factor 1 did not oversend"
+  in
+  let summary (f : Runtime.failure) =
+    (f.Runtime.round, f.Runtime.src, f.Runtime.reason)
+  in
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      let reference = failure None in
+      check_int "violation in round 0" 0 reference.Runtime.round;
+      check "oversend" true
+        (match reference.Runtime.reason with
+        | Runtime.Oversend _ -> true
+        | _ -> false);
+      List.iter
+        (fun (name, engine) ->
+          let f = failure engine in
+          check (name ^ ": same violation") true (summary reference = summary f);
+          let tr = f.Runtime.trace_prefix in
+          check (name ^ ": Light prefix") true
+            (Congest.Trace.mode tr = Congest.Trace.Light);
+          check (name ^ ": player cut registered") true
+            (Congest.Trace.registered_cut tr = Some inst.Family.partition);
+          check_int (name ^ ": prefix cut bits")
+            (Congest.Trace.cut_bits reference.Runtime.trace_prefix
+               inst.Family.partition)
+            (Congest.Trace.cut_bits tr inst.Family.partition))
+        (engines pool))
+
+(* ------------------------------------------------------------------ *)
 (* The key asymptotic comparison: blackboard cost vs string length *)
 
 let test_blackboard_bits_exceed_cc_bound () =
@@ -253,6 +412,17 @@ let () =
           Alcotest.test_case "truncation raises" `Quick test_decide_raises_when_truncated;
           Alcotest.test_case "cost exceeds CC bound" `Quick
             test_blackboard_bits_exceed_cc_bound;
+        ] );
+      ( "engines",
+        [
+          Alcotest.test_case "reports match Full-trace oracle" `Quick
+            test_decision_reports_match_oracle;
+          Alcotest.test_case "fault reports match Full-trace oracle" `Quick
+            test_decision_fault_reports_match_oracle;
+          Alcotest.test_case "faults route to list mode" `Quick
+            test_default_engine_routes_faults_to_list_mode;
+          Alcotest.test_case "oversend failure on every engine" `Quick
+            test_oversend_failure_same_on_every_engine;
         ] );
       ( "player-protocol",
         [
