@@ -198,8 +198,12 @@ let run () =
      path ({!Baseline.run}: per-send records, hashtable bandwidth
      bookkeeping, cons-and-sort delivery), the current list-mode arena
      ({!Runtime.run}, byte-identical outputs to seed), and the flat
-     large-n path ({!Runtime.run_flat}).  Best-of-3 walls; outputs are
-     asserted identical across all three. *)
+     large-n path ({!Runtime.run_flat}).  [Algo_flood.max_id] is
+     [Fastpath.to_program] of the flat flood, so the seed and list
+     columns time their executor plus that adapter (inbox pushes, one
+     [Msg.t] per emitted message), running the same step function as
+     the flat column.  Best-of-3 walls; outputs are asserted identical
+     across all three. *)
   let speedup =
     if max_n < 10_000 then None
     else begin

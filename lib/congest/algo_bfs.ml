@@ -1,38 +1,2 @@
 let distances ~root ~rounds =
-  {
-    Program.name = "bfs-distances";
-    spawn =
-      (fun view ->
-        let n = view.Program.n in
-        let dist = ref (if view.Program.id = root then Some 0 else None) in
-        let announced = ref false in
-        let done_ = ref false in
-        {
-          Program.step =
-            (fun ~round ~inbox ->
-              (* Adopt the smallest announced distance + 1. *)
-              List.iter
-                (fun (_, (m : Msg.t)) ->
-                  match m.Msg.payload with
-                  | Msg.Int d -> (
-                      match !dist with
-                      | Some cur when cur <= d + 1 -> ()
-                      | _ -> dist := Some (d + 1))
-                  | _ -> ())
-                inbox;
-              let outbox =
-                match (!dist, !announced) with
-                | Some d, false ->
-                    announced := true;
-                    Array.to_list
-                      (Array.map
-                         (fun nb -> (nb, Msg.int_msg ~width:(Msg.id_width ~n) (min d (n - 1))))
-                         view.Program.neighbors)
-                | _ -> []
-              in
-              if round + 1 >= rounds then done_ := true;
-              outbox);
-          halted = (fun () -> !done_);
-          output = (fun () -> !dist);
-        });
-  }
+  Fastpath.to_program (Fastpath.bfs_distances ~root ~rounds)

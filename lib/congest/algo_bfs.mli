@@ -6,4 +6,5 @@
 
 val distances : root:int -> rounds:int -> int Program.t
 (** Output: the node's BFS distance from [root], or [None] if it never
-    heard from the wave (disconnected or too few rounds). *)
+    heard from the wave (disconnected or too few rounds).  The list-mode
+    form ({!Fastpath.to_program}) of {!Fastpath.bfs_distances}. *)

@@ -1,36 +1,4 @@
-let max_id ~rounds =
-  {
-    Program.name = "max-id-flood";
-    spawn =
-      (fun view ->
-        let best = ref view.Program.id in
-        let changed = ref true in
-        let done_ = ref false in
-        let n = view.Program.n in
-        {
-          Program.step =
-            (fun ~round ~inbox ->
-              List.iter
-                (fun (_, (m : Msg.t)) ->
-                  match m.Msg.payload with
-                  | Msg.Int v -> if v > !best then begin best := v; changed := true end
-                  | _ -> ())
-                inbox;
-              let outbox =
-                if !changed then
-                  Array.to_list
-                    (Array.map
-                       (fun nb -> (nb, Msg.id_msg ~n !best))
-                       view.Program.neighbors)
-                else []
-              in
-              changed := false;
-              if round + 1 >= rounds then done_ := true;
-              outbox);
-          halted = (fun () -> !done_);
-          output = (fun () -> Some !best);
-        });
-  }
+let max_id ~rounds = Fastpath.to_program (Fastpath.max_id ~rounds)
 
 let leader_election ~rounds =
   let inner = max_id ~rounds in

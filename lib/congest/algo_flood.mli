@@ -11,7 +11,8 @@
     (all sends are uniform). *)
 
 val max_id : rounds:int -> int Program.t
-(** Output: the largest id the node knows after [rounds] rounds. *)
+(** Output: the largest id the node knows after [rounds] rounds.  The
+    list-mode form ({!Fastpath.to_program}) of {!Fastpath.max_id}. *)
 
 val leader_election : rounds:int -> bool Program.t
 (** Output: [true] iff this node is the unique leader. *)

@@ -15,28 +15,33 @@
 
     Knowledge assumptions: nodes know [n] (standard) and the total number
     of edges [m] (computable with a preliminary convergecast; we grant it
-    directly and document the substitution in DESIGN.md). *)
+    directly and document the substitution in DESIGN.md).
 
-val gather : m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Program.t
-(** [gather ~m ~solve]: every node halts once it knows all [n] weights and
-    all [m] edges and has forwarded every fact to every neighbor; its
-    output is [solve g] on the reconstructed graph.  Weights must fit in
-    [2·⌈log n⌉] bits.  Completes in [O(m + D)] rounds on connected
-    graphs. *)
-
-val exact_maxis : m:int -> int Program.t
-(** [gather] composed with the exact solver: output is OPT, the
-    maximum-weight independent set value of the whole network. *)
+    The algorithm is written once, as the flat program {!gather_flat};
+    {!gather} is its list-mode form ({!Fastpath.to_program}). *)
 
 val gather_flat :
   m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Fastpath.t
-(** Flat port of {!gather} for {!Runtime.run_flat}: facts travel as
-    packed ints under the same [1 + 3·⌈log n⌉] bit charge, and per-round
-    message counts, round counts and outputs are identical to the
-    list-mode program (learning order is the only thing that may differ,
-    and nothing observable depends on it).  The fact log itself still
-    allocates — the flat executor's zero-allocation guarantee covers
-    delivery, not program state. *)
+(** [gather_flat ~m ~solve]: every node halts once it knows all [n]
+    weights and all [m] edges and has forwarded every fact to every
+    neighbor; its output is [solve g] on the reconstructed graph.
+    Completes in [O(m + D)] rounds on connected graphs.  A fact is one
+    packed int charged [1 + 3·⌈log n⌉] bits.  The fact log allocates —
+    the flat executor's zero-allocation guarantee covers delivery, not
+    program state.
+
+    Weights must fit in [2·⌈log n⌉] bits: spawning a node whose weight
+    does not raises [Invalid_argument], so every executor fails at spawn,
+    before round 0, even on a graph with no edges. *)
 
 val exact_maxis_flat : m:int -> int Fastpath.t
-(** {!gather_flat} composed with the exact solver. *)
+(** {!gather_flat} composed with the exact solver: output is OPT, the
+    maximum-weight independent set value of the whole network. *)
+
+val gather : m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Program.t
+(** The list-mode form of {!gather_flat}, for fault plans, Broadcast mode
+    and {!Runtime.run}.  Raises [Invalid_argument] at spawn when a weight
+    needs more than [2·⌈log n⌉] bits. *)
+
+val exact_maxis : m:int -> int Program.t
+(** The list-mode form of {!exact_maxis_flat}. *)

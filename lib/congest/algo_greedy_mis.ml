@@ -1,5 +1,1 @@
-let mis =
-  Local_maxima.make ~name:"greedy-weight-mis"
-    ~draw:(fun view ~phase:_ ->
-      let w = view.Program.weight in
-      { Local_maxima.value = w; width = max 1 (Stdx.Mathx.ceil_log2 (w + 1)) })
+let mis = Fastpath.to_program Fastpath.greedy_mis

@@ -9,4 +9,5 @@
     constant factor below OPT. *)
 
 val mis : bool Program.t
-(** Output: [Some true] iff the node joined the independent set. *)
+(** Output: [Some true] iff the node joined the independent set.  The
+    list-mode form ({!Fastpath.to_program}) of {!Fastpath.greedy_mis}. *)

@@ -1,8 +1,1 @@
-let mis =
-  Local_maxima.make ~name:"luby-mis"
-    ~draw:(fun view ~phase:_ ->
-      let width = 2 * Msg.id_width ~n:view.Program.n in
-      {
-        Local_maxima.value = Stdx.Prng.int view.Program.rng (1 lsl width);
-        width;
-      })
+let mis = Fastpath.to_program Fastpath.luby_mis

@@ -13,4 +13,5 @@
 val mis : bool Program.t
 (** Output: [Some true] if the node entered the independent set,
     [Some false] if a neighbor did.  All nodes halt with probability 1;
-    the expected number of phases is [O(log n)]. *)
+    the expected number of phases is [O(log n)].  The list-mode form
+    ({!Fastpath.to_program}) of {!Fastpath.luby_mis}. *)

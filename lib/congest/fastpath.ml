@@ -1,15 +1,18 @@
-(* Flat CONGEST programs: the zero-allocation twin of [Program].
+(* Flat CONGEST programs: the one implementation of each library
+   algorithm.
 
    [Program.step] speaks in [(int * Msg.t) list] — every round allocates
    a cons cell, a tuple and a [Msg.t] record per message, which is what
    dominates runtime at n ≥ 10⁵.  A flat program exchanges messages as
    (src, tag, bits, word) int quads staged in preallocated buffers the
    executor ([Runtime.run_flat]) reuses across rounds, so a settled run
-   allocates nothing per round.  The three library algorithms below are
-   exact ports of their list-mode versions — same message bits, same PRNG
-   draw conditions — pinned against each other by test/test_csr.ml. *)
+   allocates nothing per round.  The ports below are the sources:
+   [to_program] derives the list-mode form ([Algo_flood], [Algo_bfs],
+   [Algo_luby], [Algo_greedy_mis], [Algo_gather]) from them, so the
+   list-mode executor — fault plans, Broadcast mode — runs the very same
+   step functions. *)
 
-(* Tag conventions (mirroring the [Msg.payload] cases the ported
+(* Tag conventions (mirroring the [Msg.payload] cases the library
    algorithms use). *)
 let tag_int = 0
 let tag_true = 1
@@ -93,8 +96,49 @@ type 'out node = {
 
 type 'out t = { fname : string; fspawn : Program.view -> 'out node }
 
+(* The list-mode face of a flat program.  Each node owns its inbox and
+   emitter: a [Program.t] value may be spawned on several domains at
+   once, so nothing mutable is shared between spawns.  Payloads other
+   than [Int]/[Bool] are never emitted by a flat program, and fault
+   injection keeps a payload's kind, so dropping them loses nothing. *)
+let to_program fp =
+  {
+    Program.name = fp.fname;
+    spawn =
+      (fun view ->
+        let node = fp.fspawn view in
+        let inbox = make_inbox () in
+        let em = make_emitter () in
+        let receive (src, (m : Msg.t)) =
+          match m.Msg.payload with
+          | Msg.Int w -> push_inbox inbox ~src ~tag:tag_int ~word:w
+          | Msg.Bool true -> push_inbox inbox ~src ~tag:tag_true ~word:0
+          | Msg.Bool false -> push_inbox inbox ~src ~tag:tag_false ~word:0
+          | Msg.Unit | Msg.Pair _ | Msg.Triple _ -> ()
+        in
+        let message k =
+          let tag = em.e_tag.(k) in
+          let payload =
+            if tag = tag_int then Msg.Int em.e_word.(k)
+            else Msg.Bool (tag = tag_true)
+          in
+          (em.e_dst.(k), { Msg.bits = em.e_bits.(k); payload })
+        in
+        {
+          Program.step =
+            (fun ~round ~inbox:msgs ->
+              inbox.i_len <- 0;
+              List.iter receive msgs;
+              em.e_len <- 0;
+              node.fstep ~round ~inbox em;
+              List.init em.e_len message);
+          halted = node.fhalted;
+          output = node.foutput;
+        });
+  }
+
 (* ------------------------------------------------------------------ *)
-(* Flat ports of the library algorithms *)
+(* The library algorithms *)
 
 let max_id ~rounds =
   {
@@ -179,15 +223,27 @@ let find_nbr a x =
   done;
   !res
 
-let luby_mis =
+(* The "local maxima join" MIS skeleton, one 3-round phase per
+   [round mod 3]:
+     0: active nodes draw and send a priority; covered-announcements from
+        the previous phase are consumed here.
+     1: active nodes compare their (priority, id) with those received
+        from still-active neighbors; strict local maxima join the MIS and
+        announce [tag_true].
+     2: active nodes hearing a join become covered, announce [tag_false]
+        and halt; joiners halt.
+   In every phase the globally largest (priority, id) among active nodes
+   is a local maximum, so at least one node decides per phase and the
+   algorithm terminates. *)
+let local_maxima ~name ~width ~draw =
   {
-    fname = "luby-mis";
+    fname = name;
     fspawn =
       (fun view ->
         let nbrs = view.Program.neighbors in
         let deg = Array.length nbrs in
-        let width = 2 * Msg.id_width ~n:view.Program.n in
-        (* 0 = Active, 1 = In_mis, 2 = Covered — as in Local_maxima. *)
+        let width = width view in
+        (* 0 = Active, 1 = In_mis, 2 = Covered. *)
         let status = ref 0 in
         let active = Bytes.make (max deg 1) '\001' in
         let my_prio = ref 0 in
@@ -212,7 +268,7 @@ let luby_mis =
                     end
                   done;
                   if !status = 0 then begin
-                    let p = Stdx.Prng.int view.Program.rng (1 lsl width) in
+                    let p = draw view ~width in
                     my_prio := p;
                     send_all em ~tag:tag_int ~bits:width ~word:p
                   end
@@ -262,3 +318,13 @@ let luby_mis =
               match !status with 1 -> Some true | 2 -> Some false | _ -> None);
         });
   }
+
+let luby_mis =
+  local_maxima ~name:"luby-mis"
+    ~width:(fun view -> 2 * Msg.id_width ~n:view.Program.n)
+    ~draw:(fun view ~width -> Stdx.Prng.int view.Program.rng (1 lsl width))
+
+let greedy_mis =
+  local_maxima ~name:"greedy-weight-mis"
+    ~width:(fun view -> max 1 (Stdx.Mathx.ceil_log2 (view.Program.weight + 1)))
+    ~draw:(fun view ~width:_ -> view.Program.weight)

@@ -1,4 +1,5 @@
-(** Flat CONGEST programs: the zero-allocation twin of {!Program}.
+(** Flat CONGEST programs: the single implementation of every library
+    algorithm.
 
     {!Program.step} speaks in [(int * Msg.t) list], which allocates a
     cons cell, a tuple and a [Msg.t] record per message per round — the
@@ -7,16 +8,20 @@
     {!Runtime.run_flat} reuses across rounds: once buffer sizes settle, a
     round allocates nothing.  test/test_perf_guard.ml pins that.
 
-    The ports below are exact mirrors of the list-mode algorithms — same
-    message bits, same PRNG draw conditions — so [run_flat] on a CSR
-    graph produces the same outputs, round count, and traced bit totals
-    as [run] of the list version on the equivalent graph (differentially
-    tested in test/test_csr.ml).
+    The ports below are the sources.  {!to_program} derives the
+    list-mode algorithms ({!Algo_flood}, {!Algo_bfs}, {!Algo_luby},
+    {!Algo_greedy_mis}, {!Algo_gather}) from them, so [run_flat] on a CSR
+    graph and [run] of the derived program on the equivalent graph
+    execute the same step functions and produce the same outputs, round
+    counts and traces (test/test_csr.ml pins the executors against each
+    other).
 
-    Inbox order is ascending sender, ties in emit order; the three
-    library algorithms are order-insensitive, and new flat programs
+    Inbox order is ascending sender, ties in emit order, under
+    {!Runtime.run_flat}, and arrival order under the list-mode executor;
+    the library algorithms are order-insensitive, and new flat programs
     should be too.  Fault plans and [Broadcast] mode stay on the
-    list-mode path ({!Runtime.run_flat} rejects both). *)
+    list-mode executor ({!Runtime.run_flat} rejects both), which runs a
+    flat program through {!to_program}. *)
 
 (** {1 Message tags} *)
 
@@ -90,16 +95,45 @@ type 'out node = {
 
 type 'out t = { fname : string; fspawn : Program.view -> 'out node }
 (** Spawned from the same {!Program.view} (same neighbor arrays, same
-    split PRNG streams) as list-mode programs, so a flat port is
-    output-identical to its original under any seed. *)
+    split PRNG streams) by every executor, so a run is output-identical
+    across executors under any seed. *)
 
-(** {1 Flat ports of the library algorithms} *)
+val to_program : 'out t -> 'out Program.t
+(** The list-mode form of a flat program, named [fname] (metric labels
+    follow the name).  Each spawned node gets its own inbox and emitter,
+    so one [Program.t] may run on several domains at once.  Received
+    [Msg.Int w] is delivered as [tag_int]/[w] and [Msg.Bool b] as
+    [tag_true]/[tag_false], in list order; other payloads are ignored (a
+    flat program never emits them, and fault injection keeps a payload's
+    kind).  The emitter comes back in emit order as
+    [(dst, { Msg.bits; payload })]. *)
+
+(** {1 The library algorithms} *)
 
 val max_id : rounds:int -> int t
-(** Mirror of {!Algo_flood.max_id}. *)
+(** Max-id flooding; list-mode form {!Algo_flood.max_id}. *)
 
 val bfs_distances : root:int -> rounds:int -> int t
-(** Mirror of {!Algo_bfs.distances}. *)
+(** Single-source BFS distances; list-mode form {!Algo_bfs.distances}. *)
+
+val local_maxima :
+  name:string ->
+  width:(Program.view -> int) ->
+  draw:(Program.view -> width:int -> int) ->
+  bool t
+(** The "local maxima join" MIS skeleton shared by Luby and greedy MIS.
+    Each 3-round phase: undecided nodes send a [width]-bit priority,
+    strict local maxima of (priority, id) among still-active neighbors
+    join and announce it, and their neighbors drop out and announce
+    that.  [width] is computed once per node at spawn; [draw] is called
+    once per phase on each still-active node, with that width, and must
+    return a value below [2^width].  Output: [Some true] if the node
+    joined, [Some false] if a neighbor did. *)
 
 val luby_mis : bool t
-(** Mirror of {!Algo_luby.mis} (3-phase local-maxima protocol). *)
+(** {!local_maxima} with a fresh [2·⌈log n⌉]-bit random priority per
+    phase; list-mode form {!Algo_luby.mis}. *)
+
+val greedy_mis : bool t
+(** {!local_maxima} with the static node weight as priority; list-mode
+    form {!Algo_greedy_mis.mis}. *)

@@ -473,10 +473,6 @@ let run_checked ?(config = default_config) ?trace (program : 'out Program.t) g
     =
   checked (exec ~config program (topo_of_graph g)) (make_trace trace)
 
-let run_csr_checked ?(config = default_config) ?trace
-    (program : 'out Program.t) c =
-  checked (exec ~config program (topo_of_csr c)) (make_trace trace)
-
 (* ------------------------------------------------------------------ *)
 (* Flat executor: the zero-allocation hot path for [Fastpath] programs.
    No cons lists, no tuples, no [Msg.t] on the per-round path — messages

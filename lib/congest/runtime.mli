@@ -120,13 +120,6 @@ val run_checked :
     [Error] carries round/src/dst context and the trace prefix, so drivers
     can report and continue instead of crashing. *)
 
-val run_csr_checked :
-  ?config:config ->
-  ?trace:Trace.t ->
-  'out Program.t ->
-  Wgraph.Csr.t ->
-  ('out result, failure) Stdlib.result
-
 val run_flat :
   ?config:config ->
   ?trace:Trace.t ->

@@ -18,8 +18,7 @@ type 'out outcome = {
    written messages — the board carries the accounted bits). *)
 type 'out player = {
   player_id : int;
-  nodes : int list;  (** ascending *)
-  instances : (int * 'out Program.instance) list;
+  instances : (int * 'out Program.instance) list;  (** ascending node *)
 }
 
 type pending = { src : int; dst : int; msg : Msg.t }
@@ -63,11 +62,12 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
   in
   let players =
     List.init t (fun p ->
-        let nodes = Wgraph.Cut.part_nodes part p in
         {
           player_id = p;
-          nodes;
-          instances = List.map (fun v -> (v, instance_of v)) nodes;
+          instances =
+            List.map
+              (fun v -> (v, instance_of v))
+              (Wgraph.Cut.part_nodes part p);
         })
   in
   let board = Blackboard.create () in

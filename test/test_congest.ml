@@ -447,6 +447,17 @@ let test_gather_rounds_scale () =
   check "halted" true result.Runtime.all_halted;
   check "rounds bounded" true (result.Runtime.rounds_executed <= 4 * (11 + 12))
 
+let test_gather_rejects_wide_weight () =
+  (* n = 4: weights get 2·⌈log n⌉ = 4 bits, so 16 is one bit too wide.
+     With no edges nothing is ever sent, so only a check at spawn can
+     catch it (a late check would idle until max_rounds). *)
+  let g = Graph.create 4 in
+  Graph.set_weight g 1 16;
+  let config = { Runtime.default_config with Runtime.max_rounds = 50 } in
+  match Runtime.run ~config (Congest.Algo_gather.exact_maxis ~m:0) g with
+  | _ -> Alcotest.fail "over-wide weight accepted"
+  | exception Invalid_argument _ -> ()
+
 let prop_luby_always_valid =
   QCheck.Test.make ~name:"Luby always returns a maximal IS" ~count:30
     QCheck.(pair small_int small_int) (fun (seed, nn) ->
@@ -642,6 +653,8 @@ let () =
           Alcotest.test_case "generic solver" `Quick test_gather_generic_solver;
           Alcotest.test_case "bandwidth" `Quick test_gather_respects_bandwidth;
           Alcotest.test_case "rounds scale" `Quick test_gather_rounds_scale;
+          Alcotest.test_case "over-wide weight rejected at spawn" `Quick
+            test_gather_rejects_wide_weight;
         ] );
       ( "coloring",
         [

@@ -1,7 +1,9 @@
 (* Differential battery for the CSR graph core and the large-n engine:
    Csr ≡ Graph property-by-property, exact-solver parity across the
-   representations, run ≡ run_csr ≡ run_flat executor parity, and
-   run_flat with a pool ≡ without one. *)
+   representations, run ≡ run_csr ≡ run_flat executor parity (the
+   list-mode programs are [Fastpath.to_program] of the flat ones, so
+   this pins the executors and the adapter), and run_flat with a pool ≡
+   without one. *)
 
 module Graph = Wgraph.Graph
 module Csr = Wgraph.Csr
@@ -213,6 +215,13 @@ let luby_parity =
       let g = random_graph seed nn in
       run_all_three Congest.Algo_luby.mis Congest.Fastpath.luby_mis g)
 
+let greedy_parity =
+  QCheck.Test.make ~name:"greedy: run = run_csr = run_flat" ~count:60
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      let g = random_graph seed nn in
+      run_all_three Congest.Algo_greedy_mis.mis Congest.Fastpath.greedy_mis g)
+
 (* ------------------------------------------------------------------ *)
 (* Sharded executor parity: run_flat ~pool = run_flat at every pool
    width, cold and warm, for Full, Light and cut-metered traces. *)
@@ -282,6 +291,13 @@ let luby_par_parity =
     ~count:30
     QCheck.(pair small_int small_int)
     (fun (seed, nn) -> run_par_matches Congest.Fastpath.luby_mis (random_graph seed nn))
+
+let greedy_par_parity =
+  QCheck.Test.make ~name:"greedy: run_flat_par = run_flat, jobs in {1,2,3,8}"
+    ~count:30
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      run_par_matches Congest.Fastpath.greedy_mis (random_graph seed nn))
 
 (* Model violations: every node sends one id-width word to each neighbor
    every round; node [bad_node] in round [bad_round] commits [fault]
@@ -521,12 +537,13 @@ let () =
           set_weight_of_matches;
           solver_parity;
         ];
-      qsuite "executors" [ flood_parity; bfs_parity; luby_parity ];
+      qsuite "executors" [ flood_parity; bfs_parity; luby_parity; greedy_parity ];
       qsuite "executors-par"
         [
           flood_par_parity;
           bfs_par_parity;
           luby_par_parity;
+          greedy_par_parity;
           chunk_bounds_partition;
         ];
       ( "executors-edge",

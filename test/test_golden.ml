@@ -1,18 +1,21 @@
-(* Golden-trace regression tests: pinned-seed runs of three CONGEST
+(* Golden-trace regression tests: pinned-seed runs of five CONGEST
    algorithms on three small graphs, asserting the EXACT round, message,
    bit and delivery counts observed through Obs.Metrics snapshot diffs.
    Any change to the runtime's charging rules, the algorithms' send
    patterns, or the metrics plumbing shows up as a diff against the
-   table below.
+   table below.  A second table pins every list-mode program (hardened
+   wrappers included) under one adversarial fault plan, down to the
+   trace digest.
 
-   All runs use Runtime.default_config (seed 42 pinned); Luby's only
-   randomness derives from that seed, so every count is deterministic.
+   All runs use Runtime.default_config's seed 42; Luby's only randomness
+   derives from that seed (and the fault table's from its plan seed), so
+   every count is deterministic.
 
-   Regenerate the table after an intentional change with
+   Regenerate the tables after an intentional change with
 
      MAXIS_GOLDEN_PRINT=1 dune exec test/test_golden.exe 2>/dev/null
 
-   and paste the printed rows over [goldens] below. *)
+   and paste the printed rows over [goldens] / [fault_goldens] below. *)
 
 module M = Obs.Metrics
 module Build = Wgraph.Build
@@ -24,12 +27,20 @@ type prog = P : 'o Congest.Program.t -> prog
 let graphs () =
   [ ("path6", Build.path 6); ("cycle7", Build.cycle 7); ("k5", Build.complete 5) ]
 
-let programs () =
+(* The local algorithms: cheap enough to stream over 10⁴ nodes. *)
+let local_programs () =
   [
     P (Congest.Algo_flood.max_id ~rounds:4);
     P (Congest.Algo_bfs.distances ~root:0 ~rounds:4);
     P Congest.Algo_luby.mis;
+    P Congest.Algo_greedy_mis.mis;
   ]
+
+(* Gathering floods the whole topology (and is told its edge count), so
+   it only runs on the small graphs. *)
+let programs g =
+  local_programs ()
+  @ [ P (Congest.Algo_gather.exact_maxis ~m:(Wgraph.Graph.edge_count g)) ]
 
 type counts = { rounds : int; messages : int; bits : int; deliveries : int }
 
@@ -64,9 +75,123 @@ let goldens =
     (("max-id-flood", "k5"), { rounds = 4; messages = 36; bits = 108; deliveries = 36 });
     (("bfs-distances", "k5"), { rounds = 4; messages = 20; bits = 60; deliveries = 20 });
     (("luby-mis", "k5"), { rounds = 3; messages = 40; bits = 140; deliveries = 40 });
+    (("greedy-weight-mis", "path6"), { rounds = 9; messages = 30; bits = 30; deliveries = 30 });
+    (("gather-topology", "path6"), { rounds = 13; messages = 110; bits = 1100; deliveries = 110 });
+    (("greedy-weight-mis", "cycle7"), { rounds = 9; messages = 40; bits = 40; deliveries = 40 });
+    (("gather-topology", "cycle7"), { rounds = 14; messages = 196; bits = 1960; deliveries = 196 });
+    (("greedy-weight-mis", "k5"), { rounds = 3; messages = 40; bits = 40; deliveries = 40 });
+    (("gather-topology", "k5"), { rounds = 15; messages = 300; bits = 3000; deliveries = 300 });
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Faulty-run goldens: every list-mode program, hardened wrappers
+   included, under one pinned plan of drops, duplicates, corruption,
+   delays and a crash.  Gathering runs without corruption: its facts
+   carry no checksum, so a flipped bit yields a garbage fact (often one
+   that fails reconstruction), and which bit flips depends on how facts
+   are encoded rather than on the protocol. *)
+
+let fault_plan ~corrupt =
+  Congest.Faults.plan
+    ~default:
+      (Congest.Faults.link ~drop:0.1 ~duplicate:0.1
+         ~corrupt:(if corrupt then 0.1 else 0.0)
+         ~max_delay:2 ())
+    ~crashes:[ (2, 3) ]
+    0x901d
+
+(* factor 64: hardened 131-bit frames fit at id_width 3. *)
+let fault_config ~corrupt =
+  {
+    Congest.Runtime.default_config with
+    Congest.Runtime.max_rounds = 120;
+    bandwidth_factor = 64;
+    faults = Some (fault_plan ~corrupt);
+  }
+
+let fault_programs g =
+  let m = Wgraph.Graph.edge_count g in
+  [
+    (true, P (Congest.Algo_flood.max_id ~rounds:6));
+    (true, P (Congest.Algo_flood.leader_election ~rounds:6));
+    (true, P (Congest.Algo_bfs.distances ~root:0 ~rounds:6));
+    (true, P Congest.Algo_luby.mis);
+    (true, P Congest.Algo_greedy_mis.mis);
+    (false, P (Congest.Algo_gather.exact_maxis ~m));
+    (true, P (Congest.Faults.harden (Congest.Algo_flood.max_id ~rounds:6)));
+    (true, P (Congest.Faults.harden Congest.Algo_luby.mis));
+  ]
+
+type fault_counts = {
+  digest : string;
+  f_rounds : int;
+  f_messages : int;
+  f_bits : int;
+  faults : int;
+}
+
+let measure_faulty ~corrupt (P program) g =
+  let r = Congest.Runtime.run ~config:(fault_config ~corrupt) program g in
+  let t = r.Congest.Runtime.trace in
+  {
+    digest = Int64.to_string (Congest.Trace.digest t);
+    f_rounds = Congest.Trace.rounds t;
+    f_messages = Congest.Trace.total_messages t;
+    f_bits = Congest.Trace.total_bits t;
+    faults = Congest.Trace.total_faults t;
+  }
+
+(* (algo, graph) -> exact trace summary of the faulty run. *)
+let fault_goldens =
+  [
+    (("max-id-flood", "path6"), { digest = "-7683758422594252436"; f_rounds = 6; f_messages = 21; f_bits = 63; faults = 21 });
+    (("leader-election", "path6"), { digest = "-7683758422594252436"; f_rounds = 6; f_messages = 21; f_bits = 63; faults = 21 });
+    (("bfs-distances", "path6"), { digest = "-4338247783013316492"; f_rounds = 6; f_messages = 1; f_bits = 3; faults = 2 });
+    (("luby-mis", "path6"), { digest = "4705450642748736973"; f_rounds = 6; f_messages = 20; f_bits = 80; faults = 21 });
+    (("greedy-weight-mis", "path6"), { digest = "-1011856784586126369"; f_rounds = 4; f_messages = 18; f_bits = 18; faults = 19 });
+    (("gather-topology", "path6"), { digest = "-2401284248754015054"; f_rounds = 120; f_messages = 55; f_bits = 550; faults = 47 });
+    (("max-id-flood+hardened", "path6"), { digest = "9187349962366774042"; f_rounds = 120; f_messages = 357; f_bits = 46767; faults = 326 });
+    (("luby-mis+hardened", "path6"), { digest = "-3721970503413958785"; f_rounds = 120; f_messages = 362; f_bits = 47422; faults = 329 });
+    (("max-id-flood", "cycle7"), { digest = "7170614958084287031"; f_rounds = 6; f_messages = 28; f_bits = 84; faults = 28 });
+    (("leader-election", "cycle7"), { digest = "7170614958084287031"; f_rounds = 6; f_messages = 28; f_bits = 84; faults = 28 });
+    (("bfs-distances", "cycle7"), { digest = "-4734940267438675159"; f_rounds = 6; f_messages = 6; f_bits = 18; faults = 6 });
+    (("luby-mis", "cycle7"), { digest = "-1500264263836605710"; f_rounds = 4; f_messages = 26; f_bits = 96; faults = 29 });
+    (("greedy-weight-mis", "cycle7"), { digest = "3409755192514751549"; f_rounds = 6; f_messages = 30; f_bits = 30; faults = 31 });
+    (("gather-topology", "cycle7"), { digest = "-4605343631525900655"; f_rounds = 120; f_messages = 154; f_bits = 1540; faults = 119 });
+    (("max-id-flood+hardened", "cycle7"), { digest = "-8345688969315891012"; f_rounds = 120; f_messages = 418; f_bits = 54758; faults = 368 });
+    (("luby-mis+hardened", "cycle7"), { digest = "4363458769401781005"; f_rounds = 120; f_messages = 428; f_bits = 56068; faults = 375 });
+    (("max-id-flood", "k5"), { digest = "3825209026910161082"; f_rounds = 6; f_messages = 60; f_bits = 180; faults = 49 });
+    (("leader-election", "k5"), { digest = "3825209026910161082"; f_rounds = 6; f_messages = 60; f_bits = 180; faults = 49 });
+    (("bfs-distances", "k5"), { digest = "-5900428338552294234"; f_rounds = 6; f_messages = 20; f_bits = 60; faults = 21 });
+    (("luby-mis", "k5"), { digest = "-9193975646070506892"; f_rounds = 3; f_messages = 40; f_bits = 140; faults = 37 });
+    (("greedy-weight-mis", "k5"), { digest = "2841279732030106690"; f_rounds = 3; f_messages = 40; f_bits = 40; faults = 37 });
+    (("gather-topology", "k5"), { digest = "-6069265703409466408"; f_rounds = 15; f_messages = 252; f_bits = 2520; faults = 196 });
+    (("max-id-flood+hardened", "k5"), { digest = "1275050290311250298"; f_rounds = 120; f_messages = 607; f_bits = 79517; faults = 543 });
+    (("luby-mis+hardened", "k5"), { digest = "1275050290311250298"; f_rounds = 120; f_messages = 607; f_bits = 79517; faults = 543 });
   ]
 
 let print_mode = Sys.getenv_opt "MAXIS_GOLDEN_PRINT" = Some "1"
+
+let fault_cell gname g ~corrupt (P prog as p) () =
+  let algo = prog.Congest.Program.name in
+  let c = measure_faulty ~corrupt p g in
+  if print_mode then
+    Printf.printf
+      "((%S, %S), { digest = %S; f_rounds = %d; f_messages = %d; f_bits = %d; faults = %d });\n"
+      algo gname c.digest c.f_rounds c.f_messages c.f_bits c.faults
+  else begin
+    let exp =
+      match List.assoc_opt (algo, gname) fault_goldens with
+      | Some e -> e
+      | None ->
+          Alcotest.fail (Printf.sprintf "no fault golden for (%s, %s)" algo gname)
+    in
+    Alcotest.(check string) "digest" exp.digest c.digest;
+    check_int "rounds" exp.f_rounds c.f_rounds;
+    check_int "messages" exp.f_messages c.f_messages;
+    check_int "bits" exp.f_bits c.f_bits;
+    check_int "total_faults" exp.faults c.faults
+  end
 
 let run_cell gname g p () =
   let algo, c = measure p g in
@@ -340,15 +465,32 @@ let () =
             Alcotest.test_case
               (Printf.sprintf "%s on %s" prog.Congest.Program.name gname)
               `Quick (run_cell gname g p))
-          (programs ()))
+          (programs g))
+      (graphs ())
+  in
+  let fault_cells =
+    List.concat_map
+      (fun (gname, g) ->
+        List.map
+          (fun (corrupt, (P prog as p)) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s on %s" prog.Congest.Program.name gname)
+              `Quick
+              (fault_cell gname g ~corrupt p))
+          (fault_programs g))
       (graphs ())
   in
   let streaming_cells =
     let graphs =
-      graphs () @ [ ("rand1e4", sparse_random_graph ~seed:0x5eed 10_000) ]
+      List.map (fun (gname, g) -> (gname, g, programs g)) (graphs ())
+      @ [
+          ( "rand1e4",
+            sparse_random_graph ~seed:0x5eed 10_000,
+            local_programs () );
+        ]
     in
     List.concat_map
-      (fun (gname, g) ->
+      (fun (gname, g, programs) ->
         List.map
           (fun (P prog as p) ->
             Alcotest.test_case
@@ -356,12 +498,13 @@ let () =
                  gname)
               `Quick
               (streaming_parity_cell gname g p))
-          (programs ()))
+          programs)
       graphs
   in
   Alcotest.run "golden"
     [
       ("trace-counts", cells);
+      ("fault-traces", fault_cells);
       ("streaming", streaming_cells);
       ( "streaming-faults",
         [

@@ -8,7 +8,6 @@ module Family = Maxis_core.Family
 module Predicate = Maxis_core.Predicate
 module Inputs = Commcx.Inputs
 module Graph = Wgraph.Graph
-module Bitset = Stdx.Bitset
 module Prng = Stdx.Prng
 
 let check = Alcotest.(check bool)

@@ -6,7 +6,6 @@ module LF = Maxis_core.Linear_family
 module Properties = Maxis_core.Properties
 module Claims = Maxis_core.Claims
 module Inputs = Commcx.Inputs
-module Bitset = Stdx.Bitset
 module Prng = Stdx.Prng
 
 let check = Alcotest.(check bool)

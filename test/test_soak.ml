@@ -21,7 +21,6 @@ module P = Maxis_core.Params
 module LF = Maxis_core.Linear_family
 module Family = Maxis_core.Family
 module Graph = Wgraph.Graph
-module Bitset = Stdx.Bitset
 module Prng = Stdx.Prng
 
 let iterations =
