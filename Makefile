@@ -109,8 +109,7 @@ parlargen:
 
 # Full-scale parallel sweep: run_flat with vs without a pool, parity + scaling
 # at every width, flood/BFS/Luby to MAXIS_LARGEN_MAX_N (default 10⁵)
-# plus both gadget families with the sharded row sort (writes
-# results/parlargen.csv and appends to BENCH_largen.json).
+# (writes results/parlargen.csv and appends to BENCH_largen.json).
 bench-parlargen:
 	dune exec bench/main.exe -- PARLARGEN
 

@@ -52,7 +52,8 @@ let sweep_rounds = 16
 (* ------------------------------------------------------------------ *)
 (* Sparse random graphs: every node draws three partners, so the degree
    is 3–6 in expectation and m ≈ 3n — the regime where CSR beats the
-   n²-bit matrix by orders of magnitude. *)
+   n²-bit matrix by orders of magnitude.  PARLARGEN sweeps the same
+   graphs. *)
 
 let sparse_csr n =
   let rng = rng_for (Printf.sprintf "largen-graph-%d" n) in

@@ -2,22 +2,15 @@
    ([Runtime.run_flat ~pool]) against the same executor without a pool
    at n in the 10³–10⁵(10⁶) range, across pool widths.
 
-   Three legs:
+   Two legs:
 
-   - an algorithm sweep — flood, BFS and Luby on the same sparse random
-     CSR graphs as LARGEN, run once without a pool and then at every
-     width in [jobs_widths].  Outputs, round counts and Light-trace
-     digests are asserted byte-identical at every width; the
-     deterministic parity table lands on stdout, wall-clock and the
+   - an algorithm sweep — flood, BFS and Luby on LARGEN's sparse random
+     CSR graphs ([Exp_largen.sparse_csr]), run once without a pool and
+     then at every width in [jobs_widths].  Outputs, round counts and
+     Light-trace digests are asserted byte-identical at every width;
+     the deterministic parity table lands on stdout, wall-clock and the
      scaling-efficiency table (speedup and efficiency per width) on
      stderr, results/parlargen.csv and BENCH_largen.json;
-
-   - a gadget-construction sweep — [Linear_family.fixed_csr] and (at
-     the smaller sizes) [Quadratic_family.fixed_csr] built with the
-     row-sorting pass sharded across each width via
-     [Csr.Builder.finish ~shard], asserted [Csr.equal] to the
-     sequential build.  Gadget targets stop at 10⁵ (a 10⁶-node gadget
-     instance carries ~10¹⁰ edges — out of memory range);
 
    - the trajectory append — one dated entry per run, recorded with the
      host's domain count so single-core CI numbers read as what they
@@ -27,37 +20,15 @@
 
 module T = Stdx.Tablefmt
 module J = Stdx.Jsonx
-module Csr = Wgraph.Csr
-module P = Maxis_core.Params
-module LF = Maxis_core.Linear_family
-module QF = Maxis_core.Quadratic_family
 open Exp_common
 
 let bench_json = "BENCH_largen.json"
 let parlargen_csv = Filename.concat "results" "parlargen.csv"
 
-let max_n =
-  match Sys.getenv_opt "MAXIS_LARGEN_MAX_N" with
-  | None | Some "" -> 100_000
-  | Some s -> ( try int_of_string s with Failure _ -> 100_000)
-
-let sizes = List.filter (fun n -> n <= max_n) [ 1_000; 10_000; 100_000; 1_000_000 ]
-let gadget_sizes = List.filter (fun n -> n <= 100_000) sizes
+let max_n = Exp_largen.max_n
+let sizes = Exp_largen.sizes
 let jobs_widths = [ 1; 2; 4; 8 ]
 let sweep_rounds = 16
-
-(* Same seeded construction as LARGEN, so the two experiments measure
-   the same graphs. *)
-let sparse_csr n =
-  let rng = rng_for (Printf.sprintf "largen-graph-%d" n) in
-  let b = Csr.Builder.create n in
-  for v = 0 to n - 1 do
-    for _ = 1 to 3 do
-      let u = Stdx.Prng.int rng n in
-      if u <> v then Csr.Builder.add_edge b v u
-    done
-  done;
-  Csr.Builder.finish b
 
 let config rounds =
   { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
@@ -186,7 +157,7 @@ let run () =
   in
   List.iter
     (fun n ->
-      let c = sparse_csr n in
+      let c = Exp_largen.sparse_csr n in
       sweep_algo n c "flood" sweep_rounds (fun () ->
           Congest.Fastpath.max_id ~rounds:sweep_rounds);
       sweep_algo n c "bfs" sweep_rounds (fun () ->
@@ -201,63 +172,6 @@ let run () =
   note "parity verdict: %s"
     (if !all_parity then "all widths byte-identical" else "PARITY FAILURE");
 
-  (* ---------------- gadget-construction sweep ---------------------- *)
-  let gtable =
-    T.create
-      [
-        T.column ~align:T.Right "target";
-        T.column ~align:T.Left "family";
-        T.column ~align:T.Right "nodes";
-        T.column ~align:T.Right "edges";
-        T.column ~align:T.Left "sharded = sequential";
-      ]
-  in
-  let gadget_params_for ~quadratic target =
-    let nodes p = if quadratic then QF.n_nodes p else LF.n_nodes p in
-    let rec grow ell best =
-      let p = P.make ~alpha:1 ~ell ~players:2 in
-      if nodes p > target then best else grow (ell + 1) (Some p)
-    in
-    grow 2 None
-  in
-  List.iter
-    (fun target ->
-      List.iter
-        (fun quadratic ->
-          match gadget_params_for ~quadratic target with
-          | None -> ()
-          | Some p ->
-              let family = if quadratic then "quadratic" else "linear" in
-              let build ?shard () =
-                if quadratic then fst (QF.fixed_csr ?shard p)
-                else fst (LF.fixed_csr ?shard p)
-              in
-              let t0 = Unix.gettimeofday () in
-              let seq = build () in
-              let seq_wall = Unix.gettimeofday () -. t0 in
-              let agree = ref true in
-              List.iter
-                (fun (j, pool) ->
-                  let shard ~lo ~hi f = Exec.Pool.run_range pool ~lo ~hi f in
-                  let t0 = Unix.gettimeofday () in
-                  let c = build ~shard () in
-                  let wall = Unix.gettimeofday () -. t0 in
-                  if not (Csr.equal c seq) then agree := false;
-                  Printf.eprintf
-                    "  [parlargen] gadget %-9s target=%-7d jobs=%d build %.3fs (seq %.3fs)\n%!"
-                    family target j wall seq_wall)
-                pools;
-              T.add_row gtable
-                [
-                  T.cell_int target;
-                  family;
-                  T.cell_int (Csr.n seq);
-                  T.cell_int (Csr.edge_count seq);
-                  T.cell_bool !agree;
-                ])
-        [ false; true ])
-    gadget_sizes;
-  T.print ~title:"gadget CSR construction with sharded row sort" gtable;
   List.iter (fun (_, pool) -> Exec.Pool.shutdown pool) pools;
 
   (* ---------------- CSV + trajectory ------------------------------- *)

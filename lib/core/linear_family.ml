@@ -54,7 +54,7 @@ let connect_copies_csr p b =
     done
   done
 
-let fixed_csr ?(labels = false) ?shard p =
+let fixed_csr ?(labels = false) p =
   let b = Wgraph.Csr.Builder.create (n_nodes p) in
   for i = 0 to p.Params.players - 1 do
     Base_graph.build_csr_into ~labels p b ~offset:(copy_offset p i)
@@ -64,14 +64,14 @@ let fixed_csr ?(labels = false) ?shard p =
   let partition =
     Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
   in
-  (Wgraph.Csr.Builder.finish ?shard b, partition)
+  (Wgraph.Csr.Builder.finish b, partition)
 
-let instance_csr ?shard p x =
+let instance_csr p x =
   if Inputs.t_players x <> p.Params.players then
     invalid_arg "Linear_family.instance_csr: wrong number of players";
   if x.Inputs.k <> Params.k p then
     invalid_arg "Linear_family.instance_csr: wrong string length";
-  let g, partition = fixed_csr ?shard p in
+  let g, partition = fixed_csr p in
   let size = Base_graph.copy_size p in
   let weight_of v =
     let i = v / size in

@@ -30,20 +30,17 @@ val instance : Params.t -> Commcx.Inputs.t -> Family.instance
 
 val fixed_csr :
   ?labels:bool ->
-  ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Wgraph.Csr.t * int array
 (** CSR twin of {!fixed}: identical edge set and partition, built through
     {!Base_graph.build_csr_into} without the n²-bit adjacency matrix, so
     Theorem-1 sweeps reach n in the 10⁵–10⁶ range.  Labels off by
-    default (they dominate build cost at scale); test/test_csr.ml pins
-    [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))].
-    [shard] is forwarded to {!Wgraph.Csr.Builder.finish} to sort the
-    adjacency rows across a domain pool; the CSR is bit-identical at
-    any width. *)
+    default (they dominate build cost at scale).  Construction is
+    linear in the edge count ({!Wgraph.Csr.Builder.finish} sorts no
+    row).  test/test_csr.ml pins
+    [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)
 
 val instance_csr :
-  ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Commcx.Inputs.t ->
   Wgraph.Csr.t * int array

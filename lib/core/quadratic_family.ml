@@ -102,11 +102,11 @@ let fixed_csr_builder ~labels p =
 let partition_csr p =
   Array.init (n_nodes p) (fun v -> v / (2 * Base_graph.copy_size p))
 
-let fixed_csr ?(labels = false) ?shard p =
+let fixed_csr ?(labels = false) p =
   let b = fixed_csr_builder ~labels p in
-  (Wgraph.Csr.Builder.finish ?shard b, partition_csr p)
+  (Wgraph.Csr.Builder.finish b, partition_csr p)
 
-let instance_csr ?shard p x =
+let instance_csr p x =
   if Inputs.t_players x <> p.Params.players then
     invalid_arg "Quadratic_family.instance_csr: wrong number of players";
   if x.Inputs.k <> string_length p then
@@ -125,7 +125,7 @@ let instance_csr ?shard p x =
       done
     done
   done;
-  (Wgraph.Csr.Builder.finish ?shard b, partition_csr p)
+  (Wgraph.Csr.Builder.finish b, partition_csr p)
 
 let instance p x =
   if Inputs.t_players x <> p.Params.players then

@@ -35,19 +35,15 @@ val instance : Params.t -> Commcx.Inputs.t -> Family.instance
 
 val fixed_csr :
   ?labels:bool ->
-  ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Wgraph.Csr.t * int array
 (** CSR twin of {!fixed}: identical edge set, weights and partition,
     built without the n²-bit adjacency matrix so Theorem-2 sweeps reach
-    the same n range as the linear family.  [shard] is forwarded to
-    {!Wgraph.Csr.Builder.finish} to sort the adjacency rows across a
-    domain pool; the CSR is bit-identical at any width.
-    test/test_csr.ml pins
+    the same n range as the linear family, in time linear in the edge
+    count.  test/test_csr.ml pins
     [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)
 
 val instance_csr :
-  ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) ->
   Params.t ->
   Commcx.Inputs.t ->
   Wgraph.Csr.t * int array

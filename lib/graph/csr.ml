@@ -69,90 +69,52 @@ module Builder = struct
     in
     labels.(v) <- s
 
-  (* Sort adj[lo, hi) ascending, in place, no allocation: insertion sort
-     for short rows (builder output is mostly ascending runs), heapsort
-     above that — gadget rows concatenate several ascending blocks in
-     descending block order, which is the insertion-sort worst case. *)
-  let insertion_sort a lo hi =
-    for i = lo + 1 to hi - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-
-  let heap_sort a lo hi =
-    let len = hi - lo in
-    let sift root last =
-      (* max-heap over a[lo+0 .. lo+last] *)
-      let i = ref root in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        if l > last then continue := false
-        else begin
-          let c = if l + 1 <= last && a.(lo + l + 1) > a.(lo + l) then l + 1 else l in
-          if a.(lo + c) > a.(lo + !i) then begin
-            let tmp = a.(lo + c) in
-            a.(lo + c) <- a.(lo + !i);
-            a.(lo + !i) <- tmp;
-            i := c
-          end
-          else continue := false
-        end
-      done
-    in
-    for root = (len / 2) - 1 downto 0 do
-      sift root (len - 1)
-    done;
-    for last = len - 1 downto 1 do
-      let tmp = a.(lo) in
-      a.(lo) <- a.(lo + last);
-      a.(lo + last) <- tmp;
-      sift 0 (last - 1)
-    done
-
-  let sort_range a lo hi =
-    if hi - lo <= 32 then insertion_sort a lo hi else heap_sort a lo hi
-
-  let finish ?shard b : csr =
+  (* Every row comes out ascending without a comparison.  Row v of
+     [adj] splits at [split.(v)] into a lower part (neighbours < v) and
+     an upper part (neighbours > v).  Each edge first parks its larger
+     endpoint, unsorted, in the upper part of its smaller endpoint's
+     row, filled from the row's end down — which leaves [split] at the
+     boundary.  Walking v ascending over those parked entries appends v
+     to the lower part of each neighbour, so every lower part is
+     ascending; walking x ascending over the sorted lower parts then
+     rewrites every upper part in ascending order.  Duplicate edges
+     come out adjacent. *)
+  let finish b : csr =
     let size = b.b_size in
     let ne = Dynvec.length b.e_src in
-    (* Degree count, both directions. *)
-    let deg = Array.make (max size 1) 0 in
+    let xadj = Array.make (size + 1) 0 in
     for i = 0 to ne - 1 do
       let u = Dynvec.get b.e_src i and v = Dynvec.get b.e_dst i in
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1
+      xadj.(u + 1) <- xadj.(u + 1) + 1;
+      xadj.(v + 1) <- xadj.(v + 1) + 1
     done;
-    let xadj = Array.make (size + 1) 0 in
     for v = 0 to size - 1 do
-      xadj.(v + 1) <- xadj.(v) + deg.(v)
+      xadj.(v + 1) <- xadj.(v + 1) + xadj.(v)
     done;
     let adj = Array.make (max xadj.(size) 1) 0 in
-    let fill = Array.copy xadj in
+    let split = Array.sub xadj 1 size in
     for i = 0 to ne - 1 do
       let u = Dynvec.get b.e_src i and v = Dynvec.get b.e_dst i in
-      adj.(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      adj.(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1
+      let lo = if u < v then u else v and hi = if u < v then v else u in
+      split.(lo) <- split.(lo) - 1;
+      adj.(split.(lo)) <- hi
     done;
-    (* Sort every row — the dominant cost of [finish] at gadget scale.
-       Rows are disjoint slices of [adj], so an injected [shard] may run
-       the row ranges on separate domains; sorted output is identical
-       either way, keeping the final CSR bytes shard-independent. *)
-    let sort_rows lo hi =
-      for v = lo to hi - 1 do
-        sort_range adj xadj.(v) xadj.(v + 1)
+    let fill = Array.sub xadj 0 size in
+    for v = 0 to size - 1 do
+      for r = split.(v) to xadj.(v + 1) - 1 do
+        let hi = adj.(r) in
+        adj.(fill.(hi)) <- v;
+        fill.(hi) <- fill.(hi) + 1
       done
-    in
-    (match shard with
-    | None -> sort_rows 0 size
-    | Some run -> run ~lo:0 ~hi:size sort_rows);
+    done;
+    (* Now [fill = split]: every upper part is free to rewrite. *)
+    for x = 0 to size - 1 do
+      for r = xadj.(x) to split.(x) - 1 do
+        let lo = adj.(r) in
+        adj.(fill.(lo)) <- x;
+        fill.(lo) <- fill.(lo) + 1
+      done
+    done;
     (* Compact duplicates in one sweep.  [w] chases [r] through the
        whole array; xadj is rewritten as rows close. *)
     let w = ref 0 in

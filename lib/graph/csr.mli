@@ -44,20 +44,13 @@ module Builder : sig
 
   val set_label : t -> int -> string -> unit
 
-  val finish :
-    ?shard:(lo:int -> hi:int -> (int -> int -> unit) -> unit) -> t -> graph
-  (** Freeze into a CSR graph: count degrees, prefix-sum offsets, fill
-      and sort every row, drop duplicate edges.  O(n + m log d).  The
-      builder may keep accumulating edges afterwards; a later [finish]
-      produces a fresh snapshot.
-
-      [shard] parallelizes the row-sorting pass — the dominant cost at
-      gadget scale.  It receives the node range [0, n) and a body that
-      sorts the disjoint rows [lo, hi); pass
-      [fun ~lo ~hi f -> Exec.Pool.run_range pool ~lo ~hi f] to fan the
-      rows across a domain pool (this library deliberately has no
-      [exec] dependency — the executor is injected).  The resulting CSR
-      is bit-identical with or without sharding, at any width. *)
+  val finish : t -> graph
+  (** Freeze into a CSR graph: count degrees, prefix-sum offsets, lay
+      every row out ascending by two counting passes (no comparison
+      sort), drop duplicate edges.  O(n + m), with no temporary of size
+      m beyond the adjacency array itself.  The builder may keep
+      accumulating edges afterwards; a later [finish] produces a fresh
+      snapshot. *)
 end
 
 val of_graph : Graph.t -> t

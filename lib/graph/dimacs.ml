@@ -31,7 +31,7 @@ let write_file path ?comment ?partition g =
 
 let parse text =
   let graph = ref None in
-  let partition : (int * int) list ref = ref [] in
+  let partition : (int * int * int) list ref = ref [] in
   let fail lineno msg = failwith (Printf.sprintf "Dimacs.parse: line %d: %s" lineno msg) in
   let get lineno =
     match !graph with
@@ -46,6 +46,12 @@ let parse text =
     | Some i -> i
     | None -> fail lineno (Printf.sprintf "expected an integer, got %S" s)
   in
+  (* A 1-based node number on the page, as a 0-based index below [n]. *)
+  let node lineno n v =
+    if v < 1 || v > n then
+      fail lineno (Printf.sprintf "node %d out of range [1, %d]" v n);
+    v - 1
+  in
   String.split_on_char '\n' text
   |> List.iteri (fun idx line ->
          let lineno = idx + 1 in
@@ -54,15 +60,25 @@ let parse text =
          | "c" :: rest -> (
              match rest with
              | [ "partition"; v; p ] ->
-                 partition := (int_of lineno v - 1, int_of lineno p) :: !partition
+                 partition := (lineno, int_of lineno v, int_of lineno p) :: !partition
              | _ -> ())
          | [ "p"; "edge"; n; _m ] ->
              if !graph <> None then fail lineno "duplicate p line";
-             graph := Some (Graph.create (int_of lineno n))
+             let n = int_of lineno n in
+             if n < 0 then fail lineno (Printf.sprintf "negative node count %d" n);
+             graph := Some (Graph.create n)
          | [ "n"; v; w ] ->
-             Graph.set_weight (get lineno) (int_of lineno v - 1) (int_of lineno w)
+             let g = get lineno in
+             let v = node lineno (Graph.n g) (int_of lineno v)
+             and w = int_of lineno w in
+             if w < 0 then fail lineno (Printf.sprintf "negative weight %d" w);
+             Graph.set_weight g v w
          | [ "e"; u; v ] ->
-             Graph.add_edge (get lineno) (int_of lineno u - 1) (int_of lineno v - 1)
+             let g = get lineno in
+             let u = node lineno (Graph.n g) (int_of lineno u)
+             and v = node lineno (Graph.n g) (int_of lineno v) in
+             if u = v then fail lineno (Printf.sprintf "self-loop on node %d" (u + 1));
+             Graph.add_edge g u v
          | w :: _ -> fail lineno (Printf.sprintf "unknown record %S" w));
   match !graph with
   | None -> failwith "Dimacs.parse: no p line"
@@ -73,10 +89,7 @@ let parse text =
         | entries ->
             let arr = Array.make (Graph.n g) 0 in
             List.iter
-              (fun (v, p) ->
-                if v < 0 || v >= Graph.n g then
-                  failwith "Dimacs.parse: partition node out of range";
-                arr.(v) <- p)
+              (fun (lineno, v, p) -> arr.(node lineno (Graph.n g) v) <- p)
               entries;
             Some arr
       in

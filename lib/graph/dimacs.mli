@@ -21,7 +21,10 @@ val write_file : string -> ?comment:string -> ?partition:int array -> Graph.t ->
 
 val parse : string -> Graph.t * int array option
 (** Inverse of {!to_string}.  Raises [Failure] with a line-numbered message
-    on malformed input.  Unknown comment lines are ignored; node weights
-    default to 1. *)
+    ([Dimacs.parse: line N: ...]) on malformed input: a non-integer
+    field, an unknown record, a duplicate or negative [p] line, a node
+    number outside [1, n] (in [n], [e] or [c partition] records), a
+    negative weight or a self-loop.  Unknown comment lines are ignored;
+    node weights default to 1. *)
 
 val read_file : string -> Graph.t * int array option

@@ -44,7 +44,21 @@ let test_builder_basics () =
   check_int "default weight" 3 (Csr.weight c 0);
   check_int "set weight" 7 (Csr.weight c 2);
   Alcotest.(check string) "label set" "two" (Csr.label c 2);
-  Alcotest.(check string) "label default" "0" (Csr.label c 0)
+  Alcotest.(check string) "label default" "0" (Csr.label c 0);
+  let empty = Csr.Builder.finish (Csr.Builder.create 0) in
+  check_int "n = 0" 0 (Csr.n empty);
+  check_int "n = 0 edges" 0 (Csr.edge_count empty);
+  check "n = 0 = of_graph" true
+    (Csr.equal empty (Csr.of_graph (Graph.create 0)));
+  let b = Csr.Builder.create 5 in
+  Csr.Builder.add_edge b 3 1;
+  let c = Csr.Builder.finish b in
+  check "isolated vertices" true
+    (List.for_all (fun v -> Csr.degree c v = 0) [ 0; 2; 4 ]);
+  check "isolated = of_graph" true
+    (let g = Graph.create 5 in
+     Graph.add_edge g 1 3;
+     Csr.equal c (Csr.of_graph g))
 
 let test_builder_errors () =
   let b = Csr.Builder.create 3 in
@@ -116,16 +130,38 @@ let round_trip =
            (fun v -> Graph.label g v = Graph.label g' v)
            (List.init (Graph.n g) Fun.id))
 
+(* Two input classes.  Sparse: the edge list reversed, then again in
+   order, so every edge arrives twice in both orientations.  Dense
+   (n up to 80, p = 0.9, rows well past 32 entries): each edge 1–3
+   times, each copy in a random orientation, all shuffled. *)
 let builder_equals_of_graph =
   QCheck.Test.make ~name:"Builder over the edge list = of_graph" ~count:120
-    QCheck.(pair small_int small_int)
-    (fun (seed, nn) ->
-      let g = random_graph seed nn in
+    QCheck.(triple bool small_int small_int)
+    (fun (dense, seed, nn) ->
+      let g, inserts =
+        if not dense then begin
+          let g = random_graph seed nn in
+          let edges = Graph.edges g in
+          (g, List.rev_map (fun (u, v) -> (v, u)) edges @ edges)
+        end
+        else begin
+          let rng = Prng.create (Hashtbl.hash (seed, nn, "csr-dense")) in
+          let g = Build.erdos_renyi rng (1 + (nn mod 80)) 0.9 in
+          Build.random_weights rng g 9;
+          let inserts =
+            List.concat_map
+              (fun (u, v) ->
+                List.init (1 + Prng.int rng 3) (fun _ ->
+                    if Prng.bool rng then (u, v) else (v, u)))
+              (Graph.edges g)
+            |> Array.of_list
+          in
+          Prng.shuffle rng inserts;
+          (g, Array.to_list inserts)
+        end
+      in
       let b = Csr.Builder.create (Graph.n g) in
-      (* insert in reverse with duplicates to exercise sort + dedup *)
-      let edges = Graph.edges g in
-      List.iter (fun (u, v) -> Csr.Builder.add_edge b v u) (List.rev edges);
-      List.iter (fun (u, v) -> Csr.Builder.add_edge b u v) edges;
+      List.iter (fun (u, v) -> Csr.Builder.add_edge b u v) inserts;
       for v = 0 to Graph.n g - 1 do
         Csr.Builder.set_weight b v (Graph.weight g v)
       done;
@@ -486,12 +522,7 @@ let test_quadratic_csr_matches () =
   let g, part = Maxis_core.Quadratic_family.fixed p in
   let c, part' = Maxis_core.Quadratic_family.fixed_csr p in
   check "fixed_csr = of_graph fixed" true (Csr.equal c (Csr.of_graph g));
-  check "partitions equal" true (part = part');
-  (* Sharded finish produces the identical CSR at every pool width. *)
-  Exec.Pool.with_pool ~jobs:3 (fun pool ->
-      let shard ~lo ~hi f = Exec.Pool.run_range pool ~lo ~hi f in
-      let c3, _ = Maxis_core.Quadratic_family.fixed_csr ~shard p in
-      check "sharded finish equal" true (Csr.equal c c3))
+  check "partitions equal" true (part = part')
 
 let test_quadratic_instance_csr_matches () =
   let p = Maxis_core.Params.figure_params ~players:2 in
@@ -511,11 +542,7 @@ let test_quadratic_instance_csr_matches () =
     if Csr.weight c v <> Graph.weight inst.Maxis_core.Family.graph v then
       ok := false
   done;
-  check "weights" true !ok;
-  Exec.Pool.with_pool ~jobs:2 (fun pool ->
-      let shard ~lo ~hi f = Exec.Pool.run_range pool ~lo ~hi f in
-      let c2, _ = Maxis_core.Quadratic_family.instance_csr ~shard p x in
-      check "sharded instance equal" true (Csr.equal c c2))
+  check "weights" true !ok
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

@@ -399,7 +399,25 @@ let test_dimacs_parse_errors () =
      with Failure _ -> true);
   check "duplicate p" true
     (try ignore (Wgraph.Dimacs.parse "p edge 2 0\np edge 2 0\n"); false
-     with Failure _ -> true)
+     with Failure _ -> true);
+  (* Records the Graph API would reject must fail as line-numbered
+     parse errors, not leak its Invalid_argument. *)
+  List.iter
+    (fun (what, text, line) ->
+      match Wgraph.Dimacs.parse text with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Failure msg ->
+          let prefix = Printf.sprintf "Dimacs.parse: line %d: " line in
+          check what true (String.starts_with ~prefix msg))
+    [
+      ("self-loop", "p edge 2 1\ne 1 1\n", 2);
+      ("node 0", "p edge 2 1\ne 0 1\n", 2);
+      ("edge node past n", "p edge 2 1\ne 1 3\n", 2);
+      ("negative weight", "p edge 2 0\nn 1 -3\n", 2);
+      ("weight node past n", "p edge 2 0\nn 3 4\n", 2);
+      ("negative n", "p edge -1 0\n", 1);
+      ("partition node past n", "p edge 2 0\nc partition 3 0\n", 2);
+    ]
 
 let test_dimacs_file_io () =
   let g = Build.complete 4 in
