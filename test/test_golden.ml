@@ -5,7 +5,8 @@
    patterns, or the metrics plumbing shows up as a diff against the
    table below.  A second table pins every list-mode program (hardened
    wrappers included) under one adversarial fault plan, down to the
-   trace digest.
+   trace digest.  A third pins the flat executor's fingerprint of every
+   flat program on seeded sparse CSR graphs, with and without a pool.
 
    All runs use Runtime.default_config's seed 42; Luby's only randomness
    derives from that seed (and the fault table's from its plan seed), so
@@ -13,9 +14,10 @@
 
    Regenerate the tables after an intentional change with
 
-     MAXIS_GOLDEN_PRINT=1 dune exec test/test_golden.exe 2>/dev/null
+     MAXIS_GOLDEN_PRINT=1 dune exec test/test_golden.exe -- -v 2>/dev/null
 
-   and paste the printed rows over [goldens] / [fault_goldens] below. *)
+   and paste the printed rows over [goldens] / [fault_goldens] /
+   [flat_goldens] below. *)
 
 module M = Obs.Metrics
 module Build = Wgraph.Build
@@ -456,6 +458,144 @@ let test_streaming_fault_parity () =
     (Congest.Trace.cut_bits_delivered full part)
     (Congest.Trace.cut_bits_delivered light part)
 
+(* ------------------------------------------------------------------ *)
+(* Flat-executor fingerprints: [Runtime.run_flat] of every library flat
+   program, with no pool and on pools of width 2 and 3, pinned field by
+   field.  The list-mode programs derive from the same flat sources, so
+   executor-parity tests cannot catch a wrong flat program; this table
+   can.  Each run records into a Light trace with a seeded bipartition
+   registered, and pins rounds, messages, bits, the trace digest, the
+   cut bits and a fold over every node's output. *)
+
+type flat = F : 'o Congest.Fastpath.t * ('o -> int) -> flat
+
+(* LARGEN's edge rule (three uniform endpoints per node, self-draws
+   skipped) plus seeded weights, so greedy MIS sees distinct
+   priorities.  Gathering packs a weight into 2·⌈log n⌉ bits, so the
+   small graph keeps its weights below 2⁸. *)
+let seeded_csr ?(max_weight = 1000) ~seed n =
+  let rng = Stdx.Prng.create seed in
+  let b = Wgraph.Csr.Builder.create n in
+  for v = 0 to n - 1 do
+    for _ = 1 to 3 do
+      let u = Stdx.Prng.int rng n in
+      if u <> v then Wgraph.Csr.Builder.add_edge b v u
+    done
+  done;
+  for v = 0 to n - 1 do
+    Wgraph.Csr.Builder.set_weight b v (Stdx.Prng.int rng max_weight)
+  done;
+  Wgraph.Csr.Builder.finish b
+
+let flat_graphs () =
+  [
+    ("sparse-a", seeded_csr ~seed:0xf1a7 2000, false);
+    ("sparse-b", seeded_csr ~seed:0xf1a8 2048, false);
+    ("sparse-c", seeded_csr ~seed:0xf1a9 1999, false);
+    ("small", seeded_csr ~max_weight:200 ~seed:0xf1aa 14, true);
+  ]
+
+let flat_programs c ~gather =
+  let of_bool b = if b then 1 else 0 in
+  [
+    F (Congest.Fastpath.max_id ~rounds:16, Fun.id);
+    F (Congest.Fastpath.bfs_distances ~root:0 ~rounds:16, Fun.id);
+    F (Congest.Fastpath.luby_mis, of_bool);
+    F (Congest.Fastpath.greedy_mis, of_bool);
+  ]
+  @
+  if gather then
+    [ F (Congest.Algo_gather.exact_maxis_flat ~m:(Wgraph.Csr.edge_count c), Fun.id) ]
+  else []
+
+type fingerprint = {
+  fp_rounds : int;
+  fp_messages : int;
+  fp_bits : int;
+  fp_digest : string;
+  fp_cut_bits : int;
+  fp_outputs : int;
+}
+
+let seeded_bipartition ~seed n =
+  let rng = Stdx.Prng.create seed in
+  Array.init n (fun _ -> Stdx.Prng.int rng 2)
+
+let flat_fingerprint ?pool (F (fp, encode)) c =
+  let part = seeded_bipartition ~seed:0xc07 (Wgraph.Csr.n c) in
+  let trace = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
+  let r = Congest.Runtime.run_flat ~trace ?pool fp c in
+  {
+    fp_rounds = r.Congest.Runtime.rounds_executed;
+    fp_messages = Congest.Trace.total_messages trace;
+    fp_bits = Congest.Trace.total_bits trace;
+    fp_digest = Int64.to_string (Congest.Trace.digest trace);
+    fp_cut_bits = Congest.Trace.cut_bits trace part;
+    fp_outputs =
+      Array.fold_left
+        (fun h o ->
+          let v = match o with None -> -1 | Some x -> encode x in
+          (h * 1_000_003) + v + 1)
+        17 r.Congest.Runtime.outputs;
+  }
+
+(* (algo, graph) -> the fingerprint every executor must reproduce. *)
+let flat_goldens =
+  [
+    (("max-id-flood", "sparse-a"), { fp_rounds = 16; fp_messages = 58621; fp_bits = 644831; fp_digest = "2598107046368129332"; fp_cut_bits = 318494; fp_outputs = -2839384250665802671 });
+    (("bfs-distances", "sparse-a"), { fp_rounds = 16; fp_messages = 11986; fp_bits = 131846; fp_digest = "821042707540527371"; fp_cut_bits = 64988; fp_outputs = 2715849112193587803 });
+    (("luby-mis", "sparse-a"), { fp_rounds = 12; fp_messages = 27734; fp_bits = 358442; fp_digest = "3442018783885616468"; fp_cut_bits = 176034; fp_outputs = 37674525093354134 });
+    (("greedy-weight-mis", "sparse-a"), { fp_rounds = 15; fp_messages = 27509; fp_bits = 150253; fp_digest = "-1823534009227125776"; fp_cut_bits = 74452; fp_outputs = -2356025543148932191 });
+    (("max-id-flood", "sparse-b"), { fp_rounds = 16; fp_messages = 59435; fp_bits = 653785; fp_digest = "-2214586800037429479"; fp_cut_bits = 324720; fp_outputs = -4028593833458032623 });
+    (("bfs-distances", "sparse-b"), { fp_rounds = 16; fp_messages = 12276; fp_bits = 135036; fp_digest = "-4245789594333194591"; fp_cut_bits = 67210; fp_outputs = -2293319918204583052 });
+    (("luby-mis", "sparse-b"), { fp_rounds = 9; fp_messages = 27722; fp_bits = 352088; fp_digest = "2152599248804163549"; fp_cut_bits = 176192; fp_outputs = 3490964796770722230 });
+    (("greedy-weight-mis", "sparse-b"), { fp_rounds = 12; fp_messages = 28626; fp_bits = 158141; fp_digest = "-3800079677475888791"; fp_cut_bits = 79286; fp_outputs = -2295737023205671503 });
+    (("max-id-flood", "sparse-c"), { fp_rounds = 16; fp_messages = 58254; fp_bits = 640794; fp_digest = "1049344269627642595"; fp_cut_bits = 323697; fp_outputs = 1590659703421142006 });
+    (("bfs-distances", "sparse-c"), { fp_rounds = 16; fp_messages = 11974; fp_bits = 131714; fp_digest = "1305731383319383054"; fp_cut_bits = 66396; fp_outputs = 3778896499465049012 });
+    (("luby-mis", "sparse-c"), { fp_rounds = 12; fp_messages = 27831; fp_bits = 360828; fp_digest = "-1769429461441492547"; fp_cut_bits = 181706; fp_outputs = 1880047584332120885 });
+    (("greedy-weight-mis", "sparse-c"), { fp_rounds = 12; fp_messages = 27860; fp_bits = 153327; fp_digest = "3193528953080699964"; fp_cut_bits = 77326; fp_outputs = 2199985144999893099 });
+    (("max-id-flood", "small"), { fp_rounds = 16; fp_messages = 184; fp_bits = 736; fp_digest = "-4161818864649292340"; fp_cut_bits = 356; fp_outputs = 125049946294701649 });
+    (("bfs-distances", "small"), { fp_rounds = 16; fp_messages = 72; fp_bits = 288; fp_digest = "-3760130041684729062"; fp_cut_bits = 136; fp_outputs = -1026959767865218162 });
+    (("luby-mis", "small"), { fp_rounds = 6; fp_messages = 162; fp_bits = 792; fp_digest = "-1651611518311952879"; fp_cut_bits = 378; fp_outputs = 4319169778273572430 });
+    (("greedy-weight-mis", "small"), { fp_rounds = 6; fp_messages = 153; fp_bits = 584; fp_digest = "2866542066613049738"; fp_cut_bits = 266; fp_outputs = -3375607933258927050 });
+    (("gather-topology", "small"), { fp_rounds = 50; fp_messages = 3600; fp_bits = 46800; fp_digest = "2736438602393620132"; fp_cut_bits = 22100; fp_outputs = -624597848138976939 });
+  ]
+
+let flat_pools = lazy (List.map (fun jobs -> Exec.Pool.create ~jobs ()) [ 2; 3 ])
+
+let flat_cell gname c (F (fp, _) as p) () =
+  let algo = fp.Congest.Fastpath.fname in
+  let got = flat_fingerprint p c in
+  if print_mode then
+    Printf.printf
+      "((%S, %S), { fp_rounds = %d; fp_messages = %d; fp_bits = %d; fp_digest = %S; fp_cut_bits = %d; fp_outputs = %d });\n"
+      algo gname got.fp_rounds got.fp_messages got.fp_bits got.fp_digest
+      got.fp_cut_bits got.fp_outputs
+  else begin
+    let exp =
+      match List.assoc_opt (algo, gname) flat_goldens with
+      | Some e -> e
+      | None ->
+          Alcotest.fail (Printf.sprintf "no flat golden for (%s, %s)" algo gname)
+    in
+    let check_fp what (f : fingerprint) =
+      let lbl x = Printf.sprintf "%s: %s" what x in
+      check_int (lbl "rounds") exp.fp_rounds f.fp_rounds;
+      check_int (lbl "messages") exp.fp_messages f.fp_messages;
+      check_int (lbl "bits") exp.fp_bits f.fp_bits;
+      Alcotest.(check string) (lbl "digest") exp.fp_digest f.fp_digest;
+      check_int (lbl "cut_bits") exp.fp_cut_bits f.fp_cut_bits;
+      check_int (lbl "outputs") exp.fp_outputs f.fp_outputs
+    in
+    check_fp "no pool" got;
+    List.iter
+      (fun pool ->
+        check_fp
+          (Printf.sprintf "jobs=%d" (Exec.Pool.jobs pool))
+          (flat_fingerprint ~pool p c))
+      (Lazy.force flat_pools)
+  end
+
 let () =
   let cells =
     List.concat_map
@@ -479,6 +619,17 @@ let () =
               (fault_cell gname g ~corrupt p))
           (fault_programs g))
       (graphs ())
+  in
+  let flat_cells =
+    List.concat_map
+      (fun (gname, c, gather) ->
+        List.map
+          (fun (F (fp, _) as p) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s on %s" fp.Congest.Fastpath.fname gname)
+              `Quick (flat_cell gname c p))
+          (flat_programs c ~gather))
+      (flat_graphs ())
   in
   let streaming_cells =
     let graphs =
@@ -505,6 +656,7 @@ let () =
     [
       ("trace-counts", cells);
       ("fault-traces", fault_cells);
+      ("flat-fingerprints", flat_cells);
       ("streaming", streaming_cells);
       ( "streaming-faults",
         [
