@@ -1,16 +1,19 @@
 (* Flat CONGEST programs: the one implementation of each library
-   algorithm.
+   algorithm, in kernel form.
 
    [Program.step] speaks in [(int * Msg.t) list] — every round allocates
    a cons cell, a tuple and a [Msg.t] record per message, which is what
    dominates runtime at n ≥ 10⁵.  A flat program exchanges messages as
    (src, tag, bits, word) int quads staged in preallocated buffers the
    executor ([Runtime.run_flat]) reuses across rounds, so a settled run
-   allocates nothing per round.  The ports below are the sources:
-   [to_program] derives the list-mode form ([Algo_flood], [Algo_bfs],
-   [Algo_luby], [Algo_greedy_mis], [Algo_gather]) from them, so the
-   list-mode executor — fault plans, Broadcast mode — runs the very same
-   step functions. *)
+   allocates nothing per round.  It keeps its state in arrays allocated
+   once per run, indexed by node slot and by CSR edge slot, and exposes
+   one step function called per node: no per-node closures, no copied
+   neighbour rows.  The kernels below are the sources: [to_program]
+   derives the list-mode form ([Algo_flood], [Algo_bfs], [Algo_luby],
+   [Algo_greedy_mis], [Algo_gather]) by instantiating a kernel over one
+   node's row, so the list-mode executor — fault plans, Broadcast mode —
+   runs the very same step functions. *)
 
 (* Tag conventions (mirroring the [Msg.payload] cases the library
    algorithms use). *)
@@ -75,7 +78,14 @@ let[@inline] push_inbox b ~src ~tag ~word =
   Array.unsafe_set b.i_buf (base + 2) word;
   b.i_len <- b.i_len + 1
 
+(* Raised out of line so [emit] stays small enough to inline. *)
+let[@inline never] too_wide ~bits ~word =
+  invalid_arg
+    (Printf.sprintf "Fastpath.emit: word %d does not fit in %d bits" word bits)
+
 let[@inline] emit e ~dst ~tag ~bits ~word =
+  if tag = tag_int && (word < 0 || (bits < 63 && word >= 1 lsl bits)) then
+    too_wide ~bits ~word;
   if e.e_len = Array.length e.e_dst then begin
     e.e_dst <- grow e.e_dst e.e_len;
     e.e_tag <- grow e.e_tag e.e_len;
@@ -88,25 +98,50 @@ let[@inline] emit e ~dst ~tag ~bits ~word =
   Array.unsafe_set e.e_word e.e_len word;
   e.e_len <- e.e_len + 1
 
-type 'out node = {
-  fstep : round:int -> inbox:inbox -> emitter -> unit;
-  fhalted : unit -> bool;
-  foutput : unit -> 'out option;
+type shape = {
+  n : int;
+  base : int;
+  slots : int;
+  xadj : int array;
+  adj : int array;
+  weight : int -> int;
+  rngs : unit -> Stdx.Prng.t array;
 }
 
-type 'out t = { fname : string; fspawn : Program.view -> 'out node }
+type 'out kernel = {
+  step : v:int -> round:int -> inbox -> emitter -> unit;
+  halted : Bytes.t;
+  output : int -> 'out option;
+}
 
-(* The list-mode face of a flat program.  Each node owns its inbox and
-   emitter: a [Program.t] value may be spawned on several domains at
-   once, so nothing mutable is shared between spawns.  Payloads other
-   than [Int]/[Bool] are never emitted by a flat program, and fault
-   injection keeps a payload's kind, so dropping them loses nothing. *)
+type 'out t = { fname : string; kernel : shape -> 'out kernel }
+
+(* The list-mode face of a kernel: each spawned node instantiates the
+   kernel over its own row — one node slot, [deg] edge slots — so list
+   mode stays O(n + m) and runs the very same step function.  Each node
+   owns its inbox and emitter: a [Program.t] value may be spawned on
+   several domains at once, so nothing mutable is shared between spawns.
+   Payloads other than [Int]/[Bool] are never emitted by a flat program,
+   and fault injection keeps a payload's kind, so dropping them loses
+   nothing. *)
 let to_program fp =
   {
     Program.name = fp.fname;
     spawn =
       (fun view ->
-        let node = fp.fspawn view in
+        let nbrs = view.Program.neighbors in
+        let k =
+          fp.kernel
+            {
+              n = view.Program.n;
+              base = view.Program.id;
+              slots = 1;
+              xadj = [| 0; Array.length nbrs |];
+              adj = nbrs;
+              weight = (fun _ -> view.Program.weight);
+              rngs = (fun () -> [| view.Program.rng |]);
+            }
+        in
         let inbox = make_inbox () in
         let em = make_emitter () in
         let receive (src, (m : Msg.t)) =
@@ -116,13 +151,13 @@ let to_program fp =
           | Msg.Bool false -> push_inbox inbox ~src ~tag:tag_false ~word:0
           | Msg.Unit | Msg.Pair _ | Msg.Triple _ -> ()
         in
-        let message k =
-          let tag = em.e_tag.(k) in
+        let message i =
+          let tag = em.e_tag.(i) in
           let payload =
-            if tag = tag_int then Msg.Int em.e_word.(k)
+            if tag = tag_int then Msg.Int em.e_word.(i)
             else Msg.Bool (tag = tag_true)
           in
-          (em.e_dst.(k), { Msg.bits = em.e_bits.(k); payload })
+          (em.e_dst.(i), { Msg.bits = em.e_bits.(i); payload })
         in
         {
           Program.step =
@@ -130,96 +165,103 @@ let to_program fp =
               inbox.i_len <- 0;
               List.iter receive msgs;
               em.e_len <- 0;
-              node.fstep ~round ~inbox em;
+              k.step ~v:0 ~round inbox em;
               List.init em.e_len message);
-          halted = node.fhalted;
-          output = node.foutput;
+          halted = (fun () -> Bytes.get k.halted 0 <> '\000');
+          output = (fun () -> k.output 0);
         });
   }
 
 (* ------------------------------------------------------------------ *)
 (* The library algorithms *)
 
+(* Every kernel keeps its per-node state in arrays indexed by node slot
+   and its per-neighbour state in arrays indexed by edge slot (CSR row
+   position); [step ~v] reads slot [v]'s row [adj.(xadj.(v)) ..
+   adj.(xadj.(v+1) - 1)] in place; the kernels here send in row order. *)
+
 let max_id ~rounds =
   {
     fname = "max-id-flood";
-    fspawn =
-      (fun view ->
-        let best = ref view.Program.id in
-        let changed = ref true in
-        let done_ = ref false in
-        let n = view.Program.n in
-        let width = Msg.id_width ~n in
-        let nbrs = view.Program.neighbors in
-        let deg = Array.length nbrs in
-        {
-          fstep =
-            (fun ~round ~inbox em ->
-              for k = 0 to inbox.i_len - 1 do
-                if in_tag inbox k = tag_int then begin
-                  let v = in_word inbox k in
-                  if v > !best then begin
-                    best := v;
-                    changed := true
-                  end
-                end
-              done;
-              if !changed then
-                for k = 0 to deg - 1 do
-                  emit em ~dst:nbrs.(k) ~tag:tag_int ~bits:width ~word:!best
-                done;
-              changed := false;
-              if round + 1 >= rounds then done_ := true);
-          fhalted = (fun () -> !done_);
-          foutput = (fun () -> Some !best);
-        });
+    kernel =
+      (fun sh ->
+        let width = Msg.id_width ~n:sh.n in
+        let xadj = sh.xadj and adj = sh.adj in
+        let best = Array.init sh.slots (fun v -> sh.base + v) in
+        let changed = Bytes.make sh.slots '\001' in
+        let halted = Bytes.make sh.slots '\000' in
+        let step ~v ~round inbox em =
+          let b = ref best.(v) in
+          let ch = ref (Bytes.get changed v <> '\000') in
+          for k = 0 to inbox.i_len - 1 do
+            if in_tag inbox k = tag_int then begin
+              let w = in_word inbox k in
+              if w > !b then begin
+                b := w;
+                ch := true
+              end
+            end
+          done;
+          best.(v) <- !b;
+          if !ch then
+            for r = xadj.(v) to xadj.(v + 1) - 1 do
+              emit em ~dst:adj.(r) ~tag:tag_int ~bits:width ~word:!b
+            done;
+          Bytes.set changed v '\000';
+          if round + 1 >= rounds then Bytes.set halted v '\001'
+        in
+        { step; halted; output = (fun v -> Some best.(v)) });
   }
 
 let bfs_distances ~root ~rounds =
   {
     fname = "bfs-distances";
-    fspawn =
-      (fun view ->
-        let n = view.Program.n in
+    kernel =
+      (fun sh ->
+        let n = sh.n in
         let width = Msg.id_width ~n in
+        let xadj = sh.xadj and adj = sh.adj in
         (* -1 encodes "unknown" so no option allocates on the hot path. *)
-        let dist = ref (if view.Program.id = root then 0 else -1) in
-        let announced = ref false in
-        let done_ = ref false in
-        let nbrs = view.Program.neighbors in
-        let deg = Array.length nbrs in
+        let dist =
+          Array.init sh.slots (fun v -> if sh.base + v = root then 0 else -1)
+        in
+        let announced = Bytes.make sh.slots '\000' in
+        let halted = Bytes.make sh.slots '\000' in
+        let step ~v ~round inbox em =
+          let dv = ref dist.(v) in
+          for k = 0 to inbox.i_len - 1 do
+            if in_tag inbox k = tag_int then begin
+              let d = in_word inbox k in
+              if !dv < 0 || !dv > d + 1 then dv := d + 1
+            end
+          done;
+          dist.(v) <- !dv;
+          if !dv >= 0 && Bytes.get announced v = '\000' then begin
+            Bytes.set announced v '\001';
+            let w = min !dv (n - 1) in
+            for r = xadj.(v) to xadj.(v + 1) - 1 do
+              emit em ~dst:adj.(r) ~tag:tag_int ~bits:width ~word:w
+            done
+          end;
+          if round + 1 >= rounds then Bytes.set halted v '\001'
+        in
         {
-          fstep =
-            (fun ~round ~inbox em ->
-              for k = 0 to inbox.i_len - 1 do
-                if in_tag inbox k = tag_int then begin
-                  let d = in_word inbox k in
-                  if !dist < 0 || !dist > d + 1 then dist := d + 1
-                end
-              done;
-              if !dist >= 0 && not !announced then begin
-                announced := true;
-                let w = min !dist (n - 1) in
-                for k = 0 to deg - 1 do
-                  emit em ~dst:nbrs.(k) ~tag:tag_int ~bits:width ~word:w
-                done
-              end;
-              if round + 1 >= rounds then done_ := true);
-          fhalted = (fun () -> !done_);
-          foutput = (fun () -> if !dist < 0 then None else Some !dist);
+          step;
+          halted;
+          output = (fun v -> if dist.(v) < 0 then None else Some dist.(v));
         });
   }
 
-(* Index of [x] in the sorted row [a], or -1: deactivations and priority
-   slots are per-neighbor-index, found by binary search. *)
-let find_nbr a x =
-  let lo = ref 0 and hi = ref (Array.length a) in
+(* Edge slot of neighbour [x] in the sorted row [adj.(lo) .. adj.(hi-1)],
+   or -1: deactivations and priority slots are per edge slot, found by
+   binary search. *)
+let find_slot adj lo hi x =
+  let lo = ref lo and hi = ref hi in
   let res = ref (-1) in
   while !lo < !hi && !res < 0 do
     let mid = (!lo + !hi) / 2 in
-    if a.(mid) = x then res := mid
-    else if a.(mid) < x then lo := mid + 1
-    else hi := mid
+    let a = adj.(mid) in
+    if a = x then res := mid else if a < x then lo := mid + 1 else hi := mid
   done;
   !res
 
@@ -238,93 +280,102 @@ let find_nbr a x =
 let local_maxima ~name ~width ~draw =
   {
     fname = name;
-    fspawn =
-      (fun view ->
-        let nbrs = view.Program.neighbors in
-        let deg = Array.length nbrs in
-        let width = width view in
+    kernel =
+      (fun sh ->
+        let width = width sh and draw = draw sh in
+        let xadj = sh.xadj and adj = sh.adj in
+        let edges = xadj.(sh.slots) in
         (* 0 = Active, 1 = In_mis, 2 = Covered. *)
-        let status = ref 0 in
-        let active = Bytes.make (max deg 1) '\001' in
-        let my_prio = ref 0 in
-        (* recv_prios, round-stamped so no per-phase clearing. *)
-        let prio = Array.make (max deg 1) 0 in
-        let prio_round = Array.make (max deg 1) (-1) in
-        let halted = ref false in
-        let send_all em ~tag ~bits ~word =
-          for k = 0 to deg - 1 do
-            emit em ~dst:nbrs.(k) ~tag ~bits ~word
+        let status = Bytes.make sh.slots '\000' in
+        let my_prio = Array.make sh.slots 0 in
+        let halted = Bytes.make sh.slots '\000' in
+        (* Per edge slot: is the neighbour still active, and the priority
+           it sent, round-stamped so no per-phase clearing. *)
+        let active = Bytes.make edges '\001' in
+        let prio = Array.make edges 0 in
+        let prio_round = Array.make edges (-1) in
+        let send_all em v ~tag ~bits ~word =
+          for r = xadj.(v) to xadj.(v + 1) - 1 do
+            emit em ~dst:adj.(r) ~tag ~bits ~word
           done
         in
-        {
-          fstep =
-            (fun ~round ~inbox em ->
-              match round mod 3 with
-              | 0 ->
-                  for k = 0 to inbox.i_len - 1 do
-                    if in_tag inbox k = tag_false then begin
-                      let j = find_nbr nbrs (in_src inbox k) in
-                      if j >= 0 then Bytes.set active j '\000'
-                    end
-                  done;
-                  if !status = 0 then begin
-                    let p = draw view ~width in
-                    my_prio := p;
-                    send_all em ~tag:tag_int ~bits:width ~word:p
+        let step ~v ~round inbox em =
+          let lo = xadj.(v) and hi = xadj.(v + 1) in
+          match round mod 3 with
+          | 0 ->
+              for k = 0 to inbox.i_len - 1 do
+                if in_tag inbox k = tag_false then begin
+                  let j = find_slot adj lo hi (in_src inbox k) in
+                  if j >= 0 then Bytes.set active j '\000'
+                end
+              done;
+              if Bytes.get status v = '\000' then begin
+                let w = width v in
+                let p = draw ~v ~width:w in
+                my_prio.(v) <- p;
+                send_all em v ~tag:tag_int ~bits:w ~word:p
+              end
+          | 1 ->
+              for k = 0 to inbox.i_len - 1 do
+                if in_tag inbox k = tag_int then begin
+                  let j = find_slot adj lo hi (in_src inbox k) in
+                  if j >= 0 && Bytes.get active j = '\001' then begin
+                    prio.(j) <- in_word inbox k;
+                    prio_round.(j) <- round
                   end
-              | 1 ->
-                  for k = 0 to inbox.i_len - 1 do
-                    if in_tag inbox k = tag_int then begin
-                      let j = find_nbr nbrs (in_src inbox k) in
-                      if j >= 0 && Bytes.get active j = '\001' then begin
-                        prio.(j) <- in_word inbox k;
-                        prio_round.(j) <- round
-                      end
-                    end
-                  done;
-                  if !status = 0 then begin
-                    let win = ref true in
-                    for j = 0 to deg - 1 do
-                      if prio_round.(j) = round then begin
-                        let p = prio.(j) and src = nbrs.(j) in
-                        (* strict (prio, id) lexicographic comparison *)
-                        if not (!my_prio > p || (!my_prio = p && view.Program.id > src))
-                        then win := false
-                      end
-                    done;
-                    if !win then begin
-                      status := 1;
-                      send_all em ~tag:tag_true ~bits:1 ~word:0
-                    end
+                end
+              done;
+              if Bytes.get status v = '\000' then begin
+                let me = my_prio.(v) and id = sh.base + v in
+                let win = ref true in
+                for j = lo to hi - 1 do
+                  if prio_round.(j) = round then begin
+                    let p = prio.(j) and src = adj.(j) in
+                    (* strict (prio, id) lexicographic comparison *)
+                    if not (me > p || (me = p && id > src)) then win := false
                   end
-              | _ ->
-                  let neighbor_joined = ref false in
-                  for k = 0 to inbox.i_len - 1 do
-                    if in_tag inbox k = tag_true then begin
-                      let j = find_nbr nbrs (in_src inbox k) in
-                      if j >= 0 then Bytes.set active j '\000';
-                      neighbor_joined := true
-                    end
-                  done;
-                  if !status = 1 then halted := true
-                  else if !status = 0 && !neighbor_joined then begin
-                    status := 2;
-                    halted := true;
-                    send_all em ~tag:tag_false ~bits:1 ~word:0
-                  end);
-          fhalted = (fun () -> !halted);
-          foutput =
-            (fun () ->
-              match !status with 1 -> Some true | 2 -> Some false | _ -> None);
-        });
+                done;
+                if !win then begin
+                  Bytes.set status v '\001';
+                  send_all em v ~tag:tag_true ~bits:1 ~word:0
+                end
+              end
+          | _ ->
+              let neighbor_joined = ref false in
+              for k = 0 to inbox.i_len - 1 do
+                if in_tag inbox k = tag_true then begin
+                  let j = find_slot adj lo hi (in_src inbox k) in
+                  if j >= 0 then Bytes.set active j '\000';
+                  neighbor_joined := true
+                end
+              done;
+              let st = Bytes.get status v in
+              if st = '\001' then Bytes.set halted v '\001'
+              else if st = '\000' && !neighbor_joined then begin
+                Bytes.set status v '\002';
+                Bytes.set halted v '\001';
+                send_all em v ~tag:tag_false ~bits:1 ~word:0
+              end
+        in
+        let output v =
+          match Bytes.get status v with
+          | '\001' -> Some true
+          | '\002' -> Some false
+          | _ -> None
+        in
+        { step; halted; output });
   }
 
 let luby_mis =
   local_maxima ~name:"luby-mis"
-    ~width:(fun view -> 2 * Msg.id_width ~n:view.Program.n)
-    ~draw:(fun view ~width -> Stdx.Prng.int view.Program.rng (1 lsl width))
+    ~width:(fun sh ->
+      let w = 2 * Msg.id_width ~n:sh.n in
+      fun _ -> w)
+    ~draw:(fun sh ->
+      let rngs = sh.rngs () in
+      fun ~v ~width -> Stdx.Prng.int rngs.(v) (1 lsl width))
 
 let greedy_mis =
   local_maxima ~name:"greedy-weight-mis"
-    ~width:(fun view -> max 1 (Stdx.Mathx.ceil_log2 (view.Program.weight + 1)))
-    ~draw:(fun view ~width:_ -> view.Program.weight)
+    ~width:(fun sh v -> max 1 (Stdx.Mathx.ceil_log2 (sh.weight v + 1)))
+    ~draw:(fun sh ~v ~width:_ -> sh.weight v)

@@ -1,5 +1,5 @@
 (** Flat CONGEST programs: the single implementation of every library
-    algorithm.
+    algorithm, written as kernels.
 
     {!Program.step} speaks in [(int * Msg.t) list], which allocates a
     cons cell, a tuple and a [Msg.t] record per message per round — the
@@ -8,13 +8,32 @@
     {!Runtime.run_flat} reuses across rounds: once buffer sizes settle, a
     round allocates nothing.  test/test_perf_guard.ml pins that.
 
-    The ports below are the sources.  {!to_program} derives the
-    list-mode algorithms ({!Algo_flood}, {!Algo_bfs}, {!Algo_luby},
-    {!Algo_greedy_mis}, {!Algo_gather}) from them, so [run_flat] on a CSR
-    graph and [run] of the derived program on the equivalent graph
-    execute the same step functions and produce the same outputs, round
-    counts and traces (test/test_csr.ml pins the executors against each
-    other).
+    {b The kernel contract.}  A program is instantiated once per run
+    over a {!shape}: a block of node slots with their CSR rows.  It
+    allocates its state there as per-slot arrays (indexed by node slot)
+    and per-edge arrays (indexed by row position, the edge slot), and
+    returns one {!kernel}:
+    - [step ~v ~round inbox em] runs node slot [v] for one round: read
+      the inbox, stage sends into the (already cleared) emitter, reading
+      neighbours straight from the row [adj.(xadj.(v)) ..
+      adj.(xadj.(v+1) - 1)].  It touches only slot [v]'s entries and the
+      edge slots of its row, so the executor may step disjoint node
+      ranges on different domains.
+    - [halted] is read by the executor, never through a call: a node
+      whose byte is nonzero is skipped.
+    - [output v] is read once per node when the run ends.
+    - A kernel that draws randomness calls [shape.rngs] once, at
+      instantiation; one that never draws need not.
+
+    {!Runtime.run_flat} instantiates a kernel over the whole CSR graph
+    (slot = node id).  {!to_program} derives the list-mode algorithms
+    ({!Algo_flood}, {!Algo_bfs}, {!Algo_luby}, {!Algo_greedy_mis},
+    {!Algo_gather}) by instantiating it per spawned node over that node's
+    own row — one node slot, [deg] edge slots — so both executors run the
+    same step function on the same rows with the same PRNG streams and
+    produce the same outputs, round counts and traces (test/test_csr.ml
+    pins the executors against each other; test/test_golden.ml pins the
+    flat executor's fingerprints).
 
     Inbox order is ascending sender, ties in emit order, under
     {!Runtime.run_flat}, and arrival order under the list-mode executor;
@@ -71,7 +90,11 @@ val in_word : inbox -> int -> int
 
 val emit : emitter -> dst:int -> tag:int -> bits:int -> word:int -> unit
 (** Stage one message.  Amortized O(1), allocation-free once the buffer
-    has grown to the program's working size. *)
+    has grown to the program's working size.  A [tag_int] message must
+    carry its word within its declared width, as {!Msg.int_msg} demands:
+    raises [Invalid_argument] when [word] is negative, or when
+    [bits < 63] and [word ≥ 2^bits], so no send ships more bits than it
+    is charged for. *)
 
 val push_inbox : inbox -> src:int -> tag:int -> word:int -> unit
 (** Append one (src, tag, word) entry; used by tests to build inboxes by
@@ -85,28 +108,47 @@ val grow_strided : stride:int -> int array -> int -> int array
 
 (** {1 Programs} *)
 
-type 'out node = {
-  fstep : round:int -> inbox:inbox -> emitter -> unit;
-      (** Read the inbox, stage sends into the emitter.  The emitter is
-          already cleared; the inbox is only valid during the call. *)
-  fhalted : unit -> bool;
-  foutput : unit -> 'out option;
+type shape = {
+  n : int;  (** nodes in the network *)
+  base : int;  (** global id of node slot 0; slot [v] is node [base + v] *)
+  slots : int;  (** node slots *)
+  xadj : int array;
+      (** [slots + 1] row offsets, [xadj.(0) = 0]: slot [v]'s edge slots
+          are [xadj.(v) .. xadj.(v+1) - 1], [xadj.(slots)] in all.
+          Read-only. *)
+  adj : int array;
+      (** global neighbour ids by edge slot, each row ascending.
+          Read-only. *)
+  weight : int -> int;  (** weight of a node slot *)
+  rngs : unit -> Stdx.Prng.t array;
+      (** one private stream per slot, split from the run's master
+          stream in ascending node order — the streams the list-mode
+          executor hands the same nodes.  Call at most once. *)
 }
 
-type 'out t = { fname : string; fspawn : Program.view -> 'out node }
-(** Spawned from the same {!Program.view} (same neighbor arrays, same
-    split PRNG streams) by every executor, so a run is output-identical
-    across executors under any seed. *)
+type 'out kernel = {
+  step : v:int -> round:int -> inbox -> emitter -> unit;
+      (** Run node slot [v] for one round.  The emitter is already
+          cleared; the inbox is only valid during the call. *)
+  halted : Bytes.t;
+      (** One byte per slot, nonzero once the node has halted; written
+          by [step], read by the executor. *)
+  output : int -> 'out option;  (** the output of a node slot *)
+}
+
+type 'out t = { fname : string; kernel : shape -> 'out kernel }
+(** A named kernel.  [fname] labels metrics. *)
 
 val to_program : 'out t -> 'out Program.t
 (** The list-mode form of a flat program, named [fname] (metric labels
-    follow the name).  Each spawned node gets its own inbox and emitter,
-    so one [Program.t] may run on several domains at once.  Received
-    [Msg.Int w] is delivered as [tag_int]/[w] and [Msg.Bool b] as
-    [tag_true]/[tag_false], in list order; other payloads are ignored (a
-    flat program never emits them, and fault injection keeps a payload's
-    kind).  The emitter comes back in emit order as
-    [(dst, { Msg.bits; payload })]. *)
+    follow the name).  Each spawned node instantiates the kernel over its
+    own row — [base] its id, one slot, its view's neighbours, weight and
+    stream — and gets its own inbox and emitter, so one [Program.t] may
+    run on several domains at once.  Received [Msg.Int w] is delivered as
+    [tag_int]/[w] and [Msg.Bool b] as [tag_true]/[tag_false], in list
+    order; other payloads are ignored (a flat program never emits them,
+    and fault injection keeps a payload's kind).  The emitter comes back
+    in emit order as [(dst, { Msg.bits; payload })]. *)
 
 (** {1 The library algorithms} *)
 
@@ -118,16 +160,17 @@ val bfs_distances : root:int -> rounds:int -> int t
 
 val local_maxima :
   name:string ->
-  width:(Program.view -> int) ->
-  draw:(Program.view -> width:int -> int) ->
+  width:(shape -> int -> int) ->
+  draw:(shape -> v:int -> width:int -> int) ->
   bool t
 (** The "local maxima join" MIS skeleton shared by Luby and greedy MIS.
     Each 3-round phase: undecided nodes send a [width]-bit priority,
     strict local maxima of (priority, id) among still-active neighbors
     join and announce it, and their neighbors drop out and announce
-    that.  [width] is computed once per node at spawn; [draw] is called
-    once per phase on each still-active node, with that width, and must
-    return a value below [2^width].  Output: [Some true] if the node
+    that.  [width] and [draw] are applied to the shape once, at
+    instantiation; then, once per phase on each still-active slot [v],
+    [width v] gives the priority width and [draw ~v ~width] the priority,
+    which must be below [2^width].  Output: [Some true] if the node
     joined, [Some false] if a neighbor did. *)
 
 val luby_mis : bool t

@@ -494,11 +494,14 @@ let run_checked ?(config = default_config) ?trace (program : 'out Program.t) g
      [offs.(d) + Σ_{s' < s} counts_{s'}(d)]: shard segments concatenate
      in ascending shard = ascending source order, the (src asc, emit
      order) layout per-node inbox buffers would produce;
-   - spawning stays sequential: PRNG splitting is one master stream.
+   - the kernel is instantiated once, on the caller, before the first
+     round: a kernel that draws splits its streams from one master in
+     ascending node order.
 
-   The phases: (1) stage — each shard steps its nodes against the
-   previous round's windows, validates every send against its own book
-   and stages it; (2) prefix pass A — each shard of the destination
+   The phases: (1) stage — each shard calls the kernel's [step ~v] on
+   each live node (halting is read from the kernel's [halted] bytes, not
+   through a call) against the previous round's windows, validates
+   every send against its own book and stages it; (2) prefix pass A — each shard of the destination
    range turns the per-shard tallies into within-column prefixes and
    computes its chunk total, with the chunk bases then prefix-summed
    sequentially (O(jobs)); (3) prefix pass B — writes the global windows
@@ -555,23 +558,28 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let limit = bandwidth_bits config ~n in
   let mx = metrics_for fp.Fastpath.fname in
   Obs.Metrics.inc mx.m_runs;
-  let master_rng = Stdx.Prng.create config.seed in
-  (* Same spawn order and PRNG splitting as the list-mode executor, so a
-     faithful flat port is output-identical under any seed. *)
-  let spawn v =
-    let view =
+  (* One kernel instance over the whole graph, reading the CSR rows in
+     place.  A kernel that draws gets the streams the list-mode executor
+     would hand each node: split from the master in ascending order. *)
+  let xadj, adj = Csr.rows c in
+  let kernel =
+    fp.Fastpath.kernel
       {
-        Program.id = v;
-        n;
-        weight = Csr.weight c v;
-        neighbors = Csr.neighbors_array c v;
-        rng = Stdx.Prng.split master_rng;
+        Fastpath.n;
+        base = 0;
+        slots = n;
+        xadj;
+        adj;
+        weight = Csr.weight c;
+        rngs =
+          (fun () ->
+            let master = Stdx.Prng.create config.seed in
+            Array.init n (fun _ -> Stdx.Prng.split master));
       }
-    in
-    fp.Fastpath.fspawn view
   in
-  (* [Array.init] applies [spawn] in ascending order. *)
-  let instances = Array.init n spawn in
+  let step = kernel.Fastpath.step and halted_b = kernel.Fastpath.halted in
+  if Bytes.length halted_b < n then
+    invalid_arg "Runtime.run_flat: kernel halted bytes shorter than n";
   (* Chunk geometry is fixed for the run, so a chunk's lo bound inverts
      to its shard index in O(1).  Chunks that are empty (n < jobs) stay
      empty forever and their shard state is never touched. *)
@@ -613,16 +621,6 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let sh_failed = Array.make (jobs * shard_pad) 0 in
   let ct = Array.make (jobs * shard_pad) 0 in
   let cb = Array.make jobs 0 in
-  (* One mark closure per shard for the whole run — allocating it per
-     node-round would show up in the perf guard. *)
-  let sh_mark =
-    Array.init jobs (fun s ->
-        let book = sh_book.(s) in
-        let tok = s * shard_pad in
-        fun u ->
-          Array.unsafe_set book (2 * u) (Array.unsafe_get sh_token tok);
-          Array.unsafe_set book ((2 * u) + 1) 0)
-  in
   let round = ref 0 in
   (* Metric totals are flushed once per run, not per send: atomic bumps
      per message would dominate the otherwise allocation-free send path.
@@ -653,29 +651,36 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     let counts = sh_counts.(s) in
     Array.fill counts 0 (Array.length counts) 0;
     let view = sh_view.(s) and em = sh_em.(s) in
-    let mark = sh_mark.(s) and book = sh_book.(s) in
+    let book = sh_book.(s) in
     let rnd = !round in
     let len = ref 0 and round_bits = ref 0 and halted = ref 0 in
     let edge_obs = ref sh_edge_obs.(slot) in
     let st = ref sh_stage.(s) in
+    (* Re-aim the view once per chunk: the arena array is replaced (by
+       growth) only between phases. *)
+    view.Fastpath.i_buf <- !arena;
     for v = clo to chi - 1 do
-      let inst = instances.(v) in
-      if inst.Fastpath.fhalted () then incr halted
+      if Bytes.unsafe_get halted_b v <> '\000' then incr halted
       else begin
         (* [offs] holds the previous round's windows (all zero before the
-           first round, i.e. empty inboxes); re-aim the view since the
-           arena array may have been replaced by growth. *)
-        view.Fastpath.i_buf <- !arena;
+           first round, i.e. empty inboxes). *)
         view.Fastpath.i_off <- Array.unsafe_get offs v;
         view.Fastpath.i_len <-
           Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
         em.Fastpath.e_len <- 0;
-        inst.Fastpath.fstep ~round:rnd ~inbox:view em;
+        step ~v ~round:rnd view em;
         let e_len = em.Fastpath.e_len in
         if e_len > 0 then begin
           let tok = sh_token.(slot) + 1 in
           sh_token.(slot) <- tok;
-          Csr.iter_neighbors mark c v;
+          (* Stamp the sender's row: neighbour validation is then one
+             book read per send, and the same pass zeroes the per-edge
+             bit tallies. *)
+          for r = Array.unsafe_get xadj v to Array.unsafe_get xadj (v + 1) - 1 do
+            let u = Array.unsafe_get adj r in
+            Array.unsafe_set book (2 * u) tok;
+            Array.unsafe_set book ((2 * u) + 1) 0
+          done;
           (* Unsafe reads/writes here are in range by construction: [k]
              is below the emitter's grown length, [dst] is range-checked
              before indexing the n-sized bookkeeping arrays, and the grow
@@ -721,7 +726,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
           sh_len.(slot) <- !len;
           if inline then record_node rnd v em e_len
         end;
-        if inst.Fastpath.fhalted () then incr halted
+        if Bytes.unsafe_get halted_b v <> '\000' then incr halted
       end
     done;
     sh_round_bits.(slot) <- !round_bits;
@@ -867,7 +872,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     else begin
       let ok = ref true in
       for v = 0 to n - 1 do
-        if not (instances.(v).Fastpath.fhalted ()) then ok := false
+        if Bytes.get halted_b v = '\000' then ok := false
       done;
       !ok
     end
@@ -922,7 +927,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   in
   Obs.Metrics.set g_arena_peak (Array.length !arena + stage_words);
   {
-    outputs = Array.map (fun inst -> inst.Fastpath.foutput ()) instances;
+    outputs = Array.init n kernel.Fastpath.output;
     rounds_executed = !round;
     all_halted = all_halted ();
     crashed = Array.make n false;

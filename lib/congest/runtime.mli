@@ -131,8 +131,12 @@ val run_flat :
 (** The zero-allocation hot path: executes a flat program over
     preallocated int message buffers — no cons cells, tuples or [Msg.t]
     records per round (test/test_perf_guard.ml pins the per-round
-    allocation ceiling).  Spawn order and PRNG splitting match the
-    list-mode executors, so faithful flat ports are output-identical.
+    allocation ceiling).  The kernel is instantiated once over the CSR
+    rows (no per-node copies); a kernel that draws gets the streams the
+    list-mode executors hand each node, split from the master in
+    ascending node order, so a flat program and its {!Fastpath.to_program}
+    form are output-identical.  Each node's output is read once, through
+    [output v], when the run ends.
 
     Without [pool] the round's phases run on the caller and the trace is
     recorded inline.  With [pool] every per-node and per-destination

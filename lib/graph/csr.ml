@@ -245,6 +245,8 @@ let neighbors_array g v =
   check g v;
   Array.sub g.adj g.xadj.(v) (g.xadj.(v + 1) - g.xadj.(v))
 
+let rows g = (g.xadj, g.adj)
+
 let iter_edges f g =
   for v = 0 to g.size - 1 do
     for r = g.xadj.(v) to g.xadj.(v + 1) - 1 do

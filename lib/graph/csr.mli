@@ -90,7 +90,14 @@ val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
 
 val neighbors_array : t -> int -> int array
 (** A fresh sorted array of the row — the per-node view handed to
-    CONGEST program instances. *)
+    list-mode CONGEST program instances. *)
+
+val rows : t -> int array * int array
+(** [(xadj, adj)], the graph's own storage, not a copy: row [v] is
+    [adj.(xadj.(v)) .. adj.(xadj.(v+1) - 1)], ascending, and [xadj] has
+    [n + 1] entries.  Read-only — writing either array corrupts the
+    graph.  O(1); this is how CONGEST kernels read their neighbours
+    in place. *)
 
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** Each undirected edge once, with [u < v], ascending. *)

@@ -185,18 +185,17 @@ let test_watchdog_condemns_wedge () =
 let kill_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
   {
     fp with
-    Congest.Fastpath.fspawn =
-      (fun view ->
-        let node = fp.Congest.Fastpath.fspawn view in
-        if view.Congest.Program.id <> at_node then node
-        else
-          {
-            node with
-            Congest.Fastpath.fstep =
-              (fun ~round ~inbox em ->
-                if round = at_round then raise Pool.Chaos_kill;
-                node.Congest.Fastpath.fstep ~round ~inbox em);
-          });
+    Congest.Fastpath.kernel =
+      (fun shape ->
+        let k = fp.Congest.Fastpath.kernel shape in
+        {
+          k with
+          Congest.Fastpath.step =
+            (fun ~v ~round inbox em ->
+              if shape.Congest.Fastpath.base + v = at_node && round = at_round
+              then raise Pool.Chaos_kill;
+              k.Congest.Fastpath.step ~v ~round inbox em);
+        });
   }
 
 let test_flat_par_kill_mid_round () =

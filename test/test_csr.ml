@@ -102,7 +102,9 @@ let conversion_matches =
       let g = random_graph seed nn in
       let c = Csr.of_graph g in
       let n = Graph.n g in
+      let xadj, adj = Csr.rows c in
       Csr.n c = n
+      && Array.length xadj = n + 1
       && Csr.edge_count c = Graph.edge_count g
       && Csr.max_degree c = Graph.max_degree g
       && Csr.total_weight c = Graph.total_weight g
@@ -113,6 +115,8 @@ let conversion_matches =
              && Csr.label c v = Graph.label g v
              && Csr.neighbors_array c v
                 = Bitset.to_array (Graph.neighbors g v)
+             && Array.sub adj xadj.(v) (xadj.(v + 1) - xadj.(v))
+                = Csr.neighbors_array c v
              && List.for_all
                   (fun u -> u = v || Csr.has_edge c v u = Graph.has_edge g v u)
                   (List.init n Fun.id))
@@ -345,26 +349,27 @@ let chatter ~fault ~bad_round ~bad_node : unit Congest.Fastpath.t =
   let module F = Congest.Fastpath in
   {
     F.fname = "chatter";
-    fspawn =
-      (fun view ->
-        let v = view.Congest.Program.id in
-        let nbrs = view.Congest.Program.neighbors in
-        let width = Congest.Msg.id_width ~n:view.Congest.Program.n in
-        let deg = Array.length nbrs in
+    kernel =
+      (fun sh ->
+        let width = Congest.Msg.id_width ~n:sh.F.n in
+        let xadj = sh.F.xadj and adj = sh.F.adj in
         {
-          F.fstep =
-            (fun ~round ~inbox:_ em ->
+          F.step =
+            (fun ~v ~round _ em ->
+              let id = sh.F.base + v in
+              let lo = xadj.(v) and deg = xadj.(v + 1) - xadj.(v) in
               for k = 0 to deg - 1 do
-                if round = bad_round && v = bad_node && k = deg / 2 then
+                if round = bad_round && id = bad_node && k = deg / 2 then
                   (match fault with
                   | Oversend ->
-                      F.emit em ~dst:nbrs.(k) ~tag:F.tag_int ~bits:10_000 ~word:0
+                      F.emit em ~dst:adj.(lo + k) ~tag:F.tag_int ~bits:10_000
+                        ~word:0
                   | Non_neighbor ->
-                      F.emit em ~dst:v ~tag:F.tag_int ~bits:width ~word:0);
-                F.emit em ~dst:nbrs.(k) ~tag:F.tag_int ~bits:width ~word:v
+                      F.emit em ~dst:id ~tag:F.tag_int ~bits:width ~word:0);
+                F.emit em ~dst:adj.(lo + k) ~tag:F.tag_int ~bits:width ~word:id
               done);
-          fhalted = (fun () -> false);
-          foutput = (fun () -> None);
+          halted = Bytes.make sh.F.slots '\000';
+          output = (fun _ -> None);
         });
   }
 
@@ -467,6 +472,66 @@ let test_flat_rejects () =
         [ None; Some p ];
       rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] d (Some p);
       rejects "empty alloc_probe" ~alloc_probe:[||] d None)
+
+(* Declared message widths are enforced at emit: every node sends one
+   [tag_int] word of [bits] bits to each neighbour in round 0.  A word
+   that needs more bits than declared, or a negative one, raises
+   [Invalid_argument] on the flat executor with and without a pool and
+   on the derived list-mode program; one that fits exactly runs. *)
+let sender ~bits ~word : unit Congest.Fastpath.t =
+  let module F = Congest.Fastpath in
+  {
+    F.fname = "sender";
+    kernel =
+      (fun sh ->
+        let halted = Bytes.make sh.F.slots '\000' in
+        {
+          F.step =
+            (fun ~v ~round:_ _ em ->
+              for r = sh.F.xadj.(v) to sh.F.xadj.(v + 1) - 1 do
+                F.emit em ~dst:sh.F.adj.(r) ~tag:F.tag_int ~bits ~word
+              done;
+              Bytes.set halted v '\001');
+          halted;
+          output = (fun _ -> None);
+        });
+  }
+
+let test_emit_width () =
+  let g = Build.cycle 6 in
+  let c = Csr.of_graph g in
+  let engines fp =
+    Exec.Pool.with_pool ~jobs:2 (fun pool ->
+        [
+          ("no pool", fun () -> ignore (Congest.Runtime.run_flat fp c));
+          ("jobs=2", fun () -> ignore (Congest.Runtime.run_flat ~pool fp c));
+          ( "list",
+            fun () ->
+              ignore (Congest.Runtime.run (Congest.Fastpath.to_program fp) g)
+          );
+        ]
+        |> List.map (fun (what, run) ->
+               (what, match run () with () -> None | exception e -> Some e)))
+  in
+  List.iter
+    (fun (bits, word) ->
+      List.iter
+        (fun (what, outcome) ->
+          match outcome with
+          | Some (Invalid_argument _) -> ()
+          | _ ->
+              Alcotest.failf "%s: %d-bit send of %d not rejected" what bits
+                word)
+        (engines (sender ~bits ~word)))
+    [ (3, 8); (1, 2); (3, -1); (0, 1); (61, 1 lsl 61) ];
+  List.iter
+    (fun (bits, word) ->
+      List.iter
+        (fun (what, outcome) ->
+          if outcome <> None then
+            Alcotest.failf "%s: %d-bit send of %d rejected" what bits word)
+        (engines (sender ~bits ~word)))
+    [ (3, 7); (1, 0); (2, 3) ]
 
 (* The [run_flat_par] alias rejects what [run_flat ~pool] rejects. *)
 let test_par_rejects () =
@@ -579,6 +644,8 @@ let () =
           Alcotest.test_case "run_flat_par rejects" `Quick test_par_rejects;
           Alcotest.test_case "violations: pool = no pool" `Quick
             test_violation_parity;
+          Alcotest.test_case "emit enforces declared widths" `Quick
+            test_emit_width;
         ] );
       ( "gadgets",
         [
