@@ -501,13 +501,13 @@ let run_checked ?(config = default_config) ?trace (program : 'out Program.t) g
    The phases: (1) stage — each shard calls the kernel's [step ~v] on
    each live node (halting is read from the kernel's [halted] bytes, not
    through a call) against the previous round's windows, validates
-   every send against its own book and stages it; (2) prefix pass A — each shard of the destination
-   range turns the per-shard tallies into within-column prefixes and
-   computes its chunk total, with the chunk bases then prefix-summed
-   sequentially (O(jobs)); (3) prefix pass B — writes the global windows
-   and lifts the within-column prefixes to absolute write cursors;
-   (4) scatter — each shard copies its staged messages into its
-   (disjoint) arena slots.
+   every send against its own book and stages it; (2) prefix pass A —
+   each shard of the destination range turns the per-shard tallies into
+   within-column prefixes and computes its chunk total, with the chunk
+   bases then prefix-summed sequentially (O(jobs)); (3) prefix pass B —
+   writes the global windows and lifts the within-column prefixes to
+   absolute write cursors; (4) scatter — each shard copies its staged
+   messages into its (disjoint) arena slots.
 
    Staging has two layouts.  Without a pool the one shard stages
    (dst, src, tag, word) quads and records each node's validated sends
@@ -676,7 +676,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
           (* Stamp the sender's row: neighbour validation is then one
              book read per send, and the same pass zeroes the per-edge
              bit tallies. *)
-          for r = Array.unsafe_get xadj v to Array.unsafe_get xadj (v + 1) - 1 do
+          let r0 = Array.unsafe_get xadj v in
+          for r = r0 to Array.unsafe_get xadj (v + 1) - 1 do
             let u = Array.unsafe_get adj r in
             Array.unsafe_set book (2 * u) tok;
             Array.unsafe_set book ((2 * u) + 1) 0
