@@ -21,7 +21,8 @@
       ranges on different domains.
     - [halted] is read by the executor, never through a call: a node
       whose byte is nonzero is skipped.
-    - [output v] is read once per node when the run ends.
+    - [output v] is slot [v]'s current output; {!Runtime.run_flat}
+      reads it once per node, when the run ends.
     - A kernel that draws randomness calls [shape.rngs] once, at
       instantiation; one that never draws need not.
 
