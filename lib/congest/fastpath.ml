@@ -9,11 +9,14 @@
    allocates nothing per round.  It keeps its state in arrays allocated
    once per run, indexed by node slot and by CSR edge slot, and exposes
    one step function called per node: no per-node closures, no copied
-   neighbour rows.  The kernels below are the sources: [to_program]
-   derives the list-mode form ([Algo_flood], [Algo_bfs], [Algo_luby],
-   [Algo_greedy_mis], [Algo_gather]) by instantiating a kernel over one
-   node's row, so the list-mode executor — fault plans, Broadcast mode —
-   runs the very same step functions. *)
+   neighbour rows.  A node telling every neighbour the same thing stages
+   one row ([emit_row]) rather than [deg] point sends, and the executor
+   expands it only where messages must exist one by one.  The kernels
+   below are the sources: [to_program] derives the list-mode form
+   ([Algo_flood], [Algo_bfs], [Algo_luby], [Algo_greedy_mis],
+   [Algo_gather]) by instantiating a kernel over one node's row, so the
+   list-mode executor — fault plans, Broadcast mode — runs the very same
+   step functions. *)
 
 (* Tag conventions (mirroring the [Msg.payload] cases the library
    algorithms use). *)
@@ -35,12 +38,16 @@ type inbox = {
   mutable i_len : int;
 }
 
+(* A row send occupies entry 0 with [e_row] set and [e_len = 1]; its
+   [e_dst] slot is never read.  [clear] resets both fields together, so
+   a point send is never mistaken for a row. *)
 type emitter = {
   mutable e_dst : int array;
   mutable e_tag : int array;
   mutable e_bits : int array;
   mutable e_word : int array;
   mutable e_len : int;
+  mutable e_row : bool;
 }
 
 let make_inbox () = { i_buf = [||]; i_off = 0; i_len = 0 }
@@ -52,7 +59,18 @@ let[@inline] in_tag b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 1)
 let[@inline] in_word b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 2)
 
 let make_emitter () =
-  { e_dst = [||]; e_tag = [||]; e_bits = [||]; e_word = [||]; e_len = 0 }
+  {
+    e_dst = [||];
+    e_tag = [||];
+    e_bits = [||];
+    e_word = [||];
+    e_len = 0;
+    e_row = false;
+  }
+
+let[@inline] clear e =
+  e.e_len <- 0;
+  e.e_row <- false
 
 (* The only unsafe array accesses in the library live in the two
    staging functions below and the [Runtime.run_flat] loop that drains them:
@@ -78,14 +96,27 @@ let[@inline] push_inbox b ~src ~tag ~word =
   Array.unsafe_set b.i_buf (base + 2) word;
   b.i_len <- b.i_len + 1
 
-(* Raised out of line so [emit] stays small enough to inline. *)
-let[@inline never] too_wide ~bits ~word =
+(* Raised out of line so [emit] and [emit_row] stay small enough to
+   inline. *)
+let[@inline never] bad_send what ~bits ~word =
   invalid_arg
-    (Printf.sprintf "Fastpath.emit: word %d does not fit in %d bits" word bits)
+    (if bits < 0 then Printf.sprintf "Fastpath.%s: negative size %d" what bits
+     else
+       Printf.sprintf "Fastpath.%s: word %d does not fit in %d bits" what word
+         bits)
+
+let[@inline never] mixed what =
+  invalid_arg
+    (Printf.sprintf
+       "Fastpath.%s: a round sends either one row or point messages, not both"
+       what)
+
+let[@inline] ill_sized ~tag ~bits ~word =
+  bits < 0 || (tag = tag_int && (word < 0 || (bits < 63 && word >= 1 lsl bits)))
 
 let[@inline] emit e ~dst ~tag ~bits ~word =
-  if tag = tag_int && (word < 0 || (bits < 63 && word >= 1 lsl bits)) then
-    too_wide ~bits ~word;
+  if ill_sized ~tag ~bits ~word then bad_send "emit" ~bits ~word;
+  if e.e_row then mixed "emit";
   if e.e_len = Array.length e.e_dst then begin
     e.e_dst <- grow e.e_dst e.e_len;
     e.e_tag <- grow e.e_tag e.e_len;
@@ -97,6 +128,21 @@ let[@inline] emit e ~dst ~tag ~bits ~word =
   Array.unsafe_set e.e_bits e.e_len bits;
   Array.unsafe_set e.e_word e.e_len word;
   e.e_len <- e.e_len + 1
+
+let[@inline] emit_row e ~tag ~bits ~word =
+  if ill_sized ~tag ~bits ~word then bad_send "emit_row" ~bits ~word;
+  if e.e_len > 0 then mixed "emit_row";
+  if Array.length e.e_dst = 0 then begin
+    e.e_dst <- grow e.e_dst 0;
+    e.e_tag <- grow e.e_tag 0;
+    e.e_bits <- grow e.e_bits 0;
+    e.e_word <- grow e.e_word 0
+  end;
+  e.e_tag.(0) <- tag;
+  e.e_bits.(0) <- bits;
+  e.e_word.(0) <- word;
+  e.e_len <- 1;
+  e.e_row <- true
 
 type shape = {
   n : int;
@@ -123,7 +169,9 @@ type 'out t = { fname : string; kernel : shape -> 'out kernel }
    several domains at once, so nothing mutable is shared between spawns.
    Payloads other than [Int]/[Bool] are never emitted by a flat program,
    and fault injection keeps a payload's kind, so dropping them loses
-   nothing. *)
+   nothing.  A row send expands into one pair per neighbour, in row
+   order, so list mode (fault plans, [Player_sim]) sees per-edge
+   messages exactly as if the kernel had emitted them one by one. *)
 let to_program fp =
   {
     Program.name = fp.fname;
@@ -157,16 +205,19 @@ let to_program fp =
             if tag = tag_int then Msg.Int em.e_word.(i)
             else Msg.Bool (tag = tag_true)
           in
-          (em.e_dst.(i), { Msg.bits = em.e_bits.(i); payload })
+          { Msg.bits = em.e_bits.(i); payload }
         in
         {
           Program.step =
             (fun ~round ~inbox:msgs ->
               inbox.i_len <- 0;
               List.iter receive msgs;
-              em.e_len <- 0;
+              clear em;
               k.step ~v:0 ~round inbox em;
-              List.init em.e_len message);
+              if em.e_row then
+                let m = message 0 in
+                Array.fold_right (fun dst acc -> (dst, m) :: acc) nbrs []
+              else List.init em.e_len (fun i -> (em.e_dst.(i), message i)));
           halted = (fun () -> Bytes.get k.halted 0 <> '\000');
           output = (fun () -> k.output 0);
         });
@@ -178,7 +229,8 @@ let to_program fp =
 (* Every kernel keeps its per-node state in arrays indexed by node slot
    and its per-neighbour state in arrays indexed by edge slot (CSR row
    position); [step ~v] reads slot [v]'s row [adj.(xadj.(v)) ..
-   adj.(xadj.(v+1) - 1)] in place; the kernels here send in row order. *)
+   adj.(xadj.(v+1) - 1)] in place.  The kernels here that send one
+   message to every neighbour do so with one [emit_row]. *)
 
 let max_id ~rounds =
   {
@@ -186,7 +238,6 @@ let max_id ~rounds =
     kernel =
       (fun sh ->
         let width = Msg.id_width ~n:sh.n in
-        let xadj = sh.xadj and adj = sh.adj in
         let best = Array.init sh.slots (fun v -> sh.base + v) in
         let changed = Bytes.make sh.slots '\001' in
         let halted = Bytes.make sh.slots '\000' in
@@ -203,10 +254,7 @@ let max_id ~rounds =
             end
           done;
           best.(v) <- !b;
-          if !ch then
-            for r = xadj.(v) to xadj.(v + 1) - 1 do
-              emit em ~dst:adj.(r) ~tag:tag_int ~bits:width ~word:!b
-            done;
+          if !ch then emit_row em ~tag:tag_int ~bits:width ~word:!b;
           Bytes.set changed v '\000';
           if round + 1 >= rounds then Bytes.set halted v '\001'
         in
@@ -220,7 +268,6 @@ let bfs_distances ~root ~rounds =
       (fun sh ->
         let n = sh.n in
         let width = Msg.id_width ~n in
-        let xadj = sh.xadj and adj = sh.adj in
         (* -1 encodes "unknown" so no option allocates on the hot path. *)
         let dist =
           Array.init sh.slots (fun v -> if sh.base + v = root then 0 else -1)
@@ -238,10 +285,7 @@ let bfs_distances ~root ~rounds =
           dist.(v) <- !dv;
           if !dv >= 0 && Bytes.get announced v = '\000' then begin
             Bytes.set announced v '\001';
-            let w = min !dv (n - 1) in
-            for r = xadj.(v) to xadj.(v + 1) - 1 do
-              emit em ~dst:adj.(r) ~tag:tag_int ~bits:width ~word:w
-            done
+            emit_row em ~tag:tag_int ~bits:width ~word:(min !dv (n - 1))
           end;
           if round + 1 >= rounds then Bytes.set halted v '\001'
         in
@@ -294,11 +338,6 @@ let local_maxima ~name ~width ~draw =
         let active = Bytes.make edges '\001' in
         let prio = Array.make edges 0 in
         let prio_round = Array.make edges (-1) in
-        let send_all em v ~tag ~bits ~word =
-          for r = xadj.(v) to xadj.(v + 1) - 1 do
-            emit em ~dst:adj.(r) ~tag ~bits ~word
-          done
-        in
         let step ~v ~round inbox em =
           let lo = xadj.(v) and hi = xadj.(v + 1) in
           match round mod 3 with
@@ -313,7 +352,7 @@ let local_maxima ~name ~width ~draw =
                 let w = width v in
                 let p = draw ~v ~width:w in
                 my_prio.(v) <- p;
-                send_all em v ~tag:tag_int ~bits:w ~word:p
+                emit_row em ~tag:tag_int ~bits:w ~word:p
               end
           | 1 ->
               for k = 0 to inbox.i_len - 1 do
@@ -337,7 +376,7 @@ let local_maxima ~name ~width ~draw =
                 done;
                 if !win then begin
                   Bytes.set status v '\001';
-                  send_all em v ~tag:tag_true ~bits:1 ~word:0
+                  emit_row em ~tag:tag_true ~bits:1 ~word:0
                 end
               end
           | _ ->
@@ -354,7 +393,7 @@ let local_maxima ~name ~width ~draw =
               else if st = '\000' && !neighbor_joined then begin
                 Bytes.set status v '\002';
                 Bytes.set halted v '\001';
-                send_all em v ~tag:tag_false ~bits:1 ~word:0
+                emit_row em ~tag:tag_false ~bits:1 ~word:0
               end
         in
         let output v =

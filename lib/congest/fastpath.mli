@@ -19,6 +19,15 @@
       adj.(xadj.(v+1) - 1)].  It touches only slot [v]'s entries and the
       edge slots of its row, so the executor may step disjoint node
       ranges on different domains.
+    - A node's round sends either one {e row} — {!emit_row}, the same
+      message to every neighbour of its row, in row order — or any
+      number of {e point} sends ({!emit}), each to a named neighbour.
+      Mixing the two in one round raises [Invalid_argument] at the
+      second call, on both engines.  A row costs the executor one
+      staged entry and no per-edge validation (every recipient is a
+      neighbour by construction), so a kernel whose round is "tell
+      every neighbour" should use it; a kernel that sends different
+      words to different neighbours (gather) uses point sends.
     - [halted] is read by the executor, never through a call: a node
       whose byte is nonzero is skipped.
     - [output v] is slot [v]'s current output; {!Runtime.run_flat}
@@ -78,6 +87,10 @@ type emitter = {
   mutable e_bits : int array;
   mutable e_word : int array;
   mutable e_len : int;
+  mutable e_row : bool;
+      (** set by {!emit_row}: entry 0 (with [e_len = 1]) is one message
+          to every neighbour, and its [e_dst] slot is meaningless.
+          Cleared together with [e_len] by {!clear}. *)
 }
 
 val make_inbox : unit -> inbox
@@ -89,13 +102,30 @@ val in_src : inbox -> int -> int
 val in_tag : inbox -> int -> int
 val in_word : inbox -> int -> int
 
+val clear : emitter -> unit
+(** Empty the emitter: [e_len] and [e_row] together.  The executors
+    call it before every step. *)
+
 val emit : emitter -> dst:int -> tag:int -> bits:int -> word:int -> unit
-(** Stage one message.  Amortized O(1), allocation-free once the buffer
-    has grown to the program's working size.  A [tag_int] message must
-    carry its word within its declared width, as {!Msg.int_msg} demands:
-    raises [Invalid_argument] when [word] is negative, or when
-    [bits < 63] and [word ≥ 2^bits], so no send ships more bits than it
-    is charged for. *)
+(** Stage one point send.  Amortized O(1), allocation-free once the
+    buffer has grown to the program's working size.  Raises
+    [Invalid_argument] when [bits < 0], and when a [tag_int] message
+    does not carry its word within its declared width, as
+    {!Msg.int_msg} demands ([word] negative, or [bits < 63] and
+    [word ≥ 2^bits]), so no send ships more bits than it is charged
+    for.  Also raises [Invalid_argument] after an {!emit_row} in the
+    same round. *)
+
+val emit_row : emitter -> tag:int -> bits:int -> word:int -> unit
+(** Stage one message to each neighbour of the sender's row, in row
+    order: [deg] messages of [bits] bits each, so message, bit and
+    trace totals count [deg] sends.  A degree-0 node's row sends and
+    charges nothing.  Raises [Invalid_argument] on the same sizes as
+    {!emit}, and when anything is already staged this round (a point
+    send or another row).  An over-budget row raises
+    [Runtime.Bandwidth_exceeded] naming the first row neighbour, with
+    none of the row in the trace — what the per-edge sends would have
+    raised. *)
 
 val push_inbox : inbox -> src:int -> tag:int -> word:int -> unit
 (** Append one (src, tag, word) entry; used by tests to build inboxes by
@@ -149,7 +179,8 @@ val to_program : 'out t -> 'out Program.t
     [tag_int]/[w] and [Msg.Bool b] as [tag_true]/[tag_false], in list
     order; other payloads are ignored (a flat program never emits them,
     and fault injection keeps a payload's kind).  The emitter comes back
-    in emit order as [(dst, { Msg.bits; payload })]. *)
+    in emit order as [(dst, { Msg.bits; payload })]; a row comes back as
+    one such pair per neighbour, in row order. *)
 
 (** {1 The library algorithms} *)
 

@@ -375,6 +375,12 @@ let exec ~config (program : 'out Program.t) topo trace =
         incr token;
         List.iter
           (fun (dst, (m : Msg.t)) ->
+            if m.Msg.bits < 0 then
+              invalid_arg
+                (Printf.sprintf
+                   "Runtime: node %d sent a message of negative size %d in \
+                    round %d"
+                   v m.Msg.bits !round);
             if not (topo.t_has_edge v dst) then
               raise (Illegal_recipient { round = !round; src = v; dst });
             if bw_stamp.(dst) <> !token then begin
@@ -501,13 +507,23 @@ let run_checked ?(config = default_config) ?trace (program : 'out Program.t) g
    The phases: (1) stage — each shard calls the kernel's [step ~v] on
    each live node (halting is read from the kernel's [halted] bytes, not
    through a call) against the previous round's windows, validates
-   every send against its own book and stages it; (2) prefix pass A —
-   each shard of the destination range turns the per-shard tallies into
-   within-column prefixes and computes its chunk total, with the chunk
-   bases then prefix-summed sequentially (O(jobs)); (3) prefix pass B —
-   writes the global windows and lifts the within-column prefixes to
-   absolute write cursors; (4) scatter — each shard copies its staged
-   messages into its (disjoint) arena slots.
+   every point send against its own book and stages it, and stages a
+   row send ([Fastpath.emit_row]) as one entry after one budget check,
+   bumping the tallies of its row; (2) prefix pass A — each shard of
+   the destination range turns the per-shard tallies into within-column
+   prefixes and computes its chunk total, with the chunk bases then
+   prefix-summed sequentially (O(jobs)); (3) prefix pass B — writes the
+   global windows and lifts the within-column prefixes to absolute write
+   cursors; (4) scatter — each shard copies its staged messages into its
+   (disjoint) arena slots.
+
+   A staged row entry has [dst = -1] — unambiguous, since a staged
+   point [dst] has been validated into [0, n) — and its [src]'s CSR row
+   names the recipients.  Rows are expanded one message at a time only
+   where messages must exist one by one: the scatter, the Light digest
+   fold of the pool path's trace merge, and trace replay (through
+   [Trace.record_row], as the inline path records them).  Hence the two
+   per-shard counts: [sh_len] staged entries, [sh_msgs] messages.
 
    Staging has two layouts.  Without a pool the one shard stages
    (dst, src, tag, word) quads and records each node's validated sends
@@ -607,7 +623,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
      [book.(2d)] is the (sender, round) token stamped while marking the
      sender's CSR row — neighbor validation is then one read instead of
      a [has_edge] binary search — and [book.(2d+1)] the bits already
-     sent to [d] this round, reset by the same marking pass. *)
+     sent to [d] this round, reset by the same marking pass.  Row sends
+     need neither: their recipients are the row, one message each. *)
   let sh_stage = Array.make jobs [||] in
   let sh_counts = Array.init jobs (fun _ -> Array.make (max n 1) 0) in
   let sh_book = Array.init jobs (fun _ -> Array.make (2 * max n 1) (-1)) in
@@ -615,6 +632,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let sh_em = Array.init jobs (fun _ -> Fastpath.make_emitter ()) in
   let sh_token = Array.make (jobs * shard_pad) 0 in
   let sh_len = Array.make (jobs * shard_pad) 0 in
+  let sh_msgs = Array.make (jobs * shard_pad) 0 in
   let sh_round_bits = Array.make (jobs * shard_pad) 0 in
   let sh_halted = Array.make (jobs * shard_pad) 0 in
   let sh_edge_obs = Array.make (jobs * shard_pad) 0 in
@@ -653,7 +671,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     let view = sh_view.(s) and em = sh_em.(s) in
     let book = sh_book.(s) in
     let rnd = !round in
-    let len = ref 0 and round_bits = ref 0 and halted = ref 0 in
+    let len = ref 0 and msgs = ref 0 and round_bits = ref 0 in
+    let halted = ref 0 in
     let edge_obs = ref sh_edge_obs.(slot) in
     let st = ref sh_stage.(s) in
     (* Re-aim the view once per chunk: the arena array is replaced (by
@@ -667,10 +686,56 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
         view.Fastpath.i_off <- Array.unsafe_get offs v;
         view.Fastpath.i_len <-
           Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
-        em.Fastpath.e_len <- 0;
+        Fastpath.clear em;
         step ~v ~round:rnd view em;
         let e_len = em.Fastpath.e_len in
-        if e_len > 0 then begin
+        if em.Fastpath.e_row then begin
+          (* A row send: every recipient is a neighbour and gets exactly
+             this message, so one budget check stands for the row and
+             one staged entry, marked by a negative [dst], carries it. *)
+          let lo = Array.unsafe_get xadj v
+          and hi = Array.unsafe_get xadj (v + 1) in
+          if hi > lo then begin
+            let bits = Array.unsafe_get em.Fastpath.e_bits 0 in
+            if bits > limit then begin
+              sh_len.(slot) <- !len;
+              raise
+                (Bandwidth_exceeded
+                   {
+                     round = rnd;
+                     src = v;
+                     dst = Array.unsafe_get adj lo;
+                     bits;
+                     limit;
+                   })
+            end;
+            if bits > !edge_obs then edge_obs := bits;
+            let base = stride * !len in
+            if base = Array.length !st then begin
+              st := Fastpath.grow_strided ~stride !st base;
+              sh_stage.(s) <- !st
+            end;
+            let a = !st in
+            Array.unsafe_set a base (-1);
+            Array.unsafe_set a (base + 1) v;
+            Array.unsafe_set a (base + 2)
+              (Array.unsafe_get em.Fastpath.e_tag 0);
+            Array.unsafe_set a (base + 3)
+              (Array.unsafe_get em.Fastpath.e_word 0);
+            if not inline then Array.unsafe_set a (base + 4) bits;
+            incr len;
+            msgs := !msgs + (hi - lo);
+            round_bits := !round_bits + ((hi - lo) * bits);
+            for r = lo to hi - 1 do
+              let u = Array.unsafe_get adj r in
+              Array.unsafe_set counts u (Array.unsafe_get counts u + 1)
+            done;
+            sh_len.(slot) <- !len;
+            if inline then
+              Trace.record_row trace ~round:rnd ~src:v ~adj ~lo ~hi ~bits
+          end
+        end
+        else if e_len > 0 then begin
           let tok = sh_token.(slot) + 1 in
           sh_token.(slot) <- tok;
           (* Stamp the sender's row: neighbour validation is then one
@@ -721,6 +786,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             Array.unsafe_set a (base + 3) (Array.unsafe_get e_word k);
             if not inline then Array.unsafe_set a (base + 4) bits;
             incr len;
+            incr msgs;
             round_bits := !round_bits + bits;
             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
           done;
@@ -730,6 +796,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
         if Bytes.unsafe_get halted_b v <> '\000' then incr halted
       end
     done;
+    sh_msgs.(slot) <- !msgs;
     sh_round_bits.(slot) <- !round_bits;
     sh_halted.(slot) <- !halted;
     sh_edge_obs.(slot) <- !edge_obs
@@ -793,7 +860,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   in
   (* Phase 4: scatter each shard's staged messages into its disjoint
      arena slots ([sh_counts] now holds absolute write cursors), as
-     interleaved (src, tag, word) triples. *)
+     interleaved (src, tag, word) triples; a row entry writes one triple
+     per neighbour of its sender, in row order. *)
   let f_scatter clo chi =
     if clo < chi then begin
       let s = shard_of clo in
@@ -801,12 +869,28 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       for i = 0 to sh_len.(s * shard_pad) - 1 do
         let bs = stride * i in
         let dst = Array.unsafe_get st bs in
-        let pos = Array.unsafe_get counts dst in
-        Array.unsafe_set counts dst (pos + 1);
-        let b3 = 3 * pos in
-        Array.unsafe_set a b3 (Array.unsafe_get st (bs + 1));
-        Array.unsafe_set a (b3 + 1) (Array.unsafe_get st (bs + 2));
-        Array.unsafe_set a (b3 + 2) (Array.unsafe_get st (bs + 3))
+        let src = Array.unsafe_get st (bs + 1)
+        and tag = Array.unsafe_get st (bs + 2)
+        and word = Array.unsafe_get st (bs + 3) in
+        if dst >= 0 then begin
+          let pos = Array.unsafe_get counts dst in
+          Array.unsafe_set counts dst (pos + 1);
+          let b3 = 3 * pos in
+          Array.unsafe_set a b3 src;
+          Array.unsafe_set a (b3 + 1) tag;
+          Array.unsafe_set a (b3 + 2) word
+        end
+        else
+          for r = Array.unsafe_get xadj src
+              to Array.unsafe_get xadj (src + 1) - 1 do
+            let d = Array.unsafe_get adj r in
+            let pos = Array.unsafe_get counts d in
+            Array.unsafe_set counts d (pos + 1);
+            let b3 = 3 * pos in
+            Array.unsafe_set a b3 src;
+            Array.unsafe_set a (b3 + 1) tag;
+            Array.unsafe_set a (b3 + 2) word
+          done
       done
     end
   in
@@ -818,9 +902,13 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       let st = sh_stage.(s) in
       for i = 0 to sh_len.(s * shard_pad) - 1 do
         let b = 5 * i in
-        Trace.record_send trace ~round:rnd ~src:(Array.unsafe_get st (b + 1))
-          ~dst:(Array.unsafe_get st b)
-          ~bits:(Array.unsafe_get st (b + 4))
+        let dst = Array.unsafe_get st b
+        and src = Array.unsafe_get st (b + 1)
+        and bits = Array.unsafe_get st (b + 4) in
+        if dst >= 0 then Trace.record_send trace ~round:rnd ~src ~dst ~bits
+        else
+          Trace.record_row trace ~round:rnd ~src ~adj ~lo:xadj.(src)
+            ~hi:xadj.(src + 1) ~bits
       done
     done
   in
@@ -844,7 +932,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     else begin
       let cnt = ref 0 and bits = ref 0 in
       for s = 0 to jobs - 1 do
-        cnt := !cnt + sh_len.(s * shard_pad);
+        cnt := !cnt + sh_msgs.(s * shard_pad);
         bits := !bits + sh_round_bits.(s * shard_pad)
       done;
       Trace.record_send_bulk trace ~round:rnd ~count:!cnt ~bits:!bits;
@@ -854,11 +942,18 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
           let st = sh_stage.(s) in
           for i = 0 to sh_len.(s * shard_pad) - 1 do
             let b = 5 * i in
-            h :=
-              Trace.send_mix ~h:!h ~round:rnd
-                ~src:(Array.unsafe_get st (b + 1))
-                ~dst:(Array.unsafe_get st b)
-                ~bits:(Array.unsafe_get st (b + 4))
+            let dst = Array.unsafe_get st b
+            and src = Array.unsafe_get st (b + 1)
+            and bits = Array.unsafe_get st (b + 4) in
+            if dst >= 0 then
+              h := Trace.send_mix ~h:!h ~round:rnd ~src ~dst ~bits
+            else
+              for r = Array.unsafe_get xadj src
+                  to Array.unsafe_get xadj (src + 1) - 1 do
+                h :=
+                  Trace.send_mix ~h:!h ~round:rnd ~src
+                    ~dst:(Array.unsafe_get adj r) ~bits
+              done
           done
         done;
         Trace.set_send_digest_state trace !h
@@ -893,7 +988,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     if not inline then record_round ();
     let halted = ref 0 in
     for s = 0 to jobs - 1 do
-      sent := !sent + sh_len.(s * shard_pad);
+      sent := !sent + sh_msgs.(s * shard_pad);
       sent_bits := !sent_bits + sh_round_bits.(s * shard_pad);
       halted := !halted + sh_halted.(s * shard_pad)
     done;

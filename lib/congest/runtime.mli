@@ -98,7 +98,9 @@ val run :
 (** Raises {!Bandwidth_exceeded} when a node oversends,
     {!Illegal_recipient} when it addresses a non-neighbor, and
     {!Non_uniform_broadcast} when [mode = Broadcast] and a node sends
-    unequal messages in one round. *)
+    unequal messages in one round.  A message with negative [bits] is a
+    program bug, not a model violation: it raises [Invalid_argument]
+    before anything about it is traced. *)
 
 val run_csr :
   ?config:config ->
@@ -136,7 +138,10 @@ val run_flat :
     list-mode executors hand each node, split from the master in
     ascending node order, so a flat program and its {!Fastpath.to_program}
     form are output-identical.  Each node's output is read once, through
-    [output v], when the run ends.
+    [output v], when the run ends.  A row send ({!Fastpath.emit_row})
+    is staged as one entry and checked against the budget once; it
+    counts as one message per neighbour in the trace and the metrics,
+    and its failure is the per-edge sends' failure.
 
     Without [pool] the round's phases run on the caller and the trace is
     recorded inline.  With [pool] every per-node and per-destination

@@ -132,6 +132,9 @@ let bump vec i d =
 
 let mix_int h x = (h lxor x) * 0x100000001b3 lxor (h lsr 29)
 
+let[@inline] send_mix ~h ~round ~src ~dst ~bits =
+  mix_int (mix_int (mix_int (mix_int h round) src) dst) bits
+
 let flush_round t =
   if t.open_round >= 0 then begin
     bump t.r_bits t.open_round t.open_bits;
@@ -140,6 +143,27 @@ let flush_round t =
     t.open_bits <- 0;
     t.open_msgs <- 0
   end
+
+(* The streamed scalars of [count] sends totalling [bits] bits in
+   [round]: the run totals and the open round's cell. *)
+let[@inline] add_sends t ~round ~count ~bits =
+  t.n_sends <- t.n_sends + count;
+  t.sum_bits <- t.sum_bits + bits;
+  if round > t.max_send_round then t.max_send_round <- round;
+  if round <> t.open_round then begin
+    flush_round t;
+    t.open_round <- round
+  end;
+  t.open_bits <- t.open_bits + bits;
+  t.open_msgs <- t.open_msgs + count
+
+(* [count] cut-crossing sends totalling [bits] bits, written by player
+   [side]. *)
+let[@inline] add_crossings c ~round ~side ~count ~bits =
+  c.c_bits <- c.c_bits + bits;
+  c.c_msgs <- c.c_msgs + count;
+  c.by_side.(side) <- c.by_side.(side) + bits;
+  bump c.by_round round bits
 
 let record_send t ~round ~src ~dst ~bits =
   if t.mode = Full then begin
@@ -154,25 +178,43 @@ let record_send t ~round ~src ~dst ~bits =
         Hashtbl.replace h key
           (bits + Option.value ~default:0 (Hashtbl.find_opt h key))
   end;
-  t.n_sends <- t.n_sends + 1;
-  t.sum_bits <- t.sum_bits + bits;
-  if round > t.max_send_round then t.max_send_round <- round;
-  if round <> t.open_round then begin
-    flush_round t;
-    t.open_round <- round
-  end;
-  t.open_bits <- t.open_bits + bits;
-  t.open_msgs <- t.open_msgs + 1;
+  add_sends t ~round ~count:1 ~bits;
   (match t.cut with
   | Some c when c.part.(src) <> c.part.(dst) ->
-      c.c_bits <- c.c_bits + bits;
-      c.c_msgs <- c.c_msgs + 1;
-      c.by_side.(c.part.(src)) <- c.by_side.(c.part.(src)) + bits;
-      bump c.by_round round bits
+      add_crossings c ~round ~side:c.part.(src) ~count:1 ~bits
   | _ -> ());
   if t.mode = Light then
-    t.h_sends <-
-      mix_int (mix_int (mix_int (mix_int t.h_sends round) src) dst) bits
+    t.h_sends <- send_mix ~h:t.h_sends ~round ~src ~dst ~bits
+
+(* A whole row: [bits] from [src] to each of [adj.(lo) .. adj.(hi-1)],
+   in that order.  Full mode retains each send, so it is the
+   [record_send] loop; Light mode touches the totals and the open round
+   once, counts the row's cut crossings, and folds the digest once per
+   recipient — the same state [hi - lo] [record_send]s leave. *)
+let record_row t ~round ~src ~adj ~lo ~hi ~bits =
+  if t.mode = Full then
+    for r = lo to hi - 1 do
+      record_send t ~round ~src ~dst:adj.(r) ~bits
+    done
+  else if hi > lo then begin
+    add_sends t ~round ~count:(hi - lo) ~bits:((hi - lo) * bits);
+    (match t.cut with
+    | None -> ()
+    | Some c ->
+        let part = c.part in
+        let side = part.(src) in
+        let x = ref 0 in
+        for r = lo to hi - 1 do
+          if part.(adj.(r)) <> side then incr x
+        done;
+        let x = !x in
+        if x > 0 then add_crossings c ~round ~side ~count:x ~bits:(x * bits));
+    let h = ref t.h_sends in
+    for r = lo to hi - 1 do
+      h := send_mix ~h:!h ~round ~src ~dst:adj.(r) ~bits
+    done;
+    t.h_sends <- !h
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bulk recording (the flat executor's path under a pool).
@@ -195,20 +237,7 @@ let record_send_bulk t ~round ~count ~bits =
        or registered cut)";
   if count < 0 || bits < 0 then
     invalid_arg "Trace.record_send_bulk: negative count or bits";
-  if count > 0 then begin
-    t.n_sends <- t.n_sends + count;
-    t.sum_bits <- t.sum_bits + bits;
-    if round > t.max_send_round then t.max_send_round <- round;
-    if round <> t.open_round then begin
-      flush_round t;
-      t.open_round <- round
-    end;
-    t.open_bits <- t.open_bits + bits;
-    t.open_msgs <- t.open_msgs + count
-  end
-
-let send_mix ~h ~round ~src ~dst ~bits =
-  mix_int (mix_int (mix_int (mix_int h round) src) dst) bits
+  if count > 0 then add_sends t ~round ~count ~bits
 
 let send_digest_state t = t.h_sends
 

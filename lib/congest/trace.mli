@@ -64,6 +64,17 @@ val registered_cut : t -> int array option
 
 val record_send : t -> round:int -> src:int -> dst:int -> bits:int -> unit
 
+val record_row :
+  t -> round:int -> src:int -> adj:int array -> lo:int -> hi:int -> bits:int ->
+  unit
+(** [record_row t ~round ~src ~adj ~lo ~hi ~bits] records [bits] from
+    [src] to each of [adj.(lo) .. adj.(hi - 1)], in that order: every
+    query afterwards reads exactly as after the {!record_send} fold
+    over the row.  In [Full] mode it is that fold; in [Light] mode it
+    updates the totals and the open round once, counts the row's
+    crossings of the registered cut, and folds the digest once per
+    recipient.  [lo >= hi] records nothing. *)
+
 val per_send_required : t -> bool
 (** Does this trace need to see every individual send ([Full] mode
     retains the log; a registered cut classifies each [(src, dst)])?

@@ -458,6 +458,87 @@ let test_gather_rejects_wide_weight () =
   | _ -> Alcotest.fail "over-wide weight accepted"
   | exception Invalid_argument _ -> ()
 
+(* [Trace.record_row] is the [record_send] fold over the row, in both
+   modes, with and without a registered cut: seeded streams of rows and
+   single sends (rounds mostly ascending, sometimes revisited; rows
+   sliced out of padded arrays, some empty) recorded both ways answer
+   every query alike.  Full mode's per-edge index is built halfway
+   through, so the rest of the stream maintains it incrementally. *)
+let prop_record_row_is_fold =
+  QCheck.Test.make ~name:"record_row = record_send fold" ~count:100
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      let rng = Prng.create (Hashtbl.hash (seed, nn, "record_row")) in
+      let n = 2 + (nn mod 20) in
+      let part = Array.init n (fun _ -> Prng.int rng 3) in
+      let ops =
+        List.init (1 + Prng.int rng 30) (fun i ->
+            let round = if Prng.int rng 5 = 0 then Prng.int rng 4 else i / 3 in
+            let pad () = Array.init (Prng.int rng 3) (fun _ -> Prng.int rng n) in
+            let row = Array.init (Prng.int rng 7) (fun _ -> Prng.int rng n) in
+            let pre = pad () in
+            ( round,
+              Prng.int rng n,
+              Array.concat [ pre; row; pad () ],
+              Array.length pre,
+              Array.length pre + Array.length row,
+              Prng.int rng 20,
+              if Prng.int rng 3 = 0 then Some (Prng.int rng n) else None ))
+      in
+      let half = List.length ops / 2 in
+      let record ~by_row t =
+        List.iteri
+          (fun i (round, src, adj, lo, hi, bits, single) ->
+            if i = half && Trace.mode t = Trace.Full then
+              ignore (Trace.bits_on_edge t ~src:0 ~dst:1);
+            match single with
+            | Some dst -> Trace.record_send t ~round ~src ~dst ~bits
+            | None when by_row -> Trace.record_row t ~round ~src ~adj ~lo ~hi ~bits
+            | None ->
+                for r = lo to hi - 1 do
+                  Trace.record_send t ~round ~src ~dst:adj.(r) ~bits
+                done)
+          ops;
+        t
+      in
+      let observe t =
+        let r = Trace.rounds t in
+        let cut =
+          if Trace.mode t = Trace.Full || Trace.registered_cut t <> None then
+            Some
+              ( Trace.cut_bits t part,
+                Trace.cut_messages t part,
+                Trace.cut_bits_by_side t part,
+                Trace.cut_bits_by_round t part )
+          else None
+        in
+        let edges =
+          if Trace.mode t = Trace.Full then
+            Some
+              ( List.init (n * n) (fun k ->
+                    Trace.bits_on_edge t ~src:(k / n) ~dst:(k mod n)),
+                Trace.max_bits_per_edge_round t )
+          else None
+        in
+        ( (Trace.digest t, Trace.send_digest_state t, r),
+          (Trace.total_messages t, Trace.total_bits t),
+          List.init (r + 2) (fun i ->
+              (Trace.bits_in_round t (i - 1), Trace.messages_in_round t (i - 1))),
+          cut,
+          edges )
+      in
+      List.for_all
+        (fun (mode, cut) ->
+          let fresh () = Trace.create ~mode ?cut () in
+          observe (record ~by_row:true (fresh ()))
+          = observe (record ~by_row:false (fresh ())))
+        [
+          (Trace.Full, None);
+          (Trace.Full, Some part);
+          (Trace.Light, None);
+          (Trace.Light, Some part);
+        ])
+
 let prop_luby_always_valid =
   QCheck.Test.make ~name:"Luby always returns a maximal IS" ~count:30
     QCheck.(pair small_int small_int) (fun (seed, nn) ->
@@ -674,5 +755,6 @@ let () =
           prop_gather_matches_exact;
           prop_coloring_always_proper;
           prop_matching_always_maximal;
+          prop_record_row_is_fold;
         ];
     ]

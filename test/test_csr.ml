@@ -478,7 +478,7 @@ let test_flat_rejects () =
    that needs more bits than declared, or a negative one, raises
    [Invalid_argument] on the flat executor with and without a pool and
    on the derived list-mode program; one that fits exactly runs. *)
-let sender ~bits ~word : unit Congest.Fastpath.t =
+let sender ?(row = false) ~bits ~word () : unit Congest.Fastpath.t =
   let module F = Congest.Fastpath in
   {
     F.fname = "sender";
@@ -488,31 +488,36 @@ let sender ~bits ~word : unit Congest.Fastpath.t =
         {
           F.step =
             (fun ~v ~round:_ _ em ->
-              for r = sh.F.xadj.(v) to sh.F.xadj.(v + 1) - 1 do
-                F.emit em ~dst:sh.F.adj.(r) ~tag:F.tag_int ~bits ~word
-              done;
+              if row then F.emit_row em ~tag:F.tag_int ~bits ~word
+              else
+                for r = sh.F.xadj.(v) to sh.F.xadj.(v + 1) - 1 do
+                  F.emit em ~dst:sh.F.adj.(r) ~tag:F.tag_int ~bits ~word
+                done;
               Bytes.set halted v '\001');
           halted;
           output = (fun _ -> None);
         });
   }
 
-let test_emit_width () =
-  let g = Build.cycle 6 in
+(* Run [fp] on [g] with no pool, on a 2-pool and in list mode; each
+   outcome is [None] or the exception the run raised. *)
+let engine_outcomes (fp : unit Congest.Fastpath.t) g =
   let c = Csr.of_graph g in
-  let engines fp =
-    Exec.Pool.with_pool ~jobs:2 (fun pool ->
-        [
-          ("no pool", fun () -> ignore (Congest.Runtime.run_flat fp c));
-          ("jobs=2", fun () -> ignore (Congest.Runtime.run_flat ~pool fp c));
-          ( "list",
-            fun () ->
-              ignore (Congest.Runtime.run (Congest.Fastpath.to_program fp) g)
-          );
-        ]
-        |> List.map (fun (what, run) ->
-               (what, match run () with () -> None | exception e -> Some e)))
-  in
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      [
+        ("no pool", fun () -> ignore (Congest.Runtime.run_flat fp c));
+        ("jobs=2", fun () -> ignore (Congest.Runtime.run_flat ~pool fp c));
+        ( "list",
+          fun () ->
+            ignore (Congest.Runtime.run (Congest.Fastpath.to_program fp) g) );
+      ]
+      |> List.map (fun (what, run) ->
+             (what, match run () with () -> None | exception e -> Some e)))
+
+let check_widths ~row =
+  let g = Build.cycle 6 in
+  let engines fp = engine_outcomes fp g in
+  let sender ~bits ~word = sender ~row ~bits ~word () in
   List.iter
     (fun (bits, word) ->
       List.iter
@@ -532,6 +537,403 @@ let test_emit_width () =
             Alcotest.failf "%s: %d-bit send of %d rejected" what bits word)
         (engines (sender ~bits ~word)))
     [ (3, 7); (1, 0); (2, 3) ]
+
+let test_emit_width () = check_widths ~row:false
+
+(* ------------------------------------------------------------------ *)
+(* Row sends: one [emit_row] is the per-edge [emit] loop over the row,
+   on every engine, in every observable. *)
+
+let raises_invalid what = function
+  | Some (Invalid_argument _) -> ()
+  | Some e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  | None -> Alcotest.failf "%s: not rejected" what
+
+let test_emit_row_width () = check_widths ~row:true
+
+(* Sends the same message to every neighbour, either as one row or as
+   the point-send loop over the row, varying tag, width and silence by
+   (node, round); the output folds the inbox in delivery order, so any
+   difference in who hears what, or in what order, shows. *)
+let twin ~row : int Congest.Fastpath.t =
+  let module F = Congest.Fastpath in
+  {
+    F.fname = "twin";
+    kernel =
+      (fun sh ->
+        let xadj = sh.F.xadj and adj = sh.F.adj in
+        let acc = Array.make sh.F.slots 0 in
+        let halted = Bytes.make sh.F.slots '\000' in
+        let send em v ~tag ~bits ~word =
+          if row then F.emit_row em ~tag ~bits ~word
+          else
+            for r = xadj.(v) to xadj.(v + 1) - 1 do
+              F.emit em ~dst:adj.(r) ~tag ~bits ~word
+            done
+        in
+        let step ~v ~round inbox em =
+          for k = 0 to inbox.F.i_len - 1 do
+            acc.(v) <-
+              ((acc.(v) * 31) + (7 * F.in_src inbox k) + (3 * F.in_tag inbox k)
+              + F.in_word inbox k)
+              land 0xffffff
+          done;
+          let id = sh.F.base + v in
+          (match (id + round) mod 4 with
+          | 0 -> ()
+          | 1 -> send em v ~tag:F.tag_true ~bits:1 ~word:0
+          | 2 -> send em v ~tag:F.tag_false ~bits:1 ~word:0
+          | _ ->
+              let bits = 1 + ((id + round) mod 6) in
+              send em v ~tag:F.tag_int ~bits
+                ~word:(((13 * id) + round) land ((1 lsl bits) - 1)));
+          if round >= 7 || (id mod 5 = 0 && round >= 3) then
+            Bytes.set halted v '\001'
+        in
+        { F.step; halted; output = (fun v -> Some acc.(v)) });
+  }
+
+let cut_of n =
+  let rng = Prng.create (Hashtbl.hash (n, "row-cut")) in
+  Array.init n (fun _ -> Prng.int rng 2)
+
+type 'a engine =
+  'a Congest.Fastpath.t -> Congest.Trace.t -> 'a Congest.Runtime.result
+
+(* Every engine a flat program runs on: no pool, each test pool, and
+   list mode through [to_program]. *)
+let engines_of g : (string * 'a engine) list =
+  let c = Csr.of_graph g in
+  (("no pool", fun fp trace -> Congest.Runtime.run_flat ~trace fp c)
+  :: List.map
+       (fun pool ->
+         ( Printf.sprintf "jobs=%d" (Exec.Pool.jobs pool),
+           fun fp trace -> Congest.Runtime.run_flat ~trace ~pool fp c ))
+       (Lazy.force par_pools))
+  @ [
+      ( "list",
+        fun fp trace ->
+          Congest.Runtime.run ~trace (Congest.Fastpath.to_program fp) g );
+    ]
+
+let row_twin_parity =
+  QCheck.Test.make ~name:"emit_row = point twin on every engine" ~count:40
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      let g = random_graph seed nn in
+      let part = cut_of (Graph.n g) in
+      let fingerprint run fp =
+        let light = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
+        let r = run fp light in
+        let digest_of trace =
+          ignore (run fp trace);
+          Congest.Trace.digest trace
+        in
+        ( ( r.Congest.Runtime.rounds_executed,
+            Congest.Trace.total_messages light,
+            Congest.Trace.total_bits light,
+            Congest.Trace.digest light ),
+          ( Congest.Trace.cut_bits light part,
+            Congest.Trace.cut_bits_by_side light part,
+            Congest.Trace.cut_bits_by_round light part ),
+          ( digest_of (Congest.Trace.create ~mode:Congest.Trace.Light ()),
+            digest_of (Congest.Trace.create ()) ),
+          r.Congest.Runtime.outputs )
+      in
+      let engines = engines_of g in
+      let reference = fingerprint (List.assoc "no pool" engines) (twin ~row:false) in
+      let (_, msgs, _, _), _, _, _ = reference in
+      (Graph.edge_count g = 0 || msgs > 0)
+      && List.for_all
+           (fun (_, run) ->
+             fingerprint run (twin ~row:true) = reference
+             && fingerprint run (twin ~row:false) = reference)
+           engines)
+
+(* Every node sends its id to every neighbour each round; [bad_node]
+   instead sends [bits] bits in [bad_round]. *)
+let row_chatter ~row ~bits ~bad_round ~bad_node : unit Congest.Fastpath.t =
+  let module F = Congest.Fastpath in
+  {
+    F.fname = "row-chatter";
+    kernel =
+      (fun sh ->
+        let width = Congest.Msg.id_width ~n:sh.F.n in
+        let xadj = sh.F.xadj and adj = sh.F.adj in
+        {
+          F.step =
+            (fun ~v ~round _ em ->
+              let id = sh.F.base + v in
+              let bits, word =
+                if round = bad_round && id = bad_node then (bits, 0)
+                else (width, id)
+              in
+              if row then F.emit_row em ~tag:F.tag_int ~bits ~word
+              else
+                for r = xadj.(v) to xadj.(v + 1) - 1 do
+                  F.emit em ~dst:adj.(r) ~tag:F.tag_int ~bits ~word
+                done);
+          halted = Bytes.make sh.F.slots '\000';
+          output = (fun _ -> None);
+        });
+  }
+
+(* An over-budget row fails exactly as the per-edge sends do: same
+   round, sender, first neighbour and bits, same trace prefix (none of
+   the failing row), through [run_flat_checked] at every width and
+   [run_checked] in list mode.  A row of exactly the budget runs. *)
+let test_row_oversend () =
+  let c = chorded_cycle 29 in
+  let g = Csr.to_graph c in
+  let n = Csr.n c in
+  let part = cut_of n in
+  let config =
+    { Congest.Runtime.default_config with Congest.Runtime.max_rounds = 6 }
+  in
+  let limit = Congest.Runtime.bandwidth_bits config ~n in
+  let checked_engines =
+    (("no pool", fun fp trace ->
+       Congest.Runtime.run_flat_checked ~config ~trace fp c)
+    :: List.map
+         (fun pool ->
+           ( Printf.sprintf "jobs=%d" (Exec.Pool.jobs pool),
+             fun fp trace ->
+               Congest.Runtime.run_flat_checked ~config ~trace ~pool fp c ))
+         (Lazy.force par_pools))
+    @ [
+        ( "list",
+          fun fp trace ->
+            Congest.Runtime.run_checked ~config ~trace
+              (Congest.Fastpath.to_program fp) g );
+      ]
+  in
+  let failure run fp =
+    let outcome mode =
+      let trace = Congest.Trace.create ~mode ~cut:part () in
+      match run fp trace with
+      | Ok _ -> None
+      | Error f -> Some f
+    in
+    match (outcome Congest.Trace.Full, outcome Congest.Trace.Light) with
+    | Some full, Some light ->
+        let tr = full.Congest.Runtime.trace_prefix
+        and lt = light.Congest.Runtime.trace_prefix in
+        Some
+          ( (full.Congest.Runtime.round, full.Congest.Runtime.src,
+             full.Congest.Runtime.reason),
+            Congest.Trace.send_events tr,
+            ( Congest.Trace.total_messages lt,
+              Congest.Trace.total_bits lt,
+              Congest.Trace.digest lt,
+              Congest.Trace.cut_bits lt part ) )
+    | None, None -> None
+    | _ -> Alcotest.fail "Full and Light traces disagree on failing"
+  in
+  List.iter
+    (fun (bad_round, bad_node) ->
+      let reference =
+        failure (List.assoc "no pool" checked_engines)
+          (row_chatter ~row:false ~bits:(limit + 1) ~bad_round ~bad_node)
+      in
+      (match reference with
+      | Some ((round, src, Congest.Runtime.Oversend { dst; bits; _ }), _, _) ->
+          check_int "failing round" bad_round round;
+          check_int "failing node" bad_node src;
+          let xadj, adj = Csr.rows c in
+          check_int "first row neighbour" adj.(xadj.(bad_node)) dst;
+          check_int "bits" (limit + 1) bits
+      | _ -> Alcotest.fail "point oversend not reported");
+      List.iter
+        (fun (what, run) ->
+          List.iter
+            (fun row ->
+              check
+                (Printf.sprintf "%s, row=%b: same failure and prefix" what row)
+                true
+                (failure run
+                   (row_chatter ~row ~bits:(limit + 1) ~bad_round ~bad_node)
+                = reference);
+              check
+                (Printf.sprintf "%s, row=%b: a full-budget send runs" what row)
+                true
+                (failure run (row_chatter ~row ~bits:limit ~bad_round ~bad_node)
+                = None))
+            [ true; false ])
+        checked_engines)
+    [ (0, 0); (2, 14); (3, 28) ]
+
+(* A round is one row or any number of point sends: node 0 breaks that
+   in round 0, in [order], and every engine raises [Invalid_argument]
+   from the emitter.  The row flag is no [dst] sentinel: a point send to
+   -1 is still an illegal recipient. *)
+let test_row_mixing () =
+  let module F = Congest.Fastpath in
+  let g = Build.cycle 6 in
+  let mixer order : unit F.t =
+    {
+      F.fname = "mixer";
+      kernel =
+        (fun sh ->
+          let adj = sh.F.adj and xadj = sh.F.xadj in
+          let halted = Bytes.make sh.F.slots '\000' in
+          {
+            F.step =
+              (fun ~v ~round:_ _ em ->
+                let point () =
+                  F.emit em ~dst:adj.(xadj.(v)) ~tag:F.tag_true ~bits:1 ~word:0
+                and row () = F.emit_row em ~tag:F.tag_true ~bits:1 ~word:0 in
+                if sh.F.base + v = 0 then List.iter (fun f -> f ()) (order ~point ~row)
+                else row ();
+                Bytes.set halted v '\001');
+            halted;
+            output = (fun _ -> None);
+          });
+    }
+  in
+  List.iter
+    (fun (name, order) ->
+      List.iter
+        (fun (what, outcome) -> raises_invalid (name ^ ", " ^ what) outcome)
+        (engine_outcomes (mixer order) g))
+    [
+      ("point then row", fun ~point ~row -> [ point; row ]);
+      ("row then point", fun ~point ~row -> [ row; point ]);
+      ("two rows", fun ~point:_ ~row -> [ row; row ]);
+      ("points then row", fun ~point ~row -> [ point; point; row ]);
+    ];
+  let c = Csr.of_graph g in
+  let minus_one : unit F.t =
+    {
+      F.fname = "minus-one";
+      kernel =
+        (fun sh ->
+          {
+            F.step =
+              (fun ~v ~round:_ _ em ->
+                if sh.F.base + v = 0 then
+                  F.emit em ~dst:(-1) ~tag:F.tag_true ~bits:1 ~word:0);
+            halted = Bytes.make sh.F.slots '\000';
+            output = (fun _ -> None);
+          });
+    }
+  in
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun pool ->
+          match Congest.Runtime.run_flat_checked ?pool minus_one c with
+          | Error { Congest.Runtime.reason = Non_neighbor { dst = -1 }; _ } -> ()
+          | _ -> Alcotest.fail "emit ~dst:(-1) is not an illegal recipient")
+        [ None; Some pool ])
+
+(* A degree-0 node's row sends nothing and charges nothing, even when
+   its size is over budget; the rest of the graph is unaffected. *)
+let test_row_degree_zero () =
+  let module F = Congest.Fastpath in
+  let rows : unit F.t =
+    {
+      F.fname = "rows";
+      kernel =
+        (fun sh ->
+          let width = Congest.Msg.id_width ~n:sh.F.n in
+          let halted = Bytes.make sh.F.slots '\000' in
+          {
+            F.step =
+              (fun ~v ~round _ em ->
+                let lonely = sh.F.xadj.(v + 1) = sh.F.xadj.(v) in
+                F.emit_row em ~tag:F.tag_int
+                  ~bits:(if lonely then 10_000 else width)
+                  ~word:0;
+                if round = 2 then Bytes.set halted v '\001');
+            halted;
+            output = (fun _ -> None);
+          });
+    }
+  in
+  let path_plus_isolated =
+    let g = Graph.create 6 in
+    Graph.add_edge g 0 1;
+    Graph.add_edge g 1 2;
+    g
+  in
+  List.iter
+    (fun (g, msgs) ->
+      let width = Congest.Msg.id_width ~n:(Graph.n g) in
+      List.iter
+        (fun (what, run) ->
+          let trace = Congest.Trace.create () in
+          let r = run rows trace in
+          check_int (what ^ ": rounds") 3 r.Congest.Runtime.rounds_executed;
+          check_int (what ^ ": messages") msgs
+            (Congest.Trace.total_messages trace);
+          check_int (what ^ ": bits") (msgs * width)
+            (Congest.Trace.total_bits trace))
+        (engines_of g))
+    [ (path_plus_isolated, 3 * 4); (Graph.create 4, 0) ]
+
+(* Negative sizes are rejected at the send, on every engine: a flat
+   kernel sending [limit], [-limit] and [limit] bits to one neighbour
+   would otherwise ship 2·limit bits over one edge-round unnoticed, and
+   a list program's negative [Msg.t] would be traced before anything
+   objected. *)
+let test_negative_bits () =
+  let module F = Congest.Fastpath in
+  let g = Build.cycle 6 in
+  let limit =
+    Congest.Runtime.bandwidth_bits Congest.Runtime.default_config ~n:6
+  in
+  let seesaw : unit F.t =
+    {
+      F.fname = "seesaw";
+      kernel =
+        (fun sh ->
+          let halted = Bytes.make sh.F.slots '\000' in
+          {
+            F.step =
+              (fun ~v ~round:_ _ em ->
+                if sh.F.base + v = 0 then
+                  List.iter
+                    (fun bits ->
+                      F.emit em ~dst:sh.F.adj.(sh.F.xadj.(v)) ~tag:F.tag_true
+                        ~bits ~word:0)
+                    [ limit; -limit; limit ];
+                Bytes.set halted v '\001');
+            halted;
+            output = (fun _ -> None);
+          });
+    }
+  in
+  List.iter
+    (fun (name, fp) ->
+      List.iter
+        (fun (what, outcome) -> raises_invalid (name ^ ", " ^ what) outcome)
+        (engine_outcomes fp g))
+    [
+      ("emit", seesaw);
+      ("emit_row", sender ~row:true ~bits:(-1) ~word:0 ());
+      ("tag_int emit", sender ~bits:(-2) ~word:0 ());
+    ];
+  let negative : unit Congest.Program.t =
+    {
+      Congest.Program.name = "negative";
+      spawn =
+        (fun view ->
+          {
+            Congest.Program.step =
+              (fun ~round:_ ~inbox:_ ->
+                if view.Congest.Program.id = 0 then
+                  [ (view.Congest.Program.neighbors.(0),
+                     { Congest.Msg.bits = -3; payload = Congest.Msg.Unit }) ]
+                else []);
+            halted = (fun () -> false);
+            output = (fun () -> None);
+          });
+    }
+  in
+  let trace = Congest.Trace.create () in
+  (match Congest.Runtime.run ~trace negative g with
+  | _ -> Alcotest.fail "list mode accepted a negative-size message"
+  | exception Invalid_argument _ -> ());
+  check_int "nothing traced" 0 (Congest.Trace.total_messages trace)
 
 (* The [run_flat_par] alias rejects what [run_flat ~pool] rejects. *)
 let test_par_rejects () =
@@ -646,6 +1048,23 @@ let () =
             test_violation_parity;
           Alcotest.test_case "emit enforces declared widths" `Quick
             test_emit_width;
+          Alcotest.test_case "negative sizes rejected" `Quick
+            test_negative_bits;
+        ] );
+      (* Group names stay within the 14 characters of "executors-edge":
+         a longer one would widen alcotest's name column and change how
+         every existing case name prints. *)
+      ( "executors-row",
+        [
+          QCheck_alcotest.to_alcotest row_twin_parity;
+          Alcotest.test_case "row oversend = per-edge oversend" `Quick
+            test_row_oversend;
+          Alcotest.test_case "row and point sends do not mix" `Quick
+            test_row_mixing;
+          Alcotest.test_case "emit_row enforces declared widths" `Quick
+            test_emit_row_width;
+          Alcotest.test_case "degree-0 row is a no-op" `Quick
+            test_row_degree_zero;
         ] );
       ( "gadgets",
         [

@@ -16,12 +16,12 @@ module Csr = Wgraph.Csr
 
 let cycle_csr n = Csr.of_graph (Build.cycle n)
 
-let minor_words_for rounds c =
+let minor_words_for ?cut rounds c =
   let config =
     { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
   in
   let fp = Congest.Fastpath.max_id ~rounds in
-  let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
+  let trace = Congest.Trace.create ~mode:Congest.Trace.Light ?cut () in
   let before = Gc.minor_words () in
   let result = Congest.Runtime.run_flat ~config ~trace fp c in
   let after = Gc.minor_words () in
@@ -39,20 +39,30 @@ let long_rounds = 200
    ~3 words x 1024 messages a single per-message allocation would add. *)
 let ceiling_words_per_round = 256.0
 
-let test_flat_alloc_per_round () =
+let check_flat_alloc_per_round ?cut what =
   let c = cycle_csr n in
   (* Warm-up run settles shared metric handles and any lazy state. *)
-  ignore (minor_words_for 8 c);
-  let short = minor_words_for short_rounds c in
-  let long = minor_words_for long_rounds c in
+  ignore (minor_words_for ?cut 8 c);
+  let short = minor_words_for ?cut short_rounds c in
+  let long = minor_words_for ?cut long_rounds c in
   let per_round =
     (long -. short) /. float_of_int (long_rounds - short_rounds)
   in
   if per_round > ceiling_words_per_round then
     Alcotest.failf
-      "flat hot path allocates %.1f minor words/round (ceiling %.0f): a \
+      "flat hot path%s allocates %.1f minor words/round (ceiling %.0f): a \
        per-message allocation has crept back in"
-      per_round ceiling_words_per_round
+      what per_round ceiling_words_per_round
+
+let test_flat_alloc_per_round () = check_flat_alloc_per_round ""
+
+(* The same bar with the cut registered, as the gadget flood of
+   perfbench's gadget-cut runs: every row is classified against the cut
+   as it is recorded.  Alternating sides put every edge of the cycle on
+   the cut. *)
+let test_flat_cut_alloc_per_round () =
+  check_flat_alloc_per_round ~cut:(Array.init n (fun v -> v land 1))
+    " (cut-metered trace)"
 
 (* The pool-less path above is pinned whole-run; with a pool the
    executor must hold the same bar per domain: once arenas settle, a
@@ -128,6 +138,8 @@ let () =
         [
           Alcotest.test_case "flat rounds are allocation-free" `Quick
             test_flat_alloc_per_round;
+          Alcotest.test_case "cut-metered flat rounds are allocation-free"
+            `Quick test_flat_cut_alloc_per_round;
           Alcotest.test_case "sharded stage phase is allocation-free" `Quick
             test_par_stage_alloc_per_round;
           Alcotest.test_case "list mode stays linear" `Quick
