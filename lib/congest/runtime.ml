@@ -786,11 +786,11 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             Array.unsafe_set a (base + 3) (Array.unsafe_get e_word k);
             if not inline then Array.unsafe_set a (base + 4) bits;
             incr len;
-            incr msgs;
             round_bits := !round_bits + bits;
             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
           done;
           sh_len.(slot) <- !len;
+          msgs := !msgs + e_len;
           if inline then record_node rnd v em e_len
         end;
         if Bytes.unsafe_get halted_b v <> '\000' then incr halted
