@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-par verify examples soak faults chaos netchaos fsck figures kill-resume serve bench-serve bench-netchaos serve-smoke largen bench-largen parlargen bench-parlargen perfbench cache-clean journal-clean clean
+.PHONY: all build test bench bench-par verify examples soak faults chaos netchaos fsck figures kill-resume serve bench-serve bench-netchaos serve-smoke largen perfbench cache-clean journal-clean clean
 
 all: build
 
@@ -71,13 +71,14 @@ serve:
 	  --listen unix:results/serve.sock \
 	  --metrics-listen unix:results/serve-metrics.sock --jobs 4
 
-# Daemon capability table + multi-client load generator (in-process;
-# appends a trajectory entry to BENCH_serve.json).
+# Daemon capability table + multi-client load verdicts (in-process;
+# writes results/serve_capabilities.csv).  Timing the daemon is the
+# perfbench serve-solve workload.
 bench-serve:
 	dune exec bench/main.exe -- SERVE
 
 # Serving layer under seeded network chaos (in-process; writes
-# results/netchaos_verdicts.csv and appends to BENCH_netchaos.json).
+# results/netchaos_verdicts.csv).
 bench-netchaos:
 	dune exec bench/main.exe -- NETCHAOS
 
@@ -86,32 +87,12 @@ bench-netchaos:
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
-# Large-n engine smoke: CSR/executor differential battery + the
-# LARGEN bench leg capped at n = 10⁴ (docs/PERF.md).
+# Large-n engine checks: the CSR/executor differential battery (pinned
+# counts at n = 10³ and 10⁴, parity at jobs 1, 2, 4 and 8) and the
+# allocation guard (docs/PERF.md).  Timings live in perfbench.
 largen:
 	dune exec test/test_csr.exe
 	dune exec test/test_perf_guard.exe
-	MAXIS_LARGEN_MAX_N=10000 dune exec bench/main.exe -- LARGEN
-
-# Full-scale sweep to n = 10⁵: flood/BFS/Luby + one gadget family on
-# CSR, plus the seed/list/flat executor speedup leg (writes
-# results/largen.csv and appends a trajectory entry to BENCH_largen.json).
-bench-largen:
-	dune exec bench/main.exe -- LARGEN
-
-# Sharded-runtime smoke: the jobs ∈ {1,2,3,8} differential battery,
-# the per-domain allocation guard, then the PARLARGEN parity leg
-# capped at n = 10⁴ (docs/PERF.md).
-parlargen:
-	dune exec test/test_csr.exe
-	dune exec test/test_perf_guard.exe
-	MAXIS_LARGEN_MAX_N=10000 dune exec bench/main.exe -- PARLARGEN
-
-# Full-scale parallel sweep: run_flat with vs without a pool, parity + scaling
-# at every width, flood/BFS/Luby to MAXIS_LARGEN_MAX_N (default 10⁵)
-# (writes results/parlargen.csv and appends to BENCH_largen.json).
-bench-parlargen:
-	dune exec bench/main.exe -- PARLARGEN
 
 # The benchmark (perfbench/README.md): build from source, run workload W
 # (sparse-sweep, gadget-cut, theorem5-gather, serve-solve) for SECONDS

@@ -21,8 +21,8 @@
    The verdict table (stdout + results/netchaos_verdicts.csv) is
    deterministic by construction — booleans of absorption invariants
    plus fault counts of the scripted episode, which are a pure function
-   of the seed.  Latency degradation (clean vs chaos client) is
-   run-dependent and goes to stderr and BENCH_netchaos.json. *)
+   of the seed.  The live episodes' fault counts are run-dependent and
+   go to stderr. *)
 
 module T = Stdx.Tablefmt
 module J = Stdx.Jsonx
@@ -36,8 +36,6 @@ open Exp_common
 let root = Filename.concat "results" "netchaos-bench"
 
 let verdict_csv = Filename.concat "results" "netchaos_verdicts.csv"
-
-let bench_json = "BENCH_netchaos.json"
 
 let rm_rf path =
   let fs = Stdx.Fsio.real in
@@ -104,7 +102,6 @@ let corpus =
 
 let run_load ~request ~tag ~n =
   let rng = rng_for tag in
-  let lats = Array.make n 0.0 in
   let payloads = ref [] in
   let ok = ref 0 in
   for i = 0 to n - 1 do
@@ -112,13 +109,11 @@ let run_load ~request ~tag ~n =
     let req =
       Proto.solve ~id:(J.Int i) { sp with Proto.budget_nodes = Some 200_000 }
     in
-    let t0 = Unix.gettimeofday () in
     let r = request i req in
-    lats.(i) <- (Unix.gettimeofday () -. t0) *. 1000.0;
     if Proto.reply_status r = "ok" then incr ok;
     payloads := Option.value (Proto.reply_payload r) ~default:"" :: !payloads
   done;
-  (List.rev !payloads, lats, !ok)
+  (List.rev !payloads, !ok)
 
 let client_load ?netio addr ~tag ~n =
   let c = Client.connect ?netio addr in
@@ -196,51 +191,6 @@ let loris_flood addr ~loris ~pings =
   (Array.for_all Fun.id evicted, !healthy)
 
 (* ------------------------------------------------------------------ *)
-(* Trajectory file (same shape as BENCH_serve.json) *)
-
-let today () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let load_entry ~mode ~n ~ok lats =
-  J.Obj
-    [
-      ("mode", J.Str mode);
-      ("requests", J.Int n);
-      ("ok", J.Int ok);
-      ("p50_ms", J.Float (Stdx.Stats.percentile lats 50.0));
-      ("p99_ms", J.Float (Stdx.Stats.percentile lats 99.0));
-    ]
-
-let append_trajectory entries =
-  let existing =
-    if Sys.file_exists bench_json then begin
-      let ic = open_in_bin bench_json in
-      let len = in_channel_length ic in
-      let body = really_input_string ic len in
-      close_in ic;
-      match J.parse body with
-      | Ok j -> ( match J.member "entries" j with Some (J.Arr l) -> l | _ -> [])
-      | Error _ -> []
-    end
-    else []
-  in
-  let entry = J.Obj [ ("date", J.Str (today ())); ("runs", J.Arr entries) ] in
-  let doc =
-    J.Obj
-      [
-        ("bench", J.Str "netchaos");
-        ("schema", J.Int 1);
-        ("entries", J.Arr (existing @ [ entry ]));
-      ]
-  in
-  let oc = open_out_bin bench_json in
-  output_string oc (J.to_string doc);
-  output_string oc "\n";
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 
 let run () =
   section "NETCHAOS" "serving layer under network chaos";
@@ -269,7 +219,7 @@ let run () =
   let n_load = 24 in
   let clean = daemon_on "clean" in
   let _, _, clean_addr = clean in
-  let base_payloads, base_lats, base_ok =
+  let base_payloads, base_ok =
     client_load clean_addr ~tag:"netchaos-load" ~n:n_load
   in
   let client_inj =
@@ -282,7 +232,7 @@ let run () =
            ]
          1009)
   in
-  let chaos_payloads, chaos_lats, chaos_ok =
+  let chaos_payloads, chaos_ok =
     client_load ~netio:(Netio.chaos client_inj) clean_addr ~tag:"netchaos-load"
       ~n:n_load
   in
@@ -308,7 +258,7 @@ let run () =
         { cfg with Daemon.netio = Netio.chaos daemon_inj })
   in
   let _, _, chaotic_addr = chaotic in
-  let srv_payloads, srv_lats, srv_ok =
+  let srv_payloads, srv_ok =
     client_load chaotic_addr ~tag:"netchaos-load" ~n:n_load
   in
   stop_daemon chaotic;
@@ -382,7 +332,7 @@ let run () =
   let n_bal = 30 and kill_at = 10 in
   let reference = daemon_on "ref" in
   let _, _, ref_addr = reference in
-  let ref_payloads, _, ref_ok =
+  let ref_payloads, ref_ok =
     client_load ref_addr ~tag:"netchaos-balancer" ~n:n_bal
   in
   stop_daemon reference;
@@ -394,7 +344,7 @@ let run () =
   let failovers_before =
     Obs.Metrics.value (Obs.Metrics.counter "balancer_failovers_total")
   in
-  let bal_payloads, _, bal_ok =
+  let bal_payloads, bal_ok =
     run_load ~tag:"netchaos-balancer" ~n:n_bal ~request:(fun i req ->
         if i = kill_at then stop_daemon replicas.(0);
         Balancer.request bal req)
@@ -420,20 +370,6 @@ let run () =
   T.print ~csv:verdict_csv verdicts;
   note "wrote %s." verdict_csv;
 
-  (* ------------- latency degradation (run-dependent) --------------- *)
-  let p l q = Stdx.Stats.percentile l q in
-  Format.eprintf
-    "[netchaos] baseline: p50 %.2fms p99 %.2fms | client-chaos: p50 %.2fms \
-     p99 %.2fms | daemon-chaos: p50 %.2fms p99 %.2fms@."
-    (p base_lats 50.0) (p base_lats 99.0) (p chaos_lats 50.0)
-    (p chaos_lats 99.0) (p srv_lats 50.0) (p srv_lats 99.0);
   Format.eprintf "[netchaos] faults injected: client=%d daemon=%d@."
     (Netio.total_injected client_inj)
-    (Netio.total_injected daemon_inj);
-  append_trajectory
-    [
-      load_entry ~mode:"baseline" ~n:n_load ~ok:base_ok base_lats;
-      load_entry ~mode:"client-chaos" ~n:n_load ~ok:chaos_ok chaos_lats;
-      load_entry ~mode:"daemon-chaos" ~n:n_load ~ok:srv_ok srv_lats;
-    ];
-  note "appended trajectory entry to %s." bench_json
+    (Netio.total_injected daemon_inj)

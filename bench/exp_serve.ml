@@ -9,9 +9,8 @@
      output; statuses are protocol law) and lands on stdout;
 
    - a seeded load phase — closed-loop client threads and a pipelined
-     burst — whose throughput and tail latency are run-dependent and
-     therefore go to stderr, results/serve_latency.csv and the
-     BENCH_serve.json trajectory file, never stdout.
+     burst — of which only the reply statuses are checked.  Timing the
+     daemon is perfbench's serve-solve workload (perfbench/README.md).
 
    A chaos episode rides along: worker-killing requests and an
    fs-fault-injected cache mid-load, after which every in-flight
@@ -36,11 +35,7 @@ let metrics_path = Filename.concat serve_root "metrics.sock"
 
 let cache_dir = Filename.concat serve_root "cache"
 
-let latency_csv = Filename.concat "results" "serve_latency.csv"
-
 let capability_csv = Filename.concat "results" "serve_capabilities.csv"
-
-let bench_json = "BENCH_serve.json"
 
 let max_line_bytes = 65536
 
@@ -80,14 +75,7 @@ let corpus_req rng =
 (* ------------------------------------------------------------------ *)
 (* Load generation *)
 
-type load_stats = {
-  requests : int;
-  ok : int;
-  rejected : int;
-  errored : int;
-  wall_s : float;
-  latencies_ms : float array;  (** closed-loop only; empty for burst *)
-}
+type load_stats = { requests : int; ok : int; rejected : int; errored : int }
 
 let count_status replies =
   List.fold_left
@@ -99,143 +87,39 @@ let count_status replies =
     (0, 0, 0) replies
 
 (* Closed-loop: [clients] threads, each its own connection, each sending
-   [per_client] requests back to back and waiting for every reply.
-   Per-request latency is wall-clock around one request/reply pair. *)
+   [per_client] requests back to back and waiting for every reply. *)
 let closed_loop addr ~clients ~per_client =
-  let results = Array.make clients ([], [||]) in
-  let t0 = Unix.gettimeofday () in
+  let results = Array.make clients [] in
   let worker i =
     let rng = rng_for (Printf.sprintf "serve-load-%d" i) in
     let c = Client.connect addr in
-    let lats = Array.make per_client 0.0 in
     let replies = ref [] in
-    for r = 0 to per_client - 1 do
-      let req = corpus_req rng in
-      let s = Unix.gettimeofday () in
-      let reply = Client.request c req in
-      lats.(r) <- (Unix.gettimeofday () -. s) *. 1000.0;
-      replies := reply :: !replies
+    for _ = 1 to per_client do
+      replies := Client.request c (corpus_req rng) :: !replies
     done;
     Client.close c;
-    results.(i) <- (!replies, lats)
+    results.(i) <- !replies
   in
   let threads = Array.init clients (fun i -> Thread.create worker i) in
   Array.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let replies = Array.to_list results |> List.concat_map fst in
-  let ok, rejected, errored = count_status replies in
-  {
-    requests = clients * per_client;
-    ok;
-    rejected;
-    errored;
-    wall_s;
-    latencies_ms =
-      Array.concat (Array.to_list (Array.map snd results));
-  }
+  let ok, rejected, errored =
+    count_status (List.concat (Array.to_list results))
+  in
+  { requests = clients * per_client; ok; rejected; errored }
 
 (* Burst: one connection, [n] requests pipelined in a single write wave,
    then all replies read back.  Exercises the admission window and the
-   batch dispatcher; only aggregate throughput is meaningful. *)
+   batch dispatcher. *)
 let burst addr ~n =
   let rng = rng_for "serve-burst" in
   let c = Client.connect addr in
-  let t0 = Unix.gettimeofday () in
   for _ = 1 to n do
     Client.send c (corpus_req rng)
   done;
-  let replies = ref [] in
-  for _ = 1 to n do
-    replies := Client.recv c :: !replies
-  done;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let replies = List.init n (fun _ -> Client.recv c) in
   Client.close c;
-  let ok, rejected, errored = count_status !replies in
-  {
-    requests = n;
-    ok;
-    rejected;
-    errored;
-    wall_s;
-    latencies_ms = [||];
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Trajectory file: one JSON object per re-anchor, appended to the
-   entries array so the perf history accumulates across sessions. *)
-
-let today () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let load_entry ~mode ~clients (s : load_stats) =
-  let p q =
-    if Array.length s.latencies_ms = 0 then J.Null
-    else J.Float (Stdx.Stats.percentile s.latencies_ms q)
-  in
-  J.Obj
-    [
-      ("mode", J.Str mode);
-      ("clients", J.Int clients);
-      ("requests", J.Int s.requests);
-      ("ok", J.Int s.ok);
-      ("rejected", J.Int s.rejected);
-      ("error", J.Int s.errored);
-      ("wall_s", J.Float s.wall_s);
-      ("throughput_rps", J.Float (float_of_int s.requests /. s.wall_s));
-      ("p50_ms", p 50.0);
-      ("p99_ms", p 99.0);
-    ]
-
-let append_trajectory ~jobs entries =
-  let existing =
-    if Sys.file_exists bench_json then begin
-      let ic = open_in_bin bench_json in
-      let len = in_channel_length ic in
-      let body = really_input_string ic len in
-      close_in ic;
-      match J.parse body with
-      | Ok j -> ( match J.member "entries" j with Some (J.Arr l) -> l | _ -> [])
-      | Error _ -> []
-    end
-    else []
-  in
-  let entry =
-    J.Obj [ ("date", J.Str (today ())); ("jobs", J.Int jobs); ("runs", J.Arr entries) ]
-  in
-  let doc =
-    J.Obj
-      [
-        ("bench", J.Str "serve");
-        ("schema", J.Int 1);
-        ("entries", J.Arr (existing @ [ entry ]));
-      ]
-  in
-  let oc = open_out_bin bench_json in
-  output_string oc (J.to_string doc);
-  output_string oc "\n";
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
-
-let write_latency_csv rows =
-  Exec.Cache.mkdir_p "results";
-  let oc = open_out latency_csv in
-  output_string oc
-    "mode,clients,requests,ok,rejected,error,wall_s,throughput_rps,p50_ms,p99_ms\n";
-  List.iter
-    (fun (mode, clients, (s : load_stats)) ->
-      let p q =
-        if Array.length s.latencies_ms = 0 then ""
-        else Printf.sprintf "%.3f" (Stdx.Stats.percentile s.latencies_ms q)
-      in
-      Printf.fprintf oc "%s,%d,%d,%d,%d,%d,%.3f,%.1f,%s,%s\n" mode clients
-        s.requests s.ok s.rejected s.errored s.wall_s
-        (float_of_int s.requests /. s.wall_s)
-        (p 50.0) (p 99.0))
-    rows;
-  close_out oc
+  let ok, rejected, errored = count_status replies in
+  { requests = n; ok; rejected; errored }
 
 let one_line s = String.map (fun c -> if c = '\n' then ';' else c) s
 
@@ -256,7 +140,6 @@ let run () =
         | Ok a -> Some a
         | Error e -> failwith ("MAXIS_SERVE_SOCKET: " ^ e))
   in
-  let jobs = Exec.Pool.default_jobs () in
   (* In-process daemon: its cache reads and writes through a seeded
      fault-injecting filesystem for the entire run, so the chaos episode
      is not a special mode — the capability table's byte-parity rows
@@ -291,7 +174,7 @@ let run () =
           {
             (Serve.Daemon.default_config ~cache ~listen ()) with
             Serve.Daemon.metrics = Some metrics;
-            jobs;
+            jobs = Exec.Pool.default_jobs ();
             max_line_bytes;
             allow_chaos = true;
           }
@@ -379,31 +262,13 @@ let run () =
   T.print ~csv:capability_csv table;
   note "wrote %s." capability_csv;
 
-  (* ---------------- load phase (run-dependent) --------------------- *)
-  let clients = 4 and per_client = 24 and burst_n = 48 in
-  let cl = closed_loop addr ~clients ~per_client in
-  let bu = burst addr ~n:burst_n in
-  Format.eprintf
-    "[serve] closed-loop: %d clients x %d reqs, %.2fs wall, %.1f req/s, p50 \
-     %.2fms p99 %.2fms (%d ok, %d rejected, %d error)@."
-    clients per_client cl.wall_s
-    (float_of_int cl.requests /. cl.wall_s)
-    (Stdx.Stats.percentile cl.latencies_ms 50.0)
-    (Stdx.Stats.percentile cl.latencies_ms 99.0)
-    cl.ok cl.rejected cl.errored;
-  Format.eprintf
-    "[serve] burst: %d pipelined, %.2fs wall, %.1f req/s (%d ok, %d rejected, \
-     %d error)@."
-    burst_n bu.wall_s
-    (float_of_int bu.requests /. bu.wall_s)
-    bu.ok bu.rejected bu.errored;
+  (* ---------------- load phase ------------------------------------ *)
+  let cl = closed_loop addr ~clients:4 ~per_client:24 in
+  let bu = burst addr ~n:48 in
   let every_reply_terminal =
     cl.ok + cl.rejected + cl.errored = cl.requests
     && bu.ok + bu.rejected + bu.errored = bu.requests
   in
-  write_latency_csv
-    [ ("closed-loop", clients, cl); ("burst", 1, bu) ];
-  note "wrote %s (run-dependent; not under version control)." latency_csv;
 
   (* ---------------- chaos episode + drain (in-process only) -------- *)
   let verdicts =
@@ -477,8 +342,4 @@ let run () =
       Format.eprintf "[serve] daemon replies: %d; fs faults injected: %d@."
         (Serve.Daemon.requests_served d)
         (Exec.Fsio.total_injected injector));
-  T.print verdicts;
-
-  append_trajectory ~jobs
-    [ load_entry ~mode:"closed-loop" ~clients cl; load_entry ~mode:"burst" ~clients:1 bu ];
-  note "appended trajectory entry to %s." bench_json
+  T.print verdicts

@@ -20,8 +20,8 @@
     registered at {!create} time (the player cut always is), and fall back
     to a fold over the retained log otherwise.  In {!Light} mode the log
     is not retained at all: memory stays O(rounds + cut sides) regardless
-    of message volume, which is what lets the LARGEN bench run n = 10⁵–10⁶
-    sweeps, and the few genuinely log-shaped queries raise. *)
+    of message volume, which is what lets flat runs reach n = 10⁵–10⁶,
+    and the few genuinely log-shaped queries raise. *)
 
 type t
 

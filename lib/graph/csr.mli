@@ -117,8 +117,7 @@ val equal : t -> t -> bool
 
 val resident_words : t -> int
 (** Approximate heap words held by the structure (offsets + neighbors +
-    weights + labels) — the "peak words" denominator reported by the
-    LARGEN bench. *)
+    weights + labels) — perfbench's [graph.resident_words] metric. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary in the {!Graph.pp} format. *)

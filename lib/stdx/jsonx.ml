@@ -332,76 +332,3 @@ let to_float = function
 let mem_str k j = Option.bind (member k j) to_str
 let mem_int k j = Option.bind (member k j) to_int
 let mem_bool k j = Option.bind (member k j) to_bool
-
-(* ------------------------------------------------------------------ *)
-(* Trajectory files *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* The read-modify-rename below is a critical section: two unserialised
-   appenders would both read N entries and the losing rename would
-   silently drop one — the exact loss class this function exists to
-   prevent.  Concurrent appenders are real (parallel bench/CI legs
-   writing one trajectory), so appends are serialised at two levels: a
-   process-local mutex for domains of this process (fcntl locks do not
-   exclude within one process), and a blocking fcntl lock on a sidecar
-   [path ^ ".lock"] for other processes.  fcntl locks die with their
-   holder, so a crashed appender cannot wedge the file.  The sidecar is
-   left in place: unlinking it would reopen the classic unlock/unlink
-   race where two appenders lock different inodes of the same name. *)
-let append_m = Mutex.create ()
-
-let with_append_lock path f =
-  Mutex.lock append_m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock append_m)
-    (fun () ->
-      let fd =
-        Unix.openfile (path ^ ".lock")
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_CLOEXEC ]
-          0o644
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (* Closing releases the fcntl lock. *)
-          try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.lockf fd Unix.F_LOCK 0;
-          f ()))
-
-let append_entry ~path ~header entry =
-  with_append_lock path @@ fun () ->
-  let existing =
-    if not (Sys.file_exists path) then []
-    else
-      match parse (read_file path) with
-      | Ok j -> ( match member "entries" j with Some (Arr l) -> l | _ -> [])
-      | Error _ ->
-          (* Never silently drop a trajectory: an unparseable file is
-             moved aside (visible in the working tree / CI artifact)
-             and the new history starts fresh next to it. *)
-          let aside = path ^ ".corrupt" in
-          (try Sys.remove aside with Sys_error _ -> ());
-          Sys.rename path aside;
-          []
-  in
-  let doc = Obj (header @ [ ("entries", Arr (existing @ [ entry ])) ]) in
-  (* Atomic replace: a crash mid-write can never truncate the history.
-     The temp name is pid-unique so an appender in another process that
-     somehow bypasses the lock can clobber at worst its own temp file,
-     never a half-written one of ours. *)
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc (to_string doc);
-     output_string oc "\n";
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path

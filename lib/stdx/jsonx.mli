@@ -77,22 +77,3 @@ val mem_str : string -> t -> string option
 val mem_int : string -> t -> int option
 val mem_bool : string -> t -> bool option
 (** [mem_* k j] = [member k j] composed with the accessor. *)
-
-(** {1 Trajectory files}
-
-    Benchmark trajectories are JSON documents of the shape
-    [{...header fields..., "entries": [...]}] that grow by one entry per
-    run and must never lose history. *)
-
-val append_entry : path:string -> header:(string * t) list -> t -> unit
-(** Append [entry] to the ["entries"] array of the document at [path],
-    creating the file (with [header] fields before ["entries"]) when
-    missing.  The write is atomic (pid-unique temp file + rename), so a
-    crash can never truncate prior entries; an existing file that fails
-    to parse is moved aside to [path ^ ".corrupt"] instead of being
-    silently overwritten.  Concurrent appenders (other domains of this
-    process, other processes) are serialised through a blocking fcntl
-    lock on a sidecar [path ^ ".lock"] — which is left in place after
-    the append — so parallel bench/CI legs writing one trajectory
-    cannot drop each other's entries.  Raises [Sys_error] or
-    [Unix.Unix_error] on I/O failure. *)

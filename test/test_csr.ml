@@ -956,6 +956,138 @@ let test_par_rejects () =
       rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] d)
 
 (* ------------------------------------------------------------------ *)
+(* Pinned sweep on sparse random graphs at n = 10³ and 10⁴: every node
+   draws three partners, self-draws skipped, so the degree is 3–6 in
+   expectation and m ≈ 3n (the edge rule perfbench's sparse-sweep scales
+   to n = 10⁵).  Counts come from a Light trace. *)
+
+let sparse_csr n =
+  let rng = Prng.create (Hashtbl.hash (Printf.sprintf "largen-graph-%d" n)) in
+  let b = Csr.Builder.create n in
+  for v = 0 to n - 1 do
+    for _ = 1 to 3 do
+      let u = Prng.int rng n in
+      if u <> v then Csr.Builder.add_edge b v u
+    done
+  done;
+  Csr.Builder.finish b
+
+let sweep_rounds = 16
+let luby_rounds = Congest.Runtime.default_config.Congest.Runtime.max_rounds
+
+let config rounds =
+  { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
+
+let light_run ?pool ~rounds fp c =
+  let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
+  let r = Congest.Runtime.run_flat ~config:(config rounds) ~trace ?pool fp c in
+  (r, trace)
+
+(* (rounds, messages, bits) of flood, BFS from node 0 and Luby, then
+   Luby's |MIS|. *)
+let sweep_pins =
+  [
+    ( 1_000,
+      ((16, 27_278, 272_780), (16, 5_982, 59_820), (9, 13_486, 156_062), 295) );
+    ( 10_000,
+      ( (16, 342_612, 4_796_568),
+        (16, 59_982, 839_748),
+        (12, 137_745, 2_237_346),
+        3013 ) );
+  ]
+
+let test_sweep_counts () =
+  List.iter
+    (fun (n, (flood, bfs, luby, mis)) ->
+      let c = sparse_csr n in
+      let counts algo ((r : _ Congest.Runtime.result), tr)
+          (rounds, messages, bits) =
+        let what = Printf.sprintf "n=%d %s" n algo in
+        check_int (what ^ " rounds") rounds r.Congest.Runtime.rounds_executed;
+        check_int (what ^ " messages") messages
+          (Congest.Trace.total_messages tr);
+        check_int (what ^ " bits") bits (Congest.Trace.total_bits tr);
+        check (what ^ " halted") true r.Congest.Runtime.all_halted
+      in
+      counts "flood"
+        (light_run ~rounds:sweep_rounds
+           (Congest.Fastpath.max_id ~rounds:sweep_rounds)
+           c)
+        flood;
+      counts "bfs"
+        (light_run ~rounds:sweep_rounds
+           (Congest.Fastpath.bfs_distances ~root:0 ~rounds:sweep_rounds)
+           c)
+        bfs;
+      let ((r, _) as run) =
+        light_run ~rounds:luby_rounds Congest.Fastpath.luby_mis c
+      in
+      counts "luby" run luby;
+      check_int
+        (Printf.sprintf "n=%d |MIS|" n)
+        mis
+        (Array.fold_left
+           (fun acc o -> if o = Some true then acc + 1 else acc)
+           0 r.Congest.Runtime.outputs))
+    sweep_pins
+
+(* At n = 10⁴, pools of width 1, 2, 4 and 8 reproduce the no-pool run's
+   outputs, rounds and Light digest. *)
+let test_sweep_widths () =
+  let c = sparse_csr 10_000 in
+  let algo (type a) name ~rounds (fp : a Congest.Fastpath.t) =
+    let seq, seq_tr = light_run ~rounds fp c in
+    fun pool ->
+      let par, par_tr = light_run ~pool ~rounds fp c in
+      let what = Printf.sprintf "%s jobs=%d" name (Exec.Pool.jobs pool) in
+      check (what ^ " outputs") true
+        (par.Congest.Runtime.outputs = seq.Congest.Runtime.outputs);
+      check_int (what ^ " rounds") seq.Congest.Runtime.rounds_executed
+        par.Congest.Runtime.rounds_executed;
+      check (what ^ " digest") true
+        (Congest.Trace.digest par_tr = Congest.Trace.digest seq_tr)
+  in
+  let algos =
+    [
+      algo "flood" ~rounds:sweep_rounds
+        (Congest.Fastpath.max_id ~rounds:sweep_rounds);
+      algo "bfs" ~rounds:sweep_rounds
+        (Congest.Fastpath.bfs_distances ~root:0 ~rounds:sweep_rounds);
+      algo "luby" ~rounds:luby_rounds Congest.Fastpath.luby_mis;
+    ]
+  in
+  List.iter
+    (fun jobs ->
+      Exec.Pool.with_pool ~jobs (fun pool -> List.iter (fun k -> k pool) algos))
+    [ 1; 2; 4; 8 ]
+
+(* At n = 10⁴, list mode on the same graph floods to the flat run's
+   outputs, rounds, messages and bits. *)
+let test_sweep_list_flood () =
+  let c = sparse_csr 10_000 in
+  let flat, flat_tr =
+    light_run ~rounds:sweep_rounds
+      (Congest.Fastpath.max_id ~rounds:sweep_rounds)
+      c
+  in
+  let list =
+    Congest.Runtime.run ~config:(config sweep_rounds)
+      (Congest.Algo_flood.max_id ~rounds:sweep_rounds)
+      (Csr.to_graph c)
+  in
+  let list_tr = list.Congest.Runtime.trace in
+  check "outputs" true
+    (list.Congest.Runtime.outputs = flat.Congest.Runtime.outputs);
+  check_int "rounds" flat.Congest.Runtime.rounds_executed
+    list.Congest.Runtime.rounds_executed;
+  check_int "messages"
+    (Congest.Trace.total_messages flat_tr)
+    (Congest.Trace.total_messages list_tr);
+  check_int "bits"
+    (Congest.Trace.total_bits flat_tr)
+    (Congest.Trace.total_bits list_tr)
+
+(* ------------------------------------------------------------------ *)
 (* Gadget construction parity *)
 
 let test_linear_csr_matches () =
@@ -1010,6 +1142,34 @@ let test_quadratic_instance_csr_matches () =
       ok := false
   done;
   check "weights" true !ok
+
+(* The linear gadget at α = 1, t = 2 and ℓ = 19, the largest ℓ with at
+   most 10³ nodes: the CSR build equals the bitset path edge for edge,
+   and a 4-round flood with the player cut registered is pinned. *)
+let test_linear_gadget_1000 () =
+  let module P = Maxis_core.Params in
+  let module LF = Maxis_core.Linear_family in
+  let p = P.make ~alpha:1 ~ell:19 ~players:2 in
+  check "ell = 20 exceeds 1000 nodes" true
+    (LF.n_nodes (P.make ~alpha:1 ~ell:20 ~players:2) > 1_000);
+  let fixed, part = LF.fixed_csr p in
+  check_int "nodes" 960 (Csr.n fixed);
+  check_int "edges" 38_220 (Csr.edge_count fixed);
+  check "fixed_csr = of_graph fixed" true
+    (Csr.equal fixed (Csr.of_graph (fst (LF.fixed p))));
+  check_int "expected cut size" 10_120 (LF.expected_cut_size p);
+  let x =
+    Commcx.Inputs.gen_promise
+      (Prng.create (Hashtbl.hash "largen-gadget-1000"))
+      ~k:(P.k p) ~t:2 ~intersecting:true
+  in
+  let inst, _ = LF.instance_csr p x in
+  let trace = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
+  ignore
+    (Congest.Runtime.run_flat ~config:(config 4) ~trace
+       (Congest.Fastpath.max_id ~rounds:4)
+       inst);
+  check_int "cut bits" 597_080 (Congest.Trace.cut_bits trace part)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -1066,6 +1226,15 @@ let () =
           Alcotest.test_case "degree-0 row is a no-op" `Quick
             test_row_degree_zero;
         ] );
+      ( "executors-10k",
+        [
+          Alcotest.test_case "pinned counts at n = 10^3, 10^4" `Quick
+            test_sweep_counts;
+          Alcotest.test_case "jobs 1,2,4,8 = no pool at n = 10^4" `Quick
+            test_sweep_widths;
+          Alcotest.test_case "list flood = flat flood at n = 10^4" `Quick
+            test_sweep_list_flood;
+        ] );
       ( "gadgets",
         [
           Alcotest.test_case "fixed_csr" `Quick test_linear_csr_matches;
@@ -1075,5 +1244,7 @@ let () =
             test_quadratic_csr_matches;
           Alcotest.test_case "quadratic instance_csr" `Quick
             test_quadratic_instance_csr_matches;
+          Alcotest.test_case "linear ell=19 pinned" `Quick
+            test_linear_gadget_1000;
         ] );
     ]

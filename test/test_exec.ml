@@ -374,6 +374,50 @@ let test_cache_parallel_memo () =
   Cache.clear c;
   check "clear removes dir" true (not (Sys.file_exists tmp_dir))
 
+(* A sweep through Pool.map over a fresh cache directory: two parameter
+   sets of four trials each, keyed per trial so that identical inputs
+   still occupy distinct entries.  At jobs 1 and 2 the cold pass misses,
+   stores and computes exactly once per trial, and the warm pass (a new
+   handle on the same directory) hits every trial and computes nothing. *)
+let test_cache_cold_warm_counters () =
+  let dir = "exec_cache_probe_test" in
+  let pass ~jobs =
+    let c = Cache.create ~dir () in
+    let computes = Atomic.make 0 in
+    Pool.with_pool ~jobs (fun pool ->
+        List.iter
+          (fun t ->
+            ignore
+              (Pool.map pool
+                 (fun i ->
+                   let k =
+                     Cache.key ~family:"probe" ~params:(Printf.sprintf "t=%d" t)
+                       ~seed:i ~solver:"stand-in" ~extra:"same input" ()
+                   in
+                   Cache.memo_value c k ~encode:string_of_int
+                     ~decode:int_of_string_opt (fun () ->
+                       Atomic.incr computes;
+                       t))
+                 (Array.init 4 Fun.id)
+                : int array))
+          [ 2; 3 ]);
+    (Cache.stats c, Atomic.get computes)
+  in
+  List.iter
+    (fun jobs ->
+      Cache.clear (Cache.create ~dir ());
+      let what phase = Printf.sprintf "%s jobs=%d" phase jobs in
+      let cold, cold_computes = pass ~jobs in
+      check_int (what "cold misses") 8 cold.Cache.misses;
+      check_int (what "cold stores") 8 cold.Cache.stores;
+      check_int (what "cold computes") 8 cold_computes;
+      let warm, warm_computes = pass ~jobs in
+      check_int (what "warm hits") 8 warm.Cache.hits;
+      check_int (what "warm misses") 0 warm.Cache.misses;
+      check_int (what "warm computes") 0 warm_computes)
+    [ 1; 2 ];
+  Cache.clear (Cache.create ~dir ())
+
 let test_cache_shard_mkdir_race () =
   (* Two writers racing to create the same shard directory: the loser's
      mkdir hits EEXIST, which must be swallowed, and neither store may
@@ -971,6 +1015,8 @@ let () =
           Alcotest.test_case "memo_value" `Quick test_cache_memo_value;
           Alcotest.test_case "disabled cache" `Quick test_cache_disabled;
           Alcotest.test_case "parallel memo" `Quick test_cache_parallel_memo;
+          Alcotest.test_case "cold/warm counters at jobs 1, 2" `Quick
+            test_cache_cold_warm_counters;
           Alcotest.test_case "shard mkdir race" `Quick
             test_cache_shard_mkdir_race;
           Alcotest.test_case "concurrent memo under fs faults" `Quick

@@ -469,10 +469,10 @@ let test_streaming_fault_parity () =
 
 type flat = F : 'o Congest.Fastpath.t * ('o -> int) -> flat
 
-(* LARGEN's edge rule (three uniform endpoints per node, self-draws
-   skipped) plus seeded weights, so greedy MIS sees distinct
-   priorities.  Gathering packs a weight into 2·⌈log n⌉ bits, so the
-   small graph keeps its weights below 2⁸. *)
+(* The sparse random edge rule of test_csr and perfbench (three uniform
+   endpoints per node, self-draws skipped) plus seeded weights, so
+   greedy MIS sees distinct priorities.  Gathering packs a weight into
+   2·⌈log n⌉ bits, so the small graph keeps its weights below 2⁸. *)
 let seeded_csr ?(max_weight = 1000) ~seed n =
   let rng = Stdx.Prng.create seed in
   let b = Wgraph.Csr.Builder.create n in

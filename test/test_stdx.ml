@@ -508,91 +508,6 @@ let test_jsonx_float_fidelity () =
   check_string "nan is null" "null" (J.to_string (J.Float Float.nan));
   check_string "inf is null" "null" (J.to_string (J.Float Float.infinity))
 
-(* Jsonx.append_entry: the trajectory-file primitive behind
-   BENCH_largen.json — append-only, atomic, never silently drops
-   history. *)
-
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let with_tmp_json f =
-  let path = Filename.temp_file "jsonx_traj" ".json" in
-  Sys.remove path;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [
-          path;
-          path ^ ".corrupt";
-          path ^ ".lock";
-          Printf.sprintf "%s.%d.tmp" path (Unix.getpid ());
-        ])
-    (fun () -> f path)
-
-let header = [ ("bench", J.Str "t"); ("schema", J.Int 1) ]
-
-let entries path =
-  match J.member "entries" (parse_ok (slurp path)) with
-  | Some (J.Arr l) -> l
-  | _ -> Alcotest.fail "no entries array"
-
-let test_jsonx_append_creates () =
-  with_tmp_json (fun path ->
-      J.append_entry ~path ~header (J.Int 1);
-      let j = parse_ok (slurp path) in
-      check "header kept" true (J.mem_str "bench" j = Some "t");
-      check "one entry" true (entries path = [ J.Int 1 ]);
-      check "no tmp left behind" false
-        (Sys.file_exists (Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()))))
-
-let test_jsonx_append_preserves_history () =
-  with_tmp_json (fun path ->
-      J.append_entry ~path ~header (J.Int 1);
-      J.append_entry ~path ~header (J.Str "two");
-      J.append_entry ~path ~header (J.Obj [ ("n", J.Int 3) ]);
-      check "appends, never overwrites" true
-        (entries path = [ J.Int 1; J.Str "two"; J.Obj [ ("n", J.Int 3) ] ]))
-
-(* Concurrent appenders (parallel bench/CI legs writing one trajectory)
-   must not lose entries: each append is a read-modify-rename, so
-   without serialisation two racers both read N entries and the losing
-   rename drops one.  Four domains hammering one file must land every
-   entry exactly once. *)
-let test_jsonx_append_concurrent_loses_nothing () =
-  with_tmp_json (fun path ->
-      let domains = 4 and per = 8 in
-      let spawn d =
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              J.append_entry ~path ~header (J.Int ((d * per) + i))
-            done)
-      in
-      List.iter Domain.join (List.map spawn [ 0; 1; 2; 3 ]);
-      let got =
-        List.filter_map (function J.Int n -> Some n | _ -> None)
-          (entries path)
-      in
-      check_int "every concurrent append landed" (domains * per)
-        (List.length got);
-      check "entries are exactly 0..31, no duplicates" true
-        (List.sort compare got = List.init (domains * per) Fun.id))
-
-let test_jsonx_append_moves_corrupt_aside () =
-  with_tmp_json (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "{not json";
-      close_out oc;
-      J.append_entry ~path ~header (J.Int 9);
-      check "fresh history after corruption" true (entries path = [ J.Int 9 ]);
-      check "corrupt original preserved aside" true
-        (Sys.file_exists (path ^ ".corrupt"));
-      check_string "aside holds the original bytes" "{not json"
-        (slurp (path ^ ".corrupt")))
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -674,13 +589,5 @@ let () =
           Alcotest.test_case "parse rejects" `Quick test_jsonx_parse_rejects;
           Alcotest.test_case "accessors" `Quick test_jsonx_accessors;
           Alcotest.test_case "float fidelity" `Quick test_jsonx_float_fidelity;
-          Alcotest.test_case "append_entry creates" `Quick
-            test_jsonx_append_creates;
-          Alcotest.test_case "append_entry concurrent appenders" `Quick
-            test_jsonx_append_concurrent_loses_nothing;
-          Alcotest.test_case "append_entry preserves history" `Quick
-            test_jsonx_append_preserves_history;
-          Alcotest.test_case "append_entry moves corruption aside" `Quick
-            test_jsonx_append_moves_corrupt_aside;
         ] );
     ]
