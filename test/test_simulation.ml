@@ -312,10 +312,10 @@ let test_player_sim_matches_runtime () =
   let g = inst.Family.graph in
   let n = Wgraph.Graph.n g in
   let m = Wgraph.Graph.edge_count g in
-  let check_program : type o. o Congest.Program.t -> unit =
-   fun program ->
-    let mono = Runtime.run program g in
-    let multi = Player_sim.run program inst in
+  let check_program : type o. ?config:Runtime.config -> o Congest.Program.t -> unit =
+   fun ?config program ->
+    let mono = Runtime.run ?config program g in
+    let multi = Player_sim.run ?config program inst in
     check (program.Congest.Program.name ^ " outputs equal") true
       (mono.Runtime.outputs = multi.Player_sim.outputs);
     check_int
@@ -334,7 +334,25 @@ let test_player_sim_matches_runtime () =
   check_program (Congest.Algo_flood.max_id ~rounds:n);
   check_program Congest.Algo_luby.mis;
   check_program Congest.Algo_greedy_mis.mis;
-  check_program (Congest.Algo_gather.exact_maxis ~m)
+  check_program (Congest.Algo_gather.exact_maxis ~m);
+  check_program (Congest.Algo_bfs.distances ~root:0 ~rounds:n);
+  check_program (Congest.Algo_flood.leader_election ~rounds:n);
+  check_program Congest.Algo_coloring.color;
+  check_program Congest.Algo_matching.maximal_matching;
+  let total_weight =
+    List.fold_left (fun acc v -> acc + Wgraph.Graph.weight g v) 0
+      (List.init n Fun.id)
+  in
+  check_program
+    (Congest.Algo_convergecast.sum_of_weights ~root:0
+       ~value_width:(Stdx.Mathx.ceil_log2 (total_weight + 1)));
+  (* Hardened 131-bit frames need bandwidth factor 64. *)
+  check_program
+    ~config:{ Runtime.default_config with Runtime.bandwidth_factor = 64 }
+    (Congest.Faults.harden (Congest.Algo_flood.max_id ~rounds:8));
+  check_program
+    ~config:{ Runtime.default_config with Runtime.mode = Runtime.Broadcast }
+    (Congest.Algo_flood.max_id ~rounds:n)
 
 let test_player_sim_decides () =
   List.iter
