@@ -456,18 +456,14 @@ let figure_cmd =
 (* simulate *)
 
 let simulate_cmd =
-  let run alpha ell players seed intersecting drop corrupt fault_seed engine
-      jobs metrics =
+  let run alpha ell players seed intersecting drop corrupt fault_seed jobs
+      metrics =
     with_metrics ~cmd:"simulate" metrics @@ fun () ->
-    if drop < 0.0 || drop > 1.0 || corrupt < 0.0 || corrupt > 1.0 then begin
+    (* Written so that NaN fails too. *)
+    let prob p = p >= 0.0 && p <= 1.0 in
+    if not (prob drop && prob corrupt) then begin
       Format.eprintf
         "simulate: --drop and --corrupt must be probabilities in [0,1]@.";
-      exit 2
-    end;
-    if engine = Some `Flat && (drop > 0.0 || corrupt > 0.0) then begin
-      Format.eprintf
-        "simulate: --engine=flat rejects fault injection (--drop/--corrupt \
-         need --engine=list)@.";
       exit 2
     end;
     let p = params alpha ell players in
@@ -484,22 +480,16 @@ let simulate_cmd =
         { Congest.Runtime.default_config with Congest.Runtime.faults = Some plan }
       end
     in
-    let decide ?engine () =
-      Maxis_core.Simulation.decide_disjointness_checked ~config ?engine inst
+    let decide ?pool () =
+      Maxis_core.Simulation.decide_disjointness_checked ~config ?pool inst
         ~predicate:(LF.predicate p)
     in
     (* The checked entry point: a misbehaving or fault-starved run degrades
-       to a structured report instead of an escaping exception.  Without
-       --engine the library picks (flat, or list under a fault plan). *)
+       to a structured report instead of an escaping exception.  The
+       report is the same at every --jobs. *)
     match
-      match engine with
-      | None -> decide ()
-      | Some `List -> decide ~engine:Maxis_core.Simulation.List_mode ()
-      | Some `Flat when jobs = 1 ->
-          decide ~engine:(Maxis_core.Simulation.Flat None) ()
-      | Some `Flat ->
-          with_pool_checked jobs (fun pool ->
-              decide ~engine:(Maxis_core.Simulation.Flat (Some pool)) ())
+      if jobs = 1 then decide ()
+      else with_pool_checked jobs (fun pool -> decide ~pool ())
     with
     | Error e ->
         Format.printf "simulation FAILED: %a@." Maxis_core.Simulation.pp_error e;
@@ -544,27 +534,12 @@ let simulate_cmd =
     Arg.(
       value & opt int 7 & info [ "fault-seed" ] ~docv:"SEED" ~doc:"Fault-plan PRNG seed.")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some (enum [ ("list", `List); ("flat", `Flat) ])) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Executor for the gather protocol: $(b,list) (historical \
-             per-message allocation) or $(b,flat) (zero-allocation CSR \
-             runtime, sharded across $(b,--jobs) domains when that is \
-             above 1).  Without this flag the run uses $(b,flat) with no \
-             pool, or $(b,list) when $(b,--drop) or $(b,--corrupt) is \
-             set.  Every engine prints a byte-identical report; fault \
-             injection requires $(b,list), and an explicit $(b,flat) \
-             with fault flags exits 2.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run the Theorem-5 simulation on an instance.")
     Term.(
       const run $ alpha_arg $ ell_arg $ players_arg $ seed_arg
-      $ intersecting_arg $ drop_arg $ corrupt_arg $ fault_seed_arg
-      $ engine_arg $ jobs_arg $ metrics_arg)
+      $ intersecting_arg $ drop_arg $ corrupt_arg $ fault_seed_arg $ jobs_arg
+      $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* export *)

@@ -1,5 +1,6 @@
 (* Flat CONGEST programs: the one implementation of each library
-   algorithm, in kernel form.
+   algorithm, in kernel form, and the adapter that runs any list-mode
+   program on the same executor.
 
    [Program.step] speaks in [(int * Msg.t) list] — every round allocates
    a cons cell, a tuple and a [Msg.t] record per message, which is what
@@ -14,15 +15,16 @@
    expands it only where messages must exist one by one.  The kernels
    below are the sources: [to_program] derives the list-mode form
    ([Algo_flood], [Algo_bfs], [Algo_luby], [Algo_greedy_mis],
-   [Algo_gather]) by instantiating a kernel over one node's row, so the
-   list-mode executor — fault plans, Broadcast mode — runs the very same
-   step functions. *)
+   [Algo_gather]) by instantiating a kernel over one node's row, and
+   [of_program] turns any list-mode program back into a kernel, so
+   [Runtime.run_flat] is the only round loop. *)
 
 (* Tag conventions (mirroring the [Msg.payload] cases the library
    algorithms use). *)
 let tag_int = 0
 let tag_true = 1
 let tag_false = 2
+let tag_msg = 3
 
 (* Inbox entries are interleaved (src, tag, word) triples in one backing
    array: one packed access touches one cache line where three parallel
@@ -144,6 +146,45 @@ let[@inline] emit_row e ~tag ~bits ~word =
   e.e_len <- 1;
   e.e_row <- true
 
+(* The message store behind [tag_msg]: a [Msg.t] travels as its index
+   here.  Two generations alternate by round, so a word names its
+   generation in its low bit and stays readable for the round after it
+   was staged (when the receiver reads it) while the next round's sends
+   fill the other generation.  [store_advance] rewinds the generation
+   about to be written: its messages were staged two rounds ago and
+   delivered one round ago, so nothing names them any more. *)
+type store = {
+  gens : Msg.t array array;
+  lens : int array;
+  mutable cur : int;
+  writable : bool;
+}
+
+let make_store ~writable =
+  { gens = [| [||]; [||] |]; lens = [| 0; 0 |]; cur = 0; writable }
+
+let store_advance s =
+  s.cur <- 1 - s.cur;
+  s.lens.(s.cur) <- 0
+
+let store_push s m =
+  if not s.writable then
+    invalid_arg
+      "Fastpath: a Msg.t send needs a store on the calling domain (run list \
+       programs without a pool)";
+  let g = s.cur in
+  let len = s.lens.(g) in
+  if len = Array.length s.gens.(g) then begin
+    let a = Array.make (max 16 (2 * len)) Msg.unit_msg in
+    Array.blit s.gens.(g) 0 a 0 len;
+    s.gens.(g) <- a
+  end;
+  s.gens.(g).(len) <- m;
+  s.lens.(g) <- len + 1;
+  (len lsl 1) lor g
+
+let store_get s w = s.gens.(w land 1).(w lsr 1)
+
 type shape = {
   n : int;
   base : int;
@@ -152,6 +193,7 @@ type shape = {
   adj : int array;
   weight : int -> int;
   rngs : unit -> Stdx.Prng.t array;
+  msgs : store;
 }
 
 type 'out kernel = {
@@ -170,8 +212,11 @@ type 'out t = { fname : string; kernel : shape -> 'out kernel }
    Payloads other than [Int]/[Bool] are never emitted by a flat program,
    and fault injection keeps a payload's kind, so dropping them loses
    nothing.  A row send expands into one pair per neighbour, in row
-   order, so list mode (fault plans, [Player_sim]) sees per-edge
-   messages exactly as if the kernel had emitted them one by one. *)
+   order, so [Player_sim] sees per-edge messages exactly as if the
+   kernel had emitted them one by one.  The kernel never sees [tag_msg],
+   so its shape gets a store that refuses writes. *)
+let no_store = make_store ~writable:false
+
 let to_program fp =
   {
     Program.name = fp.fname;
@@ -188,6 +233,7 @@ let to_program fp =
               adj = nbrs;
               weight = (fun _ -> view.Program.weight);
               rngs = (fun () -> [| view.Program.rng |]);
+              msgs = no_store;
             }
         in
         let inbox = make_inbox () in
@@ -221,6 +267,59 @@ let to_program fp =
           halted = (fun () -> Bytes.get k.halted 0 <> '\000');
           output = (fun () -> k.output 0);
         });
+  }
+
+(* The flat face of a list-mode program: one [Program.instance] per
+   node slot, spawned in ascending slot order over the slot's own row
+   and stream.  Every [Msg.t] travels as one point send of tag [tag_msg]
+   whose word names it in the run's store; a message equal to the
+   node's first of the round shares the first's word, so Broadcast's
+   uniformity check compares words alone.  The inbox list is rebuilt in
+   window order (ascending sender), and the halted byte mirrors
+   [halted ()] after every step. *)
+let of_program (p : 'out Program.t) =
+  {
+    fname = p.Program.name;
+    kernel =
+      (fun sh ->
+        let rngs = sh.rngs () and store = sh.msgs in
+        let insts =
+          Array.init sh.slots (fun v ->
+              let lo = sh.xadj.(v) in
+              p.Program.spawn
+                {
+                  Program.id = sh.base + v;
+                  n = sh.n;
+                  weight = sh.weight v;
+                  neighbors = Array.sub sh.adj lo (sh.xadj.(v + 1) - lo);
+                  rng = rngs.(v);
+                })
+        in
+        let halted =
+          Bytes.init sh.slots (fun v ->
+              if insts.(v).Program.halted () then '\001' else '\000')
+        in
+        let step ~v ~round inbox em =
+          let msgs = ref [] in
+          for k = inbox.i_len - 1 downto 0 do
+            if in_tag inbox k = tag_msg then
+              msgs := (in_src inbox k, store_get store (in_word inbox k)) :: !msgs
+          done;
+          let inst = insts.(v) in
+          (match inst.Program.step ~round ~inbox:!msgs with
+          | [] -> ()
+          | (_, first) :: _ as out ->
+              let w0 = store_push store first in
+              List.iter
+                (fun (dst, (m : Msg.t)) ->
+                  let word =
+                    if m == first || m = first then w0 else store_push store m
+                  in
+                  emit em ~dst ~tag:tag_msg ~bits:m.Msg.bits ~word)
+                out);
+          if inst.Program.halted () then Bytes.set halted v '\001'
+        in
+        { step; halted; output = (fun v -> insts.(v).Program.output ()) });
   }
 
 (* ------------------------------------------------------------------ *)

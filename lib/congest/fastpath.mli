@@ -35,22 +35,23 @@
     - A kernel that draws randomness calls [shape.rngs] once, at
       instantiation; one that never draws need not.
 
-    {!Runtime.run_flat} instantiates a kernel over the whole CSR graph
-    (slot = node id).  {!to_program} derives the list-mode algorithms
-    ({!Algo_flood}, {!Algo_bfs}, {!Algo_luby}, {!Algo_greedy_mis},
-    {!Algo_gather}) by instantiating it per spawned node over that node's
-    own row — one node slot, [deg] edge slots — so both executors run the
-    same step function on the same rows with the same PRNG streams and
-    produce the same outputs, round counts and traces (test/test_csr.ml
-    pins the executors against each other; test/test_golden.ml pins the
-    flat executor's fingerprints).
+    {!Runtime.run_flat}, the only round loop, instantiates a kernel over
+    the whole CSR graph (slot = node id).  {!to_program} derives the
+    list-mode algorithms ({!Algo_flood}, {!Algo_bfs}, {!Algo_luby},
+    {!Algo_greedy_mis}, {!Algo_gather}) by instantiating it per spawned
+    node over that node's own row — one node slot, [deg] edge slots.
+    {!of_program} goes the other way: it runs any list-mode program
+    (coloring, matching, convergecast, {!Faults.harden}, and the derived
+    forms above) as a kernel, shipping each [Msg.t] as one [tag_msg]
+    entry.  {!Runtime.run} is [run_flat] over [of_program], so a flat
+    program and its [to_program] form produce the same outputs, round
+    counts and traces under any config (test/test_csr.ml pins this;
+    test/test_golden.ml pins the fingerprints).
 
-    Inbox order is ascending sender, ties in emit order, under
-    {!Runtime.run_flat}, and arrival order under the list-mode executor;
-    the library algorithms are order-insensitive, and new flat programs
-    should be too.  Fault plans and [Broadcast] mode stay on the
-    list-mode executor ({!Runtime.run_flat} rejects both), which runs a
-    flat program through {!to_program}. *)
+    Inbox order is ascending sender, ties in emit order; fault plans
+    place messages released by a delay before their sender's current
+    sends.  The library algorithms are order-insensitive, and new flat
+    programs should be too. *)
 
 (** {1 Message tags} *)
 
@@ -62,6 +63,10 @@ val tag_true : int
 
 val tag_false : int
 (** A 1-bit [Msg.Bool false]; [word] ignored. *)
+
+val tag_msg : int
+(** [word] names a [Msg.t] in the run's {!store}; only {!of_program}
+    sends it. *)
 
 (** {1 Buffers}
 
@@ -137,6 +142,28 @@ val grow_strided : stride:int -> int array -> int -> int array
     {!Runtime.run_flat}, which stages quads without a pool and quints
     with one. *)
 
+(** {1 The message store} *)
+
+type store
+(** The [Msg.t] values that [tag_msg] words name, for one run.  A word
+    stays readable for the round after the one that staged it: two
+    generations alternate by round. *)
+
+val make_store : writable:bool -> store
+(** {!Runtime.run_flat} makes a writable store without a pool and a
+    read-only one with a pool, so a [tag_msg] send never races. *)
+
+val store_advance : store -> unit
+(** Start the next round: rewind the generation staged two rounds ago.
+    The executor calls it once per round, before the stage phase. *)
+
+val store_push : store -> Msg.t -> int
+(** Store a message and return its word.  Raises [Invalid_argument] on a
+    read-only store. *)
+
+val store_get : store -> int -> Msg.t
+(** The message a live word names. *)
+
 (** {1 Programs} *)
 
 type shape = {
@@ -155,6 +182,7 @@ type shape = {
       (** one private stream per slot, split from the run's master
           stream in ascending node order — the streams the list-mode
           executor hands the same nodes.  Call at most once. *)
+  msgs : store;  (** the run's message store, for {!of_program} *)
 }
 
 type 'out kernel = {
@@ -180,7 +208,20 @@ val to_program : 'out t -> 'out Program.t
     order; other payloads are ignored (a flat program never emits them,
     and fault injection keeps a payload's kind).  The emitter comes back
     in emit order as [(dst, { Msg.bits; payload })]; a row comes back as
-    one such pair per neighbour, in row order. *)
+    one such pair per neighbour, in row order.  The kernel's shape has a
+    read-only store. *)
+
+val of_program : 'out Program.t -> 'out t
+(** The flat form of a list-mode program, named like it.  Each node slot
+    spawns its instance over its own row, in ascending slot order, with
+    the stream [shape.rngs] gives it.  Each round, a slot's inbox is
+    rebuilt as a list (ascending sender) from its [tag_msg] entries, and
+    its outbox goes out as point sends: tag [tag_msg], the message's
+    declared [bits], and a word naming it in [shape.msgs].  Messages
+    equal to the node's first of the round share its word.  The halted
+    byte mirrors the instance's [halted ()] after each step.  Under a
+    pool the store is read-only, so a node that sends raises
+    [Invalid_argument]. *)
 
 (** {1 The library algorithms} *)
 

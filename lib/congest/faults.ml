@@ -16,8 +16,9 @@ type link_fault = {
 
 let no_fault = { drop = 0.0; duplicate = 0.0; corrupt = 0.0; max_delay = 0 }
 
+(* Written so that NaN fails too. *)
 let check_prob name p =
-  if p < 0.0 || p > 1.0 then
+  if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Faults.link: %s probability %g not in [0,1]" name p)
 
 let link ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(max_delay = 0) () =

@@ -33,8 +33,8 @@ val link :
   ?max_delay:int ->
   unit ->
   link_fault
-(** Raises [Invalid_argument] on probabilities outside [0,1] or negative
-    delay. *)
+(** Raises [Invalid_argument] on probabilities outside [0,1] (NaN
+    included) or negative delay. *)
 
 type plan = {
   seed : int;  (** seeds the fault stream — independent of [config.seed] *)

@@ -1,6 +1,4 @@
-module Graph = Wgraph.Graph
 module Csr = Wgraph.Csr
-module Dynvec = Stdx.Dynvec
 
 exception
   Bandwidth_exceeded of {
@@ -70,16 +68,6 @@ let pp_failure ppf f =
 
 let bandwidth_bits config ~n = config.bandwidth_factor * Msg.id_width ~n
 
-let check_broadcast_uniform round src outbox =
-  match outbox with
-  | [] | [ _ ] -> ()
-  | (_, first) :: rest ->
-      List.iter
-        (fun (_, (m : Msg.t)) ->
-          if m.Msg.payload <> first.Msg.payload || m.Msg.bits <> first.Msg.bits
-          then raise (Non_uniform_broadcast { round; src }))
-        rest
-
 (* Metric handles are interned per (metric, algo) pair: re-deriving them
    here costs one registry lookup per run, and the per-send updates below
    are plain atomic bumps (see docs/OBSERVABILITY.md for the catalog). *)
@@ -121,343 +109,7 @@ let fault_counter algo kind =
     ~labels:[ ("algo", algo); ("kind", fault_kind_label kind) ]
     "congest_fault_events_total"
 
-(* ------------------------------------------------------------------ *)
-(* Topology abstraction: one executor body serves both graph
-   representations.  [t_neighbors] returns a fresh ascending array (the
-   per-node view owned by the spawned instance). *)
-
-type topo = {
-  t_n : int;
-  t_weight : int -> int;
-  t_neighbors : int -> int array;
-  t_has_edge : int -> int -> bool;
-}
-
-let topo_of_graph g =
-  {
-    t_n = Graph.n g;
-    t_weight = Graph.weight g;
-    t_neighbors = (fun v -> Stdx.Bitset.to_array (Graph.neighbors g v));
-    t_has_edge = Graph.has_edge g;
-  }
-
-let topo_of_csr c =
-  {
-    t_n = Csr.n c;
-    t_weight = Csr.weight c;
-    t_neighbors = Csr.neighbors_array c;
-    t_has_edge = Csr.has_edge c;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Message arena: preallocated structure-of-arrays buffers reused across
-   rounds instead of the historical per-round [next_inboxes] cons lists
-   plus a per-round [List.sort].
-
-   Messages append chronologically into per-destination chains.  The
-   required inbox order is the historical one: ascending sender, ties in
-   reverse chronological order (consing then stable-sorting by sender
-   produced exactly that).  While senders arrive strictly ascending —
-   the common case, since nodes step in ascending order — the chain is
-   already in final order and delivery is a straight copy-out; otherwise
-   the chain is sorted by (src, ord) where [ord] is descending append
-   order for round sends and ascending defer order (before all same-src
-   round sends) for delay-fault arrivals, reproducing the historical
-   order exactly. *)
-
-type arena = {
-  mutable ar_src : int array;
-  mutable ar_ord : int array;
-  mutable ar_msg : Msg.t array;
-  mutable ar_next : int array;
-  mutable ar_used : int;
-  head : int array;  (* per dst; valid when count > 0 *)
-  tail : int array;
-  count : int array;
-  last_src : int array;
-  unsorted : bool array;
-  touched : int Dynvec.t;  (* dsts with a nonempty chain this round *)
-  mutable scratch : int array;  (* chain slots, collected at delivery *)
-}
-
-let arena_create n =
-  {
-    ar_src = [||];
-    ar_ord = [||];
-    ar_msg = [||];
-    ar_next = [||];
-    ar_used = 0;
-    head = Array.make (max n 1) (-1);
-    tail = Array.make (max n 1) (-1);
-    count = Array.make (max n 1) 0;
-    last_src = Array.make (max n 1) (-1);
-    unsorted = Array.make (max n 1) false;
-    touched = Dynvec.create ();
-    scratch = [||];
-  }
-
-let arena_append a ~dst ~src ~ord m =
-  if a.ar_used = Array.length a.ar_src then begin
-    let cap = max 16 (2 * a.ar_used) in
-    let grow_int old =
-      let b = Array.make cap 0 in
-      Array.blit old 0 b 0 a.ar_used;
-      b
-    in
-    a.ar_src <- grow_int a.ar_src;
-    a.ar_ord <- grow_int a.ar_ord;
-    a.ar_next <- grow_int a.ar_next;
-    let msgs = Array.make cap Msg.unit_msg in
-    Array.blit a.ar_msg 0 msgs 0 a.ar_used;
-    a.ar_msg <- msgs
-  end;
-  let slot = a.ar_used in
-  a.ar_used <- slot + 1;
-  a.ar_src.(slot) <- src;
-  a.ar_ord.(slot) <- ord;
-  a.ar_msg.(slot) <- m;
-  a.ar_next.(slot) <- -1;
-  if a.count.(dst) = 0 then begin
-    a.head.(dst) <- slot;
-    a.unsorted.(dst) <- false;
-    Dynvec.push a.touched dst
-  end
-  else begin
-    a.ar_next.(a.tail.(dst)) <- slot;
-    if src <= a.last_src.(dst) then a.unsorted.(dst) <- true
-  end;
-  a.tail.(dst) <- slot;
-  a.last_src.(dst) <- src;
-  a.count.(dst) <- a.count.(dst) + 1
-
-(* Insertion sort of scratch[0, cnt) by (src asc, ord asc): chains only
-   need sorting on the rare fault/multi-send paths, where counts are
-   small. *)
-let sort_slots a cnt =
-  let s = a.scratch and src = a.ar_src and ord = a.ar_ord in
-  for i = 1 to cnt - 1 do
-    let x = s.(i) in
-    let kx_src = src.(x) and kx_ord = ord.(x) in
-    let j = ref (i - 1) in
-    while
-      !j >= 0
-      && (src.(s.(!j)) > kx_src || (src.(s.(!j)) = kx_src && ord.(s.(!j)) > kx_ord))
-    do
-      s.(!j + 1) <- s.(!j);
-      decr j
-    done;
-    s.(!j + 1) <- x
-  done
-
-(* Build dst's inbox list (head = smallest sender) and reset its chain. *)
-let arena_deliver a dst =
-  let cnt = a.count.(dst) in
-  if Array.length a.scratch < cnt then a.scratch <- Array.make (max 16 (2 * cnt)) 0;
-  let slot = ref a.head.(dst) in
-  for i = 0 to cnt - 1 do
-    a.scratch.(i) <- !slot;
-    slot := a.ar_next.(!slot)
-  done;
-  if a.unsorted.(dst) then sort_slots a cnt;
-  let acc = ref [] in
-  for i = cnt - 1 downto 0 do
-    let s = a.scratch.(i) in
-    acc := (a.ar_src.(s), a.ar_msg.(s)) :: !acc
-  done;
-  a.count.(dst) <- 0;
-  !acc
-
-(* Drop message references so the arena doesn't retain the last round's
-   payloads, and rewind. *)
-let arena_reset a =
-  for i = 0 to a.ar_used - 1 do
-    a.ar_msg.(i) <- Msg.unit_msg
-  done;
-  a.ar_used <- 0;
-  Dynvec.clear a.touched
-
-(* ------------------------------------------------------------------ *)
-(* List-mode executor *)
-
-let exec ~config (program : 'out Program.t) topo trace =
-  let n = topo.t_n in
-  let limit = bandwidth_bits config ~n in
-  let mx = metrics_for program.Program.name in
-  Obs.Metrics.inc mx.m_runs;
-  (* Trace faults and meter them in one move; the counter handles exist
-     only for runs that actually inject. *)
-  let record_fault ~round ~src ~dst ~bits ~kind =
-    Obs.Metrics.inc (fault_counter program.Program.name kind);
-    Trace.record_fault trace ~round ~src ~dst ~bits ~kind
-  in
-  let master_rng = Stdx.Prng.create config.seed in
-  (* Spawn in ascending node order: per-node randomness streams are then a
-     pure function of (seed, node id), which Maxis_core.Player_sim relies
-     on to replay identical executions. *)
-  let spawn v =
-    let view =
-      {
-        Program.id = v;
-        n;
-        weight = topo.t_weight v;
-        neighbors = topo.t_neighbors v;
-        rng = Stdx.Prng.split master_rng;
-      }
-    in
-    program.Program.spawn view
-  in
-  let instances =
-    let rec build v acc =
-      if v = n then List.rev acc else build (v + 1) (spawn v :: acc)
-    in
-    Array.of_list (build 0 [])
-  in
-  (* Fault machinery: the injector draws from its own stream in the
-     deterministic send order below, so the faulty run replays exactly from
-     (config, plan). *)
-  let injector = Option.map Faults.injector config.faults in
-  let crash_at = Array.make (max n 1) max_int in
-  (match config.faults with
-  | None -> ()
-  | Some plan ->
-      List.iter
-        (fun (v, r) -> if v < n then crash_at.(v) <- min crash_at.(v) r)
-        plan.Faults.crashes);
-  let crashed = Array.make n false in
-  (* Messages deferred by delay faults, keyed by the round whose inbox they
-     join (a message sent at round r normally joins round r+1's inbox; a
-     delay of d defers it to round r+1+d). *)
-  let delayed : (int, (int * int * Msg.t) list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let defer ~at ~src ~dst m =
-    match Hashtbl.find_opt delayed at with
-    | Some l -> l := (dst, src, m) :: !l
-    | None -> Hashtbl.replace delayed at (ref [ (dst, src, m) ])
-  in
-  (* inboxes.(v) holds the messages delivered to v at the start of the
-     current round, as (sender, msg) pairs; [filled] tracks which entries
-     are nonempty so clearing costs O(deliveries), not O(n). *)
-  let inboxes : (int * Msg.t) list array = Array.make n [] in
-  let filled = Dynvec.create () in
-  let arena = arena_create n in
-  (* Per-round, per-directed-edge bit budget: [bw_used.(dst)] is live for
-     the current (round, src) when stamped with the current token — an
-     O(1) reset replacing the historical hashtable. *)
-  let bw_used = Array.make (max n 1) 0 in
-  let bw_stamp = Array.make (max n 1) (-1) in
-  let token = ref 0 in
-  let round = ref 0 in
-  let all_halted () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if not (crashed.(v) || instances.(v).Program.halted ()) then ok := false
-    done;
-    !ok
-  in
-  while !round < config.max_rounds && not (all_halted ()) do
-    (* Crash-stop: scheduled nodes die at the start of the round — never
-       stepped again, sending nothing; messages already in flight to them
-       still deliver (into an inbox nobody reads). *)
-    for v = 0 to n - 1 do
-      if (not crashed.(v)) && crash_at.(v) <= !round then begin
-        crashed.(v) <- true;
-        record_fault ~round:!round ~src:v ~dst:v ~bits:0 ~kind:Trace.Crashed
-      end
-    done;
-    for v = 0 to n - 1 do
-      let inst = instances.(v) in
-      if not (crashed.(v) || inst.Program.halted ()) then begin
-        let outbox = inst.Program.step ~round:!round ~inbox:inboxes.(v) in
-        (match config.mode with
-        | Unicast -> ()
-        | Broadcast -> check_broadcast_uniform !round v outbox);
-        incr token;
-        List.iter
-          (fun (dst, (m : Msg.t)) ->
-            if m.Msg.bits < 0 then
-              invalid_arg
-                (Printf.sprintf
-                   "Runtime: node %d sent a message of negative size %d in \
-                    round %d"
-                   v m.Msg.bits !round);
-            if not (topo.t_has_edge v dst) then
-              raise (Illegal_recipient { round = !round; src = v; dst });
-            if bw_stamp.(dst) <> !token then begin
-              bw_stamp.(dst) <- !token;
-              bw_used.(dst) <- 0
-            end;
-            let total = bw_used.(dst) + m.Msg.bits in
-            if total > limit then
-              raise
-                (Bandwidth_exceeded
-                   { round = !round; src = v; dst; bits = total; limit });
-            bw_used.(dst) <- total;
-            Trace.observe_edge_total trace total;
-            Trace.record_send trace ~round:!round ~src:v ~dst ~bits:m.Msg.bits;
-            Obs.Metrics.inc mx.m_messages;
-            Obs.Metrics.add mx.m_bits m.Msg.bits;
-            match injector with
-            | None ->
-                Obs.Metrics.inc mx.m_deliveries;
-                arena_append arena ~dst ~src:v ~ord:(- arena.ar_used) m
-            | Some inj ->
-                let deliveries, events = Faults.apply inj ~src:v ~dst m in
-                List.iter
-                  (fun kind ->
-                    record_fault ~round:!round ~src:v ~dst ~bits:m.Msg.bits
-                      ~kind)
-                  events;
-                List.iter
-                  (fun (d, m') ->
-                    Obs.Metrics.inc mx.m_deliveries;
-                    if d = 0 then
-                      arena_append arena ~dst ~src:v ~ord:(- arena.ar_used) m'
-                    else defer ~at:(!round + 1 + d) ~src:v ~dst m')
-                  deliveries)
-          outbox
-      end
-    done;
-    (* Delay faults scheduled for the next round's inboxes join now, in
-       forward defer order and keyed to sort before this round's same-src
-       sends — where consing placed them historically. *)
-    (match Hashtbl.find_opt delayed (!round + 1) with
-    | None -> ()
-    | Some l ->
-        List.iteri
-          (fun j (dst, src, m) ->
-            arena_append arena ~dst ~src ~ord:(min_int + j) m)
-          (List.rev !l);
-        Hashtbl.remove delayed (!round + 1));
-    (* Deliver: clear the previous round's inboxes, then copy each
-       touched chain out in sender order. *)
-    Dynvec.iter (fun v -> inboxes.(v) <- []) filled;
-    Dynvec.clear filled;
-    Dynvec.iter
-      (fun dst ->
-        inboxes.(dst) <- arena_deliver arena dst;
-        Dynvec.push filled dst)
-      arena.touched;
-    arena_reset arena;
-    incr round
-  done;
-  Trace.set_rounds trace !round;
-  Obs.Metrics.add mx.m_rounds !round;
-  {
-    outputs = Array.map (fun inst -> inst.Program.output ()) instances;
-    rounds_executed = !round;
-    all_halted = all_halted ();
-    crashed;
-    trace;
-  }
-
 let make_trace = function Some t -> t | None -> Trace.create ()
-
-let run ?(config = default_config) ?trace (program : 'out Program.t) g =
-  exec ~config program (topo_of_graph g) (make_trace trace)
-
-let run_csr ?(config = default_config) ?trace (program : 'out Program.t) c =
-  exec ~config program (topo_of_csr c) (make_trace trace)
 
 let checked body trace =
   match body trace with
@@ -474,10 +126,6 @@ let checked body trace =
       Error { round; src; reason = Non_neighbor { dst }; trace_prefix = trace }
   | exception Non_uniform_broadcast { round; src } ->
       Error { round; src; reason = Broadcast_mismatch; trace_prefix = trace }
-
-let run_checked ?(config = default_config) ?trace (program : 'out Program.t) g
-    =
-  checked (exec ~config program (topo_of_graph g)) (make_trace trace)
 
 (* ------------------------------------------------------------------ *)
 (* Flat executor: the zero-allocation hot path for [Fastpath] programs.
@@ -552,10 +200,6 @@ let shard_pad = 8
 
 let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     (fp : 'out Fastpath.t) c =
-  if Option.is_some config.faults then
-    invalid_arg "Runtime.run_flat: fault plans need the list-mode runtime";
-  if config.mode = Broadcast then
-    invalid_arg "Runtime.run_flat: Broadcast mode needs the list-mode runtime";
   let trace = make_trace trace in
   let n = Csr.n c in
   let jobs = match pool with None -> 1 | Some p -> Exec.Pool.jobs p in
@@ -564,7 +208,11 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       invalid_arg "Runtime.run_flat: alloc_probe shorter than pool width"
   | _ -> ());
   let inline = Option.is_none pool in
-  let stride = if inline then 4 else 5 in
+  (* Quints (with bits) whenever something reads a staged entry's size
+     after the stage phase: the pool path's trace replay, or a fault
+     plan's delivery filter. *)
+  let wide = (not inline) || Option.is_some config.faults in
+  let stride = if wide then 5 else 4 in
   let range f =
     match pool with
     | None -> f 0 n
@@ -575,9 +223,11 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let mx = metrics_for fp.Fastpath.fname in
   Obs.Metrics.inc mx.m_runs;
   (* One kernel instance over the whole graph, reading the CSR rows in
-     place.  A kernel that draws gets the streams the list-mode executor
-     would hand each node: split from the master in ascending order. *)
+     place.  A kernel that draws gets one stream per node, split from
+     the master in ascending order — what [Fastpath.to_program] hands
+     each spawned node, so both forms draw alike. *)
   let xadj, adj = Csr.rows c in
+  let msgs = Fastpath.make_store ~writable:inline in
   let kernel =
     fp.Fastpath.kernel
       {
@@ -591,9 +241,26 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
           (fun () ->
             let master = Stdx.Prng.create config.seed in
             Array.init n (fun _ -> Stdx.Prng.split master));
+        msgs;
       }
   in
-  let step = kernel.Fastpath.step and halted_b = kernel.Fastpath.halted in
+  let halted_b = kernel.Fastpath.halted in
+  (* Broadcast: a node's staged point sends must all be one message,
+     checked right after its step, before any of them is recorded. *)
+  let step =
+    match config.mode with
+    | Unicast -> kernel.Fastpath.step
+    | Broadcast ->
+        fun ~v ~round inbox (em : Fastpath.emitter) ->
+          kernel.Fastpath.step ~v ~round inbox em;
+          for k = 1 to em.Fastpath.e_len - 1 do
+            if
+              em.Fastpath.e_tag.(k) <> em.Fastpath.e_tag.(0)
+              || em.Fastpath.e_bits.(k) <> em.Fastpath.e_bits.(0)
+              || em.Fastpath.e_word.(k) <> em.Fastpath.e_word.(0)
+            then raise (Non_uniform_broadcast { round; src = v })
+          done
+  in
   if Bytes.length halted_b < n then
     invalid_arg "Runtime.run_flat: kernel halted bytes shorter than n";
   (* Chunk geometry is fixed for the run, so a chunk's lo bound inverts
@@ -722,7 +389,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
               (Array.unsafe_get em.Fastpath.e_tag 0);
             Array.unsafe_set a (base + 3)
               (Array.unsafe_get em.Fastpath.e_word 0);
-            if not inline then Array.unsafe_set a (base + 4) bits;
+            if wide then Array.unsafe_set a (base + 4) bits;
             incr len;
             msgs := !msgs + (hi - lo);
             round_bits := !round_bits + ((hi - lo) * bits);
@@ -784,7 +451,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             Array.unsafe_set a (base + 1) v;
             Array.unsafe_set a (base + 2) (Array.unsafe_get e_tag k);
             Array.unsafe_set a (base + 3) (Array.unsafe_get e_word k);
-            if not inline then Array.unsafe_set a (base + 4) bits;
+            if wide then Array.unsafe_set a (base + 4) bits;
             incr len;
             round_bits := !round_bits + bits;
             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
@@ -960,6 +627,149 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       end
     end
   in
+  (* Fault plans.  The plan acts as one delivery filter on the calling
+     domain, after the stage barrier (and the pool path's trace replay),
+     so a faulty run is the same at every pool width.  It walks the
+     round's staged messages in send order — shards ascending, rows
+     expanded in row order — through [Faults.apply], whose injector
+     stream is therefore consumed in one fixed order, and restages what
+     arrives next round into shard 0, so the merge passes deliver it
+     unchanged.  Per destination that is ascending sender, messages
+     released by a delay before the sender's current sends, current
+     sends in emit order.  Crashes are taken at the start of a round by
+     setting the node's halted byte: it is never stepped again, and
+     messages in flight to it still deliver. *)
+  let crashed = Array.make n false in
+  let delivered = ref 0 in
+  let faulty =
+    Option.map
+      (fun plan ->
+        let crash_at = Array.make (max n 1) max_int in
+        List.iter
+          (fun (v, r) -> if v < n then crash_at.(v) <- min crash_at.(v) r)
+          plan.Faults.crashes;
+        (Faults.injector plan, crash_at))
+      config.faults
+  in
+  let record_fault ~round ~src ~dst ~bits ~kind =
+    Obs.Metrics.inc (fault_counter fp.Fastpath.fname kind);
+    Trace.record_fault trace ~round ~src ~dst ~bits ~kind
+  in
+  let crash_due crash_at =
+    for v = 0 to n - 1 do
+      if (not crashed.(v)) && crash_at.(v) <= !round then begin
+        crashed.(v) <- true;
+        Bytes.set halted_b v '\001';
+        record_fault ~round:!round ~src:v ~dst:v ~bits:0 ~kind:Trace.Crashed
+      end
+    done
+  in
+  (* A staged entry as a [Msg.t], and a delivered copy back as a tag and
+     word.  Corruption keeps a payload's kind, so an [Int] stays
+     [tag_int] and a [Bool] picks [tag_true]/[tag_false]; any other tag
+     reads as a contentless [Unit] and keeps its word. *)
+  let decode ~tag ~word ~bits =
+    if tag = Fastpath.tag_msg then Fastpath.store_get msgs word
+    else
+      let payload =
+        if tag = Fastpath.tag_int then Msg.Int word
+        else if tag = Fastpath.tag_true then Msg.Bool true
+        else if tag = Fastpath.tag_false then Msg.Bool false
+        else Msg.Unit
+      in
+      { Msg.bits; payload }
+  in
+  let encode ~tag ~word (m : Msg.t) =
+    if tag = Fastpath.tag_msg then (tag, Fastpath.store_push msgs m)
+    else
+      match m.Msg.payload with
+      | Msg.Int w -> (Fastpath.tag_int, w)
+      | Msg.Bool b ->
+          ((if b then Fastpath.tag_true else Fastpath.tag_false), 0)
+      | _ -> (tag, word)
+  in
+  (* Copies deferred by delay faults, keyed by the round whose inbox they
+     join (a send of round r normally joins round r+1's), newest first. *)
+  let delayed : (int, (int * int * int * int * Msg.t) list) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let spare = ref [||] in
+  let filter inj =
+    let rnd = !round in
+    for s = 0 to used - 1 do
+      Array.fill sh_counts.(s) 0 n 0
+    done;
+    let counts = sh_counts.(0) in
+    let out = ref !spare and len = ref 0 in
+    let push ~dst ~src ~tag ~word ~bits =
+      let base = 5 * !len in
+      if base = Array.length !out then
+        out := Fastpath.grow_strided ~stride:5 !out base;
+      let a = !out in
+      a.(base) <- dst;
+      a.(base + 1) <- src;
+      a.(base + 2) <- tag;
+      a.(base + 3) <- word;
+      a.(base + 4) <- bits;
+      incr len;
+      counts.(dst) <- counts.(dst) + 1
+    in
+    let pending =
+      ref
+        (List.stable_sort
+           (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b)
+           (List.rev
+              (Option.value ~default:[] (Hashtbl.find_opt delayed (rnd + 1)))))
+    in
+    Hashtbl.remove delayed (rnd + 1);
+    let rec release_upto src =
+      match !pending with
+      | (s, dst, tag, word, m) :: rest when s <= src ->
+          pending := rest;
+          let tag, word = encode ~tag ~word m in
+          push ~dst ~src:s ~tag ~word ~bits:m.Msg.bits;
+          release_upto src
+      | _ -> ()
+    in
+    let attempt ~src ~dst ~tag ~word ~bits =
+      release_upto src;
+      let m = decode ~tag ~word ~bits in
+      let copies, events = Faults.apply inj ~src ~dst m in
+      List.iter (fun kind -> record_fault ~round:rnd ~src ~dst ~bits ~kind) events;
+      List.iter
+        (fun (d, (m' : Msg.t)) ->
+          incr delivered;
+          if d > 0 then begin
+            let at = rnd + 1 + d in
+            Hashtbl.replace delayed at
+              ((src, dst, tag, word, m')
+              :: Option.value ~default:[] (Hashtbl.find_opt delayed at))
+          end
+          else if m' == m then push ~dst ~src ~tag ~word ~bits
+          else
+            let tag, word = encode ~tag ~word m' in
+            push ~dst ~src ~tag ~word ~bits)
+        copies
+    in
+    for s = 0 to jobs - 1 do
+      let st = sh_stage.(s) in
+      for i = 0 to sh_len.(s * shard_pad) - 1 do
+        let b = 5 * i in
+        let dst = st.(b) and src = st.(b + 1) and tag = st.(b + 2)
+        and word = st.(b + 3) and bits = st.(b + 4) in
+        if dst >= 0 then attempt ~src ~dst ~tag ~word ~bits
+        else
+          for r = xadj.(src) to xadj.(src + 1) - 1 do
+            attempt ~src ~dst:adj.(r) ~tag ~word ~bits
+          done
+      done;
+      sh_len.(s * shard_pad) <- 0
+    done;
+    release_upto max_int;
+    spare := sh_stage.(0);
+    sh_stage.(0) <- !out;
+    sh_len.(0) <- !len
+  in
   (* Post-round halted totals come from the shard tallies; before the
      first round there are none, so scan once. *)
   let halted_sum = ref (-1) in
@@ -974,6 +784,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     end
   in
   while !round < config.max_rounds && not (all_halted ()) do
+    Fastpath.store_advance msgs;
+    Option.iter (fun (_, crash_at) -> crash_due crash_at) faulty;
     (match range f_stage with
     | () -> ()
     | exception e ->
@@ -986,6 +798,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
         | _ -> if not inline then replay_violation_prefix ());
         Printexc.raise_with_backtrace e bt);
     if not inline then record_round ();
+    Option.iter (fun (inj, _) -> filter inj) faulty;
     let halted = ref 0 in
     for s = 0 to jobs - 1 do
       sent := !sent + sh_msgs.(s * shard_pad);
@@ -1017,7 +830,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   Obs.Metrics.add mx.m_rounds !round;
   Obs.Metrics.add mx.m_messages !sent;
   Obs.Metrics.add mx.m_bits !sent_bits;
-  Obs.Metrics.add mx.m_deliveries !sent;
+  Obs.Metrics.add mx.m_deliveries
+    (if Option.is_some faulty then !delivered else !sent);
   let stage_words =
     Array.fold_left (fun acc a -> acc + Array.length a) 0 sh_stage
   in
@@ -1026,7 +840,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     outputs = Array.init n kernel.Fastpath.output;
     rounds_executed = !round;
     all_halted = all_halted ();
-    crashed = Array.make n false;
+    crashed;
     trace;
   }
 
@@ -1036,3 +850,10 @@ let run_flat_par ?config ?trace ?alloc_probe ~pool fp c =
 let run_flat_checked ?(config = default_config) ?trace ?pool
     (fp : 'out Fastpath.t) c =
   checked (fun trace -> run_flat ~config ~trace ?pool fp c) (make_trace trace)
+
+let run ?config ?trace program g =
+  run_flat ?config ?trace (Fastpath.of_program program) (Csr.of_graph g)
+
+let run_checked ?config ?trace program g =
+  run_flat_checked ?config ?trace (Fastpath.of_program program)
+    (Csr.of_graph g)

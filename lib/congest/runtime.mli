@@ -1,11 +1,11 @@
 (** The synchronous CONGEST executor.
 
-    Executes a {!Program.t} on every node of a network (a weighted graph),
-    round by round: all nodes step simultaneously on the messages sent in
-    the previous round, and the per-edge bandwidth constraint — at most
+    Executes a program on every node of a network, round by round: all
+    nodes step simultaneously on the messages sent in the previous
+    round, and the per-edge bandwidth constraint — at most
     [bandwidth_factor · ⌈log₂ n⌉] bits per directed edge per round — is
-    enforced at send time.  A run terminates when all nodes have halted or
-    when [max_rounds] is reached.
+    enforced at send time.  A run terminates when all nodes have halted
+    or when [max_rounds] is reached.
 
     With [config.faults] set, every attempted send passes through the
     seeded fault plan at delivery time (drop/duplicate/corrupt/delay) and
@@ -13,17 +13,14 @@
     trace alongside the sends, and the whole faulty execution is exactly
     replayable from [(config, plan)].
 
-    The executor is representation-agnostic: {!run} takes the bitset
-    {!Wgraph.Graph.t}, {!run_csr} the compressed {!Wgraph.Csr.t}, and both
-    drive one shared round loop over preallocated arena message buffers
-    (docs/PERF.md describes the arena lifecycle).  Identical graphs
-    produce identical executions — same outputs, same trace digests —
-    whichever representation carries them.
-
-    {!run_flat} executes the allocation-free {!Fastpath} program form for
-    large-n sweeps: one counting-sort round loop that runs on the caller
-    without a pool and shards its phases across the domains of an
-    {!Exec.Pool.t} with one, byte-identical either way. *)
+    There is one round loop, {!run_flat}: a counting-sort executor over
+    preallocated int buffers on a {!Wgraph.Csr.t}, run on the caller
+    without a pool and sharded across the domains of an {!Exec.Pool.t}
+    with one, byte-identical either way.  It runs {!Fastpath} kernels
+    natively; {!run} and {!run_checked} run a list-mode {!Program.t} on
+    it through {!Fastpath.of_program}, over the CSR twin of a bitset
+    {!Wgraph.Graph.t}.  Fault plans, [Broadcast] mode and every pool
+    width apply to both forms (docs/PERF.md, docs/FAULTS.md). *)
 
 exception Bandwidth_exceeded of { round : int; src : int; dst : int; bits : int; limit : int }
 exception Illegal_recipient of { round : int; src : int; dst : int }
@@ -95,22 +92,13 @@ val run :
   'out Program.t ->
   Wgraph.Graph.t ->
   'out result
-(** Raises {!Bandwidth_exceeded} when a node oversends,
+(** [run_flat (Fastpath.of_program p) (Csr.of_graph g)], without a pool.
+    Raises {!Bandwidth_exceeded} when a node oversends,
     {!Illegal_recipient} when it addresses a non-neighbor, and
     {!Non_uniform_broadcast} when [mode = Broadcast] and a node sends
     unequal messages in one round.  A message with negative [bits] is a
     program bug, not a model violation: it raises [Invalid_argument]
     before anything about it is traced. *)
-
-val run_csr :
-  ?config:config ->
-  ?trace:Trace.t ->
-  'out Program.t ->
-  Wgraph.Csr.t ->
-  'out result
-(** {!run} on the CSR representation: same executor, same semantics —
-    [run_csr p (Csr.of_graph g)] and [run p g] produce identical results
-    and traces under any config. *)
 
 val run_checked :
   ?config:config ->
@@ -130,14 +118,14 @@ val run_flat :
   'out Fastpath.t ->
   Wgraph.Csr.t ->
   'out result
-(** The zero-allocation hot path: executes a flat program over
-    preallocated int message buffers — no cons cells, tuples or [Msg.t]
-    records per round (test/test_perf_guard.ml pins the per-round
+(** The round loop: executes a flat program over preallocated int
+    message buffers — no cons cells, tuples or [Msg.t] records per round
+    for a native kernel (test/test_perf_guard.ml pins the per-round
     allocation ceiling).  The kernel is instantiated once over the CSR
-    rows (no per-node copies); a kernel that draws gets the streams the
-    list-mode executors hand each node, split from the master in
-    ascending node order, so a flat program and its {!Fastpath.to_program}
-    form are output-identical.  Each node's output is read once, through
+    rows (no per-node copies); a kernel that draws gets one stream per
+    node, split from the master in ascending node order — the streams
+    {!Fastpath.to_program} hands its spawned nodes — so a flat program
+    and its [to_program] form are output-identical.  Each node's output is read once, through
     [output v], when the run ends.  A row send ({!Fastpath.emit_row})
     is staged as one entry and checked against the budget once; it
     counts as one message per neighbour in the trace and the metrics,
@@ -162,12 +150,18 @@ val run_flat :
     [Exec.Error.Error (Worker_death _)] at every [jobs] (including 1),
     with no trace recorded for the torn round.
 
+    [config.faults] is applied as one delivery filter on the calling
+    domain after each round's stage phase (and trace replay), so faulty
+    runs too are byte-identical at every pool width; [Broadcast] mode
+    checks each node's sends for uniformity right after its step.
+    Neither adds work to a fault-free [Unicast] run.
+
     [alloc_probe] (a test hook; length ≥ the shard count, 1 without a
     pool) accumulates, per shard, the minor words its stage phase
     allocates each round — the per-domain allocation guard reads it.
-    Raises [Invalid_argument] if [config.faults] is set, if
-    [config.mode = Broadcast] — adversarial runs keep to the list-mode
-    executor — or if [alloc_probe] is too short. *)
+    Raises [Invalid_argument] if [alloc_probe] is too short, and when a
+    node of an {!Fastpath.of_program} kernel sends under a pool (its
+    message store is written only on the calling domain). *)
 
 val run_flat_par :
   ?config:config ->
@@ -188,6 +182,5 @@ val run_flat_checked :
   ('out result, failure) Stdlib.result
 (** {!run_flat} with model violations returned as structured failures,
     like {!run_checked}; the failure and its trace prefix are the same
-    with or without [pool].  [Invalid_argument] (faults / Broadcast) and
-    a worker death ([Exec.Error.Error (Worker_death _)], an executor
+    with or without [pool].  [Invalid_argument] and a worker death ([Exec.Error.Error (Worker_death _)], an executor
     fault rather than a model violation) still raise. *)

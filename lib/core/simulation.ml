@@ -89,8 +89,6 @@ let simulate_checked ?(config = Runtime.default_config) program
       Ok (result, report_of ~config ~algo:program.Congest.Program.name inst result)
   | Error failure -> Error failure
 
-type engine = List_mode | Flat of Exec.Pool.t option
-
 type decision = {
   report : report;
   opt : int;
@@ -109,54 +107,35 @@ let pp_error ppf = function
         "gathering did not complete within %d rounds (increase max_rounds)"
         rounds
 
-let decide_disjointness_checked ?(config = Runtime.default_config) ?engine
+let decide_disjointness_checked ?(config = Runtime.default_config) ?pool
     (inst : Family.instance) ~predicate =
   let g = inst.Family.graph in
-  let m = Wgraph.Graph.edge_count g in
-  (* The flat runtime rejects fault plans, so it is the default only
-     without one. *)
-  let engine =
-    match engine with
-    | Some e -> e
-    | None -> if config.Runtime.faults = None then Flat None else List_mode
-  in
+  let fp = Congest.Algo_gather.exact_maxis_flat ~m:(Wgraph.Graph.edge_count g) in
   (* Every report field reads a streamed accumulator of the registered
-     player cut, so no engine keeps a per-send log.  The flat engine runs
-     the CSR twin of the instance graph under the flat gather port; report
-     aggregates (rounds, cut bits, outputs) are engine-independent, which
-     test/test_simulation.ml pins against a Full-trace [simulate]. *)
+     player cut, so no per-send log is kept: the flat gather runs on the
+     CSR twin of the instance graph, and its report aggregates (rounds,
+     cut bits, outputs) equal the Full-trace [simulate] of the list
+     form, which test/test_simulation.ml pins at several pool widths. *)
   let trace = Trace.create ~mode:Light ~cut:inst.Family.partition () in
-  let run_engine () =
-    let with_report algo =
-      Result.map (fun r -> (r, report_of ~config ~algo inst r))
-    in
-    match engine with
-    | List_mode ->
-        let program = Congest.Algo_gather.exact_maxis ~m in
-        with_report program.Congest.Program.name
-          (Runtime.run_checked ~config ~trace program g)
-    | Flat pool ->
-        let fp = Congest.Algo_gather.exact_maxis_flat ~m in
-        with_report fp.Congest.Fastpath.fname
-          (Runtime.run_flat_checked ~config ~trace ?pool fp
-             (Wgraph.Csr.of_graph g))
-  in
-  match run_engine () with
+  match
+    Runtime.run_flat_checked ~config ~trace ?pool fp (Wgraph.Csr.of_graph g)
+  with
   | Error failure -> Error (Runtime_failure failure)
-  | Ok (result, report) -> (
+  | Ok result -> (
       match result.Runtime.outputs.(0) with
       | None -> Error (Incomplete { rounds = result.Runtime.rounds_executed })
       | Some opt ->
           Ok
             {
-              report;
+              report =
+                report_of ~config ~algo:fp.Congest.Fastpath.fname inst result;
               opt;
               verdict = Predicate.classify predicate opt;
               answer = Predicate.decides_to predicate opt;
             })
 
-let decide_disjointness ?config ?engine (inst : Family.instance) ~predicate =
-  match decide_disjointness_checked ?config ?engine inst ~predicate with
+let decide_disjointness ?config ?pool (inst : Family.instance) ~predicate =
+  match decide_disjointness_checked ?config ?pool inst ~predicate with
   | Ok d -> d
   | Error (Incomplete _) ->
       invalid_arg

@@ -13,6 +13,9 @@
     algorithm {e emits}, so it must — and does — hold on attempted traffic
     even when an adversarial plan drops part of it.
 
+    Every entry point runs on {!Congest.Runtime.run_flat}, the one round
+    loop, with or without a fault plan.
+
     [decide_disjointness] completes the reduction end to end: it runs the
     universal exact-MaxIS algorithm ({!Congest.Algo_gather}), classifies
     OPT with the gap predicate, and returns the promise-pairwise-
@@ -53,20 +56,6 @@ val simulate_checked :
 (** Like {!simulate}, but model violations come back as a structured
     failure (round/src/dst + trace prefix) instead of an exception. *)
 
-type engine =
-  | List_mode  (** the historical [(int * Msg.t) list] executor *)
-  | Flat of Exec.Pool.t option
-      (** {!Congest.Runtime.run_flat} on the CSR twin of the graph,
-          sharded across the pool if one is given *)
-
-(** Which executor carries the gather protocol in
-    {!decide_disjointness}.  All engines produce the same decision and
-    the same report fields — rounds, cut traffic and outputs are
-    engine-independent (pinned against the Full-trace {!simulate} in
-    test/test_simulation.ml and by stdout parity in test/test_cli.ml) —
-    the flat one just gets there without per-message allocation.  Fault
-    plans require [List_mode] (the flat executor rejects them). *)
-
 type decision = {
   report : report;
   opt : int;
@@ -85,19 +74,22 @@ val pp_error : Format.formatter -> error -> unit
 
 val decide_disjointness :
   ?config:Congest.Runtime.config ->
-  ?engine:engine ->
+  ?pool:Exec.Pool.t ->
   Family.instance ->
   predicate:Predicate.t ->
   decision
-(** The full Theorem-5 pipeline on the universal algorithm.  The runtime
-    config's [max_rounds] must allow gathering to complete ([O(n + m)]
-    rounds); the default config usually suffices for test-sized
-    instances.
+(** The full Theorem-5 pipeline on the universal algorithm: the flat
+    gather ({!Congest.Algo_gather.exact_maxis_flat}) on the CSR twin of
+    the instance graph, sharded across [pool] when one is given.  The
+    runtime config's [max_rounds] must allow gathering to complete
+    ([O(n + m)] rounds); the default config usually suffices for
+    test-sized instances.
 
-    [engine] defaults to [Flat None] when [config.faults = None] and to
-    [List_mode] otherwise; an explicit [Flat _] with a fault plan raises
-    [Invalid_argument].  Whatever the engine, the run records into a
-    [Light] trace with the instance's player partition registered
+    The decision and every report field are the same with or without a
+    pool, at every width, fault plan or not (pinned against the
+    Full-trace {!simulate} in test/test_simulation.ml and by stdout
+    parity in test/test_cli.ml).  The run records into a [Light] trace
+    with the instance's player partition registered
     ({!Congest.Trace.create}[ ~mode:Light ~cut]), so no per-send log is
     kept and every report field is an O(1) read of the streamed cut
     accumulators — the same values {!simulate} folds out of its [Full]
@@ -108,7 +100,7 @@ val decide_disjointness :
 
 val decide_disjointness_checked :
   ?config:Congest.Runtime.config ->
-  ?engine:engine ->
+  ?pool:Exec.Pool.t ->
   Family.instance ->
   predicate:Predicate.t ->
   (decision, error) Stdlib.result

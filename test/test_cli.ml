@@ -121,65 +121,49 @@ let test_bench_metrics_parity () =
   List.iter Sys.remove [ plain; metered; jsonl ]
 
 (* ------------------------------------------------------------------ *)
-(* simulate --engine parity: the list and flat executors, the latter
-   with and without a pool, must print a byte-identical report (same
-   rounds, cut traffic, OPT and answer) — the engine choice is a
-   performance knob, never an observable one. *)
+(* simulate parity: one executor, with or without a pool and with or
+   without a fault plan, prints a byte-identical report (same rounds, cut
+   traffic, fault metering, OPT and answer) — --jobs is a performance
+   knob, never an observable one. *)
 
 let sim_base = "simulate --players 2 --ell 3"
 
-let test_engine_stdout_parity () =
-  let out_list = Filename.temp_file "sim_list" ".out" in
-  let out_flat = Filename.temp_file "sim_flat" ".out" in
-  let out_fpar = Filename.temp_file "sim_fpar" ".out" in
-  let cmd flags out =
+let capture_sim flags =
+  let out = Filename.temp_file "sim" ".out" in
+  let code =
     run_capture
       (Printf.sprintf "%s %s %s" (Filename.quote exe) sim_base flags)
       out
   in
-  check_int "list engine" 0 (cmd "--engine=list" out_list);
-  check_int "flat engine" 0 (cmd "--engine=flat" out_flat);
-  check_int "flat engine on 3 domains" 0
-    (cmd "--engine=flat --jobs 3" out_fpar);
-  Alcotest.(check string)
-    "flat stdout = list stdout" (slurp out_list) (slurp out_flat);
-  Alcotest.(check string)
-    "flat --jobs 3 stdout = list stdout" (slurp out_list) (slurp out_fpar);
-  List.iter Sys.remove [ out_list; out_flat; out_fpar ]
+  let text = slurp out in
+  Sys.remove out;
+  (code, text)
 
-let test_engine_rejects_faults () =
-  check_int "flat + --drop is a usage error" 2
-    (run (sim_base ^ " --engine=flat --drop 0.1"));
-  check_int "flat --jobs 3 + --corrupt is a usage error" 2
-    (run (sim_base ^ " --engine=flat --jobs 3 --corrupt 0.1"));
-  check_int "flat-par is no longer an engine" 124
-    (run (sim_base ^ " --engine=flat-par"));
-  check_int "list + --drop still runs" 0 (run (sim_base ^ " --drop 0.01"))
-
-(* Without --engine the run picks flat, or list mode under fault flags;
-   either way its stdout is the explicit list-mode stdout. *)
-let test_default_engine_stdout_parity () =
-  let capture flags =
-    let out = Filename.temp_file "sim_engine" ".out" in
-    let code =
-      run_capture
-        (Printf.sprintf "%s %s %s" (Filename.quote exe) sim_base flags)
-        out
-    in
-    let text = slurp out in
-    Sys.remove out;
-    (code, text)
-  in
+let test_jobs_stdout_parity () =
   List.iter
     (fun (label, faults) ->
-      let code_default, out_default = capture faults in
-      let code_list, out_list = capture ("--engine=list " ^ faults) in
-      check_int (label ^ ": default exits 0") 0 code_default;
-      check_int (label ^ ": list exits 0") 0 code_list;
+      let code1, out1 = capture_sim ("--jobs 1 " ^ faults) in
+      let code3, out3 = capture_sim ("--jobs 3 " ^ faults) in
+      check_int (label ^ ": --jobs 1 exits 0") 0 code1;
+      check_int (label ^ ": --jobs 3 exits 0") 0 code3;
       Alcotest.(check string)
-        (label ^ ": default stdout = list stdout")
-        out_list out_default)
+        (label ^ ": --jobs 3 stdout = --jobs 1 stdout")
+        out1 out3)
     [ ("fault-free", ""); ("--drop 0.01", "--drop 0.01") ]
+
+let test_engine_flag_removed () =
+  List.iter
+    (fun engine ->
+      check_int
+        (Printf.sprintf "--engine=%s is a usage error" engine)
+        124
+        (run (Printf.sprintf "%s --engine=%s" sim_base engine)))
+    [ "list"; "flat"; "flat-par" ]
+
+let test_nan_probability_rejected () =
+  check_int "--drop nan" 2 (run (sim_base ^ " --drop nan"));
+  check_int "--corrupt nan" 2 (run (sim_base ^ " --corrupt nan"));
+  check_int "--drop 1.5" 2 (run (sim_base ^ " --drop 1.5"))
 
 (* ------------------------------------------------------------------ *)
 (* Verification.exit_code precedence *)
@@ -221,11 +205,11 @@ let () =
       ( "engine-parity",
         [
           Alcotest.test_case "simulate stdout parity" `Quick
-            test_engine_stdout_parity;
-          Alcotest.test_case "flat engines reject faults" `Quick
-            test_engine_rejects_faults;
-          Alcotest.test_case "default engine stdout parity" `Quick
-            test_default_engine_stdout_parity;
+            test_jobs_stdout_parity;
+          Alcotest.test_case "removed --engine is a usage error" `Quick
+            test_engine_flag_removed;
+          Alcotest.test_case "NaN fault probability exits 2" `Quick
+            test_nan_probability_rejected;
         ] );
       ( "exit-code-unit",
         [ Alcotest.test_case "precedence" `Quick test_exit_code_unit ] );

@@ -1,9 +1,9 @@
 (* Differential battery for the CSR graph core and the large-n engine:
    Csr ≡ Graph property-by-property, exact-solver parity across the
-   representations, run ≡ run_csr ≡ run_flat executor parity (the
-   list-mode programs are [Fastpath.to_program] of the flat ones, so
-   this pins the executors and the adapter), and run_flat with a pool ≡
-   without one. *)
+   representations, run ≡ run_flat parity (the list-mode programs are
+   [Fastpath.to_program] of the flat ones, and [run] carries them
+   through [Fastpath.of_program], so this pins both adapters), and
+   run_flat with a pool ≡ without one. *)
 
 module Graph = Wgraph.Graph
 module Csr = Wgraph.Csr
@@ -203,7 +203,8 @@ let solver_parity =
       direct = via_csr)
 
 (* ------------------------------------------------------------------ *)
-(* Executor parity: run ≡ run_csr ≡ run_flat *)
+(* Adapter parity: run (the list form through [Fastpath.of_program]) ≡
+   run_flat (the native kernel) *)
 
 let trace_summary t =
   ( Congest.Trace.rounds t,
@@ -211,12 +212,10 @@ let trace_summary t =
     Congest.Trace.total_bits t,
     Congest.Trace.digest t )
 
-let run_all_three (type a) (prog : a Congest.Program.t)
+let run_both (type a) (prog : a Congest.Program.t)
     (fp : a Congest.Fastpath.t) g =
-  let c = Csr.of_graph g in
   let r1 = Congest.Runtime.run prog g in
-  let r2 = Congest.Runtime.run_csr prog c in
-  let r3 = Congest.Runtime.run_flat fp c in
+  let r2 = Congest.Runtime.run_flat fp (Csr.of_graph g) in
   let same_results (a : a Congest.Runtime.result)
       (b : a Congest.Runtime.result) =
     a.Congest.Runtime.outputs = b.Congest.Runtime.outputs
@@ -225,42 +224,42 @@ let run_all_three (type a) (prog : a Congest.Program.t)
     && trace_summary a.Congest.Runtime.trace
        = trace_summary b.Congest.Runtime.trace
   in
-  same_results r1 r2 && same_results r1 r3
+  same_results r1 r2
 
 let flood_parity =
-  QCheck.Test.make ~name:"flood: run = run_csr = run_flat" ~count:60
+  QCheck.Test.make ~name:"flood: run = run_flat" ~count:60
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
       let g = random_graph seed nn in
-      run_all_three
+      run_both
         (Congest.Algo_flood.max_id ~rounds:12)
         (Congest.Fastpath.max_id ~rounds:12)
         g)
 
 let bfs_parity =
-  QCheck.Test.make ~name:"bfs: run = run_csr = run_flat" ~count:60
+  QCheck.Test.make ~name:"bfs: run = run_flat" ~count:60
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
       let g = random_graph seed nn in
-      run_all_three
+      run_both
         (Congest.Algo_bfs.distances ~root:0 ~rounds:12)
         (Congest.Fastpath.bfs_distances ~root:0 ~rounds:12)
         g)
 
 let luby_parity =
-  QCheck.Test.make ~name:"luby: run = run_csr = run_flat (incl. PRNG draws)"
+  QCheck.Test.make ~name:"luby: run = run_flat (incl. PRNG draws)"
     ~count:60
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
       let g = random_graph seed nn in
-      run_all_three Congest.Algo_luby.mis Congest.Fastpath.luby_mis g)
+      run_both Congest.Algo_luby.mis Congest.Fastpath.luby_mis g)
 
 let greedy_parity =
-  QCheck.Test.make ~name:"greedy: run = run_csr = run_flat" ~count:60
+  QCheck.Test.make ~name:"greedy: run = run_flat" ~count:60
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
       let g = random_graph seed nn in
-      run_all_three Congest.Algo_greedy_mis.mis Congest.Fastpath.greedy_mis g)
+      run_both Congest.Algo_greedy_mis.mis Congest.Fastpath.greedy_mis g)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded executor parity: run_flat ~pool = run_flat at every pool
@@ -449,29 +448,23 @@ let chunk_bounds_partition =
       in
       contiguous lo pieces && mx - mn <= 1)
 
+(* A list program's [Msg.t] sends need the message store, which only
+   the calling domain writes. *)
+let list_sender = Congest.Fastpath.of_program (Congest.Algo_flood.max_id ~rounds:4)
+
 let test_flat_rejects () =
   let c = Csr.of_graph (Build.path 4) in
   let fp = Congest.Fastpath.max_id ~rounds:4 in
-  let plan =
-    Congest.Faults.plan ~default:(Congest.Faults.link ~drop:0.5 ()) 1
-  in
-  let rejects what ?alloc_probe config pool =
+  let rejects what ?alloc_probe ?pool fp =
     try
-      ignore (Congest.Runtime.run_flat ~config ?alloc_probe ?pool fp c);
+      ignore (Congest.Runtime.run_flat ?alloc_probe ?pool fp c);
       Alcotest.fail (what ^ " accepted")
     with Invalid_argument _ -> ()
   in
-  let d = Congest.Runtime.default_config in
   Exec.Pool.with_pool ~jobs:2 (fun p ->
-      List.iter
-        (fun pool ->
-          rejects "broadcast"
-            { d with Congest.Runtime.mode = Congest.Runtime.Broadcast }
-            pool;
-          rejects "faults" { d with Congest.Runtime.faults = Some plan } pool)
-        [ None; Some p ];
-      rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] d (Some p);
-      rejects "empty alloc_probe" ~alloc_probe:[||] d None)
+      rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] ~pool:p fp;
+      rejects "empty alloc_probe" ~alloc_probe:[||] fp;
+      rejects "list program under a pool" ~pool:p list_sender)
 
 (* Declared message widths are enforced at emit: every node sends one
    [tag_int] word of [bits] bits to each neighbour in round 0.  A word
@@ -939,21 +932,15 @@ let test_negative_bits () =
 let test_par_rejects () =
   let c = Csr.of_graph (Build.path 4) in
   let fp = Congest.Fastpath.max_id ~rounds:4 in
-  let plan =
-    Congest.Faults.plan ~default:(Congest.Faults.link ~drop:0.5 ()) 1
-  in
-  let d = Congest.Runtime.default_config in
   Exec.Pool.with_pool ~jobs:2 (fun pool ->
-      let rejects what ?alloc_probe config =
+      let rejects what ?alloc_probe fp =
         try
-          ignore (Congest.Runtime.run_flat_par ~config ?alloc_probe ~pool fp c);
+          ignore (Congest.Runtime.run_flat_par ?alloc_probe ~pool fp c);
           Alcotest.fail (what ^ " accepted")
         with Invalid_argument _ -> ()
       in
-      rejects "broadcast"
-        { d with Congest.Runtime.mode = Congest.Runtime.Broadcast };
-      rejects "faults" { d with Congest.Runtime.faults = Some plan };
-      rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] d)
+      rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] fp;
+      rejects "list program" list_sender)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned sweep on sparse random graphs at n = 10³ and 10⁴: every node

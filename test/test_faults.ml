@@ -40,6 +40,15 @@ let test_link_validation () =
   check "negative crash node" true
     (rejects (fun () -> Faults.plan ~crashes:[ (-2, 0) ] 1))
 
+(* NaN compares false with everything, so a range check written as
+   [p < 0 || p > 1] would let it through. *)
+let test_link_rejects_nan () =
+  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check "drop nan" true (rejects (fun () -> Faults.link ~drop:Float.nan ()));
+  check "duplicate nan" true
+    (rejects (fun () -> Faults.link ~duplicate:Float.nan ()));
+  check "corrupt nan" true (rejects (fun () -> Faults.link ~corrupt:Float.nan ()))
+
 let test_crash_round () =
   let p = Faults.plan ~crashes:[ (3, 7); (3, 2); (5, 0) ] 1 in
   Alcotest.(check (option int)) "earliest wins" (Some 2)
@@ -519,6 +528,7 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "link validation" `Quick test_link_validation;
+          Alcotest.test_case "NaN probability rejected" `Quick test_link_rejects_nan;
           Alcotest.test_case "crash round" `Quick test_crash_round;
         ] );
       ( "injector",

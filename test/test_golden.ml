@@ -195,6 +195,54 @@ let fault_cell gname g ~corrupt (P prog as p) () =
     check_int "total_faults" exp.faults c.faults
   end
 
+(* The same rows from the native kernels: [run_flat] under the plan
+   reproduces the [to_program] form's row exactly, with no pool and on
+   pools of width 2 and 3 — the plan filters deliveries on the calling
+   domain, so the pool width cannot show.  Outputs match the list
+   form's too.  ([flat_pools] is defined with the fingerprint table
+   below.) *)
+let flat_fault_programs g =
+  let m = Wgraph.Graph.edge_count g in
+  [
+    (true, Congest.Fastpath.max_id ~rounds:6);
+    (true, Congest.Fastpath.bfs_distances ~root:0 ~rounds:6);
+    (false, Congest.Algo_gather.exact_maxis_flat ~m);
+  ]
+
+let flat_fault_cell ~pools gname g ~corrupt (fp : int Congest.Fastpath.t) () =
+  let algo = fp.Congest.Fastpath.fname in
+  let exp =
+    match List.assoc_opt (algo, gname) fault_goldens with
+    | Some e -> e
+    | None ->
+        Alcotest.fail (Printf.sprintf "no fault golden for (%s, %s)" algo gname)
+  in
+  let config = fault_config ~corrupt in
+  let list_run = Congest.Runtime.run ~config (Congest.Fastpath.to_program fp) g in
+  let c = Wgraph.Csr.of_graph g in
+  List.iter
+    (fun (label, pool) ->
+      let r = Congest.Runtime.run_flat ~config ?pool fp c in
+      let t = r.Congest.Runtime.trace in
+      let check_int what = check_int (label ^ ": " ^ what) in
+      Alcotest.(check string)
+        (label ^ ": digest") exp.digest
+        (Int64.to_string (Congest.Trace.digest t));
+      check_int "rounds" exp.f_rounds (Congest.Trace.rounds t);
+      check_int "messages" exp.f_messages (Congest.Trace.total_messages t);
+      check_int "bits" exp.f_bits (Congest.Trace.total_bits t);
+      check_int "total_faults" exp.faults (Congest.Trace.total_faults t);
+      Alcotest.(check (array (option int)))
+        (label ^ ": outputs = list form") list_run.Congest.Runtime.outputs
+        r.Congest.Runtime.outputs;
+      Alcotest.(check (array bool))
+        (label ^ ": crashed = list form") list_run.Congest.Runtime.crashed
+        r.Congest.Runtime.crashed)
+    (("no pool", None)
+    :: List.map
+         (fun p -> (Printf.sprintf "jobs=%d" (Exec.Pool.jobs p), Some p))
+         (Lazy.force pools))
+
 let run_cell gname g p () =
   let algo, c = measure p g in
   if print_mode then
@@ -631,6 +679,18 @@ let () =
           (flat_programs c ~gather))
       (flat_graphs ())
   in
+  let flat_fault_cells =
+    List.concat_map
+      (fun (gname, g) ->
+        List.map
+          (fun (corrupt, fp) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s on %s" fp.Congest.Fastpath.fname gname)
+              `Quick
+              (flat_fault_cell ~pools:flat_pools gname g ~corrupt fp))
+          (flat_fault_programs g))
+      (graphs ())
+  in
   let streaming_cells =
     let graphs =
       List.map (fun (gname, g) -> (gname, g, programs g)) (graphs ())
@@ -660,6 +720,7 @@ let () =
       ("trace-counts", cells);
       ("fault-traces", fault_cells);
       ("flat-fingerprint", flat_cells);
+      ("flat-faults", flat_fault_cells);
       ("streaming", streaming_cells);
       ( "streaming-faults",
         [

@@ -100,8 +100,9 @@ let test_decide_raises_when_truncated () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Engine routing: decisions meter the registered player cut on a Light
-   trace; [simulate] folds a Full log and is the oracle for every field. *)
+(* Decisions meter the registered player cut on a Light trace, with or
+   without a pool; [simulate] folds a Full log and is the oracle for
+   every field. *)
 
 let report_fields (r : Simulation.report) =
   [
@@ -150,14 +151,7 @@ let oracle_instances () =
         seeds)
     [ (3, 2, [ 41; 43 ]); (4, 2, [ 41; 43 ]); (3, 3, [ 47 ]); (4, 3, [ 47 ]) ]
 
-(* [None] is the default engine. *)
-let engines pool =
-  [
-    ("default", None);
-    ("list", Some Simulation.List_mode);
-    ("flat", Some (Simulation.Flat None));
-    ("flat jobs=2", Some (Simulation.Flat (Some pool)));
-  ]
+let engines pool = [ ("no pool", None); ("jobs=2", Some pool) ]
 
 let oracle_report ?config inst =
   let m = Wgraph.Graph.edge_count inst.Family.graph in
@@ -169,9 +163,9 @@ let test_decision_reports_match_oracle () =
         (fun (label, p, inst) ->
           let expected = oracle_report inst in
           List.iter
-            (fun (engine_name, engine) ->
+            (fun (engine_name, pool) ->
               let d =
-                Simulation.decide_disjointness ?engine inst
+                Simulation.decide_disjointness ?pool inst
                   ~predicate:(oracle_predicate p)
               in
               check_report (label ^ " " ^ engine_name) ~expected
@@ -189,8 +183,7 @@ let fault_config =
            7);
   }
 
-(* Under faults the default engine is list mode on both sides, so the
-   ℓ = 3 instances suffice to pin the Light fault metering. *)
+(* The ℓ = 3 instances suffice to pin the Light fault metering. *)
 let test_decision_fault_reports_match_oracle () =
   let config = fault_config in
   List.iter
@@ -203,20 +196,27 @@ let test_decision_fault_reports_match_oracle () =
       check_report (label ^ " faults") ~expected d.Simulation.report)
     (List.filter (fun (_, p, _) -> P.ell p = 3) (oracle_instances ()))
 
-let test_default_engine_routes_faults_to_list_mode () =
+(* The fault plan filters deliveries on the calling domain, so a faulty
+   decision is the same with or without a pool. *)
+let test_fault_decisions_pool_independent () =
   let config = fault_config in
   let inst, _ = instance 53 p2 ~intersecting:true in
-  let d =
-    Simulation.decide_disjointness ~config inst ~predicate:(LF.predicate p2)
+  let decide ?pool () =
+    Simulation.decide_disjointness ~config ?pool inst
+      ~predicate:(LF.predicate p2)
   in
-  check "faults injected" true (d.Simulation.report.Simulation.faults_injected > 0);
-  check "explicit flat rejects faults" true
-    (try
-       ignore
-         (Simulation.decide_disjointness ~config ~engine:(Simulation.Flat None)
-            inst ~predicate:(LF.predicate p2));
-       false
-     with Invalid_argument _ -> true)
+  let reference = decide () in
+  check "faults injected" true
+    (reference.Simulation.report.Simulation.faults_injected > 0);
+  List.iter
+    (fun jobs ->
+      Exec.Pool.with_pool ~jobs (fun pool ->
+          let d = decide ~pool () in
+          let label = Printf.sprintf "jobs=%d" jobs in
+          check_report label ~expected:reference.Simulation.report
+            d.Simulation.report;
+          check_int (label ^ ": OPT") reference.Simulation.opt d.Simulation.opt))
+    [ 2; 3 ]
 
 let test_oversend_failure_same_on_every_engine () =
   (* At bandwidth factor 1 the gather's first facts exceed the edge budget
@@ -224,9 +224,9 @@ let test_oversend_failure_same_on_every_engine () =
      a Light prefix metering the registered cut. *)
   let config = { Runtime.default_config with Runtime.bandwidth_factor = 1 } in
   let inst, _ = instance 59 p2 ~intersecting:false in
-  let failure engine =
+  let failure pool =
     match
-      Simulation.decide_disjointness_checked ~config ?engine inst
+      Simulation.decide_disjointness_checked ~config ?pool inst
         ~predicate:(LF.predicate p2)
     with
     | Error (Simulation.Runtime_failure f) -> f
@@ -244,8 +244,8 @@ let test_oversend_failure_same_on_every_engine () =
         | Runtime.Oversend _ -> true
         | _ -> false);
       List.iter
-        (fun (name, engine) ->
-          let f = failure engine in
+        (fun (name, pool) ->
+          let f = failure pool in
           check (name ^ ": same violation") true (summary reference = summary f);
           let tr = f.Runtime.trace_prefix in
           check (name ^ ": Light prefix") true
@@ -437,8 +437,8 @@ let () =
             test_decision_reports_match_oracle;
           Alcotest.test_case "fault reports match Full-trace oracle" `Quick
             test_decision_fault_reports_match_oracle;
-          Alcotest.test_case "faults route to list mode" `Quick
-            test_default_engine_routes_faults_to_list_mode;
+          Alcotest.test_case "faulty decisions: pool = no pool" `Quick
+            test_fault_decisions_pool_independent;
           Alcotest.test_case "oversend failure on every engine" `Quick
             test_oversend_failure_same_on_every_engine;
         ] );
