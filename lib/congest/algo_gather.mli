@@ -39,9 +39,9 @@ val exact_maxis_flat : m:int -> int Fastpath.t
     maximum-weight independent set value of the whole network. *)
 
 val gather : m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Program.t
-(** The list-mode form of {!gather_flat}, for fault plans, Broadcast mode
-    and {!Runtime.run}.  Raises [Invalid_argument] at spawn when a weight
-    needs more than [2·⌈log n⌉] bits. *)
+(** The list-mode form of {!gather_flat}, for {!Runtime.run} and
+    [Player_sim].  Raises [Invalid_argument] at spawn when a weight needs
+    more than [2·⌈log n⌉] bits. *)
 
 val exact_maxis : m:int -> int Program.t
 (** The list-mode form of {!exact_maxis_flat}. *)

@@ -185,6 +185,28 @@ let store_push s m =
 
 let store_get s w = s.gens.(w land 1).(w lsr 1)
 
+(* The one mapping between staged entries and [Msg.t] payloads.  A tag
+   outside the four conventions carries no payload the executor knows:
+   it reads as a contentless [Unit], which corruption leaves alone. *)
+let message s ~tag ~bits ~word =
+  if tag = tag_msg then store_get s word
+  else
+    let payload =
+      if tag = tag_int then Msg.Int word
+      else if tag = tag_true then Msg.Bool true
+      else if tag = tag_false then Msg.Bool false
+      else Msg.Unit
+    in
+    { Msg.bits; payload }
+
+let restage s ~tag ~word (m : Msg.t) =
+  if tag = tag_msg then (tag, store_push s m)
+  else
+    match m.Msg.payload with
+    | Msg.Int w -> (tag_int, w)
+    | Msg.Bool b -> ((if b then tag_true else tag_false), 0)
+    | Msg.Unit | Msg.Pair _ | Msg.Triple _ -> (tag, word)
+
 type shape = {
   n : int;
   base : int;
@@ -245,13 +267,9 @@ let to_program fp =
           | Msg.Bool false -> push_inbox inbox ~src ~tag:tag_false ~word:0
           | Msg.Unit | Msg.Pair _ | Msg.Triple _ -> ()
         in
-        let message i =
-          let tag = em.e_tag.(i) in
-          let payload =
-            if tag = tag_int then Msg.Int em.e_word.(i)
-            else Msg.Bool (tag = tag_true)
-          in
-          { Msg.bits = em.e_bits.(i); payload }
+        let sent i =
+          message no_store ~tag:em.e_tag.(i) ~bits:em.e_bits.(i)
+            ~word:em.e_word.(i)
         in
         {
           Program.step =
@@ -261,9 +279,9 @@ let to_program fp =
               clear em;
               k.step ~v:0 ~round inbox em;
               if em.e_row then
-                let m = message 0 in
+                let m = sent 0 in
                 Array.fold_right (fun dst acc -> (dst, m) :: acc) nbrs []
-              else List.init em.e_len (fun i -> (em.e_dst.(i), message i)));
+              else List.init em.e_len (fun i -> (em.e_dst.(i), sent i)));
           halted = (fun () -> Bytes.get k.halted 0 <> '\000');
           output = (fun () -> k.output 0);
         });
@@ -303,7 +321,8 @@ let of_program (p : 'out Program.t) =
           let msgs = ref [] in
           for k = inbox.i_len - 1 downto 0 do
             if in_tag inbox k = tag_msg then
-              msgs := (in_src inbox k, store_get store (in_word inbox k)) :: !msgs
+              msgs :=
+                (in_src inbox k, store_get store (in_word inbox k)) :: !msgs
           done;
           let inst = insts.(v) in
           (match inst.Program.step ~round ~inbox:!msgs with

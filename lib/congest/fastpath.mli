@@ -140,7 +140,7 @@ val grow_strided : stride:int -> int array -> int -> int array
 (** Double a staging buffer of [stride]-int records (capacity stays a
     multiple of [stride]), preserving the first [len] slots.  For
     {!Runtime.run_flat}, which stages quads without a pool and quints
-    with one. *)
+    with one or under a fault plan. *)
 
 (** {1 The message store} *)
 
@@ -157,12 +157,18 @@ val store_advance : store -> unit
 (** Start the next round: rewind the generation staged two rounds ago.
     The executor calls it once per round, before the stage phase. *)
 
-val store_push : store -> Msg.t -> int
-(** Store a message and return its word.  Raises [Invalid_argument] on a
-    read-only store. *)
+val message : store -> tag:int -> bits:int -> word:int -> Msg.t
+(** The [Msg.t] a staged entry carries: the stored message for
+    [tag_msg], [Msg.Int word] for [tag_int], [Msg.Bool] for
+    [tag_true]/[tag_false], and a contentless [Msg.Unit] for any other
+    tag.  Fault plans corrupt this value. *)
 
-val store_get : store -> int -> Msg.t
-(** The message a live word names. *)
+val restage : store -> tag:int -> word:int -> Msg.t -> int * int
+(** [restage s ~tag ~word m]: the [(tag, word)] that stages [m], a copy
+    (possibly corrupted, hence of the same payload kind) of an entry
+    staged as [(tag, word)].  A [tag_msg] copy gets a fresh word in
+    [s] (raising [Invalid_argument] on a read-only store); an [Int] or
+    [Bool] is re-encoded; anything else keeps [(tag, word)]. *)
 
 (** {1 Programs} *)
 
@@ -180,8 +186,8 @@ type shape = {
   weight : int -> int;  (** weight of a node slot *)
   rngs : unit -> Stdx.Prng.t array;
       (** one private stream per slot, split from the run's master
-          stream in ascending node order — the streams the list-mode
-          executor hands the same nodes.  Call at most once. *)
+          stream in ascending node order — the streams {!to_program}
+          hands the same nodes.  Call at most once. *)
   msgs : store;  (** the run's message store, for {!of_program} *)
 }
 

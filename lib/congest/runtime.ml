@@ -69,8 +69,9 @@ let pp_failure ppf f =
 let bandwidth_bits config ~n = config.bandwidth_factor * Msg.id_width ~n
 
 (* Metric handles are interned per (metric, algo) pair: re-deriving them
-   here costs one registry lookup per run, and the per-send updates below
-   are plain atomic bumps (see docs/OBSERVABILITY.md for the catalog). *)
+   here costs one registry lookup per run, and the round loop flushes its
+   totals into them once per run (see docs/OBSERVABILITY.md for the
+   catalog). *)
 type metrics = {
   m_runs : Obs.Metrics.counter;
   m_rounds : Obs.Metrics.counter;
@@ -128,11 +129,14 @@ let checked body trace =
       Error { round; src; reason = Broadcast_mismatch; trace_prefix = trace }
 
 (* ------------------------------------------------------------------ *)
-(* Flat executor: the zero-allocation hot path for [Fastpath] programs.
-   No cons lists, no tuples, no [Msg.t] on the per-round path — messages
-   live in preallocated int buffers, counting-sorted into one shared
-   delivery arena per round.  Fault plans and [Broadcast] mode keep to
-   the list-mode executor.
+(* The round loop, for [Fastpath] kernels (list-mode programs arrive
+   through [Fastpath.of_program]).  No cons lists, no tuples, no [Msg.t]
+   on a native kernel's per-round path — messages live in preallocated
+   int buffers, counting-sorted into one shared delivery arena per
+   round.  Broadcast mode wraps the kernel's step with a uniformity
+   check, and a fault plan adds a delivery filter between the stage
+   phase and the merge (both described where they are built), so
+   neither costs a fault-free Unicast run anything per send or node.
 
    The node range [0, n) is split into contiguous chunks, one per shard:
    a single shard without a pool, [Exec.Pool.jobs pool] with one.  A
@@ -227,7 +231,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
      the master in ascending order — what [Fastpath.to_program] hands
      each spawned node, so both forms draw alike. *)
   let xadj, adj = Csr.rows c in
-  let msgs = Fastpath.make_store ~writable:inline in
+  let store = Fastpath.make_store ~writable:inline in
   let kernel =
     fp.Fastpath.kernel
       {
@@ -241,7 +245,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
           (fun () ->
             let master = Stdx.Prng.create config.seed in
             Array.init n (fun _ -> Stdx.Prng.split master));
-        msgs;
+        msgs = store;
       }
   in
   let halted_b = kernel.Fastpath.halted in
@@ -309,7 +313,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let round = ref 0 in
   (* Metric totals are flushed once per run, not per send: atomic bumps
      per message would dominate the otherwise allocation-free send path.
-     Every delivery succeeds here (no fault plans), so messages and
+     Without a fault plan every message is delivered, so messages and
      deliveries share one counter. *)
   let sent = ref 0 in
   let sent_bits = ref 0 in
@@ -664,35 +668,10 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       end
     done
   in
-  (* A staged entry as a [Msg.t], and a delivered copy back as a tag and
-     word.  Corruption keeps a payload's kind, so an [Int] stays
-     [tag_int] and a [Bool] picks [tag_true]/[tag_false]; any other tag
-     reads as a contentless [Unit] and keeps its word. *)
-  let decode ~tag ~word ~bits =
-    if tag = Fastpath.tag_msg then Fastpath.store_get msgs word
-    else
-      let payload =
-        if tag = Fastpath.tag_int then Msg.Int word
-        else if tag = Fastpath.tag_true then Msg.Bool true
-        else if tag = Fastpath.tag_false then Msg.Bool false
-        else Msg.Unit
-      in
-      { Msg.bits; payload }
-  in
-  let encode ~tag ~word (m : Msg.t) =
-    if tag = Fastpath.tag_msg then (tag, Fastpath.store_push msgs m)
-    else
-      match m.Msg.payload with
-      | Msg.Int w -> (Fastpath.tag_int, w)
-      | Msg.Bool b ->
-          ((if b then Fastpath.tag_true else Fastpath.tag_false), 0)
-      | _ -> (tag, word)
-  in
-  (* Copies deferred by delay faults, keyed by the round whose inbox they
-     join (a send of round r normally joins round r+1's), newest first. *)
-  let delayed : (int, (int * int * int * int * Msg.t) list) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  (* Copies deferred by delay faults, newest first, each with the round
+     whose inbox it joins (a send of round r normally joins round
+     r+1's). *)
+  let delayed = ref [] in
   let spare = ref [||] in
   let filter inj =
     let rnd = !round in
@@ -714,41 +693,42 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       incr len;
       counts.(dst) <- counts.(dst) + 1
     in
+    (* A copy of an entry staged as (tag, word), corrupted or not. *)
+    let deliver ~src ~dst ~tag ~word (m : Msg.t) =
+      let tag, word = Fastpath.restage store ~tag ~word m in
+      push ~dst ~src ~tag ~word ~bits:m.Msg.bits
+    in
+    let due, later =
+      List.partition (fun (at, _, _, _, _, _) -> at = rnd + 1) !delayed
+    in
+    delayed := later;
     let pending =
       ref
         (List.stable_sort
-           (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a b)
-           (List.rev
-              (Option.value ~default:[] (Hashtbl.find_opt delayed (rnd + 1)))))
+           (fun (_, a, _, _, _, _) (_, b, _, _, _, _) -> compare a b)
+           (List.rev due))
     in
-    Hashtbl.remove delayed (rnd + 1);
     let rec release_upto src =
       match !pending with
-      | (s, dst, tag, word, m) :: rest when s <= src ->
+      | (_, s, dst, tag, word, m) :: rest when s <= src ->
           pending := rest;
-          let tag, word = encode ~tag ~word m in
-          push ~dst ~src:s ~tag ~word ~bits:m.Msg.bits;
+          deliver ~src:s ~dst ~tag ~word m;
           release_upto src
       | _ -> ()
     in
     let attempt ~src ~dst ~tag ~word ~bits =
       release_upto src;
-      let m = decode ~tag ~word ~bits in
+      let m = Fastpath.message store ~tag ~bits ~word in
       let copies, events = Faults.apply inj ~src ~dst m in
-      List.iter (fun kind -> record_fault ~round:rnd ~src ~dst ~bits ~kind) events;
       List.iter
-        (fun (d, (m' : Msg.t)) ->
+        (fun kind -> record_fault ~round:rnd ~src ~dst ~bits ~kind)
+        events;
+      List.iter
+        (fun (d, m') ->
           incr delivered;
-          if d > 0 then begin
-            let at = rnd + 1 + d in
-            Hashtbl.replace delayed at
-              ((src, dst, tag, word, m')
-              :: Option.value ~default:[] (Hashtbl.find_opt delayed at))
-          end
-          else if m' == m then push ~dst ~src ~tag ~word ~bits
-          else
-            let tag, word = encode ~tag ~word m' in
-            push ~dst ~src ~tag ~word ~bits)
+          if d > 0 then
+            delayed := (rnd + 1 + d, src, dst, tag, word, m') :: !delayed
+          else deliver ~src ~dst ~tag ~word m')
         copies
     in
     for s = 0 to jobs - 1 do
@@ -784,7 +764,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     end
   in
   while !round < config.max_rounds && not (all_halted ()) do
-    Fastpath.store_advance msgs;
+    Fastpath.store_advance store;
     Option.iter (fun (_, crash_at) -> crash_due crash_at) faulty;
     (match range f_stage with
     | () -> ()

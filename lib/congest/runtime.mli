@@ -125,8 +125,8 @@ val run_flat :
     rows (no per-node copies); a kernel that draws gets one stream per
     node, split from the master in ascending node order — the streams
     {!Fastpath.to_program} hands its spawned nodes — so a flat program
-    and its [to_program] form are output-identical.  Each node's output is read once, through
-    [output v], when the run ends.  A row send ({!Fastpath.emit_row})
+    and its [to_program] form are output-identical.  Each node's output
+    is read once, through [output v], when the run ends.  A row send ({!Fastpath.emit_row})
     is staged as one entry and checked against the budget once; it
     counts as one message per neighbour in the trace and the metrics,
     and its failure is the per-edge sends' failure.
@@ -152,8 +152,10 @@ val run_flat :
 
     [config.faults] is applied as one delivery filter on the calling
     domain after each round's stage phase (and trace replay), so faulty
-    runs too are byte-identical at every pool width; [Broadcast] mode
-    checks each node's sends for uniformity right after its step.
+    runs too are byte-identical at every pool width (docs/FAULTS.md
+    gives the inbox order); a crashed node's halted byte is set, and
+    [result.crashed] records it.  [Broadcast] mode checks each node's
+    sends for uniformity right after its step, before any is recorded.
     Neither adds work to a fault-free [Unicast] run.
 
     [alloc_probe] (a test hook; length ≥ the shard count, 1 without a
@@ -182,5 +184,6 @@ val run_flat_checked :
   ('out result, failure) Stdlib.result
 (** {!run_flat} with model violations returned as structured failures,
     like {!run_checked}; the failure and its trace prefix are the same
-    with or without [pool].  [Invalid_argument] and a worker death ([Exec.Error.Error (Worker_death _)], an executor
-    fault rather than a model violation) still raise. *)
+    with or without [pool].  [Invalid_argument] and a worker death
+    ([Exec.Error.Error (Worker_death _)], an executor fault rather than
+    a model violation) still raise. *)

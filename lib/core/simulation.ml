@@ -110,7 +110,9 @@ let pp_error ppf = function
 let decide_disjointness_checked ?(config = Runtime.default_config) ?pool
     (inst : Family.instance) ~predicate =
   let g = inst.Family.graph in
-  let fp = Congest.Algo_gather.exact_maxis_flat ~m:(Wgraph.Graph.edge_count g) in
+  let fp =
+    Congest.Algo_gather.exact_maxis_flat ~m:(Wgraph.Graph.edge_count g)
+  in
   (* Every report field reads a streamed accumulator of the registered
      player cut, so no per-send log is kept: the flat gather runs on the
      CSR twin of the instance graph, and its report aggregates (rounds,

@@ -89,8 +89,7 @@ val iter_neighbors : (int -> unit) -> t -> int -> unit
 val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
 
 val neighbors_array : t -> int -> int array
-(** A fresh sorted array of the row — the per-node view handed to
-    list-mode CONGEST program instances. *)
+(** A fresh sorted array of the row. *)
 
 val rows : t -> int array * int array
 (** [(xadj, adj)], the graph's own storage, not a copy: row [v] is

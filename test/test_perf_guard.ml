@@ -108,11 +108,12 @@ let test_par_stage_alloc_per_round () =
               s jobs per_round per_domain_ceiling)
         probe)
 
-(* The list-mode arena is not zero-allocation (Program.step speaks in
-   lists), but it must stay linear in delivered messages — the historical
-   per-round hashtable resets and sort allocations are gone.  ~28 words
-   per message (cons + tuple + Msg + arena slack) is generous; the guard
-   catches anything quadratic or a new per-round O(n) term. *)
+(* A list-mode program is not zero-allocation (Program.step speaks in
+   lists, and Fastpath.of_program rebuilds each inbox as one), but its
+   run on the flat loop must stay linear in delivered messages.  The
+   ceiling covers the lists, the Msg records and the message store's
+   slack with room to spare; the guard catches anything quadratic or a
+   new per-round O(n) term. *)
 let test_list_alloc_per_message () =
   let g = Build.cycle n in
   let rounds = 120 in

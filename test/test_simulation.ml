@@ -151,7 +151,7 @@ let oracle_instances () =
         seeds)
     [ (3, 2, [ 41; 43 ]); (4, 2, [ 41; 43 ]); (3, 3, [ 47 ]); (4, 3, [ 47 ]) ]
 
-let engines pool = [ ("no pool", None); ("jobs=2", Some pool) ]
+let widths pool = [ ("no pool", None); ("jobs=2", Some pool) ]
 
 let oracle_report ?config inst =
   let m = Wgraph.Graph.edge_count inst.Family.graph in
@@ -163,14 +163,14 @@ let test_decision_reports_match_oracle () =
         (fun (label, p, inst) ->
           let expected = oracle_report inst in
           List.iter
-            (fun (engine_name, pool) ->
+            (fun (width, pool) ->
               let d =
                 Simulation.decide_disjointness ?pool inst
                   ~predicate:(oracle_predicate p)
               in
-              check_report (label ^ " " ^ engine_name) ~expected
+              check_report (label ^ " " ^ width) ~expected
                 d.Simulation.report)
-            (engines pool))
+            (widths pool))
         (oracle_instances ()))
 
 let fault_config =
@@ -220,7 +220,7 @@ let test_fault_decisions_pool_independent () =
 
 let test_oversend_failure_same_on_every_engine () =
   (* At bandwidth factor 1 the gather's first facts exceed the edge budget
-     in round 0; every engine must stop at the same violation and hand back
+     in round 0; every pool width must stop at the same violation and hand back
      a Light prefix metering the registered cut. *)
   let config = { Runtime.default_config with Runtime.bandwidth_factor = 1 } in
   let inst, _ = instance 59 p2 ~intersecting:false in
@@ -256,7 +256,7 @@ let test_oversend_failure_same_on_every_engine () =
             (Congest.Trace.cut_bits reference.Runtime.trace_prefix
                inst.Family.partition)
             (Congest.Trace.cut_bits tr inst.Family.partition))
-        (engines pool))
+        (widths pool))
 
 (* ------------------------------------------------------------------ *)
 (* The key asymptotic comparison: blackboard cost vs string length *)
