@@ -1,4 +1,4 @@
-(* Golden-trace regression tests: pinned-seed runs of five CONGEST
+(* Golden-trace regression tests: pinned-seed runs of eight CONGEST
    algorithms on three small graphs, asserting the EXACT round, message,
    bit and delivery counts observed through Obs.Metrics snapshot diffs.
    Any change to the runtime's charging rules, the algorithms' send
@@ -42,7 +42,12 @@ let local_programs () =
    it only runs on the small graphs. *)
 let programs g =
   local_programs ()
-  @ [ P (Congest.Algo_gather.exact_maxis ~m:(Wgraph.Graph.edge_count g)) ]
+  @ [
+      P (Congest.Algo_gather.exact_maxis ~m:(Wgraph.Graph.edge_count g));
+      P Congest.Algo_coloring.color;
+      P Congest.Algo_matching.maximal_matching;
+      P (Congest.Algo_convergecast.sum_of_weights ~root:0 ~value_width:4);
+    ]
 
 type counts = { rounds : int; messages : int; bits : int; deliveries : int }
 
@@ -83,15 +88,24 @@ let goldens =
     (("gather-topology", "cycle7"), { rounds = 14; messages = 196; bits = 1960; deliveries = 196 });
     (("greedy-weight-mis", "k5"), { rounds = 3; messages = 40; bits = 40; deliveries = 40 });
     (("gather-topology", "k5"), { rounds = 15; messages = 300; bits = 3000; deliveries = 300 });
+    (("trial-coloring", "path6"), { rounds = 7; messages = 28; bits = 80; deliveries = 28 });
+    (("maximal-matching", "path6"), { rounds = 10; messages = 22; bits = 66; deliveries = 22 });
+    (("convergecast-weight-sum", "path6"), { rounds = 13; messages = 15; bits = 90; deliveries = 15 });
+    (("trial-coloring", "cycle7"), { rounds = 7; messages = 40; bits = 120; deliveries = 40 });
+    (("maximal-matching", "cycle7"), { rounds = 10; messages = 23; bits = 69; deliveries = 23 });
+    (("convergecast-weight-sum", "cycle7"), { rounds = 9; messages = 20; bits = 120; deliveries = 20 });
+    (("trial-coloring", "k5"), { rounds = 7; messages = 60; bits = 240; deliveries = 60 });
+    (("maximal-matching", "k5"), { rounds = 10; messages = 25; bits = 75; deliveries = 25 });
+    (("convergecast-weight-sum", "k5"), { rounds = 5; messages = 24; bits = 144; deliveries = 24 });
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Faulty-run goldens: every list-mode program, hardened wrappers
    included, under one pinned plan of drops, duplicates, corruption,
-   delays and a crash.  Gathering runs without corruption: its facts
-   carry no checksum, so a flipped bit yields a garbage fact (often one
-   that fails reconstruction), and which bit flips depends on how facts
-   are encoded rather than on the protocol. *)
+   delays and a crash.  Gathering, coloring, matching and convergecast
+   run without corruption: their messages carry no checksum, so a
+   flipped bit yields a garbage fact, colour or tag, and which bit flips
+   depends on how the message is encoded rather than on the protocol. *)
 
 let fault_plan ~corrupt =
   Congest.Faults.plan
@@ -120,6 +134,9 @@ let fault_programs g =
     (true, P Congest.Algo_luby.mis);
     (true, P Congest.Algo_greedy_mis.mis);
     (false, P (Congest.Algo_gather.exact_maxis ~m));
+    (false, P Congest.Algo_coloring.color);
+    (false, P Congest.Algo_matching.maximal_matching);
+    (false, P (Congest.Algo_convergecast.sum_of_weights ~root:0 ~value_width:4));
     (true, P (Congest.Faults.harden (Congest.Algo_flood.max_id ~rounds:6)));
     (true, P (Congest.Faults.harden Congest.Algo_luby.mis));
   ]
@@ -170,6 +187,15 @@ let fault_goldens =
     (("gather-topology", "k5"), { digest = "-6069265703409466408"; f_rounds = 15; f_messages = 252; f_bits = 2520; faults = 196 });
     (("max-id-flood+hardened", "k5"), { digest = "1275050290311250298"; f_rounds = 120; f_messages = 607; f_bits = 79517; faults = 543 });
     (("luby-mis+hardened", "k5"), { digest = "1275050290311250298"; f_rounds = 120; f_messages = 607; f_bits = 79517; faults = 543 });
+    (("trial-coloring", "path6"), { digest = "87810784349946828"; f_rounds = 4; f_messages = 20; f_bits = 56; faults = 13 });
+    (("maximal-matching", "path6"), { digest = "-5543990454176931091"; f_rounds = 120; f_messages = 51; f_bits = 153; faults = 42 });
+    (("convergecast-weight-sum", "path6"), { digest = "8303522269991349503"; f_rounds = 120; f_messages = 1; f_bits = 6; faults = 2 });
+    (("trial-coloring", "cycle7"), { digest = "-5765886292809268129"; f_rounds = 5; f_messages = 30; f_bits = 90; faults = 24 });
+    (("maximal-matching", "cycle7"), { digest = "-8418101041202825112"; f_rounds = 120; f_messages = 96; f_bits = 288; faults = 77 });
+    (("convergecast-weight-sum", "cycle7"), { digest = "-6617553312280853966"; f_rounds = 120; f_messages = 14; f_bits = 84; faults = 11 });
+    (("trial-coloring", "k5"), { digest = "743051837909918832"; f_rounds = 7; f_messages = 48; f_bits = 192; faults = 39 });
+    (("maximal-matching", "k5"), { digest = "6950841973845462055"; f_rounds = 120; f_messages = 68; f_bits = 204; faults = 59 });
+    (("convergecast-weight-sum", "k5"), { digest = "7597704538691863222"; f_rounds = 120; f_messages = 23; f_bits = 138; faults = 15 });
   ]
 
 let print_mode = Sys.getenv_opt "MAXIS_GOLDEN_PRINT" = Some "1"
