@@ -11,6 +11,9 @@
     1-bit lock flag.  Together with Luby MIS and the greedy MIS this
     rounds out the symmetry-breaking trio of the CONGEST substrate. *)
 
-val color : int Program.t
+val color_flat : int Fastpath.t
 (** Output: the node's final color in [0 .. deg(v)]; adjacent nodes always
     receive distinct colors.  All nodes halt with probability 1. *)
+
+val color : int Program.t
+(** The list-mode form of the kernel ({!Fastpath.to_program}). *)

@@ -1,17 +1,12 @@
 let max_id ~rounds = Fastpath.to_program (Fastpath.max_id ~rounds)
 
-let leader_election ~rounds =
-  let inner = max_id ~rounds in
-  {
-    Program.name = "leader-election";
-    spawn =
-      (fun view ->
-        let inst = inner.Program.spawn view in
-        {
-          Program.step = inst.Program.step;
-          halted = inst.Program.halted;
-          output =
-            (fun () ->
-              Option.map (fun m -> m = view.Program.id) (inst.Program.output ()));
-        });
-  }
+let leader_election_flat ~rounds =
+  let inner = Fastpath.max_id ~rounds in
+  let kernel sh =
+    let k = inner.Fastpath.kernel sh in
+    let is_me v m = m = sh.Fastpath.base + v in
+    { k with Fastpath.output = (fun v -> Option.map (is_me v) (k.output v)) }
+  in
+  { Fastpath.fname = "leader-election"; kernel }
+
+let leader_election ~rounds = Fastpath.to_program (leader_election_flat ~rounds)

@@ -14,5 +14,9 @@ val max_id : rounds:int -> int Program.t
 (** Output: the largest id the node knows after [rounds] rounds.  The
     list-mode form ({!Fastpath.to_program}) of {!Fastpath.max_id}. *)
 
+val leader_election_flat : rounds:int -> bool Fastpath.t
+(** {!Fastpath.max_id} with its output mapped: [true] iff this node is
+    the unique leader. *)
+
 val leader_election : rounds:int -> bool Program.t
-(** Output: [true] iff this node is the unique leader. *)
+(** The list-mode form of the kernel ({!Fastpath.to_program}). *)

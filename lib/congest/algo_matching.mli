@@ -11,8 +11,11 @@
 
     Messages are 3-bit tags — well under the CONGEST budget. *)
 
-val maximal_matching : int Program.t
+val maximal_matching_flat : int Fastpath.t
 (** Output: [Some partner] for matched nodes, [None] for nodes left
     unmatched (their neighborhoods are fully matched).  All nodes halt
     with probability 1; the announced pairs always form a maximal
     matching. *)
+
+val maximal_matching : int Program.t
+(** The list-mode form of the kernel ({!Fastpath.to_program}). *)

@@ -13,11 +13,11 @@
    neighbour rows.  A node telling every neighbour the same thing stages
    one row ([emit_row]) rather than [deg] point sends, and the executor
    expands it only where messages must exist one by one.  The kernels
-   below are the sources: [to_program] derives the list-mode form
-   ([Algo_flood], [Algo_bfs], [Algo_luby], [Algo_greedy_mis],
-   [Algo_gather]) by instantiating a kernel over one node's row, and
-   [of_program] turns any list-mode program back into a kernel, so
-   [Runtime.run_flat] is the only round loop. *)
+   below and in the [Algo_*] modules are the sources: [to_program]
+   derives every library algorithm's list-mode form by instantiating a
+   kernel over one node's row, and [of_program] turns any list-mode
+   program back into a kernel (only [Faults.harden] and ad hoc tests
+   have no native one), so [Runtime.run_flat] is the only round loop. *)
 
 (* Tag conventions (mirroring the [Msg.payload] cases the library
    algorithms use). *)
@@ -33,7 +33,7 @@ let tag_msg = 3
    round's messages into one contiguous buffer and steps every node
    through a single reused view, so there are no per-node inbox
    structures at all.  A standalone inbox (as [make_inbox] returns, and
-   as tests use via [push_inbox]) keeps [i_off = 0]. *)
+   as [to_program] fills via [push_inbox]) keeps [i_off = 0]. *)
 type inbox = {
   mutable i_buf : int array;  (* entry k at 3(i_off+k) .. 3(i_off+k)+2 *)
   mutable i_off : int;
@@ -59,6 +59,7 @@ let make_inbox () = { i_buf = [||]; i_off = 0; i_len = 0 }
 let[@inline] in_src b k = Array.unsafe_get b.i_buf (3 * (b.i_off + k))
 let[@inline] in_tag b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 1)
 let[@inline] in_word b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 2)
+let[@inline] in_int b k = if in_tag b k = tag_int then in_word b k else -1
 
 let make_emitter () =
   {

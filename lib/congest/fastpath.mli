@@ -38,15 +38,17 @@
     {!Runtime.run_flat}, the only round loop, instantiates a kernel over
     the whole CSR graph (slot = node id).  {!to_program} derives the
     list-mode algorithms ({!Algo_flood}, {!Algo_bfs}, {!Algo_luby},
-    {!Algo_greedy_mis}, {!Algo_gather}) by instantiating it per spawned
-    node over that node's own row — one node slot, [deg] edge slots.
-    {!of_program} goes the other way: it runs any list-mode program
-    (coloring, matching, convergecast, {!Faults.harden}, and the derived
-    forms above) as a kernel, shipping each [Msg.t] as one [tag_msg]
-    entry.  {!Runtime.run} is [run_flat] over [of_program], so a flat
-    program and its [to_program] form produce the same outputs, round
-    counts and traces under any config (test/test_csr.ml pins this;
-    test/test_golden.ml pins the fingerprints).
+    {!Algo_greedy_mis}, {!Algo_gather}, {!Algo_coloring},
+    {!Algo_matching}, {!Algo_convergecast}) by instantiating it per
+    spawned node over that node's own row — one node slot, [deg] edge
+    slots.  {!of_program} goes the other way: it runs any list-mode
+    program (the derived forms above, and {!Faults.harden} and ad hoc
+    test programs, which have no native kernel) as a kernel, shipping
+    each [Msg.t] as one [tag_msg] entry.  {!Runtime.run} is [run_flat]
+    over [of_program], so a flat program and its [to_program] form
+    produce the same outputs, round counts and traces under any config
+    (test/test_csr.ml pins this; test/test_golden.ml pins the
+    fingerprints).
 
     Inbox order is ascending sender, ties in emit order; fault plans
     place messages released by a delay before their sender's current
@@ -107,6 +109,9 @@ val in_src : inbox -> int -> int
 val in_tag : inbox -> int -> int
 val in_word : inbox -> int -> int
 
+val in_int : inbox -> int -> int
+(** The word of entry [k] if it is a [tag_int] entry, else [-1]. *)
+
 val clear : emitter -> unit
 (** Empty the emitter: [e_len] and [e_row] together.  The executors
     call it before every step. *)
@@ -131,10 +136,6 @@ val emit_row : emitter -> tag:int -> bits:int -> word:int -> unit
     [Runtime.Bandwidth_exceeded] naming the first row neighbour, with
     none of the row in the trace — what the per-edge sends would have
     raised. *)
-
-val push_inbox : inbox -> src:int -> tag:int -> word:int -> unit
-(** Append one (src, tag, word) entry; used by tests to build inboxes by
-    hand (the executor delivers via its own counting-sort arena). *)
 
 val grow_strided : stride:int -> int array -> int -> int array
 (** Double a staging buffer of [stride]-int records (capacity stays a
@@ -227,7 +228,15 @@ val of_program : 'out Program.t -> 'out t
     equal to the node's first of the round share its word.  The halted
     byte mirrors the instance's [halted ()] after each step.  Under a
     pool the store is read-only, so a node that sends raises
-    [Invalid_argument]. *)
+    [Invalid_argument].  Every library algorithm also has a native
+    kernel, which needs no store; only {!Faults.harden} (whose 131-bit
+    frame has no word encoding) and ad hoc test programs have none. *)
+
+val find_slot : int array -> int -> int -> int -> int
+(** [find_slot adj lo hi x]: the edge slot of neighbour [x] in the
+    ascending row [adj.(lo) .. adj.(hi - 1)], or [-1].  A binary search,
+    for kernels that keep per-neighbour state and must map an inbox
+    sender to its edge slot. *)
 
 (** {1 The library algorithms} *)
 

@@ -52,7 +52,6 @@ type t = {
   mutable open_round : int;  (* -1 when nothing pending *)
   mutable open_bits : int;
   mutable open_msgs : int;
-  r_faults : int Dynvec.t;
   mutable n_faults : int;
   mutable b_dropped : int;
   mutable b_duplicated : int;
@@ -94,7 +93,6 @@ let create ?(mode = Full) ?cut () =
     open_round = -1;
     open_bits = 0;
     open_msgs = 0;
-    r_faults = Dynvec.create ();
     n_faults = 0;
     b_dropped = 0;
     b_duplicated = 0;
@@ -269,7 +267,6 @@ let record_fault t ~round ~src ~dst ~bits ~kind =
   end;
   t.n_faults <- t.n_faults + 1;
   if round > t.max_fault_round then t.max_fault_round <- round;
-  bump t.r_faults round 1;
   (match kind with
   | Dropped -> t.b_dropped <- t.b_dropped + bits
   | Duplicated -> t.b_duplicated <- t.b_duplicated + bits
@@ -439,9 +436,6 @@ let fault_at t i =
 let fault_events t =
   need_log t "fault_events";
   Array.init (Dynvec.length t.f_round) (fault_at t)
-
-let faults_in_round t r =
-  if r < 0 || r >= Dynvec.length t.r_faults then 0 else Dynvec.get t.r_faults r
 
 let dropped_bits t = t.b_dropped
 

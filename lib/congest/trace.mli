@@ -184,8 +184,6 @@ val fault_events : t -> fault array
 (** All injected events in recording order (a copy).  Raises in [Light]
     mode. *)
 
-val faults_in_round : t -> int -> int
-
 val dropped_bits : t -> int
 (** Bits of recorded sends that a fault plan then dropped. *)
 

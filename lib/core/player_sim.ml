@@ -154,9 +154,14 @@ let run ?(config = Runtime.default_config) (program : 'out Program.t)
       (fun { src; dst; msg } ->
         next_inboxes.(dst) <- (src, msg) :: next_inboxes.(dst))
       cross_queue;
+    (* The lists were built by consing, so reverse them to emit order
+       before the stable sort by sender: a sender's messages on one edge
+       arrive in the order it sent them, as under Runtime.run. *)
     for v = 0 to n - 1 do
       inboxes.(v) <-
-        List.sort (fun (a, _) (b, _) -> compare a b) next_inboxes.(v)
+        List.stable_sort
+          (fun (a, _) (b, _) -> compare a b)
+          (List.rev next_inboxes.(v))
     done;
     incr round
   done;

@@ -170,10 +170,29 @@ let test_convergecast_aggregate_custom () =
   let program =
     Congest.Algo_convergecast.aggregate ~name:"flag-or" ~root:0 ~value_width
       ~combine:( lor )
-      ~contribution:(fun view -> 1 lsl (view.Congest.Program.id mod 8))
+      ~contribution:(fun ~id ~weight:_ -> 1 lsl (id mod 8))
   in
   let result = Runtime.run ~config:cv_config program g in
   Alcotest.(check (option int)) "all 8 residues" (Some 255) result.Runtime.outputs.(0)
+
+(* A subtree value wider than [value_width] fails at the node that would
+   send it, naming the value and the width: on a unit-weight path rooted
+   at 0, node 3's subtree holds 4 nodes, which needs 3 bits. *)
+let test_convergecast_overwide_value () =
+  let g = Build.path 7 in
+  let raises what run =
+    Alcotest.check_raises what
+      (Invalid_argument "Algo_convergecast: value 4 does not fit in 2 bits")
+      (fun () -> ignore (run ()))
+  in
+  raises "list form" (fun () ->
+      Runtime.run ~config:cv_config
+        (Congest.Algo_convergecast.sum_of_weights ~root:0 ~value_width:2)
+        g);
+  raises "kernel" (fun () ->
+      Runtime.run_flat ~config:cv_config
+        (Congest.Algo_convergecast.sum_of_weights_flat ~root:0 ~value_width:2)
+        (Wgraph.Csr.of_graph g))
 
 (* ------------------------------------------------------------------ *)
 (* The (Δ+1)-approximation guarantee of the distributed weighted greedy —
@@ -342,6 +361,8 @@ let () =
         [
           Alcotest.test_case "max weight" `Quick test_convergecast_max_weight;
           Alcotest.test_case "custom monoid" `Quick test_convergecast_aggregate_custom;
+          Alcotest.test_case "over-wide value" `Quick
+            test_convergecast_overwide_value;
         ] );
       qsuite "convergecast-props" [ prop_convergecast_random_connected ];
       ( "delta-guarantee",

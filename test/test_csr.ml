@@ -268,7 +268,7 @@ let greedy_parity =
 let par_pools =
   lazy (List.map (fun jobs -> Exec.Pool.create ~jobs ()) [ 1; 2; 3; 8 ])
 
-let run_par_matches (type a) (fp : a Congest.Fastpath.t) g =
+let run_par_matches (type a) ?config (fp : a Congest.Fastpath.t) g =
   let c = Csr.of_graph g in
   let n = Csr.n c in
   let part =
@@ -283,17 +283,17 @@ let run_par_matches (type a) (fp : a Congest.Fastpath.t) g =
        = trace_summary b.Congest.Runtime.trace
   in
   let observe pool =
-    let cold = Congest.Runtime.run_flat ?pool fp c in
+    let cold = Congest.Runtime.run_flat ?config ?pool fp c in
     (* Warm: same pool, buffers of the previous run already grown. *)
-    let warm = Congest.Runtime.run_flat ?pool fp c in
+    let warm = Congest.Runtime.run_flat ?config ?pool fp c in
     let light =
       let tr = Congest.Trace.create ~mode:Congest.Trace.Light () in
-      ignore (Congest.Runtime.run_flat ~trace:tr ?pool fp c);
+      ignore (Congest.Runtime.run_flat ?config ~trace:tr ?pool fp c);
       Congest.Trace.digest tr
     in
     let cut =
       let tr = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
-      ignore (Congest.Runtime.run_flat ~trace:tr ?pool fp c);
+      ignore (Congest.Runtime.run_flat ?config ~trace:tr ?pool fp c);
       ( Congest.Trace.digest tr,
         Congest.Trace.cut_bits tr part,
         Congest.Trace.cut_bits_by_side tr part,
@@ -337,6 +337,51 @@ let greedy_par_parity =
     QCheck.(pair small_int small_int)
     (fun (seed, nn) ->
       run_par_matches Congest.Fastpath.greedy_mis (random_graph seed nn))
+
+let coloring_par_parity =
+  QCheck.Test.make
+    ~name:"coloring: run_flat_par = run_flat (incl. PRNG draws), jobs in {1,2,3,8}"
+    ~count:30
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      run_par_matches Congest.Algo_coloring.color_flat (random_graph seed nn))
+
+let matching_par_parity =
+  QCheck.Test.make
+    ~name:"matching: run_flat_par = run_flat (incl. PRNG draws), jobs in {1,2,3,8}"
+    ~count:30
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      run_par_matches Congest.Algo_matching.maximal_matching_flat
+        (random_graph seed nn))
+
+(* Nodes outside the root's component never halt, so the run is capped;
+   a 22-bit message needs a wider budget than the default. *)
+let convergecast_par_parity =
+  QCheck.Test.make
+    ~name:"convergecast: run_flat_par = run_flat, jobs in {1,2,3,8}"
+    ~count:30
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      run_par_matches
+        ~config:
+          {
+            Congest.Runtime.default_config with
+            Congest.Runtime.max_rounds = 100;
+            bandwidth_factor = 32;
+          }
+        (Congest.Algo_convergecast.sum_of_weights_flat ~root:0 ~value_width:20)
+        (random_graph seed nn))
+
+let leader_par_parity =
+  QCheck.Test.make
+    ~name:"leader election: run_flat_par = run_flat, jobs in {1,2,3,8}"
+    ~count:30
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      run_par_matches
+        (Congest.Algo_flood.leader_election_flat ~rounds:12)
+        (random_graph seed nn))
 
 (* Model violations: every node sends one id-width word to each neighbor
    every round; node [bad_node] in round [bad_round] commits [fault]
@@ -1185,6 +1230,10 @@ let () =
           bfs_par_parity;
           luby_par_parity;
           greedy_par_parity;
+          coloring_par_parity;
+          matching_par_parity;
+          convergecast_par_parity;
+          leader_par_parity;
           chunk_bounds_partition;
         ];
       ( "executors-edge",

@@ -233,6 +233,9 @@ let flat_fault_programs g =
     (true, Congest.Fastpath.max_id ~rounds:6);
     (true, Congest.Fastpath.bfs_distances ~root:0 ~rounds:6);
     (false, Congest.Algo_gather.exact_maxis_flat ~m);
+    (false, Congest.Algo_coloring.color_flat);
+    (false, Congest.Algo_matching.maximal_matching_flat);
+    (false, Congest.Algo_convergecast.sum_of_weights_flat ~root:0 ~value_width:4);
   ]
 
 let flat_fault_cell ~pools gname g ~corrupt (fp : int Congest.Fastpath.t) () =

@@ -354,6 +354,45 @@ let test_player_sim_matches_runtime () =
     ~config:{ Runtime.default_config with Runtime.mode = Runtime.Broadcast }
     (Congest.Algo_flood.max_id ~rounds:n)
 
+(* Two messages on one edge in one round reach the receiver in emit
+   order on both sides: every node sends each neighbour [Int 1] then
+   [Int 2] in round 0 and outputs the first payload it reads in round 1. *)
+let emit_order_probe : int Congest.Program.t =
+  {
+    Congest.Program.name = "emit-order-probe";
+    spawn =
+      (fun view ->
+        let first = ref None and halted = ref false in
+        let msg w = Congest.Msg.int_msg ~width:2 w in
+        {
+          Congest.Program.step =
+            (fun ~round ~inbox ->
+              if round = 0 then
+                Array.fold_right
+                  (fun nb acc -> (nb, msg 1) :: (nb, msg 2) :: acc)
+                  view.Congest.Program.neighbors []
+              else begin
+                (match inbox with
+                | (_, { Congest.Msg.payload = Congest.Msg.Int w; _ }) :: _ ->
+                    first := Some w
+                | _ -> ());
+                halted := true;
+                []
+              end);
+          halted = (fun () -> !halted);
+          output = (fun () -> !first);
+        });
+  }
+
+let test_player_sim_emit_order () =
+  let inst, _ = instance 23 p3 ~intersecting:true in
+  let mono = Runtime.run emit_order_probe inst.Family.graph in
+  let multi = Player_sim.run emit_order_probe inst in
+  check "runtime reads the first send first" true
+    (Array.for_all (( = ) (Some 1)) mono.Runtime.outputs);
+  check "player protocol reads the first send first" true
+    (Array.for_all (( = ) (Some 1)) multi.Player_sim.outputs)
+
 let test_player_sim_decides () =
   List.iter
     (fun intersecting ->
@@ -445,6 +484,8 @@ let () =
       ( "player-protocol",
         [
           Alcotest.test_case "matches runtime" `Quick test_player_sim_matches_runtime;
+          Alcotest.test_case "two sends keep emit order" `Quick
+            test_player_sim_emit_order;
           Alcotest.test_case "decides" `Quick test_player_sim_decides;
           Alcotest.test_case "all players write" `Quick test_player_sim_all_players_write;
         ] );
