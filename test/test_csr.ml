@@ -654,39 +654,110 @@ let engines_of g : (string * 'a engine) list =
           Congest.Runtime.run ~trace (Congest.Fastpath.to_program fp) g );
     ]
 
+(* Everything a run shows: rounds, messages, bits, the Light digest,
+   cut bits (total, by side, by round) on [part], the Light and Full
+   digests without a cut, and the outputs. *)
+let fingerprint part run fp =
+  let light = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
+  let r = run fp light in
+  let digest_of trace =
+    ignore (run fp trace);
+    Congest.Trace.digest trace
+  in
+  ( ( r.Congest.Runtime.rounds_executed,
+      Congest.Trace.total_messages light,
+      Congest.Trace.total_bits light,
+      Congest.Trace.digest light ),
+    ( Congest.Trace.cut_bits light part,
+      Congest.Trace.cut_bits_by_side light part,
+      Congest.Trace.cut_bits_by_round light part ),
+    ( digest_of (Congest.Trace.create ~mode:Congest.Trace.Light ()),
+      digest_of (Congest.Trace.create ()) ),
+    r.Congest.Runtime.outputs )
+
+(* [variant ~row] on every engine has the fingerprint of
+   [variant ~row:false] without a pool, which sends something on any
+   graph with an edge. *)
+let twin_parity variant (seed, nn) =
+  let g = random_graph seed nn in
+  let part = cut_of (Graph.n g) in
+  let engines = engines_of g in
+  let reference =
+    fingerprint part (List.assoc "no pool" engines) (variant ~row:false)
+  in
+  let (_, msgs, _, _), _, _, _ = reference in
+  (Graph.edge_count g = 0 || msgs > 0)
+  && List.for_all
+       (fun (_, run) ->
+         fingerprint part run (variant ~row:true) = reference
+         && fingerprint part run (variant ~row:false) = reference)
+       engines
+
 let row_twin_parity =
   QCheck.Test.make ~name:"emit_row = point twin on every engine" ~count:40
     QCheck.(pair small_int small_int)
-    (fun (seed, nn) ->
-      let g = random_graph seed nn in
-      let part = cut_of (Graph.n g) in
-      let fingerprint run fp =
-        let light = Congest.Trace.create ~mode:Congest.Trace.Light ~cut:part () in
-        let r = run fp light in
-        let digest_of trace =
-          ignore (run fp trace);
-          Congest.Trace.digest trace
+    (twin_parity twin)
+
+(* Picks row or point sends per (id, round), so a run's rounds are
+   row-only, mixed, point-only and silent in turn ([shift] rotates the
+   order): how the executor delivers a round changes from round to
+   round, and after a mixed round one inbox holds messages of both
+   kinds.  In a mixed round the odd ids send their own point words to
+   every other row neighbour; everyone else sends one message to the
+   whole row, as a row unless [row] is false or the round is
+   point-only.  Some nodes are silent in every round. *)
+let seam ~shift ~row : int Congest.Fastpath.t =
+  let module F = Congest.Fastpath in
+  {
+    F.fname = "seam";
+    kernel =
+      (fun sh ->
+        let xadj = sh.F.xadj and adj = sh.F.adj in
+        let acc = Array.make sh.F.slots 0 in
+        let halted = Bytes.make sh.F.slots '\000' in
+        let step ~v ~round inbox em =
+          for k = 0 to inbox.F.i_len - 1 do
+            acc.(v) <-
+              ((acc.(v) * 31) + (7 * F.in_src inbox k) + (3 * F.in_tag inbox k)
+              + F.in_word inbox k)
+              land 0xffffff
+          done;
+          let id = sh.F.base + v in
+          let lo = xadj.(v) and hi = xadj.(v + 1) in
+          let width = 1 + ((id + round) mod 6) in
+          let mask = (1 lsl width) - 1 in
+          let tag = [| F.tag_int; F.tag_true; F.tag_false |].((id + round) mod 3) in
+          let word = if tag = F.tag_int then ((13 * id) + round) land mask else 0 in
+          let bits = if tag = F.tag_int then width else 1 in
+          (* 0, 4: row-only; 1: mixed; 2: point-only; 3: nobody sends. *)
+          match (round + shift) mod 5 with
+          | 3 -> ()
+          | _ when (id + (2 * round)) mod 4 = 0 -> ()
+          | 1 when id mod 2 = 1 ->
+              for r = lo to hi - 1 do
+                if (r - lo) mod 2 = 0 then
+                  F.emit em ~dst:adj.(r) ~tag:F.tag_int ~bits:width
+                    ~word:(adj.(r) land mask)
+              done
+          | cls when row && cls <> 2 -> F.emit_row em ~tag ~bits ~word
+          | _ ->
+              for r = lo to hi - 1 do
+                F.emit em ~dst:adj.(r) ~tag ~bits ~word
+              done
         in
-        ( ( r.Congest.Runtime.rounds_executed,
-            Congest.Trace.total_messages light,
-            Congest.Trace.total_bits light,
-            Congest.Trace.digest light ),
-          ( Congest.Trace.cut_bits light part,
-            Congest.Trace.cut_bits_by_side light part,
-            Congest.Trace.cut_bits_by_round light part ),
-          ( digest_of (Congest.Trace.create ~mode:Congest.Trace.Light ()),
-            digest_of (Congest.Trace.create ()) ),
-          r.Congest.Runtime.outputs )
-      in
-      let engines = engines_of g in
-      let reference = fingerprint (List.assoc "no pool" engines) (twin ~row:false) in
-      let (_, msgs, _, _), _, _, _ = reference in
-      (Graph.edge_count g = 0 || msgs > 0)
-      && List.for_all
-           (fun (_, run) ->
-             fingerprint run (twin ~row:true) = reference
-             && fingerprint run (twin ~row:false) = reference)
-           engines)
+        let step ~v ~round inbox em =
+          step ~v ~round inbox em;
+          let id = sh.F.base + v in
+          if round >= 11 || (id mod 5 = 0 && round >= 6) then
+            Bytes.set halted v '\001'
+        in
+        { F.step; halted; output = (fun v -> Some acc.(v)) });
+  }
+
+let row_seam_parity =
+  QCheck.Test.make ~name:"row/mixed/point rounds = point twin" ~count:40
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) -> twin_parity (seam ~shift:(seed mod 5)) (seed, nn))
 
 (* Every node sends its id to every neighbour each round; [bad_node]
    instead sends [bits] bits in [bad_round]. *)
@@ -1253,6 +1324,7 @@ let () =
       ( "executors-row",
         [
           QCheck_alcotest.to_alcotest row_twin_parity;
+          QCheck_alcotest.to_alcotest row_seam_parity;
           Alcotest.test_case "row oversend = per-edge oversend" `Quick
             test_row_oversend;
           Alcotest.test_case "row and point sends do not mix" `Quick
