@@ -1,38 +1,49 @@
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
-   generators" (OOPSLA 2014).  One mutable int64 of state. *)
+   generators" (OOPSLA 2014).  The 64-bit state lives in an 8-byte
+   [Bytes.t], read and written with [get/set_int64_ne]: a [mutable int64]
+   field would box every new state, and with [mix] and [int64] inlined
+   the draws below keep their intermediates unboxed, so [int] and [bool]
+   allocate nothing. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state z =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 z;
+  g
 
-let int64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split g = { state = int64 g }
+let[@inline] int64 g =
+  let z = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 z;
+  mix z
+
+let split g = of_state (int64 g)
 
 let bits g = Int64.to_int (Int64.shift_right_logical (int64 g) 34)
+
+(* The top 62 bits of the next output, as a non-negative int. *)
+let[@inline] draw62 g = Int64.to_int (Int64.shift_right_logical (int64 g) 2)
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling over the top 62 bits keeps the distribution exactly
      uniform. *)
-  let mask = max_int in
-  let rec go () =
-    let r = Int64.to_int (Int64.shift_right_logical (int64 g) 2) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then go () else v
-  in
-  go ()
+  let r = ref (draw62 g) in
+  while !r - (!r mod bound) > max_int - bound + 1 do
+    r := draw62 g
+  done;
+  !r mod bound
 
-let bool g = Int64.logand (int64 g) 1L = 1L
+let bool g = Int64.to_int (int64 g) land 1 = 1
 
 let float g x =
   let r = Int64.to_float (Int64.shift_right_logical (int64 g) 11) in

@@ -205,6 +205,50 @@ let test_prng_sample_without_replacement () =
   Alcotest.check_raises "too many" (Invalid_argument "Prng.sample_without_replacement")
     (fun () -> ignore (Prng.sample_without_replacement g 3 4))
 
+(* The first draws of seed 7, pinned: the generator's state layout may
+   change, its streams may not (every seeded experiment and golden
+   replays them). *)
+let test_prng_pinned_draws () =
+  let g = Prng.create 7 in
+  Alcotest.(check int64) "int64 #1" (-8774268681488515761L) (Prng.int64 g);
+  Alcotest.(check int64) "int64 #2" 5573481420429128725L (Prng.int64 g);
+  let g = Prng.create 7 in
+  Alcotest.(check (list int))
+    "int 1000" [ 963; 181; 52; 718; 629; 526; 849; 468 ]
+    (List.init 8 (fun _ -> Prng.int g 1000));
+  let g = Prng.create 7 in
+  Alcotest.(check (list bool))
+    "bool"
+    [ true; true; false; true; true; false; false; false ]
+    (List.init 8 (fun _ -> Prng.bool g));
+  let g = Prng.create 7 in
+  let s = Prng.split g in
+  check_int "split #1" 290900 (Prng.int s 1_000_000);
+  check_int "split #2" 848771 (Prng.int s 1_000_000);
+  check_int "parent after split" 282181 (Prng.int g 1_000_000);
+  let g = Prng.create 7 in
+  check_int "bits" 563012167 (Prng.bits g);
+  Alcotest.(check (float 0.0)) "float" 0x1.3563ef4a0babcp-2 (Prng.float g 1.0);
+  let g = Prng.create 7 in
+  check_int "int max_int" 2418118848055258963 (Prng.int g max_int);
+  check_int "int 3" 0 (Prng.int g 3)
+
+(* [int] and [bool] allocate nothing per draw: Luby's kernel draws once
+   per active node per phase, and [Runtime.run_flat]'s settled rounds
+   are pinned allocation-free. *)
+let test_prng_no_alloc () =
+  let g = Prng.create 7 in
+  let draws = 100_000 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    acc := !acc + Prng.int g 1000 + Bool.to_int (Prng.bool g)
+  done;
+  let per_draw = (Gc.minor_words () -. before) /. float_of_int (2 * draws) in
+  check "drew" true (!acc > 0);
+  if per_draw > 0.01 then
+    Alcotest.failf "Prng.int/bool allocate %.2f minor words per draw" per_draw
+
 (* ------------------------------------------------------------------ *)
 (* Primes *)
 
@@ -544,6 +588,10 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "sample without replacement" `Quick
             test_prng_sample_without_replacement;
+          Alcotest.test_case "pinned draws of seed 7" `Quick
+            test_prng_pinned_draws;
+          Alcotest.test_case "int and bool allocate nothing" `Quick
+            test_prng_no_alloc;
         ] );
       ( "primes",
         [
