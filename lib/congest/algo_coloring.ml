@@ -28,7 +28,7 @@ let color_flat =
           let deg = xadj.(v + 1) - xadj.(v) and pal = xadj.(v) + v in
           let bits = max 1 (Stdx.Mathx.ceil_log2 (max 2 (deg + 1))) + 1 in
           if round mod 2 = 0 then begin
-            for k = 0 to inbox.Fastpath.i_len - 1 do
+            for k = 0 to Fastpath.in_len inbox - 1 do
               let w = Fastpath.in_int inbox k in
               if w > 0 && w land 1 = 1 && w lsr 1 <= deg then
                 Bytes.set forbidden (pal + (w lsr 1)) '\001'
@@ -52,7 +52,7 @@ let color_flat =
           end
           else begin
             let p = proposal.(v) and conflict = ref false in
-            for k = 0 to inbox.Fastpath.i_len - 1 do
+            for k = 0 to Fastpath.in_len inbox - 1 do
               if Fastpath.in_int inbox k = p lsl 1 then conflict := true
             done;
             if p >= 0 && not !conflict then begin

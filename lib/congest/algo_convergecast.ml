@@ -36,7 +36,7 @@ let aggregate_flat ~name ~root ~value_width ~combine ~contribution =
         let step ~v ~round inbox em =
           let lo = xadj.(v) and hi = xadj.(v + 1) in
           let just_adopted = ref (base + v = root && round = 0) in
-          for k = 0 to inbox.Fastpath.i_len - 1 do
+          for k = 0 to Fastpath.in_len inbox - 1 do
             let w = Fastpath.in_int inbox k in
             let src = Fastpath.in_src inbox k in
             if w land 3 = tag_wave && adopted.(v) < 0 then begin

@@ -73,7 +73,7 @@ let gather_flat ~m ~solve =
           g
         in
         let step ~v ~round:_ inbox em =
-          for k = 0 to inbox.Fastpath.i_len - 1 do
+          for k = 0 to Fastpath.in_len inbox - 1 do
             if Fastpath.in_tag inbox k = Fastpath.tag_int then
               learn v (Fastpath.in_word inbox k)
           done;

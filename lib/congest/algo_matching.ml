@@ -36,7 +36,7 @@ let maximal_matching_flat =
           let lo = xadj.(v) and hi = xadj.(v + 1) in
           match round mod 3 with
           | 0 ->
-              for k = 0 to inbox.Fastpath.i_len - 1 do
+              for k = 0 to Fastpath.in_len inbox - 1 do
                 if got inbox k tag_matched then begin
                   let src = Fastpath.in_src inbox k in
                   let j = Fastpath.find_slot adj lo hi src in
@@ -69,7 +69,7 @@ let maximal_matching_flat =
           | 1 ->
               if partner.(v) < 0 && Bytes.get is_proposer v = '\000' then begin
                 let best = ref (-1) in
-                for k = 0 to inbox.Fastpath.i_len - 1 do
+                for k = 0 to Fastpath.in_len inbox - 1 do
                   let src = Fastpath.in_src inbox k in
                   if got inbox k tag_propose && (!best < 0 || src < !best) then
                     best := src
@@ -83,7 +83,7 @@ let maximal_matching_flat =
               end
           | _ ->
               if Bytes.get is_proposer v <> '\000' && partner.(v) < 0 then
-                for k = 0 to inbox.Fastpath.i_len - 1 do
+                for k = 0 to Fastpath.in_len inbox - 1 do
                   if
                     got inbox k tag_accept
                     && Fastpath.in_src inbox k = proposed_to.(v)

@@ -54,6 +54,13 @@ type emitter = {
 
 let make_inbox () = { i_buf = [||]; i_off = 0; i_len = 0 }
 
+let[@inline] aim b buf ~off ~len =
+  b.i_buf <- buf;
+  b.i_off <- off;
+  b.i_len <- len
+
+let[@inline] in_len b = b.i_len
+
 (* In range whenever [k < i_len]: the producer ([push_inbox] or the
    executor's scatter pass) sized the buffer past the window's end. *)
 let[@inline] in_src b k = Array.unsafe_get b.i_buf (3 * (b.i_off + k))
@@ -363,7 +370,7 @@ let max_id ~rounds =
         let step ~v ~round inbox em =
           let b = ref best.(v) in
           let ch = ref (Bytes.get changed v <> '\000') in
-          for k = 0 to inbox.i_len - 1 do
+          for k = 0 to in_len inbox - 1 do
             if in_tag inbox k = tag_int then begin
               let w = in_word inbox k in
               if w > !b then begin
@@ -395,7 +402,7 @@ let bfs_distances ~root ~rounds =
         let halted = Bytes.make sh.slots '\000' in
         let step ~v ~round inbox em =
           let dv = ref dist.(v) in
-          for k = 0 to inbox.i_len - 1 do
+          for k = 0 to in_len inbox - 1 do
             if in_tag inbox k = tag_int then begin
               let d = in_word inbox k in
               if !dv < 0 || !dv > d + 1 then dv := d + 1
@@ -461,7 +468,7 @@ let local_maxima ~name ~width ~draw =
           let lo = xadj.(v) and hi = xadj.(v + 1) in
           match round mod 3 with
           | 0 ->
-              for k = 0 to inbox.i_len - 1 do
+              for k = 0 to in_len inbox - 1 do
                 if in_tag inbox k = tag_false then begin
                   let j = find_slot adj lo hi (in_src inbox k) in
                   if j >= 0 then Bytes.set active j '\000'
@@ -474,7 +481,7 @@ let local_maxima ~name ~width ~draw =
                 emit_row em ~tag:tag_int ~bits:w ~word:p
               end
           | 1 ->
-              for k = 0 to inbox.i_len - 1 do
+              for k = 0 to in_len inbox - 1 do
                 if in_tag inbox k = tag_int then begin
                   let j = find_slot adj lo hi (in_src inbox k) in
                   if j >= 0 && Bytes.get active j = '\001' then begin
@@ -500,7 +507,7 @@ let local_maxima ~name ~width ~draw =
               end
           | _ ->
               let neighbor_joined = ref false in
-              for k = 0 to inbox.i_len - 1 do
+              for k = 0 to in_len inbox - 1 do
                 if in_tag inbox k = tag_true then begin
                   let j = find_slot adj lo hi (in_src inbox k) in
                   if j >= 0 then Bytes.set active j '\000';

@@ -70,23 +70,14 @@ val tag_msg : int
 (** [word] names a [Msg.t] in the run's {!store}; only {!of_program}
     sends it. *)
 
-(** {1 Buffers}
+(** {1 Buffers} *)
 
-    Concrete so the executor and tests can read them; programs only ever
-    index [0 .. i_len-1] and call {!emit}. *)
-
-type inbox = {
-  mutable i_buf : int array;
-      (** interleaved (src, tag, word) triples: entry [k] at
-          [3(i_off+k) .. 3(i_off+k)+2].  Read through
-          {!in_src}/{!in_tag}/{!in_word} — the packing is a
-          cache-locality contract, not an API. *)
-  mutable i_off : int;
-      (** window start, in entries: the executor aims one reused view at
-          successive slices of its per-round delivery arena.  [0] in a
-          standalone inbox. *)
-  mutable i_len : int;
-}
+type inbox
+(** The messages a node receives in one round: entries [0 ..
+    in_len - 1], read through {!in_src}/{!in_tag}/{!in_word}.  The
+    executor alone decides where a view points (a window of a delivery
+    arena, or a per-round copy of the senders' row records): a program
+    reads entries, never storage. *)
 
 type emitter = {
   mutable e_dst : int array;
@@ -101,10 +92,21 @@ type emitter = {
 }
 
 val make_inbox : unit -> inbox
+(** An empty inbox. *)
+
 val make_emitter : unit -> emitter
 
+val aim : inbox -> int array -> off:int -> len:int -> unit
+(** [aim b buf ~off ~len] points [b] at the [len] entries of [buf]
+    starting at entry [off], stored as interleaved (src, tag, word)
+    triples: entry [k] at [3(off+k) .. 3(off+k)+2].  For the executor;
+    [buf] must hold [3(off+len)] ints. *)
+
+val in_len : inbox -> int
+(** Number of entries. *)
+
 val in_src : inbox -> int -> int
-(** Sender of entry [k].  Unchecked: the caller keeps [k < i_len]. *)
+(** Sender of entry [k].  Unchecked: the caller keeps [k < in_len]. *)
 
 val in_tag : inbox -> int -> int
 val in_word : inbox -> int -> int

@@ -289,6 +289,19 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let arena = ref [||] in
   let offs = Array.make (max n 1 + 1) 0 in
   let col = Array.make (max n 1) 0 in
+  (* Pull delivery.  A row sender also writes (round, tag, word) to its
+     record for the round's parity, [rowrec.(6v + 3(round land 1))]: two
+     generations, because round r's receivers read round r-1's records in
+     the same phase as round r's senders write theirs.  After a round
+     with no point send (and no fault plan), the next round's receiver
+     reads its own CSR row and keeps the neighbours whose record is
+     stamped with that round — ascending senders, one message each,
+     exactly the window scatter would have built — copied into its
+     shard's [sh_scratch].  [-1] stamps nothing: pulling starts at round
+     1.  [pull] and [dirty] (the shards' tallies hold last round's write
+     cursors) change only between phases. *)
+  let rowrec = Array.make (6 * max n 1) (-1) in
+  let pull = ref false and dirty = ref false in
   (* Per-shard private state.  [sh_book] packs per-destination
      bookkeeping two-to-a-slot so each send touches one cache line:
      [book.(2d)] is the (sender, round) token stamped while marking the
@@ -300,10 +313,14 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   let sh_counts = Array.init jobs (fun _ -> Array.make (max n 1) 0) in
   let sh_book = Array.init jobs (fun _ -> Array.make (2 * max n 1) (-1)) in
   let sh_view = Array.init jobs (fun _ -> Fastpath.make_inbox ()) in
+  let sh_scratch =
+    Array.init jobs (fun _ -> Array.make (3 * Csr.max_degree c) 0)
+  in
   let sh_em = Array.init jobs (fun _ -> Fastpath.make_emitter ()) in
   let sh_token = Array.make (jobs * shard_pad) 0 in
   let sh_len = Array.make (jobs * shard_pad) 0 in
   let sh_msgs = Array.make (jobs * shard_pad) 0 in
+  let sh_rows = Array.make (jobs * shard_pad) 0 in
   let sh_round_bits = Array.make (jobs * shard_pad) 0 in
   let sh_halted = Array.make (jobs * shard_pad) 0 in
   let sh_edge_obs = Array.make (jobs * shard_pad) 0 in
@@ -338,32 +355,52 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     sh_len.(slot) <- 0;
     sh_failed.(slot) <- 0;
     let counts = sh_counts.(s) in
-    Array.fill counts 0 (Array.length counts) 0;
+    if !dirty then Array.fill counts 0 (Array.length counts) 0;
     let view = sh_view.(s) and em = sh_em.(s) in
     let book = sh_book.(s) in
     let rnd = !round in
     let len = ref 0 and msgs = ref 0 and round_bits = ref 0 in
+    let rows = ref 0 in
     let halted = ref 0 in
     let edge_obs = ref sh_edge_obs.(slot) in
     let st = ref sh_stage.(s) in
-    (* Re-aim the view once per chunk: the arena array is replaced (by
-       growth) only between phases. *)
-    view.Fastpath.i_buf <- !arena;
+    let pulling = !pull and delivered = !arena and scratch = sh_scratch.(s) in
+    let prev = rnd - 1 and prev_rec = 3 * ((rnd - 1) land 1) in
+    let cur_rec = 3 * (rnd land 1) in
     for v = clo to chi - 1 do
       if Bytes.unsafe_get halted_b v <> '\000' then incr halted
       else begin
-        (* [offs] holds the previous round's windows (all zero before the
-           first round, i.e. empty inboxes). *)
-        view.Fastpath.i_off <- Array.unsafe_get offs v;
-        view.Fastpath.i_len <-
-          Array.unsafe_get offs (v + 1) - view.Fastpath.i_off;
+        if pulling then begin
+          let k = ref 0 in
+          for r = Array.unsafe_get xadj v to Array.unsafe_get xadj (v + 1) - 1
+          do
+            let u = Array.unsafe_get adj r in
+            let b = (6 * u) + prev_rec in
+            if Array.unsafe_get rowrec b = prev then begin
+              let o = 3 * !k in
+              Array.unsafe_set scratch o u;
+              Array.unsafe_set scratch (o + 1) (Array.unsafe_get rowrec (b + 1));
+              Array.unsafe_set scratch (o + 2) (Array.unsafe_get rowrec (b + 2));
+              incr k
+            end
+          done;
+          Fastpath.aim view scratch ~off:0 ~len:!k
+        end
+        else begin
+          (* [offs] holds the previous round's windows (all zero before
+             the first round, i.e. empty inboxes). *)
+          let o = Array.unsafe_get offs v in
+          Fastpath.aim view delivered ~off:o
+            ~len:(Array.unsafe_get offs (v + 1) - o)
+        end;
         Fastpath.clear em;
         step ~v ~round:rnd view em;
         let e_len = em.Fastpath.e_len in
         if em.Fastpath.e_row then begin
           (* A row send: every recipient is a neighbour and gets exactly
-             this message, so one budget check stands for the row and
-             one staged entry, marked by a negative [dst], carries it. *)
+             this message, so one budget check stands for the row, one
+             staged entry, marked by a negative [dst], carries it, and
+             the sender's record carries it to a pulling receiver. *)
           let lo = Array.unsafe_get xadj v
           and hi = Array.unsafe_get xadj (v + 1) in
           if hi > lo then begin
@@ -395,12 +432,15 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
               (Array.unsafe_get em.Fastpath.e_word 0);
             if wide then Array.unsafe_set a (base + 4) bits;
             incr len;
+            incr rows;
             msgs := !msgs + (hi - lo);
             round_bits := !round_bits + ((hi - lo) * bits);
-            for r = lo to hi - 1 do
-              let u = Array.unsafe_get adj r in
-              Array.unsafe_set counts u (Array.unsafe_get counts u + 1)
-            done;
+            let b = (6 * v) + cur_rec in
+            Array.unsafe_set rowrec b rnd;
+            Array.unsafe_set rowrec (b + 1)
+              (Array.unsafe_get em.Fastpath.e_tag 0);
+            Array.unsafe_set rowrec (b + 2)
+              (Array.unsafe_get em.Fastpath.e_word 0);
             sh_len.(slot) <- !len;
             if inline then
               Trace.record_row trace ~round:rnd ~src:v ~adj ~lo ~hi ~bits
@@ -468,6 +508,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       end
     done;
     sh_msgs.(slot) <- !msgs;
+    sh_rows.(slot) <- !rows;
     sh_round_bits.(slot) <- !round_bits;
     sh_halted.(slot) <- !halted;
     sh_edge_obs.(slot) <- !edge_obs
@@ -489,6 +530,26 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       match alloc_probe with
       | None -> ()
       | Some p -> p.(s) <- p.(s) +. (Gc.minor_words () -. a0)
+    end
+  in
+  (* Before the merge of a round with point sends: each shard bumps its
+     tallies for the recipients of its staged rows, which stage leaves
+     out so that a row-only round never touches them. *)
+  let f_row_tally clo chi =
+    if clo < chi then begin
+      let s = shard_of clo in
+      let st = sh_stage.(s) and counts = sh_counts.(s) in
+      for i = 0 to sh_len.(s * shard_pad) - 1 do
+        let bs = stride * i in
+        if Array.unsafe_get st bs < 0 then begin
+          let src = Array.unsafe_get st (bs + 1) in
+          for r = Array.unsafe_get xadj src
+              to Array.unsafe_get xadj (src + 1) - 1 do
+            let u = Array.unsafe_get adj r in
+            Array.unsafe_set counts u (Array.unsafe_get counts u + 1)
+          done
+        end
+      done
     end
   in
   (* Phase 2 (pass A): over destination chunks — turn the per-shard
@@ -779,26 +840,37 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
         Printexc.raise_with_backtrace e bt);
     if not inline then record_round ();
     Option.iter (fun (inj, _) -> filter inj) faulty;
-    let halted = ref 0 in
+    let halted = ref 0 and staged = ref 0 and rows = ref 0 in
     for s = 0 to jobs - 1 do
       sent := !sent + sh_msgs.(s * shard_pad);
       sent_bits := !sent_bits + sh_round_bits.(s * shard_pad);
-      halted := !halted + sh_halted.(s * shard_pad)
+      halted := !halted + sh_halted.(s * shard_pad);
+      staged := !staged + sh_len.(s * shard_pad);
+      rows := !rows + sh_rows.(s * shard_pad)
     done;
     halted_sum := !halted;
-    (* Two-pass prefix-sum merge with an O(jobs) sequential seam. *)
-    range f_pass_a;
-    let accb = ref 0 in
-    for s = 0 to jobs - 1 do
-      cb.(s) <- !accb;
-      accb := !accb + ct.(s * shard_pad)
-    done;
-    let total = !accb in
-    offs.(n) <- total;
-    if 3 * total > Array.length !arena then
-      arena := Array.make (max 24 (2 * (3 * total))) 0;
-    range f_pass_b;
-    range f_scatter;
+    (* A round without point sends is pulled by its receivers next
+       round.  Any other round is merged: the fault filter has restaged
+       everything as points and tallied them; otherwise the rows' tallies
+       are bumped first, then a two-pass prefix-sum merge with an
+       O(jobs) sequential seam. *)
+    pull := Option.is_none faulty && !staged = !rows;
+    dirty := not !pull;
+    if not !pull then begin
+      if Option.is_none faulty && !rows > 0 then range f_row_tally;
+      range f_pass_a;
+      let accb = ref 0 in
+      for s = 0 to jobs - 1 do
+        cb.(s) <- !accb;
+        accb := !accb + ct.(s * shard_pad)
+      done;
+      let total = !accb in
+      offs.(n) <- total;
+      if 3 * total > Array.length !arena then
+        arena := Array.make (max 24 (2 * (3 * total))) 0;
+      range f_pass_b;
+      range f_scatter
+    end;
     incr round
   done;
   Trace.set_rounds trace !round;
@@ -812,10 +884,10 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   Obs.Metrics.add mx.m_bits !sent_bits;
   Obs.Metrics.add mx.m_deliveries
     (if Option.is_some faulty then !delivered else !sent);
-  let stage_words =
-    Array.fold_left (fun acc a -> acc + Array.length a) 0 sh_stage
-  in
-  Obs.Metrics.set g_arena_peak (Array.length !arena + stage_words);
+  let words arrays = Array.fold_left (fun acc a -> acc + Array.length a) 0 arrays in
+  Obs.Metrics.set g_arena_peak
+    (Array.length !arena + words sh_stage + Array.length rowrec
+   + words sh_scratch);
   {
     outputs = Array.init n kernel.Fastpath.output;
     rounds_executed = !round;

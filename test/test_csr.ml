@@ -610,7 +610,7 @@ let twin ~row : int Congest.Fastpath.t =
             done
         in
         let step ~v ~round inbox em =
-          for k = 0 to inbox.F.i_len - 1 do
+          for k = 0 to F.in_len inbox - 1 do
             acc.(v) <-
               ((acc.(v) * 31) + (7 * F.in_src inbox k) + (3 * F.in_tag inbox k)
               + F.in_word inbox k)
@@ -716,7 +716,7 @@ let seam ~shift ~row : int Congest.Fastpath.t =
         let acc = Array.make sh.F.slots 0 in
         let halted = Bytes.make sh.F.slots '\000' in
         let step ~v ~round inbox em =
-          for k = 0 to inbox.F.i_len - 1 do
+          for k = 0 to F.in_len inbox - 1 do
             acc.(v) <-
               ((acc.(v) * 31) + (7 * F.in_src inbox k) + (3 * F.in_tag inbox k)
               + F.in_word inbox k)
