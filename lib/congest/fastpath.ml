@@ -29,11 +29,12 @@ let tag_msg = 3
 (* Inbox entries are interleaved (src, tag, word) triples in one backing
    array: one packed access touches one cache line where three parallel
    arrays would touch three.  [i_off] lets an inbox be a window into a
-   shared delivery arena — [Runtime.run_flat] counting-sorts each
-   round's messages into one contiguous buffer and steps every node
-   through a single reused view, so there are no per-node inbox
-   structures at all.  A standalone inbox (as [make_inbox] returns, and
-   as [to_program] fills via [push_inbox]) keeps [i_off = 0]. *)
+   shared buffer — [Runtime.run_flat] steps every node through a single
+   reused view ([aim]), at its window of a round's delivery arena or at
+   the shard's scratch copy of its pulled row messages, so there are no
+   per-node inbox structures at all.  A standalone inbox (as [make_inbox]
+   returns, and as [to_program] fills via [push_inbox]) keeps
+   [i_off = 0]. *)
 type inbox = {
   mutable i_buf : int array;  (* entry k at 3(i_off+k) .. 3(i_off+k)+2 *)
   mutable i_off : int;
@@ -61,8 +62,9 @@ let[@inline] aim b buf ~off ~len =
 
 let[@inline] in_len b = b.i_len
 
-(* In range whenever [k < i_len]: the producer ([push_inbox] or the
-   executor's scatter pass) sized the buffer past the window's end. *)
+(* In range whenever [k < i_len]: the producer ([push_inbox], or the
+   executor's scatter pass or pull copy) sized the buffer past the
+   window's end. *)
 let[@inline] in_src b k = Array.unsafe_get b.i_buf (3 * (b.i_off + k))
 let[@inline] in_tag b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 1)
 let[@inline] in_word b k = Array.unsafe_get b.i_buf ((3 * (b.i_off + k)) + 2)

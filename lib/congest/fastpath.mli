@@ -25,9 +25,11 @@
       Mixing the two in one round raises [Invalid_argument] at the
       second call, on both engines.  A row costs the executor one
       staged entry and no per-edge validation (every recipient is a
-      neighbour by construction), so a kernel whose round is "tell
-      every neighbour" should use it; a kernel that sends different
-      words to different neighbours (gather) uses point sends.
+      neighbour by construction), and a round in which no node
+      point-sends is delivered with no per-message copy at all (its
+      receivers pull the rows), so a kernel whose round is "tell every
+      neighbour" should use it; a kernel that sends different words to
+      different neighbours (gather) uses point sends.
     - [halted] is read by the executor, never through a call: a node
       whose byte is nonzero is skipped.
     - [output v] is slot [v]'s current output; {!Runtime.run_flat}

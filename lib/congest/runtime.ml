@@ -147,35 +147,45 @@ let checked body trace =
 
    - node [v] always lives in the same chunk (run_range splits [0, n)
      the same way every call), and every chunk owns private staging,
-     tallies, bandwidth book and emitter — no cross-domain writes;
+     tallies, bandwidth book, emitter and pull scratch — no cross-domain
+     writes;
    - the merge assembles per-destination windows as
      [offs.(d) + Σ_{s' < s} counts_{s'}(d)]: shard segments concatenate
      in ascending shard = ascending source order, the (src asc, emit
      order) layout per-node inbox buffers would produce;
+   - a pulled inbox lists the row senders among a receiver's ascending
+     CSR row, one message each: the same window;
    - the kernel is instantiated once, on the caller, before the first
      round: a kernel that draws splits its streams from one master in
      ascending node order.
 
    The phases: (1) stage — each shard calls the kernel's [step ~v] on
    each live node (halting is read from the kernel's [halted] bytes, not
-   through a call) against the previous round's windows, validates
-   every point send against its own book and stages it, and stages a
-   row send ([Fastpath.emit_row]) as one entry after one budget check,
-   bumping the tallies of its row; (2) prefix pass A — each shard of
-   the destination range turns the per-shard tallies into within-column
-   prefixes and computes its chunk total, with the chunk bases then
-   prefix-summed sequentially (O(jobs)); (3) prefix pass B — writes the
-   global windows and lifts the within-column prefixes to absolute write
-   cursors; (4) scatter — each shard copies its staged messages into its
-   (disjoint) arena slots.
+   through a call) against its inbox for the previous round, validates
+   every point send against its own book, stages it and bumps its
+   destination's tally, and stages a row send ([Fastpath.emit_row]) as
+   one entry after one budget check, writing it into the sender's row
+   record as well.  A round that staged no point send (and has no fault
+   plan) ends there: next round each receiver pulls its inbox from its
+   neighbours' row records, and phases 2-4 are skipped.  Any other
+   round first runs a row-tally pass — each shard bumps the tallies of
+   its staged rows' recipients — then the merge: (2) prefix pass A —
+   each shard of the destination range turns the per-shard tallies into
+   within-column prefixes and computes its chunk total, with the chunk
+   bases then prefix-summed sequentially (O(jobs)); (3) prefix pass B —
+   writes the global windows and lifts the within-column prefixes to
+   absolute write cursors; (4) scatter — each shard copies its staged
+   messages into its (disjoint) slots of the delivery arena, where next
+   round's inboxes are windows.
 
    A staged row entry has [dst = -1] — unambiguous, since a staged
    point [dst] has been validated into [0, n) — and its [src]'s CSR row
    names the recipients.  Rows are expanded one message at a time only
-   where messages must exist one by one: the scatter, the Light digest
-   fold of the pool path's trace merge, and trace replay (through
-   [Trace.record_row], as the inline path records them).  Hence the two
-   per-shard counts: [sh_len] staged entries, [sh_msgs] messages.
+   where messages must exist one by one: the row-tally pass and scatter
+   of a merged round, the Light digest fold of the pool path's trace
+   merge, and trace replay (through [Trace.record_row], as the inline
+   path records them).  Hence the per-shard counts: [sh_len] staged
+   entries, [sh_rows] of them rows, [sh_msgs] messages.
 
    Staging has two layouts.  Without a pool the one shard stages
    (dst, src, tag, word) quads and records each node's validated sends

@@ -129,7 +129,11 @@ val run_flat :
     is read once, through [output v], when the run ends.  A row send ({!Fastpath.emit_row})
     is staged as one entry and checked against the budget once; it
     counts as one message per neighbour in the trace and the metrics,
-    and its failure is the per-edge sends' failure.
+    and its failure is the per-edge sends' failure.  A fault-free round
+    with no point send is delivered by pull: each receiver reads its own
+    CSR row for the neighbours that row-sent, with no delivery arena;
+    inboxes, their order and every trace are the same as through the
+    arena.
 
     Without [pool] the round's phases run on the caller and the trace is
     recorded inline.  With [pool] every per-node and per-destination
@@ -142,7 +146,9 @@ val run_flat :
     differentially at jobs ∈ {1, 2, 3, 8}).  Per-run [congest_*] metric
     totals are flushed once at the end of the run, and the
     [runtime_arena_peak_words] / [graph_resident_words] gauges record
-    the memory footprint.
+    the memory footprint: the former counts every word the round loop
+    holds for messages — delivery arena, staging, the senders' row
+    records and the receivers' pull scratch.
 
     A worker death under a pool ({!Exec.Pool.Chaos_kill}) is never
     retried — shard bodies mutate node state and PRNG streams in place —

@@ -132,6 +132,60 @@ let test_list_alloc_per_message () =
   if per_msg > 60.0 then
     Alcotest.failf "list-mode path allocates %.1f minor words/message" per_msg
 
+(* Pull delivery: a round without point sends reaches its receivers
+   through the senders' row records, so a row-only run builds no
+   delivery arena.  [runtime_arena_peak_words] counts everything the
+   round loop holds for messages (arena, staging, row records, pull
+   scratch); any arena needs 3 words per message of its largest round.
+   On the complete graph every node tells every neighbour its id each
+   round: as rows the gauge stays below one round's arena, as the same
+   messages sent point by point it cannot. *)
+let chatter ~row : unit Congest.Fastpath.t =
+  let module F = Congest.Fastpath in
+  {
+    F.fname = "chatter";
+    kernel =
+      (fun sh ->
+        let width = Congest.Msg.id_width ~n:sh.F.n in
+        let xadj = sh.F.xadj and adj = sh.F.adj in
+        let halted = Bytes.make sh.F.slots '\000' in
+        let step ~v ~round _ em =
+          let word = sh.F.base + v in
+          if row then F.emit_row em ~tag:F.tag_int ~bits:width ~word
+          else
+            for r = xadj.(v) to xadj.(v + 1) - 1 do
+              F.emit em ~dst:adj.(r) ~tag:F.tag_int ~bits:width ~word
+            done;
+          if round = 3 then Bytes.set halted v '\001'
+        in
+        { F.step; halted; output = (fun _ -> None) });
+  }
+
+let test_row_rounds_hold_no_arena () =
+  let k = 64 in
+  let c = Csr.of_graph (Build.complete k) in
+  let arena_words = 3 * k * (k - 1) in
+  let peak = Obs.Metrics.gauge "runtime_arena_peak_words" in
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (what, pool) ->
+          let gauge ~row =
+            ignore (Congest.Runtime.run_flat ?pool (chatter ~row) c);
+            Obs.Metrics.gauge_value peak
+          in
+          let rows = gauge ~row:true and points = gauge ~row:false in
+          if rows >= arena_words then
+            Alcotest.failf
+              "%s: a row-only flood holds %d words for messages, no less than \
+               a %d-word arena"
+              what rows arena_words;
+          if points < arena_words then
+            Alcotest.failf
+              "%s: the point-send flood reports %d words, less than its \
+               %d-word arena"
+              what points arena_words)
+        [ ("no pool", None); ("jobs=2", Some pool) ])
+
 let () =
   Alcotest.run "perf_guard"
     [
@@ -145,5 +199,7 @@ let () =
             test_par_stage_alloc_per_round;
           Alcotest.test_case "list mode stays linear" `Quick
             test_list_alloc_per_message;
+          Alcotest.test_case "row-only rounds hold no delivery arena" `Quick
+            test_row_rounds_hold_no_arena;
         ] );
     ]
