@@ -25,7 +25,7 @@
       Mixing the two in one round raises [Invalid_argument] at the
       second call, on both engines.  A row costs the executor one
       staged entry and no per-edge validation (every recipient is a
-      neighbour by construction), and a round in which no node
+      neighbour by construction), and a busy round in which no node
       point-sends is delivered with no per-message copy at all (its
       receivers pull the rows), so a kernel whose round is "tell every
       neighbour" should use it; a kernel that sends different words to

@@ -166,9 +166,9 @@ let checked body trace =
    destination's tally, and stages a row send ([Fastpath.emit_row]) as
    one entry after one budget check, writing it into the sender's row
    record as well.  A round that staged no point send (and has no fault
-   plan) ends there: next round each receiver pulls its inbox from its
-   neighbours' row records, and phases 2-4 are skipped.  Any other
-   round first runs a row-tally pass — each shard bumps the tallies of
+   plan) and carried at least n messages ends there: next round each
+   receiver pulls its inbox from its neighbours' row records, and
+   phases 2-4 are skipped.  Any other round first runs a row-tally pass — each shard bumps the tallies of
    its staged rows' recipients — then the merge: (2) prefix pass A —
    each shard of the destination range turns the per-shard tallies into
    within-column prefixes and computes its chunk total, with the chunk
@@ -303,13 +303,13 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
      record for the round's parity, [rowrec.(6v + 3(round land 1))]: two
      generations, because round r's receivers read round r-1's records in
      the same phase as round r's senders write theirs.  After a round
-     with no point send (and no fault plan), the next round's receiver
-     reads its own CSR row and keeps the neighbours whose record is
-     stamped with that round — ascending senders, one message each,
-     exactly the window scatter would have built — copied into its
-     shard's [sh_scratch].  [-1] stamps nothing: pulling starts at round
-     1.  [pull] and [dirty] (the shards' tallies hold last round's write
-     cursors) change only between phases. *)
+     with no point send (and no fault plan) that carried at least n
+     messages, the next round's receiver reads its own CSR row and keeps
+     the neighbours whose record is stamped with that round — ascending
+     senders, one message each, exactly the window scatter would have
+     built — copied into its shard's [sh_scratch].  [-1] stamps nothing:
+     pulling starts at round 1.  [pull] and [dirty] (the shards' tallies
+     hold last round's write cursors) change only between phases. *)
   let rowrec = Array.make (6 * max n 1) (-1) in
   let pull = ref false and dirty = ref false in
   (* Per-shard private state.  [sh_book] packs per-destination
@@ -389,8 +389,10 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             if Array.unsafe_get rowrec b = prev then begin
               let o = 3 * !k in
               Array.unsafe_set scratch o u;
-              Array.unsafe_set scratch (o + 1) (Array.unsafe_get rowrec (b + 1));
-              Array.unsafe_set scratch (o + 2) (Array.unsafe_get rowrec (b + 2));
+              Array.unsafe_set scratch (o + 1)
+                (Array.unsafe_get rowrec (b + 1));
+              Array.unsafe_set scratch (o + 2)
+                (Array.unsafe_get rowrec (b + 2));
               incr k
             end
           done;
@@ -851,7 +853,9 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     if not inline then record_round ();
     Option.iter (fun (inj, _) -> filter inj) faulty;
     let halted = ref 0 and staged = ref 0 and rows = ref 0 in
+    let msgs = ref 0 in
     for s = 0 to jobs - 1 do
+      msgs := !msgs + sh_msgs.(s * shard_pad);
       sent := !sent + sh_msgs.(s * shard_pad);
       sent_bits := !sent_bits + sh_round_bits.(s * shard_pad);
       halted := !halted + sh_halted.(s * shard_pad);
@@ -859,12 +863,16 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       rows := !rows + sh_rows.(s * shard_pad)
     done;
     halted_sum := !halted;
-    (* A round without point sends is pulled by its receivers next
-       round.  Any other round is merged: the fault filter has restaged
-       everything as points and tallied them; otherwise the rows' tallies
-       are bumped first, then a two-pass prefix-sum merge with an
-       O(jobs) sequential seam. *)
-    pull := Option.is_none faulty && !staged = !rows;
+    (* A round without point sends, carrying at least one message per
+       node on average, is pulled by its receivers next round.  A
+       sparser one (a BFS frontier, a late Luby phase, a silent round)
+       is cheaper to merge: pulling walks every live receiver's whole
+       row whatever the round carried, merging costs O(n) passes plus
+       O(messages).  A merged round's staged entries are all points
+       under a fault plan, which restaged and tallied them; otherwise
+       its rows' tallies are bumped first.  Then a two-pass prefix-sum
+       merge with an O(jobs) sequential seam. *)
+    pull := Option.is_none faulty && !staged = !rows && !msgs >= n;
     dirty := not !pull;
     if not !pull then begin
       if Option.is_none faulty && !rows > 0 then range f_row_tally;
@@ -894,7 +902,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   Obs.Metrics.add mx.m_bits !sent_bits;
   Obs.Metrics.add mx.m_deliveries
     (if Option.is_some faulty then !delivered else !sent);
-  let words arrays = Array.fold_left (fun acc a -> acc + Array.length a) 0 arrays in
+  let words = Array.fold_left (fun acc a -> acc + Array.length a) 0 in
   Obs.Metrics.set g_arena_peak
     (Array.length !arena + words sh_stage + Array.length rowrec
    + words sh_scratch);

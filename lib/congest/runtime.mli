@@ -130,10 +130,10 @@ val run_flat :
     is staged as one entry and checked against the budget once; it
     counts as one message per neighbour in the trace and the metrics,
     and its failure is the per-edge sends' failure.  A fault-free round
-    with no point send is delivered by pull: each receiver reads its own
-    CSR row for the neighbours that row-sent, with no delivery arena;
-    inboxes, their order and every trace are the same as through the
-    arena.
+    with no point send and at least [n] messages is delivered by pull:
+    each receiver reads its own CSR row for the neighbours that
+    row-sent, with no delivery arena; inboxes, their order and every
+    trace are the same as through the arena.
 
     Without [pool] the round's phases run on the caller and the trace is
     recorded inline.  With [pool] every per-node and per-destination
