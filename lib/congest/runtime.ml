@@ -308,10 +308,9 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
      the neighbours whose record is stamped with that round — ascending
      senders, one message each, exactly the window scatter would have
      built — copied into its shard's [sh_scratch].  [-1] stamps nothing:
-     pulling starts at round 1.  [pull] and [dirty] (the shards' tallies
-     hold last round's write cursors) change only between phases. *)
+     pulling starts at round 1.  [pull] changes only between phases. *)
   let rowrec = Array.make (6 * max n 1) (-1) in
-  let pull = ref false and dirty = ref false in
+  let pull = ref false in
   (* Per-shard private state.  [sh_book] packs per-destination
      bookkeeping two-to-a-slot so each send touches one cache line:
      [book.(2d)] is the (sender, round) token stamped while marking the
@@ -364,8 +363,11 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     let slot = s * shard_pad in
     sh_len.(slot) <- 0;
     sh_failed.(slot) <- 0;
+    let pulling = !pull and delivered = !arena and scratch = sh_scratch.(s) in
     let counts = sh_counts.(s) in
-    if !dirty then Array.fill counts 0 (Array.length counts) 0;
+    (* A merged round leaves write cursors in the tallies; a pulled one
+       leaves them zero. *)
+    if not pulling then Array.fill counts 0 (Array.length counts) 0;
     let view = sh_view.(s) and em = sh_em.(s) in
     let book = sh_book.(s) in
     let rnd = !round in
@@ -374,7 +376,6 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     let halted = ref 0 in
     let edge_obs = ref sh_edge_obs.(slot) in
     let st = ref sh_stage.(s) in
-    let pulling = !pull and delivered = !arena and scratch = sh_scratch.(s) in
     let prev = rnd - 1 and prev_rec = 3 * ((rnd - 1) land 1) in
     let cur_rec = 3 * (rnd land 1) in
     for v = clo to chi - 1 do
@@ -873,7 +874,6 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
        its rows' tallies are bumped first.  Then a two-pass prefix-sum
        merge with an O(jobs) sequential seam. *)
     pull := Option.is_none faulty && !staged = !rows && !msgs >= n;
-    dirty := not !pull;
     if not !pull then begin
       if Option.is_none faulty && !rows > 0 then range f_row_tally;
       range f_pass_a;
