@@ -168,15 +168,15 @@ let checked body trace =
    record as well.  A round that staged no point send (and has no fault
    plan) and carried at least n messages ends there: next round each
    receiver pulls its inbox from its neighbours' row records, and
-   phases 2-4 are skipped.  Any other round first runs a row-tally pass — each shard bumps the tallies of
-   its staged rows' recipients — then the merge: (2) prefix pass A —
-   each shard of the destination range turns the per-shard tallies into
-   within-column prefixes and computes its chunk total, with the chunk
-   bases then prefix-summed sequentially (O(jobs)); (3) prefix pass B —
-   writes the global windows and lifts the within-column prefixes to
-   absolute write cursors; (4) scatter — each shard copies its staged
-   messages into its (disjoint) slots of the delivery arena, where next
-   round's inboxes are windows.
+   phases 2-4 are skipped.  Any other round first runs a row-tally
+   pass — each shard bumps the tallies of its staged rows' recipients —
+   then the merge: (2) prefix pass A — each shard of the destination
+   range turns the per-shard tallies into within-column prefixes and
+   computes its chunk total, with the chunk bases then prefix-summed
+   sequentially (O(jobs)); (3) prefix pass B — writes the global windows
+   and lifts the within-column prefixes to absolute write cursors; (4)
+   scatter — each shard copies its staged messages into its (disjoint)
+   slots of the delivery arena, where next round's inboxes are windows.
 
    A staged row entry has [dst = -1] — unambiguous, since a staged
    point [dst] has been validated into [0, n) — and its [src]'s CSR row
