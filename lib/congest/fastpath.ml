@@ -5,7 +5,7 @@
    [Program.step] speaks in [(int * Msg.t) list] — every round allocates
    a cons cell, a tuple and a [Msg.t] record per message, which is what
    dominates runtime at n ≥ 10⁵.  A flat program exchanges messages as
-   (src, tag, bits, word) int quads staged in preallocated buffers the
+   (dst, tag, bits, word) int quads staged in preallocated buffers the
    executor ([Runtime.run_flat]) reuses across rounds, so a settled run
    allocates nothing per round.  It keeps its state in arrays allocated
    once per run, indexed by node slot and by CSR edge slot, and exposes

@@ -4,7 +4,7 @@
     {!Program.step} speaks in [(int * Msg.t) list], which allocates a
     cons cell, a tuple and a [Msg.t] record per message per round — the
     dominant cost at n ≥ 10⁵.  A flat program stages messages as
-    [(src, tag, bits, word)] int quads in preallocated buffers that
+    [(dst, tag, bits, word)] int quads in preallocated buffers that
     {!Runtime.run_flat} reuses across rounds: once buffer sizes settle, a
     round allocates nothing.  test/test_perf_guard.ml pins that.
 
@@ -144,8 +144,8 @@ val emit_row : emitter -> tag:int -> bits:int -> word:int -> unit
 val grow_strided : stride:int -> int array -> int -> int array
 (** Double a staging buffer of [stride]-int records (capacity stays a
     multiple of [stride]), preserving the first [len] slots.  For
-    {!Runtime.run_flat}, which stages quads without a pool and quints
-    with one or under a fault plan. *)
+    {!Runtime.run_flat}, which stages [(dst, src, tag, word, bits)]
+    quints, and for the inbox buffer's triples. *)
 
 (** {1 The message store} *)
 

@@ -178,35 +178,33 @@ let checked body trace =
    scatter — each shard copies its staged messages into its (disjoint)
    slots of the delivery arena, where next round's inboxes are windows.
 
-   A staged row entry has [dst = -1] — unambiguous, since a staged
-   point [dst] has been validated into [0, n) — and its [src]'s CSR row
-   names the recipients.  Rows are expanded one message at a time only
-   where messages must exist one by one: the row-tally pass and scatter
-   of a merged round, the Light digest fold of the pool path's trace
-   merge, and trace replay (through [Trace.record_row], as the inline
-   path records them).  Hence the per-shard counts: [sh_len] staged
+   A staged entry is a (dst, src, tag, word, bits) quint.  A row entry
+   has [dst = -1] — unambiguous, since a staged point [dst] has been
+   validated into [0, n) — and its [src]'s CSR row names the
+   recipients.  Rows are expanded one message at a time only where
+   messages must exist one by one: the row-tally pass and scatter of a
+   merged round, the fault filter, and the trace (through
+   [Trace.record_row]).  Hence the per-shard counts: [sh_len] staged
    entries, [sh_rows] of them rows, [sh_msgs] messages.
 
-   Staging has two layouts.  Without a pool the one shard stages
-   (dst, src, tag, word) quads and records each node's validated sends
-   into the trace straight from its emitter.  With a pool
-   (any width, 1 included) worker domains must not touch the trace — the
-   Light digest is an order-sensitive fold — so shards stage
-   (dst, src, tag, word, bits) quints and the calling domain replays
-   them in ascending shard order after the barrier, giving the identical
-   event sequence.  The fifth word and the replay pass cost ~13% on a
-   dense cut-metered flood, which is why the pool-less path keeps the
-   narrower layout.
+   The trace is recorded one way, with or without a pool: after the
+   stage barrier the calling domain replays the staged quints of every
+   shard in ascending shard = source order.  Worker domains never touch
+   the trace — the Light digest is an order-sensitive fold, and a
+   registered cut or a Full log needs every (src, dst) in order — and
+   the event sequence is the same at every width.  [bits] is the fifth
+   word because both the replay and a fault plan's filter read a staged
+   entry's size after stage.
 
    Worker deaths are never retried (a chunk mutates node state and PRNG
    streams in place, so re-running half a chunk would corrupt the run):
    the round is torn down, no trace is recorded for it, and the same
    width-independent [Error.Error (Worker_death _)] escapes at every
    [jobs], including 1.  A model violation (oversend / non-neighbor)
-   under a pool replays the trace prefix the inline path would have
-   recorded — every staged message of lower shards plus the failing
-   shard's prefix — before re-raising, so [run_flat_checked] returns
-   identical post-mortem traces with or without a pool. *)
+   replays the round's trace prefix — every staged message of lower
+   shards plus the failing shard's prefix, i.e. every send validated
+   before the failing one — before re-raising, so [run_flat_checked]
+   returns identical post-mortem traces with or without a pool. *)
 
 (* Per-shard hot tallies are spread [shard_pad] ints apart so two
    domains never bump the same cache line. *)
@@ -221,12 +219,13 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   | Some p when Array.length p < jobs ->
       invalid_arg "Runtime.run_flat: alloc_probe shorter than pool width"
   | _ -> ());
-  let inline = Option.is_none pool in
-  (* Quints (with bits) whenever something reads a staged entry's size
-     after the stage phase: the pool path's trace replay, or a fault
-     plan's delivery filter. *)
-  let wide = (not inline) || Option.is_some config.faults in
-  let stride = if wide then 5 else 4 in
+  (match Trace.registered_cut trace with
+  | Some part when Array.length part <> n ->
+      invalid_arg
+        (Printf.sprintf
+           "Runtime.run_flat: registered cut has %d entries for %d nodes"
+           (Array.length part) n)
+  | _ -> ());
   let range f =
     match pool with
     | None -> f 0 n
@@ -241,7 +240,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
      the master in ascending order — what [Fastpath.to_program] hands
      each spawned node, so both forms draw alike. *)
   let xadj, adj = Csr.rows c in
-  let store = Fastpath.make_store ~writable:inline in
+  let store = Fastpath.make_store ~writable:(Option.is_none pool) in
   let kernel =
     fp.Fastpath.kernel
       {
@@ -343,17 +342,6 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
      deliveries share one counter. *)
   let sent = ref 0 in
   let sent_bits = ref 0 in
-  (* The inline trace of one node's first [upto] sends, read back from
-     its emitter once they are validated (no-pool path only; [upto] is
-     at most the emitter's length).  Called once per node, after its
-     message loop, so that loop makes no trace call. *)
-  let record_node rnd v (em : Fastpath.emitter) upto =
-    for k = 0 to upto - 1 do
-      Trace.record_send trace ~round:rnd ~src:v
-        ~dst:(Array.unsafe_get em.Fastpath.e_dst k)
-        ~bits:(Array.unsafe_get em.Fastpath.e_bits k)
-    done
-  in
   (* Phase 1: step + stage.  The hot counters live in locals, written
      back to the shard's padded slots at the end of the chunk; [sh_len]
      is also written after every emitting node and before every raise,
@@ -431,9 +419,9 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
                    })
             end;
             if bits > !edge_obs then edge_obs := bits;
-            let base = stride * !len in
+            let base = 5 * !len in
             if base = Array.length !st then begin
-              st := Fastpath.grow_strided ~stride !st base;
+              st := Fastpath.grow_strided ~stride:5 !st base;
               sh_stage.(s) <- !st
             end;
             let a = !st in
@@ -443,7 +431,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
               (Array.unsafe_get em.Fastpath.e_tag 0);
             Array.unsafe_set a (base + 3)
               (Array.unsafe_get em.Fastpath.e_word 0);
-            if wide then Array.unsafe_set a (base + 4) bits;
+            Array.unsafe_set a (base + 4) bits;
             incr len;
             incr rows;
             msgs := !msgs + (hi - lo);
@@ -454,9 +442,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
               (Array.unsafe_get em.Fastpath.e_tag 0);
             Array.unsafe_set rowrec (b + 2)
               (Array.unsafe_get em.Fastpath.e_word 0);
-            sh_len.(slot) <- !len;
-            if inline then
-              Trace.record_row trace ~round:rnd ~src:v ~adj ~lo ~hi ~bits
+            sh_len.(slot) <- !len
           end
         end
         else if e_len > 0 then begin
@@ -484,23 +470,21 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             if dst < 0 || dst >= n || Array.unsafe_get book (2 * dst) <> tok
             then begin
               sh_len.(slot) <- !len;
-              if inline then record_node rnd v em k;
               raise (Illegal_recipient { round = rnd; src = v; dst })
             end;
             let bits = Array.unsafe_get e_bits k in
             let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
             if total > limit then begin
               sh_len.(slot) <- !len;
-              if inline then record_node rnd v em k;
               raise
                 (Bandwidth_exceeded
                    { round = rnd; src = v; dst; bits = total; limit })
             end;
             Array.unsafe_set book ((2 * dst) + 1) total;
             if total > !edge_obs then edge_obs := total;
-            let base = stride * !len in
+            let base = 5 * !len in
             if base = Array.length !st then begin
-              st := Fastpath.grow_strided ~stride !st base;
+              st := Fastpath.grow_strided ~stride:5 !st base;
               sh_stage.(s) <- !st
             end;
             let a = !st in
@@ -508,14 +492,13 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             Array.unsafe_set a (base + 1) v;
             Array.unsafe_set a (base + 2) (Array.unsafe_get e_tag k);
             Array.unsafe_set a (base + 3) (Array.unsafe_get e_word k);
-            if wide then Array.unsafe_set a (base + 4) bits;
+            Array.unsafe_set a (base + 4) bits;
             incr len;
             round_bits := !round_bits + bits;
             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
           done;
           sh_len.(slot) <- !len;
-          msgs := !msgs + e_len;
-          if inline then record_node rnd v em e_len
+          msgs := !msgs + e_len
         end;
         if Bytes.unsafe_get halted_b v <> '\000' then incr halted
       end
@@ -553,7 +536,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       let s = shard_of clo in
       let st = sh_stage.(s) and counts = sh_counts.(s) in
       for i = 0 to sh_len.(s * shard_pad) - 1 do
-        let bs = stride * i in
+        let bs = 5 * i in
         if Array.unsafe_get st bs < 0 then begin
           let src = Array.unsafe_get st (bs + 1) in
           for r = Array.unsafe_get xadj src
@@ -612,7 +595,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       let s = shard_of clo in
       let st = sh_stage.(s) and counts = sh_counts.(s) and a = !arena in
       for i = 0 to sh_len.(s * shard_pad) - 1 do
-        let bs = stride * i in
+        let bs = 5 * i in
         let dst = Array.unsafe_get st bs in
         let src = Array.unsafe_get st (bs + 1)
         and tag = Array.unsafe_get st (bs + 2)
@@ -639,8 +622,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       done
     end
   in
-  (* Replay the staged quints of shards [0, last] into the trace, in
-     ascending shard = source order (pool path only). *)
+  (* Record the staged quints of shards [0, last] into the trace, in
+     ascending shard = source order. *)
   let replay_sends last =
     let rnd = !round in
     for s = 0 to last do
@@ -659,54 +642,14 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   in
   (* Trace prefix of a round torn by a model violation: every staged
      message of shards below the (lowest) failing one, then the failing
-     shard's own staged prefix — exactly what the inline path had
-     recorded when it raised. *)
+     shard's own staged prefix. *)
   let replay_violation_prefix () =
     List.init jobs Fun.id
     |> List.find_opt (fun s -> sh_failed.(s * shard_pad) <> 0)
     |> Option.iter replay_sends
   in
-  (* The post-barrier trace merge of the pool path.  Per-send events
-     (Full mode or a registered cut) replay one by one; otherwise the
-     round is recorded in bulk and the Light digest — an order-sensitive
-     fold, the one inherently sequential part of the round — is re-folded
-     from the staged quints in a tight loop. *)
-  let record_round () =
-    let rnd = !round in
-    if Trace.per_send_required trace then replay_sends (jobs - 1)
-    else begin
-      let cnt = ref 0 and bits = ref 0 in
-      for s = 0 to jobs - 1 do
-        cnt := !cnt + sh_msgs.(s * shard_pad);
-        bits := !bits + sh_round_bits.(s * shard_pad)
-      done;
-      Trace.record_send_bulk trace ~round:rnd ~count:!cnt ~bits:!bits;
-      if !cnt > 0 then begin
-        let h = ref (Trace.send_digest_state trace) in
-        for s = 0 to jobs - 1 do
-          let st = sh_stage.(s) in
-          for i = 0 to sh_len.(s * shard_pad) - 1 do
-            let b = 5 * i in
-            let dst = Array.unsafe_get st b
-            and src = Array.unsafe_get st (b + 1)
-            and bits = Array.unsafe_get st (b + 4) in
-            if dst >= 0 then
-              h := Trace.send_mix ~h:!h ~round:rnd ~src ~dst ~bits
-            else
-              for r = Array.unsafe_get xadj src
-                  to Array.unsafe_get xadj (src + 1) - 1 do
-                h :=
-                  Trace.send_mix ~h:!h ~round:rnd ~src
-                    ~dst:(Array.unsafe_get adj r) ~bits
-              done
-          done
-        done;
-        Trace.set_send_digest_state trace !h
-      end
-    end
-  in
   (* Fault plans.  The plan acts as one delivery filter on the calling
-     domain, after the stage barrier (and the pool path's trace replay),
+     domain, after the stage barrier and the trace replay,
      so a faulty run is the same at every pool width.  It walks the
      round's staged messages in send order — shards ascending, rows
      expanded in row order — through [Faults.apply], whose injector
@@ -849,9 +792,9 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             (* A torn round records no trace at any width: jobs = 1
                quarantines the kill through the same path. *)
             ()
-        | _ -> if not inline then replay_violation_prefix ());
+        | _ -> replay_violation_prefix ());
         Printexc.raise_with_backtrace e bt);
-    if not inline then record_round ();
+    replay_sends (jobs - 1);
     Option.iter (fun (inj, _) -> filter inj) faulty;
     let halted = ref 0 and staged = ref 0 and rows = ref 0 in
     let msgs = ref 0 in

@@ -135,12 +135,14 @@ val run_flat :
     row-sent, with no delivery arena; inboxes, their order and every
     trace are the same as through the arena.
 
-    Without [pool] the round's phases run on the caller and the trace is
-    recorded inline.  With [pool] every per-node and per-destination
-    phase runs as an {!Exec.Pool.run_range} barrier over private
-    per-shard staging arenas, merged by a two-pass prefix sum into the
-    same delivery-arena layout, and the trace is replayed on the calling
-    domain after each barrier (docs/PERF.md).  Outputs, round counts,
+    Every node's validated sends are staged, and the trace is recorded
+    from the staged entries on the calling domain after the stage phase,
+    in ascending source order — one path with or without a pool.
+    Without [pool] the round's phases run on the caller.  With [pool]
+    every per-node and per-destination phase runs as an
+    {!Exec.Pool.run_range} barrier over private per-shard staging
+    arenas, merged by a two-pass prefix sum into the same delivery-arena
+    layout (docs/PERF.md).  Outputs, round counts,
     recorded traces and digests are byte-identical with or without a
     pool, at every pool width, cold or warm (test/test_csr.ml pins this
     differentially at jobs ∈ {1, 2, 3, 8}).  Per-run [congest_*] metric
@@ -167,7 +169,8 @@ val run_flat :
     [alloc_probe] (a test hook; length ≥ the shard count, 1 without a
     pool) accumulates, per shard, the minor words its stage phase
     allocates each round — the per-domain allocation guard reads it.
-    Raises [Invalid_argument] if [alloc_probe] is too short, and when a
+    Raises [Invalid_argument] before round 0 if [alloc_probe] is too
+    short or [trace]'s registered cut does not have [n] entries, and when a
     node of an {!Fastpath.of_program} kernel sends under a pool (its
     message store is written only on the calling domain). *)
 

@@ -102,6 +102,8 @@ let create ?(mode = Full) ?cut () =
     cut =
       Option.map
         (fun part ->
+          if Array.exists (fun p -> p < 0) part then
+            invalid_arg "Trace.create: negative side in the cut";
           let sides = Array.fold_left (fun acc p -> max acc (p + 1)) 0 part in
           {
             part;
@@ -187,8 +189,9 @@ let record_send t ~round ~src ~dst ~bits =
 (* A whole row: [bits] from [src] to each of [adj.(lo) .. adj.(hi-1)],
    in that order.  Full mode retains each send, so it is the
    [record_send] loop; Light mode touches the totals and the open round
-   once, counts the row's cut crossings, and folds the digest once per
-   recipient — the same state [hi - lo] [record_send]s leave. *)
+   once, then one pass over the row folds the digest per recipient and
+   counts the row's cut crossings — the same state [hi - lo]
+   [record_send]s leave. *)
 let record_row t ~round ~src ~adj ~lo ~hi ~bits =
   if t.mode = Full then
     for r = lo to hi - 1 do
@@ -196,50 +199,27 @@ let record_row t ~round ~src ~adj ~lo ~hi ~bits =
     done
   else if hi > lo then begin
     add_sends t ~round ~count:(hi - lo) ~bits:((hi - lo) * bits);
+    let h = ref t.h_sends in
     (match t.cut with
-    | None -> ()
+    | None ->
+        for r = lo to hi - 1 do
+          h := send_mix ~h:!h ~round ~src ~dst:adj.(r) ~bits
+        done
     | Some c ->
         let part = c.part in
         let side = part.(src) in
         let x = ref 0 in
         for r = lo to hi - 1 do
-          if part.(adj.(r)) <> side then incr x
+          let dst = adj.(r) in
+          if part.(dst) <> side then incr x;
+          h := send_mix ~h:!h ~round ~src ~dst ~bits
         done;
         let x = !x in
         if x > 0 then add_crossings c ~round ~side ~count:x ~bits:(x * bits));
-    let h = ref t.h_sends in
-    for r = lo to hi - 1 do
-      h := send_mix ~h:!h ~round ~src ~dst:adj.(r) ~bits
-    done;
     t.h_sends <- !h
   end
 
-(* ------------------------------------------------------------------ *)
-(* Bulk recording (the flat executor's path under a pool).
-
-   [record_send] is per-message because Full mode retains the log and a
-   registered cut needs each (src, dst).  When neither applies — Light
-   mode, no cut — everything the trace maintains per send is an
-   aggregate plus the streamed digest, so the sharded executor records
-   a whole round in O(1) with [record_send_bulk] and folds the digest
-   itself with [send_mix] over its staged messages (in shard order =
-   ascending source order, exactly the sequence the pool-less executor
-   records inline). *)
-
-let per_send_required t = t.mode = Full || t.cut <> None
-
-let record_send_bulk t ~round ~count ~bits =
-  if per_send_required t then
-    invalid_arg
-      "Trace.record_send_bulk: this trace needs per-send events (Full mode \
-       or registered cut)";
-  if count < 0 || bits < 0 then
-    invalid_arg "Trace.record_send_bulk: negative count or bits";
-  if count > 0 then add_sends t ~round ~count ~bits
-
 let send_digest_state t = t.h_sends
-
-let set_send_digest_state t h = t.h_sends <- h
 
 let fault_code = function
   | Dropped -> 1

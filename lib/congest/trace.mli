@@ -56,7 +56,8 @@ val create : ?mode:mode -> ?cut:int array -> unit -> t
     the historical [create].  [~cut:part] registers the node partition
     whose crossing traffic should be streamed: subsequent [cut_*] queries
     against that same partition are O(1) reads and work in [Light] mode.
-    The array is captured, not copied; don't mutate it mid-run. *)
+    The array is captured, not copied; don't mutate it mid-run.  Raises
+    [Invalid_argument] when a side in it is negative. *)
 
 val mode : t -> mode
 
@@ -71,40 +72,14 @@ val record_row :
     [src] to each of [adj.(lo) .. adj.(hi - 1)], in that order: every
     query afterwards reads exactly as after the {!record_send} fold
     over the row.  In [Full] mode it is that fold; in [Light] mode it
-    updates the totals and the open round once, counts the row's
-    crossings of the registered cut, and folds the digest once per
-    recipient.  [lo >= hi] records nothing. *)
-
-val per_send_required : t -> bool
-(** Does this trace need to see every individual send ([Full] mode
-    retains the log; a registered cut classifies each [(src, dst)])?
-    When [false] — [Light] mode, no cut — a whole round of traffic can
-    be recorded with {!record_send_bulk} plus a caller-side
-    {!send_mix} digest fold, with no observable difference from
-    per-message {!record_send} calls.  {!Runtime.run_flat} under a pool
-    branches on this. *)
-
-val record_send_bulk : t -> round:int -> count:int -> bits:int -> unit
-(** [record_send_bulk t ~round ~count ~bits] records [count] sends
-    totalling [bits] bits in [round] in O(1): every streamed aggregate
-    is updated exactly as [count] {!record_send} calls would have —
-    {e except} the Light-mode send digest, which depends on each
-    [(src, dst)] and must be folded by the caller with {!send_mix} and
-    stored back via {!set_send_digest_state}.  [count = 0] is a no-op.
-    Raises [Invalid_argument] when {!per_send_required} holds or on
-    negative arguments. *)
-
-val send_mix : h:int -> round:int -> src:int -> dst:int -> bits:int -> int
-(** One step of the Light-mode send-digest stream: exactly the fold
-    {!record_send} applies.  Pure; combine with
-    {!send_digest_state}/{!set_send_digest_state} to reproduce the
-    sequential digest from bulk-recorded rounds. *)
+    updates the totals and the open round once, then makes one pass
+    over the row that folds the digest per recipient and counts the
+    row's crossings of the registered cut.  [lo >= hi] records
+    nothing.  {!Runtime.run_flat} records every row send through it. *)
 
 val send_digest_state : t -> int
 (** Current Light-mode send-digest accumulator (also defined, but
     unused by {!digest}, in [Full] mode). *)
-
-val set_send_digest_state : t -> int -> unit
 
 val record_fault :
   t -> round:int -> src:int -> dst:int -> bits:int -> kind:fault_kind -> unit

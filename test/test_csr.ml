@@ -509,7 +509,24 @@ let test_flat_rejects () =
   Exec.Pool.with_pool ~jobs:2 (fun p ->
       rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] ~pool:p fp;
       rejects "empty alloc_probe" ~alloc_probe:[||] fp;
-      rejects "list program under a pool" ~pool:p list_sender)
+      rejects "list program under a pool" ~pool:p list_sender);
+  (* A malformed registered cut is refused by name before round 0, so
+     nothing is traced: a cut shorter than n, and a negative side. *)
+  let c6 = Csr.of_graph (Build.cycle 6) in
+  let named what ~prefix f =
+    match f () with
+    | () -> Alcotest.fail (what ^ " accepted")
+    | exception Invalid_argument m ->
+        if not (String.starts_with ~prefix m) then
+          Alcotest.failf "%s: %S does not come from %s" what m prefix
+  in
+  let short = Congest.Trace.create ~cut:[| 0; 1 |] () in
+  named "2-entry cut on a 6-cycle" ~prefix:"Runtime.run_flat" (fun () ->
+      ignore (Congest.Runtime.run_flat ~trace:short fp c6));
+  Alcotest.(check int) "nothing traced" 0 (Congest.Trace.total_messages short);
+  named "cut with side -1" ~prefix:"Trace.create" (fun () ->
+      let trace = Congest.Trace.create ~cut:[| 0; 1; -1; 0; 1; 0 |] () in
+      ignore (Congest.Runtime.run_flat ~trace fp c6))
 
 (* Declared message widths are enforced at emit: every node sends one
    [tag_int] word of [bits] bits to each neighbour in round 0.  A word

@@ -16,14 +16,14 @@ module Csr = Wgraph.Csr
 
 let cycle_csr n = Csr.of_graph (Build.cycle n)
 
-let minor_words_for ?cut rounds c =
+let minor_words_for ?cut ?pool rounds c =
   let config =
     { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
   in
   let fp = Congest.Fastpath.max_id ~rounds in
   let trace = Congest.Trace.create ~mode:Congest.Trace.Light ?cut () in
   let before = Gc.minor_words () in
-  let result = Congest.Runtime.run_flat ~config ~trace fp c in
+  let result = Congest.Runtime.run_flat ~config ~trace ?pool fp c in
   let after = Gc.minor_words () in
   Alcotest.(check int) "ran all rounds" rounds result.Congest.Runtime.rounds_executed;
   after -. before
@@ -39,12 +39,12 @@ let long_rounds = 200
    ~3 words x 1024 messages a single per-message allocation would add. *)
 let ceiling_words_per_round = 256.0
 
-let check_flat_alloc_per_round ?cut what =
+let check_flat_alloc_per_round ?cut ?pool what =
   let c = cycle_csr n in
   (* Warm-up run settles shared metric handles and any lazy state. *)
-  ignore (minor_words_for ?cut 8 c);
-  let short = minor_words_for ?cut short_rounds c in
-  let long = minor_words_for ?cut long_rounds c in
+  ignore (minor_words_for ?cut ?pool 8 c);
+  let short = minor_words_for ?cut ?pool short_rounds c in
+  let long = minor_words_for ?cut ?pool long_rounds c in
   let per_round =
     (long -. short) /. float_of_int (long_rounds - short_rounds)
   in
@@ -63,6 +63,18 @@ let test_flat_alloc_per_round () = check_flat_alloc_per_round ""
 let test_flat_cut_alloc_per_round () =
   check_flat_alloc_per_round ~cut:(Array.init n (fun v -> v land 1))
     " (cut-metered trace)"
+
+(* Under a pool the calling domain records every round into the trace
+   after the stage barrier, replaying the shards' staged entries, and
+   drives the barriers themselves.  Its whole-run minor words (minor
+   heaps are per-domain, so this is the caller's share only) are held
+   to the same ceiling, with the cut registered so the replay classifies
+   every send. *)
+let test_par_replay_alloc_per_round () =
+  Exec.Pool.with_pool ~jobs:2 (fun pool ->
+      check_flat_alloc_per_round ~pool
+        ~cut:(Array.init n (fun v -> v land 1))
+        " (calling domain, 2-pool, cut-metered trace)")
 
 (* The pool-less path above is pinned whole-run; with a pool the
    executor must hold the same bar per domain: once arenas settle, a
@@ -197,6 +209,8 @@ let () =
             `Quick test_flat_cut_alloc_per_round;
           Alcotest.test_case "sharded stage phase is allocation-free" `Quick
             test_par_stage_alloc_per_round;
+          Alcotest.test_case "trace replay under a pool is allocation-free"
+            `Quick test_par_replay_alloc_per_round;
           Alcotest.test_case "list mode stays linear" `Quick
             test_list_alloc_per_message;
           Alcotest.test_case "row-only rounds hold no delivery arena" `Quick
