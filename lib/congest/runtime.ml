@@ -231,10 +231,8 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     | None -> f 0 n
     | Some p -> Exec.Pool.run_range p ~lo:0 ~hi:n f
   in
-  Obs.Metrics.set g_graph_words (Csr.resident_words c);
   let limit = bandwidth_bits config ~n in
   let mx = metrics_for fp.Fastpath.fname in
-  Obs.Metrics.inc mx.m_runs;
   (* One kernel instance over the whole graph, reading the CSR rows in
      place.  A kernel that draws gets one stream per node, split from
      the master in ascending order — what [Fastpath.to_program] hands
@@ -276,6 +274,9 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   in
   if Bytes.length halted_b < n then
     invalid_arg "Runtime.run_flat: kernel halted bytes shorter than n";
+  (* Every rejection is behind us: only a run that starts counts. *)
+  Obs.Metrics.set g_graph_words (Csr.resident_words c);
+  Obs.Metrics.inc mx.m_runs;
   (* Chunk geometry is fixed for the run, so a chunk's lo bound inverts
      to its shard index in O(1).  Chunks that are empty (n < jobs) stay
      empty forever and their shard state is never touched. *)

@@ -55,7 +55,3 @@ val set_default_sleep : (float -> unit) -> unit
     clock spin (exec makes no direct unix calls); [bin/] and [bench/]
     install
     [Unix.sleepf] at startup so retry backoff yields the CPU. *)
-
-val default_sleep : float -> unit
-(** The currently-installed process-wide sleep ({!set_default_sleep});
-    also the default watchdog sleep of {!Pool.create}. *)

@@ -4,35 +4,33 @@
    Determinism does not come from scheduling (tasks are claimed
    first-come-first-served) but from indexing: task [i] publishes only
    slot [i] of the result array, and the caller reassembles slots in
-   input order.  Slot publication is CAS-once ([pub.(i)]: 0 -> 1), so a
-   slot re-enqueued after a worker death and then raced by the
-   not-actually-dead original executor still gets exactly one result.
-   The [Atomic.incr filled] after a winning CAS is the happens-before
-   edge that makes the (nonatomic) slot write visible to whoever later
-   reads [filled = count].
+   input order.  Slot publication is CAS-once ([pub.(i)]: 0 -> 1), so
+   [filled] counts slots, not publish calls: the batch is complete at
+   [filled = count] only if no slot publishes twice, and the CAS makes
+   that hold by construction rather than resting on the claim protocol
+   alone (which hands a slot to one executor at a time, and publishes a
+   killed slot's poison verdict only after its executor died).  The
+   [Atomic.incr filled] after a winning CAS is the happens-before edge
+   that makes the (nonatomic) slot write visible to whoever later reads
+   [filled = count].
 
-   Supervision model.  OCaml domains cannot be killed from outside, so
-   "supervision" means three things:
+   Supervision model.  OCaml domains cannot be killed from outside, and
+   a task that never returns blocks its batch; "supervision" means two
+   things:
 
    - a worker whose task raises {!Chaos_kill} (the chaos harness's
      simulated crash) runs a death protocol on the way out: its claimed
-     slot is re-enqueued for survivors, its kill is charged to that
-     slot, and the caller is woken;
-   - the caller itself drains re-enqueued slots (it can always make
-     progress even if every worker is gone), and with [~watchdog_s] it
-     additionally polls worker heartbeats: a worker holding a claim
-     whose heartbeat has not moved within the window is {e condemned} —
-     marked dead for accounting, its slot re-enqueued — and since a
-     wedged domain cannot be interrupted, the domain itself is leaked
-     (never joined) and merely re-checked for a late exit;
+     slot is re-enqueued, its kill is charged to that slot, and the
+     caller is woken.  The caller itself drains re-enqueued slots, so
+     it can always make progress even if every worker is gone;
    - a slot whose executions have killed [kill_limit] workers is a
      {e poison task}: it is quarantined by publishing
      [Error.Worker_death] as its result instead of re-enqueueing, so a
      deterministic crasher terminates the batch instead of eating the
      whole pool.
 
-   Dead workers are replaced between batches (never mid-batch, so a
-   batch's worker array is stable), counted in
+   Dead workers are joined and replaced between batches (never
+   mid-batch, so a batch's worker array is stable), counted in
    [pool_worker_restarts_total]. *)
 
 exception Chaos_kill
@@ -61,19 +59,14 @@ type shared = {
   mutable job : batch option;
   mutable gen : int;  (* batch generation; workers chase it *)
   mutable stop : bool;
-  kill_limit : int;
 }
 
-(* One worker incarnation.  Records are immutable per incarnation — a
-   respawn installs a fresh record, so a leaked (condemned, wedged)
-   domain still owns its old record and cannot confuse its successor. *)
+(* One worker incarnation; a respawn installs a fresh record. *)
 type worker = {
   mutable domain : unit Domain.t option;
-  alive : bool Atomic.t;  (* false once dead or condemned *)
-  exited : bool Atomic.t;  (* domain body returned; safe to join *)
-  condemned : bool Atomic.t;  (* watchdog verdict; checked between tasks *)
-  heartbeat : int Atomic.t;  (* bumped on every claim and publish *)
-  claim : int Atomic.t;  (* slot being executed, or -1 *)
+  alive : bool Atomic.t;
+      (* false once its task killed it (the body is then returning) or
+         it could not be spawned *)
 }
 
 (* Reusable state for {!run_range}: one chunk per pool slot, rebuilt
@@ -95,8 +88,6 @@ type range_state = {
   rs_filled : int Atomic.t;
   rs_batch : batch;
   mutable rs_job : batch option;  (* preallocated [Some rs_batch] *)
-  rs_hb : int array;  (* watchdog scratch, sized [jobs - 1] *)
-  rs_move : float array;
 }
 
 type t = {
@@ -107,11 +98,10 @@ type t = {
   mutable alive : bool;
   mutable restarts : int;  (* workers respawned over the pool's life *)
   mutable range : range_state option;  (* lazily built on first run_range *)
-  kill_limit : int;
-  watchdog_s : float option;
-  clock : unit -> float;
-  sleep : float -> unit;
 }
+
+(* Workers one slot may kill before it is quarantined as poison. *)
+let kill_limit = 2
 
 let jobs t = t.jobs
 
@@ -166,9 +156,9 @@ let claim sh b =
 (* Charge a worker death to slot [i]: re-enqueue it for survivors, or —
    once it has killed [kill_limit] workers — quarantine it as poison by
    publishing [Worker_death].  Call with [sh.m] held. *)
-let handle_kill (sh : shared) b i =
+let handle_kill b i =
   b.kills.(i) <- b.kills.(i) + 1;
-  if (not b.retry) || b.kills.(i) >= sh.kill_limit then b.poison i b.kills.(i)
+  if (not b.retry) || b.kills.(i) >= kill_limit then b.poison i b.kills.(i)
   else begin
     Queue.push i b.requeued;
     Obs.Metrics.inc m_requeued
@@ -177,24 +167,14 @@ let handle_kill (sh : shared) b i =
 let poison_message i k =
   Printf.sprintf "poison task: slot %d killed %d worker(s); quarantined" i k
 
-(* Worker's share of a batch.  Heartbeat bumps bracket every task so the
-   watchdog can tell "slow task, still moving" from "wedged". *)
-let rec drain_worker sh w b =
-  if Atomic.get w.condemned then `Condemned
-  else
-    match claim sh b with
-    | None -> `Done
-    | Some i -> (
-        Atomic.set w.claim i;
-        Atomic.incr w.heartbeat;
-        match b.exec i with
-        | () ->
-            Atomic.set w.claim (-1);
-            Atomic.incr w.heartbeat;
-            drain_worker sh w b
-        | exception _ -> `Died i)
+(* Worker's share of a batch. *)
+let rec drain_worker sh b =
+  match claim sh b with
+  | None -> `Done
+  | Some i -> (
+      match b.exec i with () -> drain_worker sh b | exception _ -> `Died i)
 
-let rec worker_loop sh w seen =
+let rec worker_loop sh (w : worker) seen =
   Mutex.lock sh.m;
   let rec await seen =
     if sh.stop then None
@@ -208,12 +188,10 @@ let rec worker_loop sh w seen =
     end
   in
   match await seen with
-  | None ->
-      Mutex.unlock sh.m;
-      Atomic.set w.exited true
+  | None -> Mutex.unlock sh.m
   | Some (gen, b) -> (
       Mutex.unlock sh.m;
-      match drain_worker sh w b with
+      match drain_worker sh b with
       | `Done ->
           (* Broadcast even when the batch is not finished: the caller
              may be waiting for requeued work another death produced. *)
@@ -221,30 +199,17 @@ let rec worker_loop sh w seen =
           Condition.broadcast sh.finished;
           Mutex.unlock sh.m;
           worker_loop sh w gen
-      | `Condemned ->
-          (* The watchdog already handled our claim; just get out so the
-             corpse can be reaped at the next respawn. *)
-          Atomic.set w.exited true
       | `Died i ->
           Atomic.set w.alive false;
           Mutex.lock sh.m;
-          handle_kill sh b i;
+          handle_kill b i;
           Condition.broadcast sh.finished;
-          Mutex.unlock sh.m;
-          Atomic.set w.exited true)
+          Mutex.unlock sh.m)
 
 (* ------------------------------------------------------------------ *)
 (* Spawning and supervision *)
 
-let fresh_worker () =
-  {
-    domain = None;
-    alive = Atomic.make true;
-    exited = Atomic.make false;
-    condemned = Atomic.make false;
-    heartbeat = Atomic.make 0;
-    claim = Atomic.make (-1);
-  }
+let fresh_worker () = { domain = None; alive = Atomic.make true }
 
 (* Spawning can fail transiently (thread limits, memory pressure).
    Retry briefly; a worker that still cannot spawn is returned dead
@@ -259,22 +224,22 @@ let spawn_worker sh =
          with e -> raise (Error.Error (Error.Worker_death (Printexc.to_string e))))
    with
   | d -> w.domain <- Some d
-  | exception Error.Error (Error.Worker_death _) ->
-      Atomic.set w.alive false;
-      Atomic.set w.exited true);
+  | exception Error.Error (Error.Worker_death _) -> Atomic.set w.alive false);
   w
 
+let join_worker (w : worker) =
+  match w.domain with
+  | Some d -> ( try Domain.join d with _ -> ())
+  | None -> ()
+
 (* Replace dead workers (between batches only, so a batch's worker array
-   is stable).  A dead worker whose body returned is joined; a condemned
-   wedge that never exited is leaked — OCaml gives no way to kill it —
-   and its slot gets a fresh incarnation regardless. *)
+   is stable).  A dead worker has already run its death protocol and its
+   body is returning, so the join does not wait on any task. *)
 let respawn_dead t sh =
   Array.iteri
     (fun k (w : worker) ->
       if not (Atomic.get w.alive) then begin
-        (match w.domain with
-        | Some d when Atomic.get w.exited -> ( try Domain.join d with _ -> ())
-        | Some _ | None -> ());
+        join_worker w;
         t.workers.(k) <- spawn_worker sh;
         t.restarts <- t.restarts + 1;
         Obs.Metrics.inc m_restarts
@@ -324,28 +289,15 @@ and shutdown t =
         sh.stop <- true;
         Condition.broadcast sh.ready;
         Mutex.unlock sh.m;
-        Array.iter
-          (fun w ->
-            match w.domain with
-            | Some d when not (Atomic.get w.condemned) || Atomic.get w.exited
-              -> (
-                try Domain.join d with _ -> ())
-            | Some _ | None -> () (* condemned wedge: leaked *))
-          t.workers;
+        Array.iter join_worker t.workers;
         t.workers <- [||]
   end
 
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ?watchdog_s ?(kill_limit = 2) ?(clock = Sys.time)
-    ?(sleep = Error.default_sleep) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Exec.Pool.create: jobs must be >= 1";
-  if kill_limit < 1 then invalid_arg "Exec.Pool.create: kill_limit must be >= 1";
-  (match watchdog_s with
-  | Some s when s <= 0.0 ->
-      invalid_arg "Exec.Pool.create: watchdog_s must be positive"
-  | _ -> ());
   let t =
     {
       jobs;
@@ -361,16 +313,11 @@ let create ?watchdog_s ?(kill_limit = 2) ?(clock = Sys.time)
                job = None;
                gen = 0;
                stop = false;
-               kill_limit;
              });
       workers = [||];
       alive = true;
       restarts = 0;
       range = None;
-      kill_limit;
-      watchdog_s;
-      clock;
-      sleep;
     }
   in
   (match t.shared with
@@ -388,7 +335,7 @@ let create ?watchdog_s ?(kill_limit = 2) ?(clock = Sys.time)
    path: the caller cannot die, so each Chaos_kill counts as one worker
    kill against the slot, and the kill limit quarantines it — identical
    results (and identical poison error) to any [jobs] width. *)
-let map_seq t f xs =
+let map_seq f xs =
   Array.mapi
     (fun i x ->
       let rec attempt k =
@@ -396,7 +343,7 @@ let map_seq t f xs =
         | v -> v
         | exception Chaos_kill ->
             let k = k + 1 in
-            if k >= t.kill_limit then
+            if k >= kill_limit then
               raise (Error.Error (Error.Worker_death (poison_message i k)))
             else attempt k
       in
@@ -410,7 +357,7 @@ let map t f xs =
   else
     timed_batch ~count:n @@ fun () ->
     match t.shared with
-    | None -> map_seq t f xs
+    | None -> map_seq f xs
     | Some sh ->
         respawn_dead t sh;
         let slots = Array.make n None in
@@ -461,8 +408,8 @@ let map t f xs =
            primary counter alongside the workers, absorbs its own
            Chaos_kills (the caller cannot die — each one is charged as a
            kill and the slot re-enqueued or poisoned), and afterwards
-           supervises: draining orphaned slots and, with a watchdog,
-           condemning wedged workers. *)
+           supervises: draining orphaned slots until every slot has
+           published. *)
         let rec drain_caller () =
           match claim sh b with
           | None -> ()
@@ -470,61 +417,20 @@ let map t f xs =
               (try b.exec i
                with Chaos_kill ->
                  Mutex.lock sh.m;
-                 handle_kill sh b i;
+                 handle_kill b i;
                  Mutex.unlock sh.m);
               drain_caller ()
         in
-        let condemn (w : worker) =
-          Atomic.set w.condemned true;
-          Atomic.set w.alive false;
-          Mutex.lock sh.m;
-          let c = Atomic.get w.claim in
-          if c >= 0 then handle_kill sh b c;
-          Mutex.unlock sh.m
-        in
-        let nw = Array.length t.workers in
-        let last_hb = Array.make nw 0 in
-        let last_move = Array.make nw 0.0 in
-        let watchdog_init () =
-          let now = t.clock () in
-          Array.iteri
-            (fun k w ->
-              last_hb.(k) <- Atomic.get w.heartbeat;
-              last_move.(k) <- now)
-            t.workers
-        in
-        let watchdog_check window =
-          let now = t.clock () in
-          Array.iteri
-            (fun k (w : worker) ->
-              if Atomic.get w.alive && not (Atomic.get w.condemned) then begin
-                let hb = Atomic.get w.heartbeat in
-                if hb <> last_hb.(k) then begin
-                  last_hb.(k) <- hb;
-                  last_move.(k) <- now
-                end
-                else if Atomic.get w.claim >= 0 && now -. last_move.(k) > window
-                then condemn w
-              end)
-            t.workers
-        in
-        (match t.watchdog_s with Some _ -> watchdog_init () | None -> ());
         let rec supervise () =
           drain_caller ();
           if Atomic.get filled < n then begin
-            (match t.watchdog_s with
-            | None ->
-                (* Every progress event (publish-then-idle, death,
-                   requeue) broadcasts [finished] under [sh.m], and the
-                   predicate is rechecked under [sh.m], so no wakeup can
-                   be lost. *)
-                Mutex.lock sh.m;
-                if Atomic.get filled < n && Queue.is_empty b.requeued then
-                  Condition.wait sh.finished sh.m;
-                Mutex.unlock sh.m
-            | Some window ->
-                watchdog_check window;
-                t.sleep (Float.max 1e-3 (window /. 4.)));
+            (* Every progress event (publish-then-idle, death, requeue)
+               broadcasts [finished] under [sh.m], and the predicate is
+               rechecked under [sh.m], so no wakeup can be lost. *)
+            Mutex.lock sh.m;
+            if Atomic.get filled < n && Queue.is_empty b.requeued then
+              Condition.wait sh.finished sh.m;
+            Mutex.unlock sh.m;
             supervise ()
           end
         in
@@ -579,11 +485,12 @@ let dummy_exec (_ : int) = ()
 let dummy_poison (_ : int) (_ : int) = ()
 
 (* Publication is generation-tagged: a slot opened for generation [gen]
-   holds [gen] and publishes by CAS [gen -> -gen].  A condemned-but-
-   wedged worker that resumes during a LATER call still carries the
-   generation it read at chunk entry, so its CAS fails against the new
-   slot value and the stale execution can neither mark a fresh chunk
-   complete nor clobber its error slot: [rs_err] is written only after
+   holds [gen] and publishes by CAS [gen -> -gen], so each chunk
+   publishes at most once per call, and only under the generation its
+   executor read at chunk entry.  Every execution publishes within its
+   own call (a killed chunk never publishes; its poison verdict is
+   published for it, from the same call), so [rs_filled] counts the
+   current call's chunks exactly once.  [rs_err] is written only after
    a winning CAS, and the [rs_filled] increment after that write is the
    happens-before edge publishing it to the caller. *)
 let publish_range rs gen err i =
@@ -593,9 +500,9 @@ let publish_range rs gen err i =
   end
 
 (* Built once per pool; closes over [rs] only.  Generation and bounds
-   are read at entry, so a worker that wedges inside [rs_f] and resumes
-   after the watchdog condemned it publishes with the generation it
-   started under — and is rejected if that call has since ended. *)
+   are read at entry: the claim that led here observed [run_range]'s
+   reset of [next], which is stored after them, so they are the
+   current call's. *)
 let range_exec rs i =
   let gen = rs.rs_gen in
   let jobs = Array.length rs.rs_pub in
@@ -647,8 +554,6 @@ let range_state t =
               retry = false;
             };
           rs_job = None;
-          rs_hb = Array.make (max 1 (jobs - 1)) 0;
-          rs_move = Array.make (max 1 (jobs - 1)) 0.0;
         }
       in
       (* Wire the once-per-pool closures after the record exists (the
@@ -668,55 +573,19 @@ let rec range_drain_caller sh (b : batch) =
     (try b.exec i
      with Chaos_kill ->
        Mutex.lock sh.m;
-       handle_kill sh b i;
+       handle_kill b i;
        Mutex.unlock sh.m);
     range_drain_caller sh b
   end
 
-let range_condemn sh (b : batch) (w : worker) =
-  Atomic.set w.condemned true;
-  Atomic.set w.alive false;
-  Mutex.lock sh.m;
-  let c = Atomic.get w.claim in
-  if c >= 0 then handle_kill sh b c;
-  Mutex.unlock sh.m
-
-let range_watchdog_init t rs =
-  let now = t.clock () in
-  Array.iteri
-    (fun k (w : worker) ->
-      rs.rs_hb.(k) <- Atomic.get w.heartbeat;
-      rs.rs_move.(k) <- now)
-    t.workers
-
-let range_watchdog_check t sh rs window =
-  let now = t.clock () in
-  Array.iteri
-    (fun k (w : worker) ->
-      if Atomic.get w.alive && not (Atomic.get w.condemned) then begin
-        let hb = Atomic.get w.heartbeat in
-        if hb <> rs.rs_hb.(k) then begin
-          rs.rs_hb.(k) <- hb;
-          rs.rs_move.(k) <- now
-        end
-        else if Atomic.get w.claim >= 0 && now -. rs.rs_move.(k) > window then
-          range_condemn sh rs.rs_batch w
-      end)
-    t.workers
-
-let rec range_supervise t sh rs =
+let rec range_supervise sh rs =
   range_drain_caller sh rs.rs_batch;
   if Atomic.get rs.rs_filled < rs.rs_batch.count then begin
-    (match t.watchdog_s with
-    | None ->
-        Mutex.lock sh.m;
-        if Atomic.get rs.rs_filled < rs.rs_batch.count then
-          Condition.wait sh.finished sh.m;
-        Mutex.unlock sh.m
-    | Some window ->
-        range_watchdog_check t sh rs window;
-        t.sleep (Float.max 1e-3 (window /. 4.)));
-    range_supervise t sh rs
+    Mutex.lock sh.m;
+    if Atomic.get rs.rs_filled < rs.rs_batch.count then
+      Condition.wait sh.finished sh.m;
+    Mutex.unlock sh.m;
+    range_supervise sh rs
   end
 
 let rec range_reraise rs i =
@@ -782,10 +651,7 @@ let run_range t ~lo ~hi f =
       Atomic.set rs.rs_batch.next 0;
       Condition.broadcast sh.ready;
       Mutex.unlock sh.m;
-      (match t.watchdog_s with
-      | Some _ -> range_watchdog_init t rs
-      | None -> ());
-      range_supervise t sh rs;
+      range_supervise sh rs;
       Mutex.lock sh.m;
       sh.job <- None;
       Mutex.unlock sh.m;
@@ -794,8 +660,8 @@ let run_range t ~lo ~hi f =
          execution would have raised. *)
       range_reraise rs 0
 
-let with_pool ?watchdog_s ?kill_limit ?clock ?sleep ~jobs f =
-  let t = create ?watchdog_s ?kill_limit ?clock ?sleep ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let default_jobs () =

@@ -32,20 +32,16 @@
     domains before the next batch ([pool_worker_restarts_total] counts
     replacements), so the pool heals back to full width.
 
-    A slot whose executions have killed {!create}[ ~kill_limit] workers is
-    a {e poison task}: it is quarantined — its result becomes
+    A slot whose executions have killed two workers is a {e poison
+    task}: it is quarantined — its result becomes
     [Error.Error (Worker_death _)], which {!map} re-raises under the
     lowest-index rule — instead of being retried forever.  This holds at
     every width, including [jobs = 1], so a deterministic crasher yields
     the identical exception regardless of [--jobs].
 
-    With [~watchdog_s] the calling domain additionally polls worker
-    heartbeats between supervision sleeps: a worker holding a task whose
-    heartbeat has not advanced within the window is {e condemned} — its
-    slot re-enqueued exactly as if it had died, the domain (unkillable
-    from outside) leaked and replaced at the next batch.  Without a
-    watchdog a genuinely wedged task blocks its batch forever; enable it
-    wherever tasks are not trusted to terminate. *)
+    A domain cannot be interrupted from outside, so a task that never
+    returns blocks its batch (and {!shutdown}) forever: tasks must
+    terminate. *)
 
 type t
 
@@ -55,14 +51,7 @@ exception Chaos_kill
     ordinary task failure.  Never raise it outside fault-injection
     tests. *)
 
-val create :
-  ?watchdog_s:float ->
-  ?kill_limit:int ->
-  ?clock:(unit -> float) ->
-  ?sleep:(float -> unit) ->
-  jobs:int ->
-  unit ->
-  t
+val create : jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] supervised worker domains
     ([jobs >= 1], else [Invalid_argument]).  The pool registers itself in
     a process-wide exit registry (one [at_exit] hook total), so
@@ -70,14 +59,7 @@ val create :
     that cannot be spawned (after {!Error.with_retries}-bounded retries)
     leaves the pool width-degraded for the current batch — {!map} still
     completes, executed by the workers that do exist plus the calling
-    domain — and the spawn is retried before each subsequent batch.
-
-    [kill_limit] (default 2) is the number of workers one slot may kill
-    before it is quarantined as a poison task.  [watchdog_s] (default
-    off) enables heartbeat supervision with the given stall window, in
-    seconds of [clock] (default [Sys.time] — process CPU time; drivers
-    that link unix pass [Unix.gettimeofday]); [sleep] (default the
-    process-wide {!Error.default_sleep}) paces the supervision poll. *)
+    domain — and the spawn is retried before each subsequent batch. *)
 
 val jobs : t -> int
 (** The parallel width the pool was created with. *)
@@ -135,18 +117,10 @@ val chunk_bounds : jobs:int -> lo:int -> hi:int -> int -> int * int
     unless [0 <= i < jobs]. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains (condemned-but-wedged domains are
-    leaked — they cannot be joined without blocking).  Idempotent; a
-    [jobs = 1] pool is a no-op.  Subsequent {!map} calls raise. *)
+(** Stop and join the worker domains, dead ones included.  Idempotent;
+    a [jobs = 1] pool is a no-op.  Subsequent {!map} calls raise. *)
 
-val with_pool :
-  ?watchdog_s:float ->
-  ?kill_limit:int ->
-  ?clock:(unit -> float) ->
-  ?sleep:(float -> unit) ->
-  jobs:int ->
-  (t -> 'a) ->
-  'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a fresh pool and shuts it down on any
     exit path. *)
 

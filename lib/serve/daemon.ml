@@ -597,8 +597,8 @@ let evict d conn reason =
      ignore (write_with_deadline d ~deadline_s:0.05 conn.fd line));
   drop_conn d conn
 
-(* The watchdog sweep (the Exec.Pool supervision idiom, applied to
-   connections): once per tick, against the injectable clock. *)
+(* The connection watchdog sweep: once per tick, against the injectable
+   clock. *)
 let sweep_lifecycle d now =
   let victims = ref [] in
   Hashtbl.iter

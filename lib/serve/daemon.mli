@@ -22,8 +22,8 @@
     {!Exec.Error.kind.Net_io}: a dead client costs its connection,
     nothing else.
 
-    Connection lifecycle (the {!Exec.Pool} watchdog idiom, applied to
-    sockets; every deadline reads the injectable [clock]): at most
+    Connection lifecycle (a deadline watchdog over sockets; every
+    deadline reads the injectable [clock]): at most
     [max_conns] connections are held at once — excess accepts are shed
     with a structured error line and closed, never silently dropped; a
     connection holding a partial request line longer than

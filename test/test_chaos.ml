@@ -7,8 +7,9 @@
      to [jobs = 1], and the pool heals to full width;
    - a poison task (kills every executor) is quarantined as
      [Error.Worker_death] with the identical message at every width;
-   - the watchdog condemns a genuinely wedged worker and the batch
-     still completes (fake clock, so no real-time dependence);
+   - a worker killed inside a [run_range] barrier raises the same
+     [Error.Worker_death] at every width, and the same pool, healed,
+     then runs a clean [run_flat] identical to the pool-less run;
    - the fault injector replays exactly: same plan + same operation
      sequence => same faults;
    - cache/journal on a faulty filesystem never return wrong values;
@@ -129,60 +130,13 @@ let test_poison_identical_at_every_width () =
       check "pool survives poison" true
         (Pool.map pool succ [| 1; 2; 3 |] = [| 2; 3; 4 |]))
 
-let test_watchdog_condemns_wedge () =
-  (* One task wedges forever (spins on a flag) when executed by a
-     worker.  Under a fake clock advanced only by the supervision
-     sleep, the watchdog must condemn the wedged worker, re-enqueue its
-     slot, and complete the batch with correct results — no real time
-     involved. *)
-  let now = ref 0.0 in
-  let clock () = !now in
-  let sleep d = now := !now +. d in
-  Pool.with_pool ~watchdog_s:0.05 ~clock ~sleep ~jobs:2 (fun pool ->
-      let caller = Domain.self () in
-      let release = Atomic.make false in
-      let engaged = Atomic.make false in
-      let xs = Array.init 8 Fun.id in
-      let expected = Array.map (fun i -> i * 10) xs in
-      let task i =
-        if
-          Domain.self () <> caller
-          && Atomic.compare_and_set engaged false true
-        then
-          (* Wedge: no heartbeat movement until released. *)
-          while not (Atomic.get release) do
-            Domain.cpu_relax ()
-          done;
-        await_flag engaged;
-        i * 10
-      in
-      (* The lone worker races the caller for slots; retry until it
-         actually claimed one (and therefore wedged). *)
-      let tries = ref 0 in
-      while (not (Atomic.get engaged)) && !tries < 100 do
-        incr tries;
-        check "wedged batch still completes" true (Pool.map pool task xs = expected)
-      done;
-      check "wedge engaged" true (Atomic.get engaged);
-      (* Let the condemned (leaked) domain finish so shutdown can
-         join its replacement cleanly. *)
-      Atomic.set release true;
-      (* The next batch replaces the condemned worker.  (No width
-         assertion here: under a fake clock that leaps a window per
-         supervision poll, even a healthy worker can be re-condemned
-         mid-batch — harmless, but it makes the post-batch width
-         nondeterministic.) *)
-      check "post-condemnation batch" true
-        (Pool.map pool (fun i -> i * 10) xs = expected);
-      check "condemned worker replaced" true (Pool.restarts pool >= 1))
-
 (* ------------------------------------------------------------------ *)
 (* Sharded flat executor under a worker kill mid-round *)
 
-(* Wrap a flat program so node [at_node] kills its executing domain in
-   round [at_round] — from inside [Runtime.run_flat]'s sharded stage
-   phase, which is where a real domain loss would land. *)
-let kill_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
+(* Wrap a flat program so [hook node round] runs before every node step
+   — inside [Runtime.run_flat]'s sharded stage phase, which is where a
+   real domain loss would land. *)
+let before_step (fp : 'out Congest.Fastpath.t) hook =
   {
     fp with
     Congest.Fastpath.kernel =
@@ -192,11 +146,15 @@ let kill_wrap (fp : 'out Congest.Fastpath.t) ~at_round ~at_node =
           k with
           Congest.Fastpath.step =
             (fun ~v ~round inbox em ->
-              if shape.Congest.Fastpath.base + v = at_node && round = at_round
-              then raise Pool.Chaos_kill;
+              hook (shape.Congest.Fastpath.base + v) round;
               k.Congest.Fastpath.step ~v ~round inbox em);
         });
   }
+
+(* Node [at_node] kills its executing domain in round [at_round]. *)
+let kill_wrap fp ~at_round ~at_node =
+  before_step fp (fun v round ->
+      if v = at_node && round = at_round then raise Pool.Chaos_kill)
 
 let test_flat_par_kill_mid_round () =
   (* A worker killed mid-round must surface as the same structured
@@ -242,6 +200,60 @@ let test_flat_par_kill_mid_round () =
     (msgs = Congest.Trace.total_messages clean);
   check "torn round recorded no digest" true
     (digest = Congest.Trace.send_digest_state clean)
+
+let test_flat_par_reuse_after_kill () =
+  (* A barrier that lost a worker leaves the pool usable: the next
+     [run_range] joins the dead domain and respawns it, and a clean run
+     on the healed pool equals the pool-less run.  The caller's round-5
+     step lingers (once per attempt) so that a worker claims a chunk;
+     the first worker step of that round kills its domain. *)
+  let rounds = 12 and at_round = 5 in
+  let c = Wgraph.Csr.of_graph (Wgraph.Build.cycle 64) in
+  let config =
+    { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
+  in
+  let run ?pool fp =
+    let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
+    let r = Congest.Runtime.run_flat ~config ~trace ?pool fp c in
+    (r.Congest.Runtime.outputs, Congest.Trace.digest trace)
+  in
+  let reference = run (Congest.Fastpath.max_id ~rounds) in
+  List.iter
+    (fun jobs ->
+      let name fmt = Printf.sprintf ("jobs=%d: " ^^ fmt) jobs in
+      Pool.with_pool ~jobs (fun pool ->
+          let caller = Domain.self () in
+          let killed = Atomic.make false in
+          let tries = ref 0 in
+          while (not (Atomic.get killed)) && !tries < 50 do
+            incr tries;
+            let lingered = ref false in
+            let fp =
+              before_step (Congest.Fastpath.max_id ~rounds) (fun _ round ->
+                  if round = at_round then
+                    if Domain.self () = caller then begin
+                      if not !lingered then begin
+                        lingered := true;
+                        await_flag killed
+                      end
+                    end
+                    else if Atomic.compare_and_set killed false true then
+                      raise Pool.Chaos_kill)
+            in
+            match run ~pool fp with
+            | _ -> check (name "no kill, run completes") false (Atomic.get killed)
+            | exception Exec.Error.Error (Exec.Error.Worker_death _) ->
+                check (name "death surfaces only after a kill") true
+                  (Atomic.get killed)
+          done;
+          check (name "a worker was killed") true (Atomic.get killed);
+          check (name "clean rerun on the same pool = no pool") true
+            (run ~pool (Congest.Fastpath.max_id ~rounds) = reference);
+          check_int (name "healed to full width") jobs (Pool.live_workers pool);
+          check (name "restarts counted") true (Pool.restarts pool >= 1));
+      (* Reaching here means [with_pool]'s shutdown joined every
+         domain, the respawned ones included. *))
+    [ 2; 3; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Fault injector replay *)
@@ -480,10 +492,10 @@ let () =
             test_respawn_heals_pool;
           Alcotest.test_case "poison identical at every width" `Quick
             test_poison_identical_at_every_width;
-          Alcotest.test_case "watchdog condemns wedge" `Quick
-            test_watchdog_condemns_wedge;
           Alcotest.test_case "flat-par kill mid-round" `Quick
             test_flat_par_kill_mid_round;
+          Alcotest.test_case "flat-par pool reused after a kill" `Quick
+            test_flat_par_reuse_after_kill;
         ] );
       ( "fsio",
         [

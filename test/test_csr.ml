@@ -510,6 +510,22 @@ let test_flat_rejects () =
       rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] ~pool:p fp;
       rejects "empty alloc_probe" ~alloc_probe:[||] fp;
       rejects "list program under a pool" ~pool:p list_sender);
+  (* A kernel whose halted bytes do not cover n is refused before the
+     run counts as one. *)
+  let short_halted =
+    {
+      Congest.Fastpath.fname = "short_halted";
+      kernel =
+        (fun shape ->
+          { (fp.Congest.Fastpath.kernel shape) with halted = Bytes.empty });
+    }
+  in
+  let runs =
+    Obs.Metrics.counter ~labels:[ ("algo", "short_halted") ] "congest_runs_total"
+  in
+  let before = Obs.Metrics.value runs in
+  rejects "0 halted bytes for 4 nodes" short_halted;
+  Alcotest.(check int) "rejected run not counted" before (Obs.Metrics.value runs);
   (* A malformed registered cut is refused by name before round 0, so
      nothing is traced: a cut shorter than n, and a negative side. *)
   let c6 = Csr.of_graph (Build.cycle 6) in
