@@ -258,62 +258,294 @@ let test_flat_par_reuse_after_kill () =
 (* ------------------------------------------------------------------ *)
 (* Fault injector replay *)
 
+(* A scripted operation sequence on a faulty backend, logged op by op:
+   the transcript, the fault breakdown and the fault total. *)
+let fsio_episode ~dir plan ops =
+  rm_rf dir;
+  Stdx.Fsio.mkdir_p dir;
+  let inj = Fsio.injector plan in
+  let fs = Fsio.faulty inj in
+  let log = Buffer.create 512 in
+  let op name f =
+    match f () with
+    | s -> Buffer.add_string log (Printf.sprintf "%s: %s\n" name s)
+    | exception Sys_error m ->
+        Buffer.add_string log (Printf.sprintf "%s: raised %s\n" name m)
+  in
+  ops fs op;
+  rm_rf dir;
+  (Buffer.contents log, Fsio.faults_injected inj, Fsio.total_injected inj)
+
+let replay_dir = "chaos_fsio_test"
+
+let replay_plan =
+  Fsio.plan
+    ~default:
+      (Fsio.op_fault ~eintr:0.2 ~enospc:0.15 ~torn:0.15 ~flip:0.15
+         ~fail_rename:0.2 ())
+    42
+
+(* Writes, reads, one rename and appends over twelve files. *)
+let replay_ops fs op =
+  let path k = Filename.concat replay_dir (Printf.sprintf "f%02d" k) in
+  for k = 0 to 11 do
+    op
+      (Printf.sprintf "write %d" k)
+      (fun () ->
+        fs.Stdx.Fsio.write_file (path k) (String.make (20 + k) 'a');
+        "ok")
+  done;
+  for k = 0 to 11 do
+    op
+      (Printf.sprintf "read %d" k)
+      (fun () -> Digest.to_hex (Digest.string (fs.Stdx.Fsio.read_file (path k))))
+  done;
+  op "rename" (fun () ->
+      fs.Stdx.Fsio.rename (path 0) (path 0 ^ ".moved");
+      "ok");
+  for k = 1 to 4 do
+    op
+      (Printf.sprintf "append %d" k)
+      (fun () ->
+        fs.Stdx.Fsio.append_line (path k) "tail-line\n";
+        "ok")
+  done
+
 let test_fsio_replay_deterministic () =
   (* Same plan + same operation sequence => byte-identical outcomes:
      the same ops fail with the same errors, torn/flipped bytes land
      identically, and the fault counters agree. *)
-  let dir = "chaos_fsio_test" in
-  let plan =
-    Fsio.plan
-      ~default:
-        (Fsio.op_fault ~eintr:0.2 ~enospc:0.15 ~torn:0.15 ~flip:0.15
-           ~fail_rename:0.2 ())
-      42
-  in
-  let episode () =
-    rm_rf dir;
-    Stdx.Fsio.mkdir_p dir;
-    let inj = Fsio.injector plan in
-    let fs = Fsio.faulty inj in
-    let log = Buffer.create 512 in
-    let op name f =
-      match f () with
-      | s -> Buffer.add_string log (Printf.sprintf "%s: %s\n" name s)
-      | exception Sys_error m ->
-          Buffer.add_string log (Printf.sprintf "%s: raised %s\n" name m)
-    in
-    let path k = Filename.concat dir (Printf.sprintf "f%02d" k) in
-    for k = 0 to 11 do
-      op
-        (Printf.sprintf "write %d" k)
-        (fun () ->
-          fs.Stdx.Fsio.write_file (path k) (String.make (20 + k) 'a');
-          "ok")
-    done;
-    for k = 0 to 11 do
-      op
-        (Printf.sprintf "read %d" k)
-        (fun () -> Digest.to_hex (Digest.string (fs.Stdx.Fsio.read_file (path k))))
-    done;
-    op "rename" (fun () ->
-        fs.Stdx.Fsio.rename (path 0) (path 0 ^ ".moved");
-        "ok");
-    for k = 1 to 4 do
-      op
-        (Printf.sprintf "append %d" k)
-        (fun () ->
-          fs.Stdx.Fsio.append_line (path k) "tail-line\n";
-          "ok")
-    done;
-    (Buffer.contents log, Fsio.faults_injected inj, Fsio.total_injected inj)
-  in
+  let episode () = fsio_episode ~dir:replay_dir replay_plan replay_ops in
   let log1, faults1, total1 = episode () in
   let log2, faults2, total2 = episode () in
   check_string "identical op transcript" log1 log2;
   check "identical fault breakdown" true (faults1 = faults2);
   check_int "identical fault total" total1 total2;
-  check "faults actually fired" true (total1 > 0);
-  rm_rf dir
+  check "faults actually fired" true (total1 > 0)
+
+(* One transcript line per op, as [fsio_episode] logs them. *)
+let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
+(* Recorded from the seed-42 [replay_ops] episode. *)
+let pinned_replay_transcript =
+  lines
+    [
+      "write 0: ok";
+      "write 1: ok";
+      "write 2: ok";
+      "write 3: raised chaos_fsio_test/f03: No space left on device (injected)";
+      "write 4: ok";
+      "write 5: raised chaos_fsio_test/f05: No space left on device (injected)";
+      "write 6: raised chaos_fsio_test/f06: Interrupted system call (injected)";
+      "write 7: ok";
+      "write 8: ok";
+      "write 9: ok";
+      "write 10: raised chaos_fsio_test/f10: No space left on device (injected)";
+      "write 11: ok";
+      "read 0: 22d42eb002cefa81e9ad604ea57bc01d";
+      "read 1: raised chaos_fsio_test/f01: Interrupted system call (injected)";
+      "read 2: ff49cfac3968dbce26ebe7d4823e58bd";
+      "read 3: raised chaos_fsio_test/f03: Interrupted system call (injected)";
+      "read 4: 40edae4bad0e5bf6d6c2dc5615a86afb";
+      "read 5: 47bce5c74f589f4867dbd57e9ca9f808";
+      "read 6: raised chaos_fsio_test/f06: No such file or directory";
+      "read 7: raised chaos_fsio_test/f07: Interrupted system call (injected)";
+      "read 8: b0f0545856af1a340acdedce23c54b97";
+      "read 9: f7ce3d7d44f3342107d884bfa90c966a";
+      "read 10: d57f21e6a273781dbf8b7657940f3b03";
+      "read 11: 47bce5c74f589f4867dbd57e9ca9f808";
+      "rename: ok";
+      "append 1: raised chaos_fsio_test/f01: No space left on device (injected)";
+      "append 2: raised chaos_fsio_test/f02: Interrupted system call (injected)";
+      "append 3: ok";
+      "append 4: ok";
+    ]
+
+let pinned_replay_faults = [ ("eintr", 5); ("enospc", 4); ("torn", 2) ]
+
+(* Every op kind (mkdir, remove included) under a default plan and a
+   first-match prefix override that is more specific than a later
+   one. *)
+let mixed_dir = "chaos_fsio_mixed"
+
+let mixed_plan seed =
+  let hot = Filename.concat mixed_dir "hot" in
+  Fsio.plan
+    ~default:(Fsio.op_fault ~eintr:0.1 ~enospc:0.1 ~torn:0.1 ~flip:0.1 ())
+    ~overrides:
+      [
+        (hot, Fsio.op_fault ~eintr:0.3 ~torn:0.3 ~flip:0.4 ~fail_rename:0.5 ());
+        (mixed_dir, Fsio.op_fault ~enospc:0.25 ~fail_rename:0.25 ());
+      ]
+    seed
+
+let mixed_ops fs op =
+  let cold k = Filename.concat mixed_dir (Printf.sprintf "c%d" k) in
+  let hot k = Filename.concat mixed_dir (Printf.sprintf "hot%d" k) in
+  let ok f () = f (); "ok" in
+  let read p () = Digest.to_hex (Digest.string (fs.Stdx.Fsio.read_file p)) in
+  op "mkdir sub" (ok (fun () -> fs.Stdx.Fsio.mkdir (Filename.concat mixed_dir "sub")));
+  for k = 0 to 5 do
+    op (Printf.sprintf "write cold %d" k)
+      (ok (fun () -> fs.Stdx.Fsio.write_file (cold k) (String.make (8 + k) 'c')));
+    op (Printf.sprintf "write hot %d" k)
+      (ok (fun () -> fs.Stdx.Fsio.write_file (hot k) (String.make (30 + k) 'h')))
+  done;
+  for k = 0 to 5 do
+    op (Printf.sprintf "read cold %d" k) (read (cold k));
+    op (Printf.sprintf "read hot %d" k) (read (hot k))
+  done;
+  for k = 0 to 2 do
+    op (Printf.sprintf "rename hot %d" k)
+      (ok (fun () -> fs.Stdx.Fsio.rename (hot k) (cold (10 + k))));
+    op (Printf.sprintf "append hot %d" (k + 3))
+      (ok (fun () -> fs.Stdx.Fsio.append_line (hot (k + 3)) "line\n"));
+    op (Printf.sprintf "remove cold %d" k) (ok (fun () -> fs.Stdx.Fsio.remove (cold k)))
+  done;
+  op "read empty" (ok (fun () ->
+      fs.Stdx.Fsio.write_file (cold 20) "";
+      ignore (fs.Stdx.Fsio.read_file (cold 20))))
+
+(* [(seed, transcript, fault breakdown)] of [mixed_ops]. *)
+let pinned_mixed =
+  [
+    ( 1,
+      lines
+        [
+          "mkdir sub: ok";
+          "write cold 0: ok";
+          "write hot 0: ok";
+          "write cold 1: raised chaos_fsio_mixed/c1: No space left on device (injected)";
+          "write hot 1: ok";
+          "write cold 2: raised chaos_fsio_mixed/c2: No space left on device (injected)";
+          "write hot 2: ok";
+          "write cold 3: ok";
+          "write hot 3: raised chaos_fsio_mixed/hot3: Interrupted system call (injected)";
+          "write cold 4: ok";
+          "write hot 4: ok";
+          "write cold 5: ok";
+          "write hot 5: ok";
+          "read cold 0: bee397acc400449ea3a35ed3fc87fea1";
+          "read hot 0: raised chaos_fsio_mixed/hot0: Interrupted system call (injected)";
+          "read cold 1: c1f68ec06b490b3ecb4066b1b13a9ee9";
+          "read hot 1: raised chaos_fsio_mixed/hot1: Interrupted system call (injected)";
+          "read cold 2: 9df62e693988eb4e1e1444ece0578579";
+          "read hot 2: 50532f69eed02d623ec20e8cff328753";
+          "read cold 3: 02d6b747c2ef7fce1188a8ead1b489c2";
+          "read hot 3: raised chaos_fsio_mixed/hot3: No such file or directory";
+          "read cold 4: 04f396ea90ac5f8578f8537dae595b95";
+          "read hot 4: dc659f6f17c60fe86d9ef67d95ed12f7";
+          "read cold 5: 8d74c534c15a4ba83c71100a10374075";
+          "read hot 5: raised chaos_fsio_mixed/hot5: Interrupted system call (injected)";
+          "rename hot 0: ok";
+          "append hot 3: ok";
+          "remove cold 0: ok";
+          "rename hot 1: raised chaos_fsio_mixed/hot1: Interrupted system call (injected)";
+          "append hot 4: ok";
+          "remove cold 1: ok";
+          "rename hot 2: raised chaos_fsio_mixed/hot2: rename failed (injected)";
+          "append hot 5: ok";
+          "remove cold 2: ok";
+          "read empty: ok";
+        ],
+      [ ("eintr", 5); ("enospc", 2); ("torn", 1); ("flip", 1); ("rename", 1) ] );
+    ( 42,
+      lines
+        [
+          "mkdir sub: ok";
+          "write cold 0: ok";
+          "write hot 0: raised chaos_fsio_mixed/hot0: Interrupted system call (injected)";
+          "write cold 1: raised chaos_fsio_mixed/c1: No space left on device (injected)";
+          "write hot 1: ok";
+          "write cold 2: raised chaos_fsio_mixed/c2: No space left on device (injected)";
+          "write hot 2: raised chaos_fsio_mixed/hot2: Interrupted system call (injected)";
+          "write cold 3: raised chaos_fsio_mixed/c3: No space left on device (injected)";
+          "write hot 3: ok";
+          "write cold 4: ok";
+          "write hot 4: ok";
+          "write cold 5: ok";
+          "write hot 5: ok";
+          "read cold 0: bee397acc400449ea3a35ed3fc87fea1";
+          "read hot 0: raised chaos_fsio_mixed/hot0: No such file or directory";
+          "read cold 1: bee397acc400449ea3a35ed3fc87fea1";
+          "read hot 1: 0e5c0d77732dcb3df2816b9605ef41f7";
+          "read cold 2: 4a8a08f09d37b73795649038408b5f33";
+          "read hot 2: raised chaos_fsio_mixed/hot2: No such file or directory";
+          "read cold 3: 67c762276bced09ee4df0ed537d164ea";
+          "read hot 3: 58a40f041a4448d483ec20fba541a36c";
+          "read cold 4: 04f396ea90ac5f8578f8537dae595b95";
+          "read hot 4: bb8aa5a36d61cfd7c750f9e63e48fa6c";
+          "read cold 5: 8d74c534c15a4ba83c71100a10374075";
+          "read hot 5: raised chaos_fsio_mixed/hot5: Interrupted system call (injected)";
+          "rename hot 0: raised chaos_fsio_mixed/hot0: Interrupted system call (injected)";
+          "append hot 3: raised chaos_fsio_mixed/hot3: Interrupted system call (injected)";
+          "remove cold 0: ok";
+          "rename hot 1: ok";
+          "append hot 4: ok";
+          "remove cold 1: ok";
+          "rename hot 2: raised chaos_fsio_mixed/hot2: Interrupted system call (injected)";
+          "append hot 5: ok";
+          "remove cold 2: ok";
+          "read empty: ok";
+        ],
+      [ ("eintr", 6); ("enospc", 3); ("torn", 2); ("flip", 2) ] );
+    ( 7919,
+      lines
+        [
+          "mkdir sub: ok";
+          "write cold 0: ok";
+          "write hot 0: ok";
+          "write cold 1: ok";
+          "write hot 1: raised chaos_fsio_mixed/hot1: Interrupted system call (injected)";
+          "write cold 2: ok";
+          "write hot 2: ok";
+          "write cold 3: ok";
+          "write hot 3: raised chaos_fsio_mixed/hot3: Interrupted system call (injected)";
+          "write cold 4: ok";
+          "write hot 4: ok";
+          "write cold 5: raised chaos_fsio_mixed/c5: No space left on device (injected)";
+          "write hot 5: ok";
+          "read cold 0: bee397acc400449ea3a35ed3fc87fea1";
+          "read hot 0: 35f9c2133f5844a6a317d6d48e2270a7";
+          "read cold 1: 0c744b578002c7fb9e70e25b48fa1682";
+          "read hot 1: raised chaos_fsio_mixed/hot1: No such file or directory";
+          "read cold 2: e9b3390206d8dfc5ffc9b09284c0bbde";
+          "read hot 2: 50532f69eed02d623ec20e8cff328753";
+          "read cold 3: 02d6b747c2ef7fce1188a8ead1b489c2";
+          "read hot 3: raised chaos_fsio_mixed/hot3: No such file or directory";
+          "read cold 4: 04f396ea90ac5f8578f8537dae595b95";
+          "read hot 4: 5eab0d167f6c8df8b5947cfb9f706227";
+          "read cold 5: 4a8a08f09d37b73795649038408b5f33";
+          "read hot 5: raised chaos_fsio_mixed/hot5: Interrupted system call (injected)";
+          "rename hot 0: ok";
+          "append hot 3: ok";
+          "remove cold 0: ok";
+          "rename hot 1: raised No such file or directory";
+          "append hot 4: ok";
+          "remove cold 1: ok";
+          "rename hot 2: raised chaos_fsio_mixed/hot2: Interrupted system call (injected)";
+          "append hot 5: ok";
+          "remove cold 2: ok";
+          "read empty: ok";
+        ],
+      [ ("eintr", 4); ("enospc", 1) ] );
+  ]
+
+let test_fsio_pinned_streams () =
+  (* Literal transcripts: the fault stream is a fixed function of the
+     plan and the operation sequence, not just equal between two runs. *)
+  let log, faults, total = fsio_episode ~dir:replay_dir replay_plan replay_ops in
+  check_string "replay transcript" pinned_replay_transcript log;
+  check "replay fault breakdown" true (faults = pinned_replay_faults);
+  check_int "replay fault total"
+    (List.fold_left (fun n (_, c) -> n + c) 0 pinned_replay_faults)
+    total;
+  List.iter
+    (fun (seed, expected_log, expected_faults) ->
+      let log, faults, _ = fsio_episode ~dir:mixed_dir (mixed_plan seed) mixed_ops in
+      check_string (Printf.sprintf "mixed transcript, seed %d" seed) expected_log log;
+      check (Printf.sprintf "mixed faults, seed %d" seed) true (faults = expected_faults))
+    pinned_mixed
 
 (* ------------------------------------------------------------------ *)
 (* Cache + journal under faults, repaired by fsck *)
@@ -501,6 +733,8 @@ let () =
         [
           Alcotest.test_case "replay determinism" `Quick
             test_fsio_replay_deterministic;
+          Alcotest.test_case "pinned fault streams" `Quick
+            test_fsio_pinned_streams;
         ] );
       ( "state",
         [
