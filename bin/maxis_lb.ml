@@ -459,9 +459,7 @@ let simulate_cmd =
   let run alpha ell players seed intersecting drop corrupt fault_seed jobs
       metrics =
     with_metrics ~cmd:"simulate" metrics @@ fun () ->
-    (* Written so that NaN fails too. *)
-    let prob p = p >= 0.0 && p <= 1.0 in
-    if not (prob drop && prob corrupt) then begin
+    if not (Stdx.Inject.is_prob drop && Stdx.Inject.is_prob corrupt) then begin
       Format.eprintf
         "simulate: --drop and --corrupt must be probabilities in [0,1]@.";
       exit 2

@@ -16,15 +16,11 @@ type link_fault = {
 
 let no_fault = { drop = 0.0; duplicate = 0.0; corrupt = 0.0; max_delay = 0 }
 
-(* Written so that NaN fails too. *)
-let check_prob name p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Faults.link: %s probability %g not in [0,1]" name p)
-
 let link ?(drop = 0.0) ?(duplicate = 0.0) ?(corrupt = 0.0) ?(max_delay = 0) () =
-  check_prob "drop" drop;
-  check_prob "duplicate" duplicate;
-  check_prob "corrupt" corrupt;
+  let check = Stdx.Inject.check_prob ~what:"Faults.link" in
+  check "drop" drop;
+  check "duplicate" duplicate;
+  check "corrupt" corrupt;
   if max_delay < 0 then invalid_arg "Faults.link: negative max_delay";
   { drop; duplicate; corrupt; max_delay }
 

@@ -56,9 +56,6 @@ type t = {
   mutable b_dropped : int;
   mutable b_duplicated : int;
   mutable b_corrupted : int;
-  (* Per-directed-edge totals: built on first [bits_on_edge] query, then
-     maintained incrementally by [record_send] — never rebuilt. *)
-  mutable edge_index : (int * int, int) Hashtbl.t option;
   (* Largest per-(round, directed edge) total, observed by the runtime
      (which tracks the running total for bandwidth enforcement anyway). *)
   mutable max_edge_obs : int;
@@ -97,7 +94,6 @@ let create ?(mode = Full) ?cut () =
     b_dropped = 0;
     b_duplicated = 0;
     b_corrupted = 0;
-    edge_index = None;
     max_edge_obs = 0;
     cut =
       Option.map
@@ -170,13 +166,7 @@ let record_send t ~round ~src ~dst ~bits =
     Dynvec.push t.s_round round;
     Dynvec.push t.s_src src;
     Dynvec.push t.s_dst dst;
-    Dynvec.push t.s_bits bits;
-    match t.edge_index with
-    | None -> ()
-    | Some h ->
-        let key = (src, dst) in
-        Hashtbl.replace h key
-          (bits + Option.value ~default:0 (Hashtbl.find_opt h key))
+    Dynvec.push t.s_bits bits
   end;
   add_sends t ~round ~count:1 ~bits;
   (match t.cut with
@@ -312,19 +302,10 @@ let send_events t =
 
 let bits_on_edge t ~src ~dst =
   need_log t "bits_on_edge";
-  let h =
-    match t.edge_index with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 64 in
-        iter_sends t (fun ~round:_ ~src ~dst ~bits ->
-            let key = (src, dst) in
-            Hashtbl.replace h key
-              (bits + Option.value ~default:0 (Hashtbl.find_opt h key)));
-        t.edge_index <- Some h;
-        h
-  in
-  Option.value ~default:0 (Hashtbl.find_opt h (src, dst))
+  let total = ref 0 in
+  iter_sends t (fun ~round:_ ~src:s ~dst:d ~bits ->
+      if s = src && d = dst then total := !total + bits);
+  !total
 
 (* ------------------------------------------------------------------ *)
 (* Cut accounting.  Queries against the registered partition are O(1)

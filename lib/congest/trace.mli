@@ -108,9 +108,8 @@ val messages_in_round : t -> int -> int
     recorded range). *)
 
 val bits_on_edge : t -> src:int -> dst:int -> int
-(** Directed accumulation over the whole run, served from a per-edge
-    index built lazily on first query and maintained incrementally by
-    later {!record_send}s.  Needs the log: raises in [Light] mode. *)
+(** Directed accumulation over the whole run: one fold over the
+    retained log per query.  Needs the log: raises in [Light] mode. *)
 
 val cut_bits : t -> int array -> int
 (** [cut_bits tr part] is the number of bits sent on edges whose endpoints

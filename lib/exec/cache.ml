@@ -50,20 +50,13 @@ type t = {
   fs : Fsio.t;
   stats : stats;
   lock : Mutex.t;
-  mutable tmp_seq : int;  (* uniquifies temp names within the process *)
 }
 
 let create ?(fs = Fsio.real) ?(dir = default_dir) () =
-  { dir = Some dir; fs; stats = fresh_stats (); lock = Mutex.create (); tmp_seq = 0 }
+  { dir = Some dir; fs; stats = fresh_stats (); lock = Mutex.create () }
 
 let disabled () =
-  {
-    dir = None;
-    fs = Fsio.real;
-    stats = fresh_stats ();
-    lock = Mutex.create ();
-    tmp_seq = 0;
-  }
+  { dir = None; fs = Fsio.real; stats = fresh_stats (); lock = Mutex.create () }
 
 let enabled t = t.dir <> None
 
@@ -213,30 +206,13 @@ let find t k =
 (* ------------------------------------------------------------------ *)
 (* Storage *)
 
-(* Uniquifies temp names across processes sharing one cache directory.
-   The exec library deliberately avoids a unix dependency, so instead of
-   getpid we hash per-process state that two racing processes will not
-   share. *)
-let process_token =
-  lazy (Hashtbl.hash (Sys.executable_name, Sys.time (), Random.State.make_self_init ()) land 0xFFFFFF)
-
 let store t k payload =
   match t.dir with
   | None -> ()
   | Some dir -> (
-      let seq = locked t (fun () -> t.tmp_seq <- t.tmp_seq + 1; t.tmp_seq) in
       let attempt () =
-        let shard = shard_dir dir k in
-        mkdir_p ~fs:t.fs shard;
-        let tmp =
-          Filename.concat shard
-            (Printf.sprintf ".tmp-%s-%d-%d" k.digest (Lazy.force process_token) seq)
-        in
-        (try t.fs.Fsio.write_file tmp (encode_entry k.canonical payload)
-         with e ->
-           (try t.fs.Fsio.remove tmp with Sys_error _ -> ());
-           raise e);
-        t.fs.Fsio.rename tmp (entry_path dir k)
+        mkdir_p ~fs:t.fs (shard_dir dir k);
+        Fsio.write_atomic ~fs:t.fs (entry_path dir k) (encode_entry k.canonical payload)
       in
       (* A full disk or a racing cleaner can fail one attempt without
          poisoning the sweep: retry transient failures briefly, then

@@ -10,9 +10,9 @@
     that string, so keys are stable across processes and machines.
 
     Robustness contract:
-    - writes are atomic (temp file + [Sys.rename] in the same directory),
-      so a crashed or concurrent run never leaves a half-written entry
-      visible;
+    - writes are atomic ([Fsio.write_atomic]: temp file + rename in the
+      same directory), so a crashed or concurrent run never leaves a
+      half-written entry visible;
     - reads are corruption-tolerant: an unreadable, truncated, digest-
       mismatched or key-mismatched entry is a {e miss} (counted in
       [errors]), never an exception;

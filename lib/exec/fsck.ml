@@ -7,10 +7,11 @@
    - an invalid cache entry is renamed to
      [<cache_dir>/quarantine/<basename>] so the next [Cache.find] is a
      clean miss instead of a per-read parse failure;
-   - stray [.tmp-*] files (crashed mid-store) are removed — they were
+   - stray [Fsio.write_atomic] temps in the cache shards ([.tmp-*],
+     left by a store that crashed mid-publish) are removed — they were
      never published, nothing references them;
-   - a journal with a torn or corrupt tail is atomically rewritten to
-     its valid prefix, the dropped bytes saved to
+   - a journal with a torn or corrupt tail is rewritten to its valid
+     prefix with [Fsio.write_atomic], the dropped bytes saved to
      [<journal_dir>/quarantine/<name>.dropped].
 
    The scan is idempotent: a second pass over a repaired tree reports
@@ -56,10 +57,6 @@ let has_suffix ~suffix s =
   let ls = String.length suffix and n = String.length s in
   n >= ls && String.sub s (n - ls) ls = suffix
 
-let has_prefix ~prefix s =
-  let lp = String.length prefix and n = String.length s in
-  n >= lp && String.sub s 0 lp = prefix
-
 let sorted_entries fs dir =
   if fs.Fsio.file_exists dir && fs.Fsio.is_directory dir then begin
     let a = fs.Fsio.readdir dir in
@@ -93,7 +90,7 @@ let scan_cache ?on_quarantine fs dir r =
           Array.iter
             (fun name ->
               let path = Filename.concat shard_path name in
-              if has_prefix ~prefix:".tmp-" name then begin
+              if Fsio.is_temp name then begin
                 (try fs.Fsio.remove path with Sys_error _ -> ());
                 r := { !r with cache_tmp_removed = !r.cache_tmp_removed + 1 }
               end
@@ -116,9 +113,9 @@ let scan_cache ?on_quarantine fs dir r =
 (* ------------------------------------------------------------------ *)
 (* Journal tree *)
 
-(* Rewrite a damaged journal to its valid prefix via write-temp + rename
-   (the same publication discipline the cache uses), saving the dropped
-   tail bytes beside the quarantined cache entries. *)
+(* Rewrite a damaged journal to its valid prefix with
+   [Fsio.write_atomic] (the cache's publication discipline), saving the
+   dropped tail bytes beside the quarantined cache entries. *)
 let repair_journal ?on_quarantine fs ~root path ~valid ~dropped_bytes =
   let qdir = Filename.concat root quarantine_dir_name in
   (try Stdx.Fsio.mkdir_p ~fs qdir with Sys_error _ -> ());
@@ -134,11 +131,7 @@ let repair_journal ?on_quarantine fs ~root path ~valid ~dropped_bytes =
       Buffer.add_string b line;
       Buffer.add_char b '\n')
     valid;
-  let tmp = path ^ ".fsck-tmp" in
-  (try
-     fs.Fsio.write_file tmp (Buffer.contents b);
-     fs.Fsio.rename tmp path
-   with Sys_error _ -> ( try fs.Fsio.remove tmp with Sys_error _ -> ()));
+  (try Fsio.write_atomic ~fs path (Buffer.contents b) with Sys_error _ -> ());
   Obs.Metrics.inc (m_quarantined "journal_tail");
   match on_quarantine with
   | Some f -> f ~kind:"journal_tail" ~path

@@ -5,9 +5,10 @@
     reads as a miss, a torn journal tail stops the resume load — but
     they do so {e silently}, on every run.  [fsck] makes the damage
     explicit and one-time: invalid cache entries are moved to
-    [<cache_dir>/quarantine/], stray [.tmp-*] droppings from crashed
-    stores are removed, and a journal with a corrupt tail is atomically
-    rewritten to its valid prefix with the dropped bytes preserved in
+    [<cache_dir>/quarantine/], stray {!Fsio.write_atomic} temps
+    ([.tmp-*], {!Fsio.is_temp}) from crashed stores are removed, and a
+    journal with a corrupt tail is atomically rewritten to its valid
+    prefix with the dropped bytes preserved in
     [<journal_dir>/quarantine/<name>.dropped].  Nothing is destroyed:
     quarantined bytes stay on disk for post-mortems.
 

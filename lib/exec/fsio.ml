@@ -6,22 +6,11 @@
 
 include Stdx.Fsio
 
-(* Pre-interned per kind: injection sits on cache/journal hot paths. *)
-let m_fault kind =
-  Obs.Metrics.counter ~labels:[ ("kind", kind) ] "fsio_faults_injected_total"
-
-let meters =
-  lazy
-    (List.map
-       (fun k -> (k, m_fault k))
-       [ "eintr"; "enospc"; "torn"; "flip"; "rename" ])
-
-let chaos ?(on_fault = fun _ -> ()) inj =
-  let meters = Lazy.force meters in
+(* Interned when a fault fires, which is rare. *)
+let chaos ?(on_fault = ignore) inj =
   Stdx.Fsio.faulty
     ~on_fault:(fun kind ->
-      (match List.assoc_opt kind meters with
-      | Some c -> Obs.Metrics.inc c
-      | None -> ());
+      Obs.Metrics.inc
+        (Obs.Metrics.counter ~labels:[ ("kind", kind) ] "fsio_faults_injected_total");
       on_fault kind)
     inj

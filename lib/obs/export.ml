@@ -130,12 +130,7 @@ let table snap =
    filesystem faults under the atomic-write claim. *)
 let write ?(fs = Stdx.Fsio.real) path contents =
   Stdx.Fsio.mkdir_p ~fs (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  (try fs.Stdx.Fsio.write_file tmp contents
-   with e ->
-     (try fs.Stdx.Fsio.remove tmp with Sys_error _ -> ());
-     raise e);
-  fs.Stdx.Fsio.rename tmp path
+  Stdx.Fsio.write_atomic ~fs path contents
 
 let write_jsonl ?fs path snap = write ?fs path (jsonl snap)
 

@@ -5,7 +5,7 @@
 
     - {b JSON lines}: one object per sample —
       [{"name":"cache_hits_total","labels":{},"type":"counter","value":3}]
-      — written atomically (temp file + rename, like
+      — written atomically ([Stdx.Fsio.write_atomic], like
       [Stdx.Tablefmt.write_csv]) so a killed run never leaves a truncated
       export.  The conventional home is [results/metrics/*.jsonl].
     - {b table}: the repo's aligned ASCII table, for humans.
@@ -19,8 +19,9 @@ val prometheus : Metrics.snapshot -> string
 val table : Metrics.snapshot -> string
 
 val write : ?fs:Stdx.Fsio.t -> string -> string -> unit
-(** [write path contents]: atomic tmp+rename write, creating the parent
-    directory if needed.  Raises [Sys_error] on unwritable targets.
+(** [write path contents]: [Stdx.Fsio.write_atomic], creating the parent
+    directory if needed.  Raises [Sys_error] on unwritable targets; a
+    failed write or rename leaves the old file and no temp.
     [fs] (default [Stdx.Fsio.real]) routes the I/O for fault-injection
     tests. *)
 

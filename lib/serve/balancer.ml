@@ -30,8 +30,6 @@ type t = {
   mutable rr : int;  (* round-robin cursor *)
 }
 
-let net_io fmt = Printf.ksprintf (fun m -> Exec.Error.Error (Exec.Error.Net_io m)) fmt
-
 let m_failovers = Obs.Metrics.counter "balancer_failovers_total"
 
 let m_transition to_ =
@@ -160,7 +158,7 @@ let request t req =
       | Some reply -> reply
       | None ->
           raise
-            (net_io "all %d replica(s) unavailable (last: %s)"
+            (Netio.net_io "all %d replica(s) unavailable (last: %s)"
                (Array.length t.endpoints)
                (if !last_err = "" then "no endpoint attempted" else !last_err)))
 

@@ -13,8 +13,6 @@ type t = {
   mutable closed : bool;
 }
 
-let net_io fmt = Printf.ksprintf (fun m -> Exec.Error.Error (Exec.Error.Net_io m)) fmt
-
 let connect ?(retries = 5) ?(netio = Netio.real) addr =
   let dial () =
     let sa = Proto.sockaddr addr in
@@ -25,7 +23,7 @@ let connect ?(retries = 5) ?(netio = Netio.real) addr =
     with Unix.Unix_error (e, fn, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise
-        (net_io "connect %s: %s: %s"
+        (Netio.net_io "connect %s: %s: %s"
            (Format.asprintf "%a" Proto.pp_addr addr)
            fn (Unix.error_message e))
   in
@@ -49,7 +47,7 @@ let wait_fd ~read fd =
 (* Verbatim bytes, no newline appended: partial-frame and slow-loris
    tests dribble request fragments through here. *)
 let send_bytes t data =
-  if t.closed then raise (net_io "connection closed");
+  if t.closed then raise (Netio.net_io "connection closed");
   let n = String.length data in
   let off = ref 0 in
   try
@@ -61,7 +59,7 @@ let send_bytes t data =
           wait_fd ~read:false t.fd
     done
   with Unix.Unix_error (e, fn, _) ->
-    raise (net_io "send: %s: %s" fn (Unix.error_message e))
+    raise (Netio.net_io "send: %s: %s" fn (Unix.error_message e))
 
 let write_line t line = send_bytes t (line ^ "\n")
 
@@ -86,14 +84,14 @@ let pop_line t =
    failover logs and tests can tell them apart. *)
 let eof_error t =
   let pending = Buffer.length t.rbuf in
-  if pending = 0 then net_io "connection closed by server (clean eof)"
+  if pending = 0 then Netio.net_io "connection closed by server (clean eof)"
   else
-    net_io
+    Netio.net_io
       "connection torn mid-frame (%d byte(s) of a partial reply buffered)"
       pending
 
 let recv_raw t =
-  if t.closed then raise (net_io "connection closed");
+  if t.closed then raise (Netio.net_io "connection closed");
   let rec go () =
     match pop_line t with
     | Some line -> line
@@ -110,10 +108,10 @@ let recv_raw t =
         | exception Unix.Unix_error (e, fn, _) ->
             let pending = Buffer.length t.rbuf in
             if pending = 0 then
-              raise (net_io "recv: %s: %s" fn (Unix.error_message e))
+              raise (Netio.net_io "recv: %s: %s" fn (Unix.error_message e))
             else
               raise
-                (net_io
+                (Netio.net_io
                    "recv: %s: %s (connection torn mid-frame, %d byte(s) of a \
                     partial reply buffered)"
                    fn (Unix.error_message e) pending))
@@ -124,7 +122,7 @@ let recv t =
   let line = recv_raw t in
   match Proto.decode_reply line with
   | Ok r -> r
-  | Error e -> raise (net_io "undecodable reply (%s): %s" e line)
+  | Error e -> raise (Netio.net_io "undecodable reply (%s): %s" e line)
 
 let request t req =
   send t req;

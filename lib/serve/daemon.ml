@@ -126,8 +126,6 @@ type t = {
   mutable ran : bool;
 }
 
-let net_io fmt = Printf.ksprintf (fun m -> Exec.Error.Error (Exec.Error.Net_io m)) fmt
-
 let unix_msg e fn = Printf.sprintf "%s: %s" fn (Unix.error_message e)
 
 (* Bind + listen, replacing a stale Unix-domain socket file (the trace a
@@ -138,7 +136,7 @@ let listen_on addr =
   | Proto.Unix_sock path when Sys.file_exists path -> (
       match (Unix.lstat path).Unix.st_kind with
       | Unix.S_SOCK -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-      | _ -> raise (net_io "socket path %s exists and is not a socket" path))
+      | _ -> raise (Netio.net_io "socket path %s exists and is not a socket" path))
   | _ -> ());
   let sa = Proto.sockaddr addr in
   let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
@@ -152,7 +150,7 @@ let listen_on addr =
     fd
   with Unix.Unix_error (e, fn, _) ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise (net_io "cannot listen on %s (%s)" (Format.asprintf "%a" Proto.pp_addr addr) (unix_msg e fn))
+    raise (Netio.net_io "cannot listen on %s (%s)" (Format.asprintf "%a" Proto.pp_addr addr) (unix_msg e fn))
 
 let create cfg =
   if cfg.jobs < 1 then invalid_arg "Serve.Daemon.create: jobs must be >= 1";

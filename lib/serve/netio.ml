@@ -6,22 +6,13 @@
 
 include Stdx.Netio
 
-(* Pre-interned per kind: injection sits on the wire hot path. *)
-let m_fault kind =
-  Obs.Metrics.counter ~labels:[ ("kind", kind) ] "netio_faults_injected_total"
-
-let meters =
-  lazy
-    (List.map
-       (fun k -> (k, m_fault k))
-       [ "eintr"; "refuse"; "reset"; "short_read"; "torn_write"; "stall" ])
-
-let chaos ?(on_fault = fun _ -> ()) inj =
-  let meters = Lazy.force meters in
+(* Interned when a fault fires, which is rare. *)
+let chaos ?(on_fault = ignore) inj =
   Stdx.Netio.faulty
     ~on_fault:(fun kind ->
-      (match List.assoc_opt kind meters with
-      | Some c -> Obs.Metrics.inc c
-      | None -> ());
+      Obs.Metrics.inc
+        (Obs.Metrics.counter ~labels:[ ("kind", kind) ] "netio_faults_injected_total");
       on_fault kind)
     inj
+
+let net_io fmt = Printf.ksprintf (fun m -> Exec.Error.Error (Exec.Error.Net_io m)) fmt

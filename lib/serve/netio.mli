@@ -18,3 +18,7 @@ end
 val chaos : ?on_fault:(string -> unit) -> injector -> t
 (** [Stdx.Netio.faulty] with Obs metering; [on_fault] composes after the
     metric bump. *)
+
+val net_io : ('a, unit, string, exn) format4 -> 'a
+(** [net_io fmt ...] is the [Exec.Error.Error (Net_io msg)] exception
+    the daemon, the client and the balancer raise for socket failures. *)

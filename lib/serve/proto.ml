@@ -37,7 +37,7 @@ let sockaddr = function
              domain from the returned sockaddr. *)
           match Unix.getaddrinfo host "" [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] with
           | { Unix.ai_addr = Unix.ADDR_INET (ip, _); _ } :: _ -> ip
-          | _ -> raise (Exec.Error.Error (Exec.Error.Net_io ("cannot resolve " ^ host))))
+          | _ -> raise (Netio.net_io "cannot resolve %s" host))
       in
       Unix.ADDR_INET (ip, port)
 

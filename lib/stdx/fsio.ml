@@ -63,6 +63,28 @@ let rec mkdir_p ?(fs = real) path =
     with Sys_error _ -> () (* lost a race with a concurrent mkdir: fine *)
   end
 
+(* Temps live beside their target (rename is only atomic within one
+   filesystem); the pid and a process-wide sequence keep concurrent
+   writers, across domains and processes, off each other's temps. *)
+let temp_prefix = ".tmp-"
+
+let is_temp name = String.starts_with ~prefix:temp_prefix name
+
+let temp_seq = Atomic.make 0
+
+let write_atomic ?(fs = real) path contents =
+  let tmp =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf "%s%s-%d-%d" temp_prefix (Filename.basename path)
+         (Unix.getpid ()) (Atomic.fetch_and_add temp_seq 1))
+  in
+  try
+    fs.write_file tmp contents;
+    fs.rename tmp path
+  with e ->
+    (try fs.remove tmp with Sys_error _ -> ());
+    raise e
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans *)
 
@@ -76,17 +98,14 @@ type op_fault = {
 
 let no_fault = { eintr = 0.0; enospc = 0.0; torn = 0.0; flip = 0.0; fail_rename = 0.0 }
 
-let check_prob name p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Fsio.op_fault: %s=%g not a probability" name p)
-
 let op_fault ?(eintr = 0.0) ?(enospc = 0.0) ?(torn = 0.0) ?(flip = 0.0)
     ?(fail_rename = 0.0) () =
-  check_prob "eintr" eintr;
-  check_prob "enospc" enospc;
-  check_prob "torn" torn;
-  check_prob "flip" flip;
-  check_prob "fail_rename" fail_rename;
+  let check = Inject.check_prob ~what:"Fsio.op_fault" in
+  check "eintr" eintr;
+  check "enospc" enospc;
+  check "torn" torn;
+  check "flip" flip;
+  check "fail_rename" fail_rename;
   { eintr; enospc; torn; flip; fail_rename }
 
 type plan = {
@@ -97,100 +116,28 @@ type plan = {
 
 let plan ?(default = no_fault) ?(overrides = []) seed = { seed; default; overrides }
 
-let pp_op_fault ppf f =
-  Format.fprintf ppf "eintr=%.3f enospc=%.3f torn=%.3f flip=%.3f rename=%.3f"
-    f.eintr f.enospc f.torn f.flip f.fail_rename
-
-let pp_plan ppf p =
-  Format.fprintf ppf "fsio plan seed=%d default={%a}%s" p.seed pp_op_fault
-    p.default
-    (String.concat ""
-       (List.map
-          (fun (prefix, f) -> Format.asprintf " %s={%a}" prefix pp_op_fault f)
-          p.overrides))
-
 (* ------------------------------------------------------------------ *)
 (* Injection *)
 
-(* Counter indices, fixed so [faults_injected] is deterministically
-   ordered. *)
-let kinds = [| "eintr"; "enospc"; "torn"; "flip"; "rename" |]
+type injector = { plan : plan; stream : Inject.t }
 
-type injector = {
-  plan : plan;
-  prng : Prng.t;
-  counts : int array;  (* indexed like [kinds] *)
-  mu : Mutex.t;
-}
+let injector plan =
+  {
+    plan;
+    stream =
+      Inject.create ~kinds:[| "eintr"; "enospc"; "torn"; "flip"; "rename" |] plan.seed;
+  }
 
-let injector plan = { plan; prng = Prng.create plan.seed; counts = Array.make 5 0; mu = Mutex.create () }
+let faults_injected inj = Inject.faults_injected inj.stream
 
-let faults_injected inj =
-  Mutex.lock inj.mu;
-  let pairs =
-    Array.to_list (Array.mapi (fun i k -> (k, inj.counts.(i))) kinds)
-  in
-  Mutex.unlock inj.mu;
-  List.filter (fun (_, c) -> c > 0) pairs
-
-let total_injected inj =
-  Mutex.lock inj.mu;
-  let n = Array.fold_left ( + ) 0 inj.counts in
-  Mutex.unlock inj.mu;
-  n
+let total_injected inj = Inject.total_injected inj.stream
 
 let fault_for inj path =
-  let rec pick = function
-    | [] -> inj.plan.default
-    | (prefix, f) :: rest ->
-        if String.starts_with ~prefix path then f else pick rest
-  in
-  pick inj.plan.overrides
-
-(* All stream consumption happens under the mutex so concurrent callers
-   cannot tear the splitmix state; [decide] returns everything an
-   operation needs (fired kind + the prefix-length draw for partial
-   writes) in one critical section. *)
-let kind_index = function
-  | "eintr" -> 0
-  | "enospc" -> 1
-  | "torn" -> 2
-  | "flip" -> 3
-  | "rename" -> 4
-  | _ -> assert false
-
-let draw inj ~path ~kinds:applicable ~len on_fault =
-  Mutex.lock inj.mu;
-  let f = fault_for inj path in
-  let prob = function
-    | "eintr" -> f.eintr
-    | "enospc" -> f.enospc
-    | "torn" -> f.torn
-    | "flip" -> f.flip
-    | "rename" -> f.fail_rename
-    | _ -> assert false
-  in
-  (* One draw per applicable kind, in listed order, whether or not an
-     earlier kind already fired: the stream position then depends only
-     on the operation sequence, not on which faults happened to fire. *)
-  let fired =
-    List.filter_map
-      (fun k ->
-        let p = prob k in
-        let hit = p > 0.0 && Prng.float inj.prng 1.0 < p in
-        if hit then Some k else None)
-      applicable
-  in
-  let first = match fired with [] -> None | k :: _ -> Some k in
-  (* Auxiliary draws are consumed unconditionally for the same reason. *)
-  let cut = if len > 0 then Prng.int inj.prng len else 0 in
-  let bit = if len > 0 then Prng.int inj.prng (len * 8) else 0 in
-  (match first with
-  | None -> ()
-  | Some k -> inj.counts.(kind_index k) <- inj.counts.(kind_index k) + 1);
-  Mutex.unlock inj.mu;
-  (match first with None -> () | Some k -> on_fault k);
-  (first, cut, bit)
+  match
+    List.find_opt (fun (prefix, _) -> String.starts_with ~prefix path) inj.plan.overrides
+  with
+  | Some (_, f) -> f
+  | None -> inj.plan.default
 
 let injected_error path what =
   Sys_error (Printf.sprintf "%s: %s (injected)" path what)
@@ -201,35 +148,49 @@ let flip_bit s bit =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl j)));
   Bytes.to_string b
 
-let faulty ?(on_fault = fun _ -> ()) inj =
+let faulty ?on_fault inj =
+  (* Auxiliary draws for an operation on [len] bytes: the prefix cut
+     and the flipped bit. *)
+  let draw path probs ~len =
+    Inject.draw inj.stream ?on_fault (probs (fault_for inj path))
+      ~bounds:[| len; len * 8 |]
+  in
+  let interrupted path = injected_error path "Interrupted system call" in
   let read_file path =
     let s = real.read_file path in
-    match draw inj ~path ~kinds:[ "eintr"; "flip" ] ~len:(String.length s) on_fault with
-    | Some "eintr", _, _ -> raise (injected_error path "Interrupted system call")
-    | Some "flip", _, bit when String.length s > 0 -> flip_bit s bit
+    match
+      draw path (fun f -> [ ("eintr", f.eintr); ("flip", f.flip) ]) ~len:(String.length s)
+    with
+    | Some "eintr", _ -> raise (interrupted path)
+    | Some "flip", aux when String.length s > 0 -> flip_bit s aux.(1)
     | _ -> s
   in
   let write_like real_write path contents =
-    let len = String.length contents in
-    match draw inj ~path ~kinds:[ "eintr"; "enospc"; "torn" ] ~len on_fault with
-    | Some "eintr", _, _ -> raise (injected_error path "Interrupted system call")
-    | Some "enospc", cut, _ ->
-        (try real_write path (String.sub contents 0 cut) with Sys_error _ -> ());
+    match
+      draw path
+        (fun f -> [ ("eintr", f.eintr); ("enospc", f.enospc); ("torn", f.torn) ])
+        ~len:(String.length contents)
+    with
+    | Some "eintr", _ -> raise (interrupted path)
+    | Some "enospc", aux ->
+        (try real_write path (String.sub contents 0 aux.(0)) with Sys_error _ -> ());
         raise (injected_error path "No space left on device")
-    | Some "torn", cut, _ ->
+    | Some "torn", aux ->
         (* The lying write: a prefix lands on disk, success is reported. *)
-        real_write path (String.sub contents 0 cut)
+        real_write path (String.sub contents 0 aux.(0))
     | _ -> real_write path contents
   in
   let rename src dst =
-    match draw inj ~path:src ~kinds:[ "eintr"; "rename" ] ~len:0 on_fault with
-    | Some "eintr", _, _ -> raise (injected_error src "Interrupted system call")
-    | Some "rename", _, _ -> raise (injected_error src "rename failed")
+    match
+      draw src (fun f -> [ ("eintr", f.eintr); ("rename", f.fail_rename) ]) ~len:0
+    with
+    | Some "eintr", _ -> raise (interrupted src)
+    | Some "rename", _ -> raise (injected_error src "rename failed")
     | _ -> real.rename src dst
   in
   let eintr_only real_op path =
-    match draw inj ~path ~kinds:[ "eintr" ] ~len:0 on_fault with
-    | Some "eintr", _, _ -> raise (injected_error path "Interrupted system call")
+    match draw path (fun f -> [ ("eintr", f.eintr) ]) ~len:0 with
+    | Some "eintr", _ -> raise (interrupted path)
     | _ -> real_op path
   in
   {

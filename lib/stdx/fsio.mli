@@ -25,8 +25,7 @@ type t = {
       (** Whole-file binary read.  Raises [Sys_error] on failure. *)
   write_file : string -> string -> unit;
       (** [write_file path contents]: create/truncate and write all bytes.
-          Not atomic — callers wanting atomicity write a temp name and
-          {!field-rename} over the target. *)
+          Not atomic — callers wanting atomicity use {!write_atomic}. *)
   append_line : string -> string -> unit;
       (** [append_line path chunk]: open in append mode (creating the
           file if needed), write [chunk], flush and close — one durable
@@ -47,10 +46,25 @@ val mkdir_p : ?fs:t -> string -> unit
 (** [mkdir] with parents; losing a race to a concurrent creator is not
     an error. *)
 
+val write_atomic : ?fs:t -> string -> string -> unit
+(** [write_atomic path contents] publishes [contents] at [path] all at
+    once: it writes a fresh temp [.tmp-<basename>-<pid>-<seq>] in
+    [path]'s directory, then renames it over [path].  A reader sees the
+    old bytes or the new ones, never a prefix.  If the write or the
+    rename raises, the temp is removed and the exception re-raised.  The
+    directory must exist. *)
+
+val is_temp : string -> bool
+(** [is_temp name]: [name] (a basename) is a {!write_atomic} temp, which
+    a crash mid-publish can leave behind. *)
+
 (** {1 Fault plans}
 
-    Probabilities are drawn independently per operation from the plan's
-    own splitmix64 stream, so a faulty run is a pure function of
+    Each operation draws from the plan's own seeded stream by the one
+    rule in {!Inject.draw}: its applicable kinds with nonzero
+    probability, in the order {!faulty} lists them, then — when the
+    operation moves a non-empty payload — the prefix cut and the
+    flipped bit.  A faulty run is a pure function of
     [(plan, operation sequence)]. *)
 
 type op_fault = {
@@ -81,7 +95,7 @@ val op_fault :
   ?fail_rename:float ->
   unit ->
   op_fault
-(** Raises [Invalid_argument] on probabilities outside [0, 1]. *)
+(** Raises [Invalid_argument] on probabilities outside [0, 1] or NaN. *)
 
 type plan = {
   seed : int;  (** seeds the fault stream *)
@@ -94,19 +108,17 @@ type plan = {
 val plan : ?default:op_fault -> ?overrides:(string * op_fault) list -> int -> plan
 (** [plan seed] with no faults anywhere. *)
 
-val pp_plan : Format.formatter -> plan -> unit
-
 (** {1 Injection} *)
 
 type injector
-(** The plan plus its live PRNG stream and per-kind injection counters.
-    Thread-safe (one mutex around the stream); exactly replayable only
-    for a deterministic operation sequence, i.e. single-threaded use. *)
+(** The plan plus its {!Inject.t} stream and per-kind injection counters.
+    Thread-safe; exactly replayable only for a deterministic operation
+    sequence, i.e. single-threaded use. *)
 
 val injector : plan -> injector
 
 val faults_injected : injector -> (string * int) list
-(** Injections so far, as sorted [(kind, count)] pairs over
+(** Injections so far, as [(kind, count)] pairs in the fixed kind order
     [eintr | enospc | torn | flip | rename]; zero-count kinds omitted. *)
 
 val total_injected : injector -> int

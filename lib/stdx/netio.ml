@@ -43,18 +43,15 @@ let no_fault =
     stall = 0.0;
   }
 
-let check_prob name p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Netio.op_fault: %s=%g not a probability" name p)
-
 let op_fault ?(eintr = 0.0) ?(refuse = 0.0) ?(reset = 0.0) ?(short_read = 0.0)
     ?(torn_write = 0.0) ?(stall = 0.0) () =
-  check_prob "eintr" eintr;
-  check_prob "refuse" refuse;
-  check_prob "reset" reset;
-  check_prob "short_read" short_read;
-  check_prob "torn_write" torn_write;
-  check_prob "stall" stall;
+  let check = Inject.check_prob ~what:"Netio.op_fault" in
+  check "eintr" eintr;
+  check "refuse" refuse;
+  check "reset" reset;
+  check "short_read" short_read;
+  check "torn_write" torn_write;
+  check "stall" stall;
   { eintr; refuse; reset; short_read; torn_write; stall }
 
 type plan = {
@@ -65,142 +62,70 @@ type plan = {
 
 let plan ?(default = no_fault) ?(overrides = []) seed = { seed; default; overrides }
 
-let pp_op_fault ppf f =
-  Format.fprintf ppf
-    "eintr=%.3f refuse=%.3f reset=%.3f short=%.3f torn=%.3f stall=%.3f" f.eintr
-    f.refuse f.reset f.short_read f.torn_write f.stall
-
-let pp_plan ppf p =
-  Format.fprintf ppf "netio plan seed=%d default={%a}%s" p.seed pp_op_fault
-    p.default
-    (String.concat ""
-       (List.map
-          (fun (op, f) -> Format.asprintf " %s={%a}" op pp_op_fault f)
-          p.overrides))
-
 (* ------------------------------------------------------------------ *)
 (* Injection *)
 
-(* Counter indices, fixed so [faults_injected] is deterministically
-   ordered. *)
-let kinds = [| "eintr"; "refuse"; "reset"; "short_read"; "torn_write"; "stall" |]
-
-let kind_index = function
-  | "eintr" -> 0
-  | "refuse" -> 1
-  | "reset" -> 2
-  | "short_read" -> 3
-  | "torn_write" -> 4
-  | "stall" -> 5
-  | _ -> assert false
-
-type injector = {
-  plan : plan;
-  prng : Prng.t;
-  counts : int array;  (* indexed like [kinds] *)
-  mu : Mutex.t;
-}
+type injector = { plan : plan; stream : Inject.t }
 
 let injector plan =
   {
     plan;
-    prng = Prng.create plan.seed;
-    counts = Array.make (Array.length kinds) 0;
-    mu = Mutex.create ();
+    stream =
+      Inject.create
+        ~kinds:[| "eintr"; "refuse"; "reset"; "short_read"; "torn_write"; "stall" |]
+        plan.seed;
   }
 
-let faults_injected inj =
-  Mutex.lock inj.mu;
-  let pairs = Array.to_list (Array.mapi (fun i k -> (k, inj.counts.(i))) kinds) in
-  Mutex.unlock inj.mu;
-  List.filter (fun (_, c) -> c > 0) pairs
+let faults_injected inj = Inject.faults_injected inj.stream
 
-let total_injected inj =
-  Mutex.lock inj.mu;
-  let n = Array.fold_left ( + ) 0 inj.counts in
-  Mutex.unlock inj.mu;
-  n
+let total_injected inj = Inject.total_injected inj.stream
 
 let fault_for inj op =
   match List.assoc_opt op inj.plan.overrides with
   | Some f -> f
   | None -> inj.plan.default
 
-(* All stream consumption happens under the mutex so concurrent callers
-   cannot tear the splitmix state.  One draw per applicable kind, in
-   listed order, whether or not an earlier kind already fired, plus one
-   unconditional auxiliary draw for prefix lengths: the stream position
-   then depends only on the operation sequence, not on which faults
-   happened to fire. *)
-let draw inj ~op ~kinds:applicable ~len on_fault =
-  Mutex.lock inj.mu;
-  let f = fault_for inj op in
-  let prob = function
-    | "eintr" -> f.eintr
-    | "refuse" -> f.refuse
-    | "reset" -> f.reset
-    | "short_read" -> f.short_read
-    | "torn_write" -> f.torn_write
-    | "stall" -> f.stall
-    | _ -> assert false
-  in
-  let fired =
-    List.filter_map
-      (fun k ->
-        let p = prob k in
-        let hit = p > 0.0 && Prng.float inj.prng 1.0 < p in
-        if hit then Some k else None)
-      applicable
-  in
-  let first = match fired with [] -> None | k :: _ -> Some k in
-  let cut = if len > 0 then Prng.int inj.prng len else 0 in
-  (match first with
-  | None -> ()
-  | Some k -> inj.counts.(kind_index k) <- inj.counts.(kind_index k) + 1);
-  Mutex.unlock inj.mu;
-  (match first with None -> () | Some k -> on_fault k);
-  (first, cut)
-
 let injected e fn = Unix.Unix_error (e, fn, "injected")
 
-let faulty ?(on_fault = fun _ -> ()) inj =
+let faulty ?on_fault inj =
+  (* One auxiliary draw for an operation on [len] bytes: the prefix
+     cut. *)
+  let draw op probs ~len =
+    Inject.draw inj.stream ?on_fault (probs (fault_for inj op)) ~bounds:[| len |]
+  in
   let accept fd =
-    match draw inj ~op:"accept" ~kinds:[ "eintr" ] ~len:0 on_fault with
+    match draw "accept" (fun f -> [ ("eintr", f.eintr) ]) ~len:0 with
     | Some "eintr", _ -> raise (injected Unix.EINTR "accept")
     | _ -> real.accept fd
   in
   let connect fd sa =
-    match draw inj ~op:"connect" ~kinds:[ "eintr"; "refuse" ] ~len:0 on_fault with
+    match
+      draw "connect" (fun f -> [ ("eintr", f.eintr); ("refuse", f.refuse) ]) ~len:0
+    with
     | Some "eintr", _ -> raise (injected Unix.EINTR "connect")
     | Some "refuse", _ -> raise (injected Unix.ECONNREFUSED "connect")
     | _ -> real.connect fd sa
   in
-  let read fd buf off len =
+  (* Reads and writes share three failure kinds; [truncate] picks the
+     kind that cuts the transfer short. *)
+  let stream_op op truncate real_op fd buf off len =
     match
-      draw inj ~op:"read"
-        ~kinds:[ "eintr"; "reset"; "stall"; "short_read" ]
-        ~len on_fault
+      draw op
+        (fun f ->
+          [ ("eintr", f.eintr); ("reset", f.reset); ("stall", f.stall); truncate f ])
+        ~len
     with
-    | Some "eintr", _ -> raise (injected Unix.EINTR "read")
-    | Some "reset", _ -> raise (injected Unix.ECONNRESET "read")
-    | Some "stall", _ -> raise (injected Unix.EAGAIN "read")
-    | Some "short_read", cut when len > 0 ->
-        real.read fd buf off (1 + (cut mod len))
-    | _ -> real.read fd buf off len
+    | Some "eintr", _ -> raise (injected Unix.EINTR op)
+    | Some "reset", _ -> raise (injected Unix.ECONNRESET op)
+    | Some "stall", _ -> raise (injected Unix.EAGAIN op)
+    | Some _, aux when len > 0 -> real_op fd buf off (1 + (aux.(0) mod len))
+    | _ -> real_op fd buf off len
   in
-  let write fd s off len =
-    match
-      draw inj ~op:"write"
-        ~kinds:[ "eintr"; "reset"; "stall"; "torn_write" ]
-        ~len on_fault
-    with
-    | Some "eintr", _ -> raise (injected Unix.EINTR "write")
-    | Some "reset", _ -> raise (injected Unix.ECONNRESET "write")
-    | Some "stall", _ -> raise (injected Unix.EAGAIN "write")
-    | Some "torn_write", cut when len > 0 ->
-        (* A prefix is accepted and the short count reported — legal
-           socket behavior, just rarer than write loops usually see. *)
-        real.write fd s off (1 + (cut mod len))
-    | _ -> real.write fd s off len
-  in
-  { accept; connect; read; write }
+  {
+    accept;
+    connect;
+    read = stream_op "read" (fun f -> ("short_read", f.short_read)) real.read;
+    (* A torn write accepts a prefix and reports the short count —
+       legal socket behavior, just rarer than write loops usually see. *)
+    write = stream_op "write" (fun f -> ("torn_write", f.torn_write)) real.write;
+  }

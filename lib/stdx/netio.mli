@@ -45,11 +45,12 @@ val real : t
 
 (** {1 Fault plans}
 
-    Probabilities are drawn independently per operation from the plan's
-    own splitmix64 stream: one draw per applicable kind per operation
-    (fired or not) plus one unconditional auxiliary draw for prefix
-    lengths, so the stream position depends only on the operation
-    sequence, never on which faults happened to fire. *)
+    Each operation draws from the plan's own seeded stream by the one
+    rule in {!Inject.draw}: its applicable kinds with nonzero
+    probability, in the order {!faulty} lists them, fired or not, then —
+    when the read or write asks for a non-empty buffer — the prefix cut.
+    The stream position depends only on the operation sequence, never on
+    which faults happened to fire. *)
 
 type op_fault = {
   eintr : float;
@@ -88,7 +89,7 @@ val op_fault :
   ?stall:float ->
   unit ->
   op_fault
-(** Raises [Invalid_argument] on probabilities outside [0, 1]. *)
+(** Raises [Invalid_argument] on probabilities outside [0, 1] or NaN. *)
 
 type plan = {
   seed : int;  (** seeds the fault stream *)
@@ -102,16 +103,12 @@ type plan = {
 val plan : ?default:op_fault -> ?overrides:(string * op_fault) list -> int -> plan
 (** [plan seed] with no faults anywhere. *)
 
-val pp_op_fault : Format.formatter -> op_fault -> unit
-
-val pp_plan : Format.formatter -> plan -> unit
-
 (** {1 Injection} *)
 
 type injector
-(** The plan plus its live PRNG stream and per-kind injection counters.
-    Thread-safe (one mutex around the stream); exactly replayable only
-    for a deterministic operation sequence. *)
+(** The plan plus its {!Inject.t} stream and per-kind injection counters.
+    Thread-safe; exactly replayable only for a deterministic operation
+    sequence. *)
 
 val injector : plan -> injector
 

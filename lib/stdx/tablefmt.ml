@@ -78,33 +78,13 @@ let to_csv t =
   List.iter emit (List.rev t.rows);
   Buffer.contents buf
 
-(* Uniquifies temp names across processes publishing into one directory
-   (no unix dependency, so no getpid: hash per-process state two racing
-   processes will not share). *)
-let tmp_token =
-  lazy
-    (Hashtbl.hash (Sys.executable_name, Sys.time (), Random.State.make_self_init ())
-    land 0xFFFFFF)
-
-let tmp_seq = Atomic.make 0
-
-(* Atomic publish: a crash, kill or reader racing the writer must never
-   observe a half-written CSV, so write to a unique temp file in the same
-   directory (rename is only atomic within a filesystem) and rename over
-   the target.  All I/O goes through [fs] so the chaos suite can inject
-   filesystem faults under the atomicity claim. *)
+(* A crash, kill or reader racing the writer must never observe a
+   half-written CSV.  All I/O goes through [fs] so the chaos suite can
+   inject filesystem faults under the atomicity claim. *)
 let write_csv ?(fs = Fsio.real) t path =
   let dir = Filename.dirname path in
   if dir <> "." && not (fs.Fsio.file_exists dir) then fs.Fsio.mkdir dir;
-  let tmp =
-    Printf.sprintf "%s.%06x-%d.tmp" path (Lazy.force tmp_token)
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  match fs.Fsio.write_file tmp (to_csv t) with
-  | () -> fs.Fsio.rename tmp path
-  | exception e ->
-      (try fs.Fsio.remove tmp with Sys_error _ -> ());
-      raise e
+  Fsio.write_atomic ~fs path (to_csv t)
 
 let print ?title ?csv ?fs t =
   (match title with

@@ -26,9 +26,9 @@ val to_csv : t -> string
 
 val write_csv : ?fs:Fsio.t -> t -> string -> unit
 (** [write_csv tbl path] writes {!to_csv} to a file, creating the parent
-    directory if needed (one level).  The write is atomic — temp file in
-    the target directory, then rename — so a crashed or killed run never
-    leaves a truncated CSV behind.  [fs] (default {!Fsio.real}) routes
+    directory if needed (one level).  The write is {!Fsio.write_atomic},
+    so a crashed or killed run never leaves a truncated CSV behind, and a
+    failed write or rename leaves the old file and no temp.  [fs] (default {!Fsio.real}) routes
     the I/O, so the chaos suite can fault-inject under the claim. *)
 
 val print : ?title:string -> ?csv:string -> ?fs:Fsio.t -> t -> unit

@@ -547,6 +547,91 @@ let test_fsio_pinned_streams () =
       check (Printf.sprintf "mixed faults, seed %d" seed) true (faults = expected_faults))
     pinned_mixed
 
+let test_fsio_op_fault_validation () =
+  (* Every kind rejects values outside [0, 1] and NaN; the bounds pass. *)
+  let kinds =
+    [
+      ("eintr", fun p -> Fsio.op_fault ~eintr:p ());
+      ("enospc", fun p -> Fsio.op_fault ~enospc:p ());
+      ("torn", fun p -> Fsio.op_fault ~torn:p ());
+      ("flip", fun p -> Fsio.op_fault ~flip:p ());
+      ("fail_rename", fun p -> Fsio.op_fault ~fail_rename:p ());
+    ]
+  in
+  List.iter
+    (fun (kind, mk) ->
+      List.iter
+        (fun p ->
+          match mk p with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s=%g accepted" kind p)
+        [ -0.1; 1.5; Float.nan; Float.infinity ];
+      ignore (mk 0.0);
+      ignore (mk 1.0))
+    kinds
+
+let test_fsio_chaos_metered () =
+  (* [chaos] bumps fsio_faults_injected_total{kind} by exactly the
+     injector's own breakdown. *)
+  let kinds = [ "eintr"; "enospc"; "torn"; "flip"; "rename" ] in
+  let metered () =
+    List.map
+      (fun k ->
+        Obs.Metrics.value
+          (Obs.Metrics.counter ~labels:[ ("kind", k) ] "fsio_faults_injected_total"))
+      kinds
+  in
+  let before = metered () in
+  let dir = "chaos_fsio_metered" in
+  rm_rf dir;
+  Stdx.Fsio.mkdir_p dir;
+  let inj = Fsio.injector replay_plan in
+  let fs = Fsio.chaos inj in
+  let path k = Filename.concat dir (Printf.sprintf "m%02d" k) in
+  for k = 0 to 15 do
+    (try fs.Stdx.Fsio.write_file (path k) (String.make (10 + k) 'm') with Sys_error _ -> ());
+    (try ignore (fs.Stdx.Fsio.read_file (path k)) with Sys_error _ -> ());
+    try fs.Stdx.Fsio.rename (path k) (path (k + 100)) with Sys_error _ -> ()
+  done;
+  rm_rf dir;
+  let delta = List.map2 (fun a b -> b - a) before (metered ()) in
+  let injected = Fsio.faults_injected inj in
+  check "faults fired" true (Fsio.total_injected inj > 0);
+  List.iter2
+    (fun k d ->
+      check_int ("metered " ^ k) (Option.value ~default:0 (List.assoc_opt k injected)) d)
+    kinds delta
+
+let test_failed_publish_keeps_target () =
+  (* A rename that always fails: the old bytes stay and no temp is
+     left beside them, for every atomic publisher. *)
+  let dir = "chaos_publish_test" in
+  rm_rf dir;
+  Stdx.Fsio.mkdir_p dir;
+  let fs =
+    Fsio.faulty
+      (Fsio.injector (Fsio.plan ~default:(Fsio.op_fault ~fail_rename:1.0 ()) 5))
+  in
+  let read path = Stdx.Fsio.real.Stdx.Fsio.read_file path in
+  let raises f = match f () with () -> false | exception Sys_error _ -> true in
+  let table = Stdx.Tablefmt.create [ Stdx.Tablefmt.column "x" ] in
+  Stdx.Tablefmt.add_row table [ "new" ];
+  List.iter
+    (fun (name, publish) ->
+      let path = Filename.concat dir name in
+      Stdx.Fsio.write_atomic path "old\n";
+      check (name ^ ": failed rename raises") true (raises (fun () -> publish path));
+      check_string (name ^ ": old bytes kept") "old\n" (read path))
+    [
+      ("export.jsonl", fun path -> Obs.Export.write ~fs path "new\n");
+      ("table.csv", fun path -> Stdx.Tablefmt.write_csv ~fs table path);
+      ("atomic.txt", fun path -> Stdx.Fsio.write_atomic ~fs path "new\n");
+    ];
+  check "no temp left" true
+    (List.sort compare (Array.to_list (Sys.readdir dir))
+    = [ "atomic.txt"; "export.jsonl"; "table.csv" ]);
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Cache + journal under faults, repaired by fsck *)
 
@@ -735,6 +820,12 @@ let () =
             test_fsio_replay_deterministic;
           Alcotest.test_case "pinned fault streams" `Quick
             test_fsio_pinned_streams;
+          Alcotest.test_case "op_fault rejects non-probabilities" `Quick
+            test_fsio_op_fault_validation;
+          Alcotest.test_case "chaos meters every injection" `Quick
+            test_fsio_chaos_metered;
+          Alcotest.test_case "failed publish keeps the target" `Quick
+            test_failed_publish_keeps_target;
         ] );
       ( "state",
         [

@@ -164,6 +164,52 @@ let test_pinned_streams () =
   check "write breakdown" true
     (counts = [ ("eintr", 1); ("torn_write", 6); ("stall", 4) ])
 
+let test_chaos_metered () =
+  (* [Serve.Netio.chaos] bumps netio_faults_injected_total{kind} by
+     exactly the injector's own breakdown. *)
+  let kinds = [ "eintr"; "refuse"; "reset"; "short_read"; "torn_write"; "stall" ] in
+  let metered () =
+    List.map
+      (fun k ->
+        Obs.Metrics.value
+          (Obs.Metrics.counter ~labels:[ ("kind", k) ] "netio_faults_injected_total"))
+      kinds
+  in
+  let before = metered () in
+  let inj =
+    Netio.injector
+      (Netio.plan
+         ~default:(Netio.op_fault ~eintr:0.2 ~stall:0.2 ~short_read:0.4 ~torn_write:0.4 ())
+         9)
+  in
+  let net = Serve.Netio.chaos inj in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let payload = String.make 200 'n' in
+  let rec write_all off =
+    if off < String.length payload then
+      match net.Netio.write a payload off (String.length payload - off) with
+      | w -> write_all (off + w)
+      | exception Unix.Unix_error _ -> write_all off
+  in
+  write_all 0;
+  Unix.close a;
+  let buf = Bytes.create 32 in
+  let rec drain () =
+    match net.Netio.read b buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> drain ()
+    | exception Unix.Unix_error _ -> drain ()
+  in
+  drain ();
+  Unix.close b;
+  let delta = List.map2 (fun x y -> y - x) before (metered ()) in
+  let injected = Netio.faults_injected inj in
+  check "faults fired" true (Netio.total_injected inj > 0);
+  List.iter2
+    (fun k d ->
+      check_int ("metered " ^ k) (Option.value ~default:0 (List.assoc_opt k injected)) d)
+    kinds delta
+
 let test_short_and_torn_bounds () =
   (* With certainty-1 truncation every op still makes >= 1 byte of
      progress, so loops terminate and the transfer completes intact. *)
@@ -542,6 +588,8 @@ let () =
           Alcotest.test_case "seeded replay determinism" `Quick
             test_replay_determinism;
           Alcotest.test_case "pinned fault streams" `Quick test_pinned_streams;
+          Alcotest.test_case "chaos meters every injection" `Quick
+            test_chaos_metered;
           Alcotest.test_case "short/torn bounds + intact transfer" `Quick
             test_short_and_torn_bounds;
         ] );
