@@ -13,10 +13,7 @@
    - slow-loris flood: stalled partial-line connections are evicted on
      the read deadline while a healthy client keeps being served;
    - overload: accepts past max_conns are shed with a structured error,
-     held connections unharmed;
-   - failover: 3 replicas behind a balancer, one killed mid-load —
-     every request answered ok, payloads byte-identical to the
-     single-replica reference run, the dead replica's breaker open.
+     held connections unharmed.
 
    The verdict table (stdout + results/netchaos_verdicts.csv) is
    deterministic by construction — booleans of absorption invariants
@@ -30,7 +27,6 @@ module Netio = Serve.Netio
 module Proto = Serve.Proto
 module Client = Serve.Client
 module Daemon = Serve.Daemon
-module Balancer = Serve.Balancer
 open Exp_common
 
 let root = Filename.concat "results" "netchaos-bench"
@@ -100,7 +96,8 @@ let corpus =
     { Proto.solve_defaults with Proto.ell = 3; players = 2; seed = 15; intersecting = true };
   |]
 
-let run_load ~request ~tag ~n =
+let client_load ?netio addr ~tag ~n =
+  let c = Client.connect ?netio addr in
   let rng = rng_for tag in
   let payloads = ref [] in
   let ok = ref 0 in
@@ -109,17 +106,12 @@ let run_load ~request ~tag ~n =
     let req =
       Proto.solve ~id:(J.Int i) { sp with Proto.budget_nodes = Some 200_000 }
     in
-    let r = request i req in
+    let r = Client.request c req in
     if Proto.reply_status r = "ok" then incr ok;
     payloads := Option.value (Proto.reply_payload r) ~default:"" :: !payloads
   done;
-  (List.rev !payloads, !ok)
-
-let client_load ?netio addr ~tag ~n =
-  let c = Client.connect ?netio addr in
-  let r = run_load ~request:(fun _ req -> Client.request c req) ~tag ~n in
   Client.close c;
-  r
+  (List.rev !payloads, !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Episode 1: scripted replay determinism (no daemon, no timing) *)
@@ -327,44 +319,6 @@ let run () =
   verdict "overload: held connections unharmed" (holders_live0 && holders_live);
   verdict "overload: sheds accounted as reason=capacity"
     (evictions "capacity" - cap_before >= n_extra);
-
-  (* ------------- episode 6: balancer failover ---------------------- *)
-  let n_bal = 30 and kill_at = 10 in
-  let reference = daemon_on "ref" in
-  let _, _, ref_addr = reference in
-  let ref_payloads, ref_ok =
-    client_load ref_addr ~tag:"netchaos-balancer" ~n:n_bal
-  in
-  stop_daemon reference;
-  let replicas = Array.init 3 (fun i -> daemon_on (Printf.sprintf "r%d" i)) in
-  let addrs = Array.to_list (Array.map (fun (_, _, a) -> a) replicas) in
-  let bal =
-    Balancer.create ~failure_threshold:2 ~connect_retries:2 ~cooldown_s:5.0 addrs
-  in
-  let failovers_before =
-    Obs.Metrics.value (Obs.Metrics.counter "balancer_failovers_total")
-  in
-  let bal_payloads, bal_ok =
-    run_load ~tag:"netchaos-balancer" ~n:n_bal ~request:(fun i req ->
-        if i = kill_at then stop_daemon replicas.(0);
-        Balancer.request bal req)
-  in
-  let dead_open =
-    List.assoc_opt (List.nth addrs 0) (Balancer.states bal) = Some "open"
-  in
-  let failovers =
-    Obs.Metrics.value (Obs.Metrics.counter "balancer_failovers_total")
-    - failovers_before
-  in
-  Balancer.close bal;
-  stop_daemon replicas.(1);
-  stop_daemon replicas.(2);
-  verdict "failover: replica killed mid-load, zero client-visible errors"
-    (bal_ok = n_bal && ref_ok = n_bal);
-  verdict "failover: payloads byte-identical to single-replica run"
-    (bal_payloads = ref_payloads);
-  verdict "failover: dead replica's breaker open" dead_open;
-  verdict "failover: failovers observed" (failovers > 0);
 
   Exec.Cache.mkdir_p "results";
   T.print ~csv:verdict_csv verdicts;

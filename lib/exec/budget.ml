@@ -1,12 +1,14 @@
 (* A budget is deliberately stateless about *spend*: the solver owns its
    own node counter and asks [check t ~nodes] whether that counter is
-   still affordable.  Keeping the tally caller-side is what makes node
-   budgets deterministic under parallel fan-out — each subproblem counts
-   only its own nodes, so no scheduling order can leak into the answer.
-   The only shared mutable state is the cancellation token, which exists
-   precisely for the *non*-deterministic budget (the wall-clock
-   deadline): whichever domain notices the deadline first trips the
-   token and every sibling stops at its next checkpoint. *)
+   still affordable.  Keeping the tally caller-side is what keeps node
+   budgets deterministic when one budget is shared by concurrent solves
+   ([Verification.claim_checks] runs its claims on a pool under one
+   budget) — each solve counts only its own nodes, so no scheduling
+   order can leak into the answer.  The only shared mutable state is the
+   cancellation token, which exists precisely for the *non*-deterministic
+   budget (the wall-clock deadline): whichever domain notices the
+   deadline first trips the token and every sibling stops at its next
+   checkpoint. *)
 
 type reason = Nodes | Deadline | Cancelled
 
@@ -53,19 +55,6 @@ let node_limit t = if t.max_nodes = max_int then None else Some t.max_nodes
 let cancel t = Atomic.set t.cancelled true
 
 let cancelled t = Atomic.get t.cancelled
-
-let split t ~pieces =
-  if pieces < 1 then invalid_arg "Exec.Budget.split: pieces must be >= 1";
-  if t == unlimited then t
-  else
-    {
-      t with
-      max_nodes =
-        (if t.max_nodes = max_int then max_int
-         else Stdlib.max 1 ((t.max_nodes + pieces - 1) / pieces));
-      (* [cancelled] is shared on purpose: one deadline trip stops all
-         sibling subproblems. *)
-    }
 
 let check t ~nodes =
   if t == unlimited then None

@@ -5,13 +5,14 @@
     outcome is a pure function of the instance and the cap — never of
     scheduling) and/or by a {b clock deadline} (inherently
     non-deterministic; best-effort, checked every [every] nodes).  A
-    shared {b cancellation token} lets one exhausted domain stop its
-    siblings promptly: {!split} derives per-subproblem budgets that share
-    the token, and a deadline trip in any subproblem cancels the rest.
+    shared {b cancellation token} lets one exhausted search stop its
+    siblings promptly: [Core.Verification.claim_checks] hands one budget
+    to every claim it runs on a pool, and a deadline trip in any claim
+    cancels the rest.
 
     Budgets carry no spend state of their own — callers keep their own
     counters and ask {!check}.  This is what lets one budget value be
-    reused across parallel subproblems without a shared (and
+    shared by concurrent searches without a shared (and
     order-dependent) tally. *)
 
 type reason =
@@ -53,15 +54,10 @@ val check : t -> nodes:int -> reason option
     a side effect. *)
 
 val cancel : t -> unit
-(** Trip the token: every searcher sharing this budget (or a {!split} of
-    it) reports [Cancelled] at its next checkpoint. *)
+(** Trip the token: every searcher sharing this budget reports
+    [Cancelled] at its next checkpoint. *)
 
 val cancelled : t -> bool
-
-val split : t -> pieces:int -> t
-(** Per-subproblem share for a parallel fan-out: the node cap is divided
-    (ceiling) across [pieces], the deadline and the cancellation token
-    are shared.  Splitting {!unlimited} returns {!unlimited}. *)
 
 val reason_to_string : reason -> string
 

@@ -19,7 +19,7 @@ type kind =
       (** a socket operation failed (accept/connect/read/write on the
           serving layer's wire or scrape sockets, whether kernel-born or
           injected by a [Stdx.Netio] fault plan) — the kind
-          [Serve.Balancer] treats as its failover trigger *)
+          [Serve.Client]'s connect retries absorb *)
   | Io of string  (** other I/O (CSV writes, figure exports) *)
 
 exception Error of kind

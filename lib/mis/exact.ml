@@ -72,8 +72,8 @@ exception Out_of_budget of Exec.Budget.reason
 (* Solver metrics (docs/OBSERVABILITY.md).  Node/prune/leaf counts are
    tallied in plain local refs inside the search and flushed in one
    atomic add per solve, so the branch loop's per-node cost is untouched;
-   the shared cells make concurrent [solve_par] subproblems sum
-   correctly. *)
+   the shared cells make solves running concurrently on a pool (the
+   daemon's batches, [Verification.claim_checks]) sum correctly. *)
 let m_solves = Obs.Metrics.counter "solver_solves_total"
 
 let m_nodes = Obs.Metrics.counter "solver_nodes_total"
@@ -200,162 +200,3 @@ let solve_induced g cands =
   complete_exn (solve_on ~budget:Exec.Budget.unlimited g cands)
 
 let opt g = (solve g).weight
-
-(* ------------------------------------------------------------------ *)
-(* Parallel solve: fan the top of the branch-and-bound tree out over a
-   domain pool.
-
-   The top [depth] levels of the include/exclude tree are expanded
-   breadth-first into subproblems (candidate set, forced-in nodes, their
-   weight); the subproblems partition the search space, so solving each
-   independently and taking the best reconstructs the global optimum.
-   Each subproblem runs the sequential solver with its own incumbent —
-   no bound is shared across domains, which costs some pruning but makes
-   the node counts and the returned solution independent of scheduling:
-   the winner is the lowest-index subproblem achieving the maximum
-   weight, so [solve_par] is deterministic for every pool width. *)
-
-type subproblem = { cands : Bitset.t; chosen : int list; base_weight : int }
-
-let split_subproblems g order target =
-  let n = Graph.n g in
-  let heaviest_in cands =
-    let rec find i =
-      if i >= n then None
-      else if Bitset.mem cands order.(i) then Some order.(i)
-      else find (i + 1)
-    in
-    find 0
-  in
-  let split sub =
-    match heaviest_in sub.cands with
-    | None -> None
-    | Some v ->
-        let incl_cands = Bitset.diff sub.cands (Graph.neighbors g v) in
-        Bitset.remove incl_cands v;
-        let incl =
-          {
-            cands = incl_cands;
-            chosen = v :: sub.chosen;
-            base_weight = sub.base_weight + Graph.weight g v;
-          }
-        in
-        let excl_cands = Bitset.copy sub.cands in
-        Bitset.remove excl_cands v;
-        Some (incl, { sub with cands = excl_cands })
-  in
-  let rec expand subs count =
-    if count >= target then subs
-    else begin
-      let progressed = ref false in
-      let subs' =
-        List.concat_map
-          (fun sub ->
-            match split sub with
-            | None -> [ sub ]
-            | Some (incl, excl) ->
-                progressed := true;
-                [ incl; excl ])
-          subs
-      in
-      if !progressed then expand subs' (List.length subs') else subs
-    end
-  in
-  expand
-    [ { cands = Bitset.full n; chosen = []; base_weight = 0 } ]
-    1
-
-let solve_par_budgeted ~pool ?(budget = Exec.Budget.unlimited) g =
-  if Exec.Pool.jobs pool <= 1 then solve_budgeted ~budget g
-  else begin
-    let n = Graph.n g in
-    if n > max_nodes then
-      invalid_arg
-        (Printf.sprintf "Mis.Exact.solve_par: %d nodes exceeds max_nodes=%d" n
-           max_nodes);
-    let order = branch_order g in
-    (* Oversplit relative to the pool width so an unlucky hard subproblem
-       does not serialize the batch. *)
-    let target = 4 * Exec.Pool.jobs pool in
-    let subs = Array.of_list (split_subproblems g order target) in
-    (* Each subproblem gets a deterministic share of the node cap (its
-       own independent tally — no scheduling leak) and shares the
-       deadline/cancellation token, so one deadline trip stops the
-       siblings at their next checkpoint. *)
-    let sub_budget = Exec.Budget.split budget ~pieces:(Array.length subs) in
-    let solved =
-      Exec.Pool.map pool (fun sub -> solve_on ~budget:sub_budget g sub.cands) subs
-    in
-    let witness_of i set =
-      let w = Bitset.copy set in
-      List.iter (Bitset.add w) subs.(i).chosen;
-      w
-    in
-    let explored = ref 0 in
-    Array.iter
-      (fun o ->
-        explored :=
-          !explored
-          + (match o with Complete s -> s.nodes_explored | Exhausted e -> e.nodes_explored))
-      solved;
-    if Array.for_all (function Complete _ -> true | Exhausted _ -> false) solved
-    then begin
-      (* Lowest-index subproblem achieving the maximum wins: deterministic
-         for every pool width.  Weights are >= 0 and [subs] is non-empty,
-         so a winner always exists. *)
-      let weight_at i = subs.(i).base_weight + (complete_exn solved.(i)).weight in
-      let best_idx = ref 0 in
-      Array.iteri
-        (fun i _ -> if weight_at i > weight_at !best_idx then best_idx := i)
-        solved;
-      Complete
-        {
-          weight = weight_at !best_idx;
-          set = witness_of !best_idx (complete_exn solved.(!best_idx)).set;
-          nodes_explored = !explored;
-        }
-    end
-    else begin
-      (* The subproblems partition the search space, so OPT is the max of
-         the per-subproblem optima: lb = max of certified lower ends
-         (witness from the lowest-index achiever), ub = max of certified
-         upper ends.  With a pure node budget every per-subproblem
-         outcome is deterministic, hence so is the interval. *)
-      let lb_at i =
-        subs.(i).base_weight
-        + (match solved.(i) with Complete s -> s.weight | Exhausted e -> e.lb)
-      in
-      let ub_at i =
-        subs.(i).base_weight
-        + (match solved.(i) with Complete s -> s.weight | Exhausted e -> e.ub)
-      in
-      let best_idx = ref 0 in
-      let ub = ref 0 in
-      Array.iteri
-        (fun i _ ->
-          if lb_at i > lb_at !best_idx then best_idx := i;
-          if ub_at i > !ub then ub := ub_at i)
-        solved;
-      let reason =
-        let rec first i =
-          match solved.(i) with Exhausted e -> e.reason | Complete _ -> first (i + 1)
-        in
-        first 0
-      in
-      let set =
-        match solved.(!best_idx) with Complete s -> s.set | Exhausted e -> e.witness
-      in
-      refine_full_graph_ub g
-        (Exhausted
-           {
-             lb = lb_at !best_idx;
-             ub = max (lb_at !best_idx) !ub;
-             witness = witness_of !best_idx set;
-             nodes_explored = !explored;
-             reason;
-           })
-    end
-  end
-
-let solve_par ~pool g =
-  complete_exn (solve_par_budgeted ~pool ~budget:Exec.Budget.unlimited g)

@@ -34,7 +34,7 @@ val solve : Wgraph.Graph.t -> solution
 
     With [Exec.Budget.unlimited] (the default) the budgeted functions
     are bit-identical to their unbudgeted counterparts: same weight,
-    same witness, same node count, at every pool width. *)
+    same witness, same node count. *)
 
 type exhausted = {
   lb : int;  (** weight of the best incumbent found — a valid IS *)
@@ -54,16 +54,6 @@ val solve_budgeted : ?budget:Exec.Budget.t -> Wgraph.Graph.t -> outcome
 val solve_induced_budgeted :
   ?budget:Exec.Budget.t -> Wgraph.Graph.t -> Stdx.Bitset.t -> outcome
 
-val solve_par_budgeted :
-  pool:Exec.Pool.t -> ?budget:Exec.Budget.t -> Wgraph.Graph.t -> outcome
-(** Parallel fan-out with per-subproblem budget shares
-    ({!Exec.Budget.split}): node caps are tallied independently per
-    subproblem, so a pure node budget yields a deterministic interval
-    for every fixed pool width; a deadline trip in any subproblem
-    cancels the shared token and stops the siblings at their next
-    checkpoint (promptly, but — like any wall-clock effect — not
-    deterministically). *)
-
 val solve_induced : Wgraph.Graph.t -> Stdx.Bitset.t -> solution
 (** Maximum-weight independent set of the subgraph induced by the given
     node set, expressed in the original graph's node numbering.  This is
@@ -71,15 +61,6 @@ val solve_induced : Wgraph.Graph.t -> Stdx.Bitset.t -> solution
 
 val opt : Wgraph.Graph.t -> int
 (** [opt g = (solve g).weight]. *)
-
-val solve_par : pool:Exec.Pool.t -> Wgraph.Graph.t -> solution
-(** Like {!solve}, with the top of the branch-and-bound tree expanded
-    into subproblems fanned out over the pool.  Always returns the same
-    [weight] as {!solve} and a valid witness set; the witness and
-    [nodes_explored] may differ from the sequential run (no incumbent
-    bound is shared across domains), but are themselves deterministic
-    for a fixed pool width.  A pool of width 1 delegates to {!solve}
-    exactly. *)
 
 val max_nodes : int
 (** Safety limit on instance size (default 4000); [solve] raises

@@ -78,10 +78,9 @@ let pop_line t =
       Buffer.add_substring t.rbuf data (i + 1) (String.length data - i - 1);
       Some (String.sub data 0 i)
 
-(* EOF with buffered bytes means the peer vanished mid-frame — a fault
-   the balancer should fail over from; EOF on a frame boundary is a
-   clean shutdown (daemon drained).  The two get distinct messages so
-   failover logs and tests can tell them apart. *)
+(* EOF with buffered bytes means the peer vanished mid-frame — a fault;
+   EOF on a frame boundary is a clean shutdown (daemon drained).  The two
+   get distinct messages so logs and tests can tell them apart. *)
 let eof_error t =
   let pending = Buffer.length t.rbuf in
   if pending = 0 then Netio.net_io "connection closed by server (clean eof)"

@@ -1,9 +1,9 @@
 (** Blocking line-protocol client for the serve daemon.
 
-    The test suite, the load-generator bench, the smoke script and the
-    replicated {!Balancer} all talk to the daemon through this one
-    module, so the framing rules (one request per line, replies in
-    arrival order per connection) are encoded exactly once.
+    The test suite, the load-generator bench and the smoke script all
+    talk to the daemon through this one module, so the framing rules
+    (one request per line, replies in arrival order per connection) are
+    encoded exactly once.
 
     Every socket operation goes through a pluggable {!Netio.t} backend
     (default {!Netio.real}), so the netchaos harness can inject seeded
@@ -45,8 +45,7 @@ val recv : t -> Proto.reply
     healthy daemon never sends one.  The EOF message distinguishes a
     {e clean eof} (the connection died on a frame boundary — a drained
     daemon) from a {e torn mid-frame} disconnect (partial reply bytes
-    were buffered — a fault), so failover logs can tell shutdown from
-    breakage. *)
+    were buffered — a fault), so logs can tell shutdown from breakage. *)
 
 val recv_raw : t -> string
 (** The next reply line, undecoded. *)

@@ -2,7 +2,7 @@
    plus Obs metering — injections surface as
    netio_faults_injected_total{kind} so a netchaos run's fault pressure
    is visible next to the recovery counters it provokes (io errors,
-   evictions, failovers, retries). *)
+   evictions, retries). *)
 
 include Stdx.Netio
 

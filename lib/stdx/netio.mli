@@ -22,7 +22,7 @@
     Injected failures are raised as genuine [Unix.Unix_error]s (with
     ["injected"] as the syscall argument), so they travel the exact
     error paths real sockets use — the daemon's [EAGAIN]/[EINTR]
-    branches, the client's reconnect logic, the balancer's breakers.
+    branches and the client's reconnect logic.
 
     Replay caveat (same as {!Fsio}): the stream is exactly replayable
     only for a deterministic operation sequence.  Live sockets make the
@@ -59,12 +59,11 @@ type op_fault = {
           absorb (applies to all four operations) *)
   refuse : float;
       (** a connect fails with injected [ECONNREFUSED] — a replica that
-          is down; what the balancer's breakers and the client's
-          connect retries exist for *)
+          is down; what the client's connect retries exist for *)
   reset : float;
       (** a read or write fails with injected [ECONNRESET] — the peer
           vanished mid-frame; the daemon must drop exactly one
-          connection, the balancer must fail over *)
+          connection *)
   short_read : float;
       (** a read is silently truncated to a 1-byte-minimum prefix of
           what was asked — exercises line reassembly across fragments *)

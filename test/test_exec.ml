@@ -472,7 +472,7 @@ let test_cache_shard_mkdir_race () =
   Cache.clear c0
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exact solver *)
+(* Gadget instances for the budgeted exact solver *)
 
 let gadget_instances () =
   (* >= 20 seeded gadget instances across both families and sides. *)
@@ -497,80 +497,6 @@ let gadget_instances () =
     [ (2, 4); (3, 4); (2, 6); (4, 3) ];
   List.rev !insts
 
-let test_solve_par_matches_solve_on_gadgets () =
-  let graphs = gadget_instances () in
-  check "enough instances" true (List.length graphs >= 20);
-  Pool.with_pool ~jobs:3 (fun pool ->
-      List.iteri
-        (fun i g ->
-          let seq = Mis.Exact.solve g in
-          let par = Mis.Exact.solve_par ~pool g in
-          check_int
-            (Printf.sprintf "weight on instance %d" i)
-            seq.Mis.Exact.weight par.Mis.Exact.weight;
-          check
-            (Printf.sprintf "witness valid on instance %d" i)
-            true
-            (Mis.Verify.solution_ok g ~claimed_weight:par.Mis.Exact.weight
-               par.Mis.Exact.set))
-        graphs)
-
-let test_solve_par_matches_solve_on_random_graphs () =
-  let rng = Prng.create 0xdead in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      for i = 1 to 15 do
-        let g = Build.erdos_renyi rng (10 + (i mod 20)) 0.3 in
-        Build.random_weights rng g 7;
-        let seq = Mis.Exact.solve g in
-        let par = Mis.Exact.solve_par ~pool g in
-        check_int (Printf.sprintf "random %d" i) seq.Mis.Exact.weight
-          par.Mis.Exact.weight;
-        check
-          (Printf.sprintf "random witness %d" i)
-          true
-          (Mis.Verify.solution_ok g ~claimed_weight:par.Mis.Exact.weight
-             par.Mis.Exact.set)
-      done)
-
-let test_solve_par_deterministic () =
-  let rng = Prng.create 99 in
-  let g = Build.erdos_renyi rng 30 0.25 in
-  Build.random_weights rng g 5;
-  let runs =
-    List.map
-      (fun () -> Pool.with_pool ~jobs:3 (fun pool -> Mis.Exact.solve_par ~pool g))
-      [ (); (); () ]
-  in
-  match runs with
-  | r0 :: rest ->
-      List.iter
-        (fun r ->
-          check_int "weight stable" r0.Mis.Exact.weight r.Mis.Exact.weight;
-          check "witness stable" true (Bitset.equal r0.Mis.Exact.set r.Mis.Exact.set);
-          check_int "nodes stable" r0.Mis.Exact.nodes_explored
-            r.Mis.Exact.nodes_explored)
-        rest
-  | [] -> assert false
-
-let test_solve_par_width_one_is_solve () =
-  let rng = Prng.create 7 in
-  let g = Build.erdos_renyi rng 25 0.3 in
-  Build.random_weights rng g 4;
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let seq = Mis.Exact.solve g in
-      let par = Mis.Exact.solve_par ~pool g in
-      check_int "weight" seq.Mis.Exact.weight par.Mis.Exact.weight;
-      check "same set" true (Bitset.equal seq.Mis.Exact.set par.Mis.Exact.set);
-      check_int "same node count" seq.Mis.Exact.nodes_explored
-        par.Mis.Exact.nodes_explored)
-
-let test_solve_par_empty_and_tiny () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      check_int "empty graph" 0
-        (Mis.Exact.solve_par ~pool (Wgraph.Graph.create 0)).Mis.Exact.weight;
-      let g = Build.complete 3 in
-      check_int "triangle" 1 (Mis.Exact.solve_par ~pool g).Mis.Exact.weight)
-
 (* ------------------------------------------------------------------ *)
 (* Budgets: bit-identity under no/unlimited budget, certified intervals
    on exhaustion, determinism, deadline/cancellation plumbing *)
@@ -581,7 +507,7 @@ let test_budget_unlimited_bit_identity () =
   (* The acceptance bar: with budget = infinity — either the [unlimited]
      sentinel or a finite budget object with huge caps — the budgeted
      solver must reproduce today's solver bit for bit (weight, witness,
-     node count) on every gadget instance, at every pool width. *)
+     node count) on every gadget instance. *)
   let graphs = gadget_instances () in
   check "24 gadget instances" true (List.length graphs >= 24);
   let huge = Budget.create ~max_nodes:(max_int / 2) () in
@@ -604,29 +530,7 @@ let test_budget_unlimited_bit_identity () =
       in
       same "default" (Mis.Exact.solve_budgeted g);
       same "huge-finite" (Mis.Exact.solve_budgeted ~budget:huge g))
-    graphs;
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          List.iteri
-            (fun i g ->
-              let plain = Mis.Exact.solve_par ~pool g in
-              match Mis.Exact.solve_par_budgeted ~pool ~budget:huge g with
-              | Mis.Exact.Exhausted _ ->
-                  Alcotest.failf "instance %d: par exhausted under huge budget" i
-              | Mis.Exact.Complete s ->
-                  check_int
-                    (Printf.sprintf "par weight %d @%d" i jobs)
-                    plain.Mis.Exact.weight s.Mis.Exact.weight;
-                  check
-                    (Printf.sprintf "par witness %d @%d" i jobs)
-                    true
-                    (Bitset.equal plain.Mis.Exact.set s.Mis.Exact.set);
-                  check_int
-                    (Printf.sprintf "par nodes %d @%d" i jobs)
-                    plain.Mis.Exact.nodes_explored s.Mis.Exact.nodes_explored)
-            graphs))
-    widths
+    graphs
 
 let test_budget_exhaustion_certified_interval () =
   (* A starved solve must degrade to a certified interval on every gadget
@@ -658,38 +562,9 @@ let test_budget_exhaustion_certified_interval () =
             (e.Mis.Exact.nodes_explored <= 9))
     graphs
 
-let test_budget_par_interval_deterministic () =
-  (* Pure node budgets stay deterministic under parallel fan-out: per
-     subproblem tallies, no scheduling leak.  Same width => same interval,
-     witness and node count; and the interval still brackets OPT. *)
-  let rng = Prng.create 0xb00 in
-  let g = Build.erdos_renyi rng 34 0.25 in
-  Build.random_weights rng g 5;
-  let opt = Mis.Exact.opt g in
-  let budget = Budget.create ~max_nodes:120 () in
-  let once () =
-    Pool.with_pool ~jobs:3 (fun pool ->
-        Mis.Exact.solve_par_budgeted ~pool ~budget g)
-  in
-  match (once (), once ()) with
-  | Mis.Exact.Exhausted a, Mis.Exact.Exhausted b ->
-      check_int "lb stable" a.Mis.Exact.lb b.Mis.Exact.lb;
-      check_int "ub stable" a.Mis.Exact.ub b.Mis.Exact.ub;
-      check_int "nodes stable" a.Mis.Exact.nodes_explored b.Mis.Exact.nodes_explored;
-      check "witness stable" true
-        (Bitset.equal a.Mis.Exact.witness b.Mis.Exact.witness);
-      check "interval brackets OPT" true
-        (a.Mis.Exact.lb <= opt && opt <= a.Mis.Exact.ub);
-      check "witness valid" true
-        (Mis.Verify.solution_ok g ~claimed_weight:a.Mis.Exact.lb
-           a.Mis.Exact.witness)
-  | _ ->
-      (* 34 nodes at 0.25 density needs far more than 120 B&B nodes. *)
-      Alcotest.fail "expected exhaustion on both runs"
-
 let test_budget_deadline_and_cancel () =
   (* Deadline via an injected fake clock; the trip cancels the shared
-     token so split siblings stop too. *)
+     token so sibling searches stop too. *)
   let now = ref 0.0 in
   let b = Budget.create ~deadline_s:5.0 ~clock:(fun () -> !now) ~every:1 () in
   check "within deadline" true (Budget.check b ~nodes:1 = None);
@@ -709,15 +584,6 @@ let test_budget_deadline_and_cancel () =
   | Mis.Exact.Complete _ -> Alcotest.fail "cancelled budget completed")
 
 let test_budget_split_and_fingerprint () =
-  let b = Budget.create ~max_nodes:10 () in
-  Alcotest.(check (option int))
-    "ceiling share" (Some 4)
-    (Budget.node_limit (Budget.split b ~pieces:3));
-  check "split unlimited is unlimited" true
-    (Budget.is_unlimited (Budget.split Budget.unlimited ~pieces:7));
-  let sub = Budget.split b ~pieces:2 in
-  Budget.cancel sub;
-  check "token shared with parent" true (Budget.cancelled b);
   check_string "unlimited fingerprint" "" (Budget.fingerprint Budget.unlimited);
   check "finite fingerprints distinct" true
     (Budget.fingerprint (Budget.create ~max_nodes:5 ())
@@ -1022,26 +888,12 @@ let () =
           Alcotest.test_case "concurrent memo under fs faults" `Quick
             test_cache_concurrent_faulty_same_key;
         ] );
-      ( "solve_par",
-        [
-          Alcotest.test_case "gadget instances" `Quick
-            test_solve_par_matches_solve_on_gadgets;
-          Alcotest.test_case "random graphs" `Quick
-            test_solve_par_matches_solve_on_random_graphs;
-          Alcotest.test_case "deterministic" `Quick test_solve_par_deterministic;
-          Alcotest.test_case "width 1 is solve" `Quick
-            test_solve_par_width_one_is_solve;
-          Alcotest.test_case "degenerate graphs" `Quick
-            test_solve_par_empty_and_tiny;
-        ] );
       ( "budget",
         [
           Alcotest.test_case "unlimited bit-identity" `Quick
             test_budget_unlimited_bit_identity;
           Alcotest.test_case "certified interval on exhaustion" `Quick
             test_budget_exhaustion_certified_interval;
-          Alcotest.test_case "parallel interval deterministic" `Quick
-            test_budget_par_interval_deterministic;
           Alcotest.test_case "deadline and cancel" `Quick
             test_budget_deadline_and_cancel;
           Alcotest.test_case "split and fingerprint" `Quick

@@ -3,15 +3,13 @@
    torn-mid-frame distinction, connection-lifecycle hardening in the
    daemon (slow-loris, read-deadline and idle eviction, max_conns
    shedding, slow-writer eviction under injected write stalls), fault
-   absorption by a chaos client against a live daemon, and the
-   balancer's failover + circuit-breaker state machine. *)
+   and fault absorption by a chaos client against a live daemon. *)
 
 module J = Stdx.Jsonx
 module Netio = Stdx.Netio
 module Proto = Serve.Proto
 module Client = Serve.Client
 module Daemon = Serve.Daemon
-module Balancer = Serve.Balancer
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -493,90 +491,6 @@ let test_client_absorbs_faults () =
       check "faults were injected" true (Serve.Netio.total_injected inj > 0))
 
 (* ------------------------------------------------------------------ *)
-(* Balancer *)
-
-let test_balancer_empty_rejected () =
-  match Balancer.create [] with
-  | _ -> Alcotest.fail "empty endpoint list accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_balancer_failover_midrun () =
-  let sock1 = fresh_sock () and sock2 = fresh_sock () in
-  let addr1 = Proto.Unix_sock sock1 and addr2 = Proto.Unix_sock sock2 in
-  let mk addr =
-    let d = Daemon.create { (Daemon.default_config ~listen:addr ()) with Daemon.tick_s = 0.01 } in
-    (d, Domain.spawn (fun () -> Daemon.run d))
-  in
-  let d1, h1 = mk addr1 in
-  let d2, h2 = mk addr2 in
-  let stop (d, h) = Daemon.stop d; Domain.join h in
-  Fun.protect
-    ~finally:(fun () ->
-      stop (d1, h1);
-      stop (d2, h2))
-    (fun () ->
-      let bal = Balancer.create ~connect_retries:2 [ addr1; addr2 ] in
-      let ask i =
-        let r = Balancer.request bal (Proto.ping ~id:(J.Int i) ()) in
-        check_string "balanced ping ok" "ok" (Proto.reply_status r)
-      in
-      for i = 1 to 4 do ask i done;
-      (* kill replica 1 mid-run: every subsequent request must still be
-         answered, via failover to replica 2 *)
-      stop (d1, h1);
-      for i = 5 to 12 do ask i done;
-      check "health check sees the dead replica" true
-        (List.exists
-           (fun (a, ok) -> a = addr1 && not ok)
-           (Balancer.check_health bal));
-      check "health check sees the live replica" true
-        (List.exists (fun (a, ok) -> a = addr2 && ok) (Balancer.check_health bal));
-      Balancer.close bal)
-
-let test_breaker_state_machine () =
-  let sock = fresh_sock () in
-  let addr = Proto.Unix_sock sock in
-  let now = ref 0.0 in
-  let bal =
-    Balancer.create
-      ~clock:(fun () -> !now)
-      ~cooldown_s:5.0 ~failure_threshold:2 ~connect_retries:1 [ addr ]
-  in
-  let state () = List.assoc addr (Balancer.states bal) in
-  let expect_unavailable () =
-    match Balancer.request bal (Proto.ping ()) with
-    | _ -> Alcotest.fail "request served with no replica up"
-    | exception Exec.Error.Error (Exec.Error.Net_io m) ->
-        check ("message names replicas: " ^ m) true
-          (contains ~needle:"replica" m)
-  in
-  check_string "starts closed" "closed" (state ());
-  expect_unavailable ();
-  check_string "one failure: still closed" "closed" (state ());
-  expect_unavailable ();
-  check_string "threshold reached: open" "open" (state ());
-  (* inside the cooldown, the desperation pass still tries (and fails) *)
-  expect_unavailable ();
-  check_string "still open" "open" (state ());
-  (* replica comes up; past the cooldown the breaker half-opens, the
-     probe succeeds, the breaker closes *)
-  let d =
-    Daemon.create
-      { (Daemon.default_config ~listen:addr ()) with Daemon.tick_s = 0.01 }
-  in
-  let h = Domain.spawn (fun () -> Daemon.run d) in
-  Fun.protect
-    ~finally:(fun () ->
-      Daemon.stop d;
-      Domain.join h)
-    (fun () ->
-      now := 100.0;
-      let r = Balancer.request bal (Proto.ping ()) in
-      check_string "probe served" "ok" (Proto.reply_status r);
-      check_string "recovered: closed" "closed" (state ());
-      Balancer.close bal)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "netchaos"
@@ -612,14 +526,5 @@ let () =
             test_max_conns_shed;
           Alcotest.test_case "slow writer evicted" `Quick
             test_slow_writer_evicted;
-        ] );
-      ( "balancer",
-        [
-          Alcotest.test_case "empty endpoint list rejected" `Quick
-            test_balancer_empty_rejected;
-          Alcotest.test_case "failover mid-run" `Quick
-            test_balancer_failover_midrun;
-          Alcotest.test_case "breaker state machine" `Quick
-            test_breaker_state_machine;
         ] );
     ]
