@@ -12,9 +12,12 @@
      then runs a clean [run_flat] identical to the pool-less run;
    - the fault injector replays exactly: same plan + same operation
      sequence => same faults;
+   - a failed atomic publish keeps the old bytes and leaves no temp,
+     even when its own cleanup is interrupted;
    - cache/journal on a faulty filesystem never return wrong values;
-   - fsck quarantines every invalid entry, a second pass is clean, and
-     a rerun hits every surviving entry.
+   - fsck quarantines every invalid entry, sweeps stray temps from the
+     cache shards and the journal directory, a second pass is clean,
+     and a rerun hits every surviving entry.
 
    A [Unix.alarm] is armed in [main]: if any supervision bug hangs a
    batch, the suite dies with SIGALRM instead of blocking CI. *)
@@ -632,6 +635,35 @@ let test_failed_publish_keeps_target () =
     = [ "atomic.txt"; "export.jsonl"; "table.csv" ]);
   rm_rf dir
 
+let test_failed_publish_cleans_temp () =
+  (* Interrupted cleanups too: under [eintr] and [fail_rename], a failed
+     publish removes its temp even when the first [remove] is itself
+     interrupted, and the target always holds old or new bytes in full. *)
+  let dir = "chaos_publish_temp_test" in
+  rm_rf dir;
+  Stdx.Fsio.mkdir_p dir;
+  let fs =
+    Fsio.faulty
+      (Fsio.injector
+         (Fsio.plan ~default:(Fsio.op_fault ~eintr:0.3 ~fail_rename:0.3 ()) 1212))
+  in
+  let read path = Stdx.Fsio.real.Stdx.Fsio.read_file path in
+  let path = Filename.concat dir "target.txt" in
+  Stdx.Fsio.write_atomic path "v0\n";
+  let failed = ref 0 in
+  for i = 1 to 200 do
+    let before = read path in
+    let next = Printf.sprintf "v%d\n" i in
+    match Stdx.Fsio.write_atomic ~fs path next with
+    | () -> check_string "published in full" next (read path)
+    | exception Sys_error _ ->
+        incr failed;
+        check_string "old bytes kept" before (read path)
+  done;
+  check "some publishes failed" true (!failed > 0);
+  check "no temp left" true (Sys.readdir dir = [| "target.txt" |]);
+  rm_rf dir
+
 (* ------------------------------------------------------------------ *)
 (* Cache + journal under faults, repaired by fsck *)
 
@@ -751,6 +783,35 @@ let test_state_survives_faults_and_fsck () =
   | exception Exec.Error.Error _ -> Alcotest.fail "repaired journal must open");
   rm_rf chaos_root
 
+let test_fsck_sweeps_journal_temps () =
+  (* A temp left in the journal directory by a failed publish (say, an
+     interrupted [repair_journal]) is swept by one fsck pass; the journal
+     beside it keeps every line. *)
+  let root = "chaos_journal_temp_test" in
+  rm_rf root;
+  let journal_dir = Filename.concat root "journal" in
+  let j = Journal.open_ ~dir:journal_dir ~run_id:"temp-test" () in
+  for i = 0 to 3 do
+    Journal.record j (key_for i)
+  done;
+  Journal.close j;
+  let journals = Sys.readdir journal_dir in
+  check_int "one journal" 1 (Array.length journals);
+  let journal = Filename.concat journal_dir journals.(0) in
+  let before = Stdx.Fsio.real.Stdx.Fsio.read_file journal in
+  let temp_name = ".tmp-" ^ journals.(0) ^ "-4242-0" in
+  check "planted name is a temp" true (Fsio.is_temp temp_name);
+  Stdx.Fsio.real.Stdx.Fsio.write_file
+    (Filename.concat journal_dir temp_name)
+    "half a repaired journal";
+  ignore
+    (Fsck.run ~cache_dir:(Filename.concat root "cache") ~journal_dir ());
+  check "temp swept" false
+    (Sys.file_exists (Filename.concat journal_dir temp_name));
+  check_string "journal lines unchanged" before
+    (Stdx.Fsio.real.Stdx.Fsio.read_file journal);
+  rm_rf root
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: combined chaos *)
 
@@ -826,11 +887,15 @@ let () =
             test_fsio_chaos_metered;
           Alcotest.test_case "failed publish keeps the target" `Quick
             test_failed_publish_keeps_target;
+          Alcotest.test_case "failed publish cleans its temp" `Quick
+            test_failed_publish_cleans_temp;
         ] );
       ( "state",
         [
           Alcotest.test_case "cache+journal under faults, fsck repair" `Quick
             test_state_survives_faults_and_fsck;
+          Alcotest.test_case "fsck sweeps journal-directory temps" `Quick
+            test_fsck_sweeps_journal_temps;
         ] );
       ( "e2e",
         [

@@ -1,8 +1,8 @@
-(* Tests for the serving layer: wire protocol round-trips, the daemon's
-   reply/containment contracts (malformed input, oversized lines, budget
-   rejection, arrival-order replies), byte-parity of socket solve
-   replies with the offline CLI, and graceful drain on SIGTERM against
-   the real executable. *)
+(* Tests for the serving layer: wire protocol round-trips, seeded fuzzing
+   of the two wire decoders, the daemon's reply/containment contracts
+   (malformed input, oversized lines, budget rejection, arrival-order
+   replies), byte-parity of socket solve replies with the offline CLI,
+   and graceful drain on SIGTERM against the real executable. *)
 
 module J = Stdx.Jsonx
 module Proto = Serve.Proto
@@ -84,6 +84,71 @@ let test_decode_rejects () =
   bad {|{"op":"no-such-op"}|};
   bad {|{"op":"solve","ell":"four"}|};
   bad {|{"op":"solve","budget_nodes":0}|}
+
+(* ------------------------------------------------------------------ *)
+(* Decoder fuzzing: neither wire decoder may raise on any input, and
+   every accepted input re-encodes to a fixed point. *)
+
+let json_fixed_point line =
+  match J.parse line with
+  | Error _ -> true
+  | Ok j -> (
+      let s = J.to_string j in
+      match J.parse s with Ok j' -> J.to_string j' = s | Error _ -> false)
+
+let request_fixed_point line =
+  match Proto.decode_request line with
+  | Error _ -> true
+  | Ok r -> (
+      let s = Proto.encode_request r in
+      match Proto.decode_request s with
+      | Ok r' -> Proto.encode_request r' = s
+      | Error _ -> false)
+
+let decoders_total line =
+  match (json_fixed_point line, request_fixed_point line) with
+  | a, b -> a && b
+  | exception e ->
+      QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) line
+
+let fuzz_rand () = Random.State.make [| 0x5e7e |]
+
+let encodings = Array.of_list (List.map Proto.encode_request all_requests)
+
+(* One byte replaced, or the line cut short, in a known-good encoding. *)
+let gen_mutation =
+  let open QCheck.Gen in
+  let* line = oneofa encodings in
+  let n = String.length line in
+  let* pos = int_bound (n - 1) in
+  let* c = char in
+  let* truncate = bool in
+  return
+    (if truncate then String.sub line 0 pos
+     else String.mapi (fun i x -> if i = pos then c else x) line)
+
+(* Arrays nested just under, at and past [Jsonx.max_depth], bare or as a
+   request's id, balanced or cut short. *)
+let gen_deep =
+  let open QCheck.Gen in
+  let* depth = int_range (J.max_depth - 2) (J.max_depth + 64) in
+  let* in_request = bool in
+  let* cut = int_bound 3 in
+  let doc = String.make depth '[' ^ String.make (max 0 (depth - cut)) ']' in
+  return (if in_request then {|{"op":"ping","id":|} ^ doc ^ "}" else doc)
+
+let fuzz_cases =
+  [
+    QCheck.Test.make ~count:300 ~name:"random bytes"
+      QCheck.(make ~print:(Printf.sprintf "%S") Gen.(string_size (int_bound 64)))
+      decoders_total;
+    QCheck.Test.make ~count:300 ~name:"mutated request encodings"
+      (QCheck.make ~print:(Printf.sprintf "%S") gen_mutation)
+      decoders_total;
+    QCheck.Test.make ~count:200 ~name:"nesting past max_depth"
+      (QCheck.make ~print:(Printf.sprintf "%S") gen_deep)
+      decoders_total;
+  ]
 
 let test_addr_of_string () =
   check "unix" true
@@ -379,6 +444,8 @@ let () =
             test_decode_rejects;
           Alcotest.test_case "addr parsing" `Quick test_addr_of_string;
         ] );
+      ( "fuzz",
+        List.map (QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())) fuzz_cases );
       ( "daemon",
         [
           Alcotest.test_case "basic ops" `Quick test_daemon_basic_ops;
