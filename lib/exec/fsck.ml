@@ -7,9 +7,10 @@
    - an invalid cache entry is renamed to
      [<cache_dir>/quarantine/<basename>] so the next [Cache.find] is a
      clean miss instead of a per-read parse failure;
-   - stray [Fsio.write_atomic] temps in the cache shards ([.tmp-*],
-     left by a store that crashed mid-publish) are removed — they were
-     never published, nothing references them;
+   - stray [Fsio.write_atomic] temps ([.tmp-*]) in the cache shards and
+     the journal directory, left by a store or a journal repair that
+     failed mid-publish, are removed — they were never published,
+     nothing references them;
    - a journal with a torn or corrupt tail is rewritten to its valid
      prefix with [Fsio.write_atomic], the dropped bytes saved to
      [<journal_dir>/quarantine/<name>.dropped].
@@ -22,7 +23,7 @@ type report = {
   cache_scanned : int;
   cache_valid : int;
   cache_quarantined : int;
-  cache_tmp_removed : int;
+  tmp_removed : int;
   journals_scanned : int;
   journal_lines_valid : int;
   journal_lines_dropped : int;
@@ -33,7 +34,7 @@ let empty_report =
     cache_scanned = 0;
     cache_valid = 0;
     cache_quarantined = 0;
-    cache_tmp_removed = 0;
+    tmp_removed = 0;
     journals_scanned = 0;
     journal_lines_valid = 0;
     journal_lines_dropped = 0;
@@ -45,7 +46,7 @@ let pp_report ppf r =
   Format.fprintf ppf
     "cache: scanned=%d valid=%d quarantined=%d tmp_removed=%d@ journal: \
      files=%d lines_valid=%d lines_dropped=%d"
-    r.cache_scanned r.cache_valid r.cache_quarantined r.cache_tmp_removed
+    r.cache_scanned r.cache_valid r.cache_quarantined r.tmp_removed
     r.journals_scanned r.journal_lines_valid r.journal_lines_dropped
 
 let m_quarantined kind =
@@ -77,6 +78,11 @@ let quarantine_file ?on_quarantine fs ~root ~kind path =
   Obs.Metrics.inc (m_quarantined kind);
   match on_quarantine with Some f -> f ~kind ~path | None -> ()
 
+(* An unpublished temp: never referenced, safe to delete. *)
+let remove_temp fs path r =
+  (try fs.Fsio.remove path with Sys_error _ -> ());
+  { r with tmp_removed = r.tmp_removed + 1 }
+
 (* ------------------------------------------------------------------ *)
 (* Cache tree *)
 
@@ -90,10 +96,7 @@ let scan_cache ?on_quarantine fs dir r =
           Array.iter
             (fun name ->
               let path = Filename.concat shard_path name in
-              if Fsio.is_temp name then begin
-                (try fs.Fsio.remove path with Sys_error _ -> ());
-                r := { !r with cache_tmp_removed = !r.cache_tmp_removed + 1 }
-              end
+              if Fsio.is_temp name then r := remove_temp fs path !r
               else if has_suffix ~suffix:".entry" name then begin
                 r := { !r with cache_scanned = !r.cache_scanned + 1 };
                 match Cache.validate_file ~fs path with
@@ -178,8 +181,10 @@ let scan_journals ?on_quarantine fs dir r =
   let r = ref r in
   Array.iter
     (fun name ->
-      if has_suffix ~suffix:".journal" name then
-        r := scan_journal ?on_quarantine fs ~root:dir (Filename.concat dir name) !r)
+      let path = Filename.concat dir name in
+      if Fsio.is_temp name then r := remove_temp fs path !r
+      else if has_suffix ~suffix:".journal" name then
+        r := scan_journal ?on_quarantine fs ~root:dir path !r)
     (sorted_entries fs dir);
   !r
 

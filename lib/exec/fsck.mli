@@ -6,7 +6,8 @@
     they do so {e silently}, on every run.  [fsck] makes the damage
     explicit and one-time: invalid cache entries are moved to
     [<cache_dir>/quarantine/], stray {!Fsio.write_atomic} temps
-    ([.tmp-*], {!Fsio.is_temp}) from crashed stores are removed, and a
+    ([.tmp-*], {!Fsio.is_temp}) from failed stores and journal repairs
+    are removed, and a
     journal with a corrupt tail is atomically rewritten to its valid
     prefix with the dropped bytes preserved in
     [<journal_dir>/quarantine/<name>.dropped].  Nothing is destroyed:
@@ -21,13 +22,13 @@ type report = {
   cache_scanned : int;  (** [*.entry] files examined *)
   cache_valid : int;  (** entries passing {!Cache.validate_file} *)
   cache_quarantined : int;  (** invalid entries moved to quarantine *)
-  cache_tmp_removed : int;  (** unpublished [.tmp-*] files removed *)
+  tmp_removed : int;
+      (** unpublished [.tmp-*] files removed, from the cache shards and
+          the journal directory *)
   journals_scanned : int;  (** [*.journal] files examined *)
   journal_lines_valid : int;  (** digest-valid cell lines across journals *)
   journal_lines_dropped : int;  (** invalid lines truncated away *)
 }
-
-val empty_report : report
 
 val clean : report -> bool
 (** No cache entries quarantined and no journal lines dropped — the

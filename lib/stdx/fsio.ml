@@ -72,6 +72,18 @@ let is_temp name = String.starts_with ~prefix:temp_prefix name
 
 let temp_seq = Atomic.make 0
 
+(* A cleanup [remove] can itself be interrupted; retry it while the temp
+   is still there, a bounded number of times (Stdx sits below
+   [Exec.Error]'s retry loop). *)
+let cleanup_attempts = 8
+
+let remove_temp fs tmp =
+  let rec go k =
+    if k > 0 && fs.file_exists tmp then
+      match fs.remove tmp with () -> () | exception Sys_error _ -> go (k - 1)
+  in
+  go cleanup_attempts
+
 let write_atomic ?(fs = real) path contents =
   let tmp =
     Filename.concat (Filename.dirname path)
@@ -82,7 +94,7 @@ let write_atomic ?(fs = real) path contents =
     fs.write_file tmp contents;
     fs.rename tmp path
   with e ->
-    (try fs.remove tmp with Sys_error _ -> ());
+    remove_temp fs tmp;
     raise e
 
 (* ------------------------------------------------------------------ *)

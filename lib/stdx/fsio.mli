@@ -51,8 +51,9 @@ val write_atomic : ?fs:t -> string -> string -> unit
     once: it writes a fresh temp [.tmp-<basename>-<pid>-<seq>] in
     [path]'s directory, then renames it over [path].  A reader sees the
     old bytes or the new ones, never a prefix.  If the write or the
-    rename raises, the temp is removed and the exception re-raised.  The
-    directory must exist. *)
+    rename raises, the temp is removed — the [remove] retried while the
+    temp exists, up to 8 attempts — and the original exception
+    re-raised.  The directory must exist. *)
 
 val is_temp : string -> bool
 (** [is_temp name]: [name] (a basename) is a {!write_atomic} temp, which
