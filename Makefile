@@ -45,8 +45,8 @@ chaos:
 	dune exec test/test_chaos.exe
 	dune exec bench/main.exe -- CHAOS
 
-# Network chaos: socket fault injection, connection-lifecycle and
-# balancer-failover suite + the seeded bench leg (docs/SERVING.md).
+# Network chaos: socket fault injection and connection-lifecycle
+# suite + the seeded bench leg (docs/SERVING.md).
 netchaos:
 	dune exec test/test_netchaos.exe
 	dune exec bench/main.exe -- NETCHAOS

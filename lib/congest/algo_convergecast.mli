@@ -11,19 +11,6 @@
     bandwidth budget ([value_width + 2 <= c·⌈log n⌉]).  Every [Program.t]
     below is the list-mode form of the kernel ({!Fastpath.to_program}). *)
 
-val aggregate_flat :
-  name:string ->
-  root:int ->
-  value_width:int ->
-  combine:(int -> int -> int) ->
-  contribution:(id:int -> weight:int -> int) ->
-  int Fastpath.t
-(** The general form: any commutative, associative [combine] whose values
-    stay within [value_width] bits (sums, maxima, bitwise-or of flags,
-    ...).  The root outputs the fold of [contribution ~id ~weight] over
-    its component; correctness needs [combine] commutative/associative
-    because subtree results arrive in arbitrary order. *)
-
 val aggregate :
   name:string ->
   root:int ->
@@ -31,6 +18,11 @@ val aggregate :
   combine:(int -> int -> int) ->
   contribution:(id:int -> weight:int -> int) ->
   int Program.t
+(** The general form: any commutative, associative [combine] whose values
+    stay within [value_width] bits (sums, maxima, bitwise-or of flags,
+    ...).  The root outputs the fold of [contribution ~id ~weight] over
+    its component; correctness needs [combine] commutative/associative
+    because subtree results arrive in arbitrary order. *)
 
 val sum_of_weights_flat : root:int -> value_width:int -> int Fastpath.t
 (** Every node contributes its weight; the root outputs the total weight

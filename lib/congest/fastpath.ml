@@ -24,6 +24,8 @@
 let tag_int = 0
 let tag_true = 1
 let tag_false = 2
+
+(* [word] names a [Msg.t] in the run's store; only [of_program] sends it. *)
 let tag_msg = 3
 
 (* Inbox entries are interleaved (src, tag, word) triples in one backing
@@ -448,7 +450,10 @@ let find_slot adj lo hi x =
         and halt; joiners halt.
    In every phase the globally largest (priority, id) among active nodes
    is a local maximum, so at least one node decides per phase and the
-   algorithm terminates. *)
+   algorithm terminates.  [width] and [draw] are applied to the shape
+   once, at instantiation; then, once per phase on each still-active
+   slot [v], [width v] gives the priority width and [draw ~v ~width] the
+   priority, which must be below [2^width]. *)
 let local_maxima ~name ~width ~draw =
   {
     fname = name;

@@ -68,9 +68,8 @@ val tag_true : int
 val tag_false : int
 (** A 1-bit [Msg.Bool false]; [word] ignored. *)
 
-val tag_msg : int
-(** [word] names a [Msg.t] in the run's {!store}; only {!of_program}
-    sends it. *)
+(** A fourth tag, [tag_msg], is internal: its [word] names a [Msg.t] in
+    the run's {!store}, and only {!of_program} sends it. *)
 
 (** {1 Buffers} *)
 
@@ -250,25 +249,16 @@ val max_id : rounds:int -> int t
 val bfs_distances : root:int -> rounds:int -> int t
 (** Single-source BFS distances; list-mode form {!Algo_bfs.distances}. *)
 
-val local_maxima :
-  name:string ->
-  width:(shape -> int -> int) ->
-  draw:(shape -> v:int -> width:int -> int) ->
-  bool t
-(** The "local maxima join" MIS skeleton shared by Luby and greedy MIS.
-    Each 3-round phase: undecided nodes send a [width]-bit priority,
-    strict local maxima of (priority, id) among still-active neighbors
-    join and announce it, and their neighbors drop out and announce
-    that.  [width] and [draw] are applied to the shape once, at
-    instantiation; then, once per phase on each still-active slot [v],
-    [width v] gives the priority width and [draw ~v ~width] the priority,
-    which must be below [2^width].  Output: [Some true] if the node
-    joined, [Some false] if a neighbor did. *)
+(** Luby and greedy MIS share one "local maxima join" skeleton.  Each
+    3-round phase: undecided nodes send a priority, strict local maxima
+    of (priority, id) among still-active neighbors join and announce it,
+    and their neighbors drop out and announce that.  Output: [Some true]
+    if the node joined, [Some false] if a neighbor did. *)
 
 val luby_mis : bool t
-(** {!local_maxima} with a fresh [2·⌈log n⌉]-bit random priority per
-    phase; list-mode form {!Algo_luby.mis}. *)
+(** The local-maxima skeleton with a fresh [2·⌈log n⌉]-bit random
+    priority per phase; list-mode form {!Algo_luby.mis}. *)
 
 val greedy_mis : bool t
-(** {!local_maxima} with the static node weight as priority; list-mode
-    form {!Algo_greedy_mis.mis}. *)
+(** The local-maxima skeleton with the static node weight as priority;
+    list-mode form {!Algo_greedy_mis.mis}. *)

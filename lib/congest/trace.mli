@@ -48,7 +48,7 @@ type mode =
       (** Streamed aggregates only; the log is discarded as it is
           recorded.  O(rounds) memory at any message volume.  Queries
           that need the log ({!send_events}, {!fault_events},
-          {!iter_sends}, {!bits_on_edge}, and cut queries for a partition
+          {!bits_on_edge}, and cut queries for a partition
           other than the registered one) raise [Invalid_argument]. *)
 
 val create : ?mode:mode -> ?cut:int array -> unit -> t
@@ -139,11 +139,6 @@ val max_bits_per_edge_round : t -> int
     maximum instead of re-deriving. *)
 
 (** {1 The send log} *)
-
-val iter_sends :
-  t -> (round:int -> src:int -> dst:int -> bits:int -> unit) -> unit
-(** Every recorded send in recording order, without materializing
-    records.  Raises in [Light] mode. *)
 
 val send_events : t -> send array
 (** All recorded sends in recording order (a fresh copy).  Raises in

@@ -23,6 +23,7 @@ let bachrach_quadratic =
     description = "(7/8+eps)-approx MaxIS needs Omega(n^2/log^7 n)";
   }
 
+(* Exact MaxIS needs Ω(n² / log² n); exported only through [all]. *)
 let censor_hillel_exact =
   {
     source = "Censor-Hillel, Khoury, Paz DISC 2017";

@@ -23,9 +23,6 @@ val bachrach_linear : entry
 val bachrach_quadratic : entry
 (** (7/8 + ε)-approx needs Ω(n² / log⁷ n). *)
 
-val censor_hillel_exact : entry
-(** Exact MaxIS needs Ω(n² / log² n). *)
-
 val this_paper_linear : entry
 (** (1/2 + ε)-approx needs Ω(n / log³ n) — Theorem 1. *)
 
@@ -33,7 +30,9 @@ val this_paper_quadratic : entry
 (** (3/4 + ε)-approx needs Ω(n² / log³ n) — Theorem 2. *)
 
 val all : entry list
-(** All five, prior work first. *)
+(** All five, prior work first: the exact-MaxIS bound of Censor-Hillel,
+    Khoury & Paz (Ω(n² / log² n), listed only here), then the four
+    above. *)
 
 val improvement_factor : old_bound:entry -> new_bound:entry -> n:float -> float
 (** Ratio of the new round bound to the old at a given [n] (> 1 means the

@@ -205,11 +205,3 @@ let pp ppf c =
     (match c.kind with `Lower -> ">=" | `Upper -> "<=")
     c.bound
     (if c.holds then "holds" else "VIOLATED")
-
-let pp_outcome ppf = function
-  | Decided c -> pp ppf c
-  | Unresolved u ->
-      Format.fprintf ppf "%s: OPT in [%d,%d] %s bound=%d [inconclusive: %a]"
-        u.u_name u.lb u.ub
-        (match u.u_kind with `Lower -> ">=" | `Upper -> "<=")
-        u.u_bound Exec.Budget.pp_reason u.reason

@@ -97,4 +97,3 @@ val claim7_budgeted :
   budget:Exec.Budget.t -> Params.t -> Commcx.Inputs.t -> outcome
 
 val pp : Format.formatter -> check -> unit
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -47,10 +47,9 @@ let create ?max_nodes ?deadline_s ?(clock = Sys.time) ?(every = 256) () =
     cancelled = Atomic.make false;
   }
 
+(* Neither cap set: behaves as [unlimited] (its token aside). *)
 let is_unlimited t =
   t == unlimited || (t.max_nodes = max_int && t.deadline = infinity)
-
-let node_limit t = if t.max_nodes = max_int then None else Some t.max_nodes
 
 let cancel t = Atomic.set t.cancelled true
 
@@ -75,8 +74,6 @@ let reason_to_string = function
   | Nodes -> "nodes"
   | Deadline -> "deadline"
   | Cancelled -> "cancelled"
-
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 
 let pp ppf t =
   if is_unlimited t then Format.pp_print_string ppf "unlimited"

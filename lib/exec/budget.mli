@@ -42,10 +42,6 @@ val create :
     token/clock checkpoints; the node cap itself is checked on every
     call.  Raises [Invalid_argument] on non-positive caps. *)
 
-val is_unlimited : t -> bool
-
-val node_limit : t -> int option
-
 val check : t -> nodes:int -> reason option
 (** [check t ~nodes] — is a search that has explored [nodes] nodes still
     within budget?  [Some reason] means stop now.  The node cap is
@@ -61,11 +57,9 @@ val cancelled : t -> bool
 
 val reason_to_string : reason -> string
 
-val pp_reason : Format.formatter -> reason -> unit
-
 val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> string
 (** Stable description of the budget's caps for cache keys: budgeted
-    results must never collide with unbudgeted ones.  [""] iff
-    {!is_unlimited}. *)
+    results must never collide with unbudgeted ones.  [""] iff the
+    budget has neither a node cap nor a deadline. *)

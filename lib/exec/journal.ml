@@ -155,8 +155,6 @@ let open_ ?(fs = Fsio.real) ?(dir = default_dir) ?(resume = true) ~run_id () =
 
 let completed t key = Hashtbl.mem t.completed (Cache.digest_hex key)
 
-let completed_count t = locked t (fun () -> Hashtbl.length t.completed)
-
 let resumed_count t = t.resumed
 
 let appended_count t = t.appended

@@ -66,9 +66,6 @@ val memo_value :
   'a
 (** Typed {!memo}, via {!Cache.memo_value}. *)
 
-val completed_count : t -> int
-(** Cells known complete (loaded + recorded). *)
-
 val resumed_count : t -> int
 (** Cells loaded from an existing journal at {!open_} — 0 on a fresh
     run. *)

@@ -17,11 +17,6 @@ let make_clique_array g nodes =
     done
   done
 
-let connect_all g xs ys =
-  List.iter
-    (fun u -> List.iter (fun v -> if u <> v then Graph.add_edge g u v) ys)
-    xs
-
 let connect_complement_of_matching g xs ys =
   let n = Array.length xs in
   if Array.length ys <> n then

@@ -13,10 +13,6 @@ val make_clique : Graph.t -> int list -> unit
 
 val make_clique_array : Graph.t -> int array -> unit
 
-val connect_all : Graph.t -> int list -> int list -> unit
-(** [connect_all g xs ys] adds every edge in [xs × ys] (skipping [u = v]
-    pairs, which would be self-loops). *)
-
 val connect_complement_of_matching : Graph.t -> int array -> int array -> unit
 (** [connect_complement_of_matching g xs ys] adds every edge between [xs]
     and [ys] {e except} the natural perfect matching [xs.(r) — ys.(r)]:

@@ -227,20 +227,6 @@ let label g v =
   check g v;
   match g.labels with None -> string_of_int v | Some l -> l.(v)
 
-let iter_neighbors f g v =
-  check g v;
-  for r = g.xadj.(v) to g.xadj.(v + 1) - 1 do
-    f g.adj.(r)
-  done
-
-let fold_neighbors f g v init =
-  check g v;
-  let acc = ref init in
-  for r = g.xadj.(v) to g.xadj.(v + 1) - 1 do
-    acc := f g.adj.(r) !acc
-  done;
-  !acc
-
 let neighbors_array g v =
   check g v;
   Array.sub g.adj g.xadj.(v) (g.xadj.(v + 1) - g.xadj.(v))

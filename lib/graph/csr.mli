@@ -83,11 +83,6 @@ val label : t -> int -> string
 
 (** {1 Iteration} *)
 
-val iter_neighbors : (int -> unit) -> t -> int -> unit
-(** Ascending, no allocation. *)
-
-val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
-
 val neighbors_array : t -> int -> int array
 (** A fresh sorted array of the row. *)
 

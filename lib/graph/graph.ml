@@ -154,9 +154,3 @@ let equal g h =
 let pp ppf g =
   Format.fprintf ppf "graph(n=%d, m=%d, W=%d, maxdeg=%d)" g.size (edge_count g)
     (total_weight g) (max_degree g)
-
-let pp_adjacency ppf g =
-  for v = 0 to g.size - 1 do
-    Format.fprintf ppf "%s (w=%d): %a@." g.labels.(v) g.weights.(v) Bitset.pp
-      g.adj.(v)
-  done

@@ -88,7 +88,3 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary: nodes, edges, total weight, max degree. *)
-
-val pp_adjacency : Format.formatter -> t -> unit
-(** Full adjacency listing, one node per line — only sensible for small
-    graphs (figures). *)

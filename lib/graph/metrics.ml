@@ -18,6 +18,7 @@ let bfs_distances g src =
   done;
   dist
 
+(* Max distance from [v]; [-1] if the graph is disconnected from it. *)
 let eccentricity g v =
   let dist = bfs_distances g v in
   if Array.exists (fun d -> d < 0) dist then -1

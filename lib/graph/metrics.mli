@@ -8,11 +8,9 @@
 val bfs_distances : Graph.t -> int -> int array
 (** Unweighted distances from a source; unreachable nodes get [-1]. *)
 
-val eccentricity : Graph.t -> int -> int
-(** Max distance from the node; [-1] if the graph is disconnected from it. *)
-
 val diameter : Graph.t -> int
-(** Max eccentricity over all nodes (all-pairs BFS, [O(n·m)]).  Returns
+(** Max eccentricity (max distance from a node) over all nodes
+    (all-pairs BFS, [O(n·m)]).  Returns
     [-1] when disconnected, [0] for graphs with [<= 1] node. *)
 
 val is_connected : Graph.t -> bool

@@ -45,6 +45,7 @@ let min_degree_first =
           (-1000000.0 *. float_of_int deg) +. float_of_int (Graph.weight g v));
   }
 
+(* Exported only through [all]. *)
 let weight_degree_ratio =
   {
     name = "weight/degree";

@@ -19,11 +19,10 @@ val min_degree_first : heuristic
 (** Repeatedly take a remaining node of minimum residual degree (ties by
     weight).  Achieves Δ+1-ish behaviour on unweighted graphs. *)
 
-val weight_degree_ratio : heuristic
-(** Repeatedly take the node maximizing [w(v) / (deg(v)+1)] — the greedy
-    that realizes the Caro–Wei bound [Σ w(v)/(deg(v)+1)] in expectation. *)
-
 val all : heuristic list
+(** The two above, then weight/degree: repeatedly take the node
+    maximizing [w(v) / (deg(v)+1)] — the greedy that realizes the
+    Caro–Wei bound [Σ w(v)/(deg(v)+1)] in expectation. *)
 
 val run : heuristic -> Wgraph.Graph.t -> int * Stdx.Bitset.t
 (** [(weight, set)]. *)

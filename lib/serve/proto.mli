@@ -96,7 +96,6 @@ type reply =
   | Error_reply of { id : J.t; op : string; reason : string }
 
 val reply_id : reply -> J.t
-val reply_op : reply -> string
 val reply_status : reply -> string  (** ["ok"] / ["rejected"] / ["error"] *)
 
 val reply_payload : reply -> string option

@@ -63,8 +63,6 @@ val max_depth : int
 val member : string -> t -> t option
 (** Field of an [Obj] (first match); [None] on anything else. *)
 
-val to_str : t -> string option
-
 val to_int : t -> int option
 (** [Int], or a [Float] with integral value. *)
 
@@ -76,4 +74,5 @@ val to_float : t -> float option
 val mem_str : string -> t -> string option
 val mem_int : string -> t -> int option
 val mem_bool : string -> t -> bool option
-(** [mem_* k j] = [member k j] composed with the accessor. *)
+(** [mem_* k j] = [member k j] composed with the accessor ([mem_str]
+    takes a [Str]'s contents). *)

@@ -38,7 +38,3 @@ let isqrt n =
 let divide_round_up a b =
   if b <= 0 then invalid_arg "Mathx.divide_round_up";
   (a + b - 1) / b
-
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
-let float_eq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps

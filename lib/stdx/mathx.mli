@@ -24,8 +24,3 @@ val isqrt : int -> int
 
 val divide_round_up : int -> int -> int
 (** [divide_round_up a b = ⌈a/b⌉] for positive [b]. *)
-
-val clamp : lo:'a -> hi:'a -> 'a -> 'a
-
-val float_eq : ?eps:float -> float -> float -> bool
-(** Approximate float equality, absolute tolerance (default [1e-9]). *)

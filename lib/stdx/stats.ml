@@ -42,10 +42,3 @@ let summarize xs =
     median = percentile xs 50.0;
     p90 = percentile xs 90.0;
   }
-
-let summarize_ints xs = summarize (Array.map float_of_int xs)
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f p90=%.3f max=%.3f" s.n s.mean
-    s.stddev s.min s.median s.p90 s.max

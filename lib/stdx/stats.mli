@@ -17,12 +17,8 @@ type summary = {
 val summarize : float array -> summary
 (** Raises [Invalid_argument] on an empty array. *)
 
-val summarize_ints : int array -> summary
-
 val mean : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,100], nearest-rank on a sorted copy.
     Sorting uses [Float.compare], so NaN samples order deterministically
     (below every number) instead of poisoning the sort. *)
-
-val pp_summary : Format.formatter -> summary -> unit
