@@ -79,7 +79,7 @@ let quarantine_file ?on_quarantine fs ~root ~kind path =
   match on_quarantine with Some f -> f ~kind ~path | None -> ()
 
 (* An unpublished temp: never referenced, safe to delete. *)
-let remove_temp fs path r =
+let sweep_temp fs path r =
   (try fs.Fsio.remove path with Sys_error _ -> ());
   { r with tmp_removed = r.tmp_removed + 1 }
 
@@ -96,7 +96,7 @@ let scan_cache ?on_quarantine fs dir r =
           Array.iter
             (fun name ->
               let path = Filename.concat shard_path name in
-              if Fsio.is_temp name then r := remove_temp fs path !r
+              if Fsio.is_temp name then r := sweep_temp fs path !r
               else if has_suffix ~suffix:".entry" name then begin
                 r := { !r with cache_scanned = !r.cache_scanned + 1 };
                 match Cache.validate_file ~fs path with
@@ -182,7 +182,7 @@ let scan_journals ?on_quarantine fs dir r =
   Array.iter
     (fun name ->
       let path = Filename.concat dir name in
-      if Fsio.is_temp name then r := remove_temp fs path !r
+      if Fsio.is_temp name then r := sweep_temp fs path !r
       else if has_suffix ~suffix:".journal" name then
         r := scan_journal ?on_quarantine fs ~root:dir path !r)
     (sorted_entries fs dir);

@@ -106,8 +106,8 @@ let request_fixed_point line =
       | Error _ -> false)
 
 let decoders_total line =
-  match (json_fixed_point line, request_fixed_point line) with
-  | a, b -> a && b
+  match json_fixed_point line && request_fixed_point line with
+  | ok -> ok
   | exception e ->
       QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) line
 
