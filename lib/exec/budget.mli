@@ -6,9 +6,9 @@
     scheduling) and/or by a {b clock deadline} (inherently
     non-deterministic; best-effort, checked every [every] nodes).  A
     shared {b cancellation token} lets one exhausted search stop its
-    siblings promptly: [Core.Verification.claim_checks] hands one budget
-    to every claim it runs on a pool, and a deadline trip in any claim
-    cancels the rest.
+    siblings promptly: [Maxis_core.Verification.claim_checks] hands one
+    budget to every claim it runs on a pool, and a deadline trip in any
+    claim cancels the rest.
 
     Budgets carry no spend state of their own — callers keep their own
     counters and ask {!check}.  This is what lets one budget value be
