@@ -78,6 +78,70 @@ let test_solve_induced () =
   check "within candidates" true
     (Bitset.subset s.Mis.Exact.set (Bitset.of_list 5 [ 0; 1; 2 ]))
 
+(* The search itself, pinned: OPT and the branch-and-bound tree size on
+   a fixed set of instances.  A change to the bound's bookkeeping that
+   keeps the same clique classes must pass this unedited; one that
+   tightens the bound changes [nodes_explored] and must re-pin it
+   deliberately. *)
+let pinned_instances () =
+  let promise_pair family p ~k seed =
+    let rng = Prng.create seed in
+    List.map
+      (fun intersecting ->
+        let x =
+          Commcx.Inputs.gen_promise rng ~k ~t:p.Maxis_core.Params.players
+            ~intersecting
+        in
+        (family p x).Maxis_core.Family.graph)
+      [ true; false ]
+  in
+  let linear =
+    List.concat_map
+      (fun (ell, t) ->
+        let p = Maxis_core.Params.make ~alpha:1 ~ell ~players:t in
+        promise_pair Maxis_core.Linear_family.instance p
+          ~k:(Maxis_core.Params.k p) (100 + (10 * ell) + t))
+      [ (3, 2); (3, 3); (4, 2); (4, 3); (5, 2); (5, 3) ]
+  in
+  let quadratic =
+    let p = Maxis_core.Params.figure_params ~players:2 in
+    promise_pair Maxis_core.Quadratic_family.instance p
+      ~k:(Maxis_core.Quadratic_family.string_length p) 7
+  in
+  let random =
+    let rng = Prng.create 2027 in
+    List.init 20 (fun i ->
+        let p = 0.1 +. (0.04 *. float_of_int (i mod 10)) in
+        let g = Build.erdos_renyi rng (30 + (2 * i)) p in
+        Build.random_weights rng g 9;
+        g)
+  in
+  linear @ quadratic @ random
+
+(* Linear ℓ = 3..5 × t = 2, 3 (intersecting, then disjoint), the
+   figure-parameter quadratic pair, then the 20 random graphs. *)
+let pinned_search =
+  [
+    (14, 21); (12, 31); (21, 31); (17, 73); (18, 25); (15, 41);
+    (27, 37); (21, 103); (22, 29); (18, 45); (33, 43); (25, 125);
+    (20, 119); (18, 99);
+    (96, 77); (71, 119); (80, 45); (63, 115); (62, 65);
+    (59, 139); (64, 107); (61, 153); (49, 119); (52, 105);
+    (124, 335); (101, 321); (95, 873); (91, 463); (82, 425);
+    (76, 187); (71, 515); (73, 317); (60, 369); (53, 187);
+  ]
+
+let test_exact_search_pinned () =
+  let got =
+    List.map
+      (fun g ->
+        let s = Mis.Exact.solve g in
+        (s.Mis.Exact.weight, s.Mis.Exact.nodes_explored))
+      (pinned_instances ())
+  in
+  Alcotest.(check (list (pair int int)))
+    "(weight, nodes_explored) per instance" pinned_search got
+
 (* ------------------------------------------------------------------ *)
 (* Brute force cross-check *)
 
@@ -307,6 +371,7 @@ let () =
           Alcotest.test_case "union of cliques" `Quick test_exact_on_union_of_cliques;
           Alcotest.test_case "complement-of-matching block" `Quick
             test_exact_complement_of_matching_block;
+          Alcotest.test_case "search pinned" `Quick test_exact_search_pinned;
         ] );
       ( "brute",
         [ Alcotest.test_case "known values" `Quick test_brute_matches_known ] );
