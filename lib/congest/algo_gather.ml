@@ -1,15 +1,78 @@
 module Graph = Wgraph.Graph
 
-(* Facts are flooded with per-edge pipelining: each node keeps an
-   append-only log of the facts it knows and a per-neighbor cursor; each
-   round it sends each neighbor the next fact that neighbor hasn't been
-   sent.  A fact travels as one packed int under [Fastpath.tag_int] —
-   kind at bit 3·idw (0 = edge {a, b} with a < b, 1 = weight of node a
-   is b), then a (idw bits), then b (2·idw bits) — charged 1 + 3·idw
-   bits.  Every field is checked when the fact is packed, and every
-   node's own weight fact is packed when the kernel is instantiated, so
-   an over-wide weight fails there, before round 0.  The fact logs allocate — the flat runtime's zero-allocation
-   guarantee covers delivery, not program state. *)
+(* Facts are flooded with per-edge pipelining: each node keeps the
+   facts it knows in the order it learned them, and a per-neighbour
+   cursor into that order; each round it sends each neighbour the next
+   fact that neighbour has not been sent.  A fact travels as one packed
+   int under [Fastpath.tag_int] — kind at bit 3·idw (0 = edge {a, b}
+   with a < b, 1 = weight of node a is b), then a (idw bits), then b
+   (2·idw bits) — charged 1 + 3·idw bits.  Every field is checked when
+   the fact is packed, and every node's own weight fact is packed when
+   the kernel is instantiated, so an over-wide weight fails there,
+   before round 0.
+
+   A node's fact store is an open-addressing set of ints (linear
+   probing, -1 marks an empty cell) beside an insertion-ordered log of
+   the same facts.  Packed facts are non-negative, and so is a fact
+   with a fault-flipped bit.  Both arrays are sized from n + m: a
+   fault-free run learns exactly n + m facts per node, so it fills
+   neither.  Corrupted facts can push a node past n + m; the store
+   then doubles, so the run stays correct, only slower.  The flat
+   runtime's zero-allocation guarantee covers delivery, not program
+   state. *)
+
+type facts = {
+  mutable table : int array;  (** power-of-two length, -1 = empty *)
+  mutable shift : int;  (** 63 − log₂ (length table) *)
+  mutable log : int array;  (** the first [len] cells, in learn order *)
+  mutable len : int;
+}
+
+let log2_ceil x =
+  let k = ref 0 in
+  while 1 lsl !k < x do incr k done;
+  !k
+
+let facts_create ~expect =
+  let k = max 4 (log2_ceil (2 * expect)) in
+  { table = Array.make (1 lsl k) (-1); shift = 63 - k;
+    log = Array.make (max 1 expect) 0; len = 0 }
+
+(* Fibonacci hashing: the top bits of the product.  The packed layout
+   puts b in the low bits, so masking the fact itself would bucket by
+   b alone. *)
+let slot st f = (f * 0x2545F4914F6CDD1D) lsr st.shift
+
+(* The cell holding [f], or the empty cell where it belongs. *)
+let find st f =
+  let t = st.table in
+  let mask = Array.length t - 1 in
+  let i = ref (slot st f) in
+  while t.(!i) <> f && t.(!i) <> -1 do i := (!i + 1) land mask done;
+  !i
+
+let grow st =
+  let k = 64 - st.shift in
+  st.table <- Array.make (1 lsl k) (-1);
+  st.shift <- 63 - k;
+  for j = 0 to st.len - 1 do
+    let f = st.log.(j) in
+    st.table.(find st f) <- f
+  done
+
+let learn st f =
+  let i = find st f in
+  if st.table.(i) = -1 then begin
+    st.table.(i) <- f;
+    if st.len = Array.length st.log then begin
+      let log = Array.make (2 * st.len) 0 in
+      Array.blit st.log 0 log 0 st.len;
+      st.log <- log
+    end;
+    st.log.(st.len) <- f;
+    st.len <- st.len + 1;
+    if 2 * st.len > Array.length st.table then grow st
+  end
 
 let gather_flat ~m ~solve =
   {
@@ -28,34 +91,22 @@ let gather_flat ~m ~solve =
             invalid_arg "Algo_gather.gather_flat: fact field too wide";
           (kind lsl (3 * idw)) lor (a lsl bshift) lor b
         in
-        (* Per node slot: the facts it knows, as a set and as an
-           append-only log; per edge slot: how far down the log that
-           neighbour has been sent. *)
-        let known : (int, unit) Hashtbl.t array =
-          Array.init slots (fun _ -> Hashtbl.create 64)
-        in
-        let log : int Stdx.Dynvec.t array =
-          Array.init slots (fun _ -> Stdx.Dynvec.create ())
-        in
+        (* Per node slot: its fact store; per edge slot: how far down
+           the log that neighbour has been sent. *)
+        let known = Array.init slots (fun _ -> facts_create ~expect:(n + m)) in
         let cursor = Array.make xadj.(slots) 0 in
         let halted = Bytes.make slots '\000' in
         let result = Array.make slots None in
-        let learn v f =
-          if not (Hashtbl.mem known.(v) f) then begin
-            Hashtbl.replace known.(v) f ();
-            Stdx.Dynvec.push log.(v) f
-          end
-        in
         for v = 0 to slots - 1 do
           let id = sh.Fastpath.base + v in
-          learn v (pack ~kind:1 ~a:id ~b:(sh.Fastpath.weight v));
+          learn known.(v) (pack ~kind:1 ~a:id ~b:(sh.Fastpath.weight v));
           for r = xadj.(v) to xadj.(v + 1) - 1 do
             let nb = adj.(r) in
-            learn v (pack ~kind:0 ~a:(min id nb) ~b:(max id nb))
+            learn known.(v) (pack ~kind:0 ~a:(min id nb) ~b:(max id nb))
           done
         done;
         let drained v =
-          let len = Stdx.Dynvec.length log.(v) in
+          let len = known.(v).len in
           let all = ref true in
           for r = xadj.(v) to xadj.(v + 1) - 1 do
             if cursor.(r) < len then all := false
@@ -64,31 +115,31 @@ let gather_flat ~m ~solve =
         in
         let reconstruct v =
           let g = Graph.create n in
-          Hashtbl.iter
-            (fun f () ->
-              let a = (f lsr bshift) land amask and b = f land bmask in
-              if f lsr (3 * idw) = 0 then Graph.add_edge g a b
-              else Graph.set_weight g a b)
-            known.(v);
+          let st = known.(v) in
+          for j = 0 to st.len - 1 do
+            let f = st.log.(j) in
+            let a = (f lsr bshift) land amask and b = f land bmask in
+            if f lsr (3 * idw) = 0 then Graph.add_edge g a b
+            else Graph.set_weight g a b
+          done;
           g
         in
         let step ~v ~round:_ inbox em =
+          let st = known.(v) in
           for k = 0 to Fastpath.in_len inbox - 1 do
             if Fastpath.in_tag inbox k = Fastpath.tag_int then
-              learn v (Fastpath.in_word inbox k)
+              learn st (Fastpath.in_word inbox k)
           done;
-          let lg = log.(v) in
           (* Highest neighbor first: the send order decides which
              sends precede an oversend, and the goldens pin it. *)
           for r = xadj.(v + 1) - 1 downto xadj.(v) do
-            if cursor.(r) < Stdx.Dynvec.length lg then begin
+            if cursor.(r) < st.len then begin
               Fastpath.emit em ~dst:adj.(r) ~tag:Fastpath.tag_int
-                ~bits:fact_bits
-                ~word:(Stdx.Dynvec.get lg cursor.(r));
+                ~bits:fact_bits ~word:st.log.(cursor.(r));
               cursor.(r) <- cursor.(r) + 1
             end
           done;
-          if Hashtbl.length known.(v) >= n + m && drained v then begin
+          if st.len >= n + m && drained v then begin
             result.(v) <- Some (solve (reconstruct v));
             Bytes.set halted v '\001'
           end

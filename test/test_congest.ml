@@ -458,6 +458,77 @@ let test_gather_rejects_wide_weight () =
   | _ -> Alcotest.fail "over-wide weight accepted"
   | exception Invalid_argument _ -> ()
 
+(* The fact store's growth path.  K₃₀ has n + m = 465 facts, well past
+   a small initial table; every form must reconstruct the same graph
+   in the same rounds, and the Light digest pins the send sequence. *)
+let gather_k30 () =
+  let g = Build.complete 30 in
+  let rng = Prng.create 2029 in
+  Build.random_weights rng g 9;
+  g
+
+let gather_run ?config ?pool form g =
+  let trace = Trace.create ~mode:Trace.Light () in
+  let m = Graph.edge_count g in
+  let r =
+    match form with
+    | `Native ->
+        Runtime.run_flat ?config ~trace ?pool
+          (Congest.Algo_gather.exact_maxis_flat ~m)
+          (Wgraph.Csr.of_graph g)
+    | `List -> Runtime.run ?config ~trace (Congest.Algo_gather.exact_maxis ~m) g
+  in
+  (r.Runtime.outputs, r.Runtime.rounds_executed, trace)
+
+(* No pool, jobs 2 and 3, then the list form; all must agree with the
+   first.  Returns its outputs and trace. *)
+let gather_forms_agree ?config g =
+  let with_pool jobs =
+    Exec.Pool.with_pool ~jobs (fun pool -> gather_run ?config ~pool `Native g)
+  in
+  let forms =
+    [
+      ("no pool", gather_run ?config `Native g);
+      ("jobs=2", with_pool 2);
+      ("jobs=3", with_pool 3);
+      ("list form", gather_run ?config `List g);
+    ]
+  in
+  let _, (outputs, rounds, trace) = List.hd forms in
+  List.iter
+    (fun (label, (o, r, t)) ->
+      Alcotest.(check (array (option int))) (label ^ ": outputs") outputs o;
+      check_int (label ^ ": rounds") rounds r;
+      Alcotest.(check int64)
+        (label ^ ": Light digest") (Trace.digest trace) (Trace.digest t))
+    forms;
+  (outputs, trace)
+
+let test_gather_store_grows () =
+  let g = gather_k30 () in
+  let outputs, _ = gather_forms_agree g in
+  Array.iter
+    (fun o -> Alcotest.(check (option int)) "OPT" (Some (Mis.Exact.opt g)) o)
+    outputs
+
+(* Under a corrupt-heavy plan, flipped facts are new facts: every node
+   learns more than n + m, forwards them, and never drains, so no node
+   halts within the round cap.  A node sends each fact it knows at most
+   once per neighbour, so more than (n + m)·2m sends in total means
+   some node's distinct count passed n + m and its store grew. *)
+let test_gather_corrupt_heavy () =
+  let g = gather_k30 () in
+  let n = Graph.n g and m = Graph.edge_count g in
+  let plan =
+    Congest.Faults.plan ~default:(Congest.Faults.link ~corrupt:0.01 ()) 0xfac7
+  in
+  let config =
+    { Runtime.default_config with Runtime.max_rounds = 600; faults = Some plan }
+  in
+  let _, trace = gather_forms_agree ~config g in
+  check "distinct facts past n + m" true
+    (Trace.total_messages trace > (n + m) * 2 * m)
+
 (* [Trace.record_row] is the [record_send] fold over the row, in both
    modes, with and without a registered cut: seeded streams of rows and
    single sends (rounds mostly ascending, sometimes revisited; rows
@@ -736,6 +807,9 @@ let () =
           Alcotest.test_case "rounds scale" `Quick test_gather_rounds_scale;
           Alcotest.test_case "over-wide weight rejected at spawn" `Quick
             test_gather_rejects_wide_weight;
+          Alcotest.test_case "fact store grows" `Quick test_gather_store_grows;
+          Alcotest.test_case "corrupt-heavy forms agree" `Quick
+            test_gather_corrupt_heavy;
         ] );
       ( "coloring",
         [
