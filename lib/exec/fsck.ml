@@ -42,12 +42,14 @@ let empty_report =
 
 let clean r = r.cache_quarantined = 0 && r.journal_lines_dropped = 0
 
+(* [tmp_removed] counts temps swept from the cache shards and the
+   journal directory alike, so it is printed after both groups. *)
 let pp_report ppf r =
   Format.fprintf ppf
-    "cache: scanned=%d valid=%d quarantined=%d tmp_removed=%d@ journal: \
-     files=%d lines_valid=%d lines_dropped=%d"
-    r.cache_scanned r.cache_valid r.cache_quarantined r.tmp_removed
-    r.journals_scanned r.journal_lines_valid r.journal_lines_dropped
+    "cache: scanned=%d valid=%d quarantined=%d@ journal: files=%d \
+     lines_valid=%d lines_dropped=%d@ tmp_removed=%d"
+    r.cache_scanned r.cache_valid r.cache_quarantined r.journals_scanned
+    r.journal_lines_valid r.journal_lines_dropped r.tmp_removed
 
 let m_quarantined kind =
   Obs.Metrics.counter ~labels:[ ("kind", kind) ] "fsck_quarantined_total"

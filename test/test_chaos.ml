@@ -804,8 +804,17 @@ let test_fsck_sweeps_journal_temps () =
   Stdx.Fsio.real.Stdx.Fsio.write_file
     (Filename.concat journal_dir temp_name)
     "half a repaired journal";
-  ignore
-    (Fsck.run ~cache_dir:(Filename.concat root "cache") ~journal_dir ());
+  let report =
+    Fsck.run ~cache_dir:(Filename.concat root "cache") ~journal_dir ()
+  in
+  (* The swept temp was in the journal directory, so the printed line
+     must not count it inside the cache group. *)
+  check_string "printed report"
+    "cache: scanned=0 valid=0 quarantined=0 journal: files=1 lines_valid=4 \
+     lines_dropped=0 tmp_removed=1"
+    (String.map
+       (fun c -> if c = '\n' then ' ' else c)
+       (Format.asprintf "%a" Fsck.pp_report report));
   check "temp swept" false
     (Sys.file_exists (Filename.concat journal_dir temp_name));
   check_string "journal lines unchanged" before
