@@ -12,45 +12,49 @@ let max_nodes = 4000
    edges) this is nearly tight, which is what makes the search fast.
 
    We scan candidates in decreasing-weight order and put each node into the
-   first clique class whose members are all adjacent to it. *)
-let clique_cover_bound g order cands =
-  (* class_mask.(c) = bitset of members; class_max.(c) = max weight. *)
-  let classes : Bitset.t array ref = ref (Array.make 8 (Bitset.create 0)) in
-  let class_max = ref (Array.make 8 0) in
+   first clique class whose members are all adjacent to it.  Each class
+   keeps, instead of its members, the set of nodes adjacent to every
+   member: a node fits the class iff it is in that set (one [Bitset.mem]),
+   and joining intersects the set with the node's neighbourhood.  The sets
+   come from a per-solve pool ([cover]) and are overwritten on reuse, so a
+   branch-and-bound node allocates nothing here. *)
+type cover = {
+  mutable common : Bitset.t array;  (** class c: nodes adjacent to all of c *)
+  heaviest : int array;  (** class c: its heaviest member's weight *)
+}
+
+let cover_scratch n = { common = [||]; heaviest = Array.make (max 1 n) 0 }
+
+let clique_cover_bound g order cover cands =
   let nclasses = ref 0 in
   let bound = ref 0 in
-  Array.iter
-    (fun v ->
-      if Bitset.mem cands v then begin
-        let nbrs = Graph.neighbors g v in
-        let rec find c =
-          if c >= !nclasses then c
-          else if Bitset.subset !classes.(c) nbrs then c
-          else find (c + 1)
-        in
-        let c = find 0 in
-        if c = !nclasses then begin
-          if c >= Array.length !classes then begin
-            let grow_to = 2 * Array.length !classes in
-            let new_classes = Array.make grow_to (Bitset.create 0) in
-            Array.blit !classes 0 new_classes 0 c;
-            classes := new_classes;
-            let new_max = Array.make grow_to 0 in
-            Array.blit !class_max 0 new_max 0 c;
-            class_max := new_max
-          end;
-          !classes.(c) <- Bitset.create (Graph.n g);
-          !class_max.(c) <- 0;
-          incr nclasses
-        end;
-        Bitset.add !classes.(c) v;
-        let w = Graph.weight g v in
-        if w > !class_max.(c) then begin
-          bound := !bound + w - !class_max.(c);
-          !class_max.(c) <- w
-        end
-      end)
-    order;
+  for i = 0 to Array.length order - 1 do
+    let v = order.(i) in
+    if Bitset.mem cands v then begin
+      let c = ref 0 in
+      while !c < !nclasses && not (Bitset.mem cover.common.(!c) v) do
+        incr c
+      done;
+      let c = !c in
+      let nbrs = Graph.neighbors g v in
+      if c = !nclasses then begin
+        if c = Array.length cover.common then
+          cover.common <-
+            Array.init (max 8 (2 * c)) (fun j ->
+                if j < c then cover.common.(j) else Bitset.create (Graph.n g));
+        Bitset.clear cover.common.(c);
+        Bitset.union_in_place cover.common.(c) nbrs;
+        cover.heaviest.(c) <- 0;
+        incr nclasses
+      end
+      else Bitset.inter_in_place cover.common.(c) nbrs;
+      let w = Graph.weight g v in
+      if w > cover.heaviest.(c) then begin
+        bound := !bound + w - cover.heaviest.(c);
+        cover.heaviest.(c) <- w
+      end
+    end
+  done;
   !bound
 
 type exhausted = {
@@ -112,6 +116,7 @@ let solve_on ~budget g cands0 =
       (Printf.sprintf "Mis.Exact.solve: %d nodes exceeds max_nodes=%d" n
          max_nodes);
   let order = branch_order g in
+  let cover = cover_scratch n in
   let best_weight = ref 0 in
   let best_set = ref (Bitset.create n) in
   let current = Bitset.create n in
@@ -136,7 +141,7 @@ let solve_on ~budget g cands0 =
         best_set := Bitset.copy current
       end
     end
-    else if cur_weight + clique_cover_bound g order cands > !best_weight then begin
+    else if cur_weight + clique_cover_bound g order cover cands > !best_weight then begin
       (* Branch on the heaviest candidate. *)
       let v =
         let rec find i =
@@ -164,7 +169,7 @@ let solve_on ~budget g cands0 =
   | exception Out_of_budget reason ->
       flush_metrics ();
       Obs.Metrics.inc (m_exhausted reason);
-      let ub = max !best_weight (clique_cover_bound g order cands0) in
+      let ub = max !best_weight (clique_cover_bound g order cover cands0) in
       Exhausted
         {
           lb = !best_weight;
