@@ -28,19 +28,18 @@ type facts = {
   mutable len : int;
 }
 
-let log2_ceil x =
-  let k = ref 0 in
-  while 1 lsl !k < x do incr k done;
-  !k
-
 let facts_create ~expect =
-  let k = max 4 (log2_ceil (2 * expect)) in
-  { table = Array.make (1 lsl k) (-1); shift = 63 - k;
-    log = Array.make (max 1 expect) 0; len = 0 }
+  let k = max 4 (Stdx.Mathx.ceil_log2 (2 * expect)) in
+  {
+    table = Array.make (1 lsl k) (-1);
+    shift = 63 - k;
+    log = Array.make (max 1 expect) 0;
+    len = 0;
+  }
 
-(* Fibonacci hashing: the top bits of the product.  The packed layout
-   puts b in the low bits, so masking the fact itself would bucket by
-   b alone. *)
+(* Multiplicative hashing: the top bits of the product.  The packed
+   layout puts b in the low bits, so masking the fact itself would
+   bucket by b alone. *)
 let slot st f = (f * 0x2545F4914F6CDD1D) lsr st.shift
 
 (* The cell holding [f], or the empty cell where it belongs. *)
@@ -51,6 +50,7 @@ let find st f =
   while t.(!i) <> f && t.(!i) <> -1 do i := (!i + 1) land mask done;
   !i
 
+(* Double the table (one more index bit) and reinsert from the log. *)
 let grow st =
   let k = 64 - st.shift in
   st.table <- Array.make (1 lsl k) (-1);

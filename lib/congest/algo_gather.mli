@@ -31,9 +31,10 @@ val gather : m:int -> solve:(Wgraph.Graph.t -> 'out) -> 'out Program.t
     halts once it knows all [n] weights and all [m] edges and has
     forwarded every fact to every neighbor; its output is [solve g] on
     the reconstructed graph.  Completes in [O(m + D)] rounds on connected
-    graphs.  A fact is one packed int charged [1 + 3·⌈log n⌉] bits.  The
-    fact log allocates — the flat executor's zero-allocation guarantee
-    covers delivery, not program state.
+    graphs.  A fact is one packed int charged [1 + 3·⌈log n⌉] bits.
+    Each node's fact store is allocated, sized from [n + m], when the
+    kernel is instantiated; it grows only when corrupted facts push a
+    node past [n + m] distinct facts.
 
     Weights must fit in [2·⌈log n⌉] bits: spawning a node whose weight
     does not raises [Invalid_argument], so every executor fails at spawn,
