@@ -16,10 +16,9 @@ module Graph = Wgraph.Graph
    the same facts.  Packed facts are non-negative, and so is a fact
    with a fault-flipped bit.  Both arrays are sized from n + m: a
    fault-free run learns exactly n + m facts per node, so it fills
-   neither.  Corrupted facts can push a node past n + m; the store
-   then doubles, so the run stays correct, only slower.  The flat
-   runtime's zero-allocation guarantee covers delivery, not program
-   state. *)
+   neither.  Corrupted facts can push a node past n + m; the table
+   and the log then double as they fill.  The flat runtime's
+   zero-allocation guarantee covers delivery, not program state. *)
 
 type facts = {
   mutable table : int array;  (** power-of-two length, -1 = empty *)
