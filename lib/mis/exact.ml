@@ -141,7 +141,8 @@ let solve_on ~budget g cands0 =
         best_set := Bitset.copy current
       end
     end
-    else if cur_weight + clique_cover_bound g order cover cands > !best_weight then begin
+    else if cur_weight + clique_cover_bound g order cover cands > !best_weight
+    then begin
       (* Branch on the heaviest candidate. *)
       let v =
         let rec find i =
@@ -169,7 +170,9 @@ let solve_on ~budget g cands0 =
   | exception Out_of_budget reason ->
       flush_metrics ();
       Obs.Metrics.inc (m_exhausted reason);
-      let ub = max !best_weight (clique_cover_bound g order cover cands0) in
+      let ub =
+        max !best_weight (clique_cover_bound g order cover cands0)
+      in
       Exhausted
         {
           lb = !best_weight;

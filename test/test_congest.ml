@@ -458,9 +458,9 @@ let test_gather_rejects_wide_weight () =
   | _ -> Alcotest.fail "over-wide weight accepted"
   | exception Invalid_argument _ -> ()
 
-(* The fact store's growth path.  K₃₀ has n + m = 465 facts, well past
-   a small initial table; every form must reconstruct the same graph
-   in the same rounds, and the Light digest pins the send sequence. *)
+(* The fact store on a dense graph: K₃₀ has n + m = 465 facts per
+   node.  Every form must reconstruct the same graph in the same
+   rounds, and the Light digest pins the send sequence. *)
 let gather_k30 () =
   let g = Build.complete 30 in
   let rng = Prng.create 2029 in
@@ -504,18 +504,19 @@ let gather_forms_agree ?config g =
     forms;
   (outputs, trace)
 
-let test_gather_store_grows () =
+let test_gather_k30 () =
   let g = gather_k30 () in
   let outputs, _ = gather_forms_agree g in
   Array.iter
     (fun o -> Alcotest.(check (option int)) "OPT" (Some (Mis.Exact.opt g)) o)
     outputs
 
-(* Under a corrupt-heavy plan, flipped facts are new facts: every node
-   learns more than n + m, forwards them, and never drains, so no node
-   halts within the round cap.  A node sends each fact it knows at most
-   once per neighbour, so more than (n + m)·2m sends in total means
-   some node's distinct count passed n + m and its store grew. *)
+(* The store's growth path.  Under a corrupt-heavy plan, flipped facts
+   are new facts: nodes learn more than n + m, forward them, and never
+   drain, so no node halts within the round cap.  A node sends each
+   fact it knows at most once per neighbour, so more than (n + m)·2m
+   sends in total means some node's distinct count passed n + m, past
+   the store's initial size. *)
 let test_gather_corrupt_heavy () =
   let g = gather_k30 () in
   let n = Graph.n g and m = Graph.edge_count g in
@@ -807,8 +808,8 @@ let () =
           Alcotest.test_case "rounds scale" `Quick test_gather_rounds_scale;
           Alcotest.test_case "over-wide weight rejected at spawn" `Quick
             test_gather_rejects_wide_weight;
-          Alcotest.test_case "fact store grows" `Quick test_gather_store_grows;
-          Alcotest.test_case "corrupt-heavy forms agree" `Quick
+          Alcotest.test_case "K30 forms agree" `Quick test_gather_k30;
+          Alcotest.test_case "fact store grows under corruption" `Quick
             test_gather_corrupt_heavy;
         ] );
       ( "coloring",
