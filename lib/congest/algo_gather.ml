@@ -15,9 +15,9 @@ module Graph = Wgraph.Graph
    probing, -1 marks an empty cell) beside an insertion-ordered log of
    the same facts.  Packed facts are non-negative, and so is a fact
    with a fault-flipped bit.  Both arrays are sized from n + m: a
-   fault-free run learns exactly n + m facts per node, so it fills
-   neither.  Corrupted facts can push a node past n + m; the table
-   and the log then double as they fill.  The flat runtime's
+   fault-free run learns exactly n + m facts per node, so neither
+   grows.  Corrupted facts can push a node past n + m; the table and
+   the log then double as they fill.  The flat runtime's
    zero-allocation guarantee covers delivery, not program state. *)
 
 type facts = {
