@@ -23,7 +23,7 @@ type cover = {
   heaviest : int array;  (** class c: its heaviest member's weight *)
 }
 
-let cover_scratch n = { common = [||]; heaviest = Array.make (max 1 n) 0 }
+let cover_create n = { common = [||]; heaviest = Array.make (max 1 n) 0 }
 
 let clique_cover_bound g order cover cands =
   let nclasses = ref 0 in
@@ -116,7 +116,7 @@ let solve_on ~budget g cands0 =
       (Printf.sprintf "Mis.Exact.solve: %d nodes exceeds max_nodes=%d" n
          max_nodes);
   let order = branch_order g in
-  let cover = cover_scratch n in
+  let cover = cover_create n in
   let best_weight = ref 0 in
   let best_set = ref (Bitset.create n) in
   let current = Bitset.create n in
