@@ -611,6 +611,53 @@ let prop_record_row_is_fold =
           (Trace.Light, Some part);
         ])
 
+(* Literal Light digests: the digest is a streamed 63-bit fold, and its
+   values are pinned here and in perfbench and test_golden, so any
+   rewrite of the fold must reproduce them bit for bit.  One fixed
+   stream mixes point sends, rows (some empty, one with a large size),
+   a delayed fault and a crash, once without a cut and once with a
+   3-sided one; the send accumulator's top bit (bit 62) must be set at
+   some point of the stream, so the fold's logical shift sees it. *)
+let light_stream t =
+  let n = 12 in
+  let adj = Array.init 40 (fun i -> ((i * 7) + 3) mod n) in
+  let top_bit = ref false in
+  for i = 0 to 59 do
+    let round = i / 6 and src = ((i * 5) + (i / 4)) mod n in
+    let bits = if i = 43 then (1 lsl 40) + 12_345 else 1 + (i mod 17) in
+    let lo = i mod 10 in
+    (match i mod 3 with
+    | 0 -> Trace.record_send t ~round ~src ~dst:((src + i + 1) mod n) ~bits
+    | 1 ->
+        Trace.record_row t ~round ~src ~adj ~lo ~hi:(lo + 1 + (i mod 13)) ~bits
+    | _ -> Trace.record_row t ~round ~src ~adj ~lo ~hi:lo ~bits);
+    if i = 31 then
+      Trace.record_fault t ~round ~src ~dst:adj.(0) ~bits
+        ~kind:(Trace.Delayed 2);
+    if i = 50 then
+      Trace.record_fault t ~round ~src ~dst:src ~bits:0 ~kind:Trace.Crashed;
+    if Trace.send_digest_state t < 0 then top_bit := true
+  done;
+  Trace.set_rounds t 11;
+  !top_bit
+
+let test_light_digests_pinned () =
+  let part = Array.init 12 (fun v -> v mod 3) in
+  let pinned what t ~digest ~state =
+    check (what ^ ": accumulator reached bit 62") true (light_stream t);
+    Alcotest.(check int64) (what ^ ": digest") digest (Trace.digest t);
+    check_int (what ^ ": send digest state") state (Trace.send_digest_state t)
+  in
+  let digest = 120172352562055120L and state = 3266488399905456200 in
+  pinned "no cut" (Trace.create ~mode:Trace.Light ()) ~digest ~state;
+  let t = Trace.create ~mode:Trace.Light ~cut:part () in
+  pinned "3-sided cut" t ~digest ~state;
+  Alcotest.(check (pair (pair int int) (array int)))
+    "3-sided cut: crossings"
+    ((3_298_534_921_228, 106), [| 3_298_534_920_663; 266; 299 |])
+    ((Trace.cut_bits t part, Trace.cut_messages t part),
+     Trace.cut_bits_by_side t part)
+
 let prop_luby_always_valid =
   QCheck.Test.make ~name:"Luby always returns a maximal IS" ~count:30
     QCheck.(pair small_int small_int) (fun (seed, nn) ->
@@ -757,7 +804,8 @@ let prop_matching_always_maximal =
       && Wgraph.Matching.is_matching g (matching_pairs outputs)
       && !maximal)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+let qsuite ?(cases = []) name tests =
+  (name, List.map QCheck_alcotest.to_alcotest tests @ cases)
 
 let () =
   Alcotest.run "congest"
@@ -825,6 +873,11 @@ let () =
           Alcotest.test_case "star" `Quick test_matching_star;
         ] );
       qsuite "congest-props"
+        ~cases:
+          [
+            Alcotest.test_case "Light digests pinned" `Quick
+              test_light_digests_pinned;
+          ]
         [
           prop_luby_always_valid;
           prop_gather_matches_exact;
