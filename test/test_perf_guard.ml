@@ -120,6 +120,33 @@ let test_par_stage_alloc_per_round () =
               s jobs per_round per_domain_ceiling)
         probe)
 
+(* Point sends reach the trace through [Trace.record_send] one at a
+   time (the theorem5-gather path), never through a row, so the guards
+   above, whose kernel sends rows only, do not see them.  Once the open
+   round and the cut's per-round vector exist, a point send into a
+   cut-registered Light trace streams scalars only: 10⁵ of them within
+   one round stay under a ceiling a single boxed word per send would
+   pass 10⁵-fold. *)
+let test_point_send_alloc () =
+  let module T = Congest.Trace in
+  let cut = Array.init n (fun v -> v land 1) in
+  let trace = T.create ~mode:T.Light ~cut () in
+  let sends k =
+    for i = 0 to k - 1 do
+      T.record_send trace ~round:3 ~src:(i land (n - 1))
+        ~dst:(((i * 7) + 1) land (n - 1)) ~bits:9
+    done
+  in
+  sends 1_000;
+  let before = Gc.minor_words () in
+  sends 100_000;
+  let words = Gc.minor_words () -. before in
+  if words > 64.0 then
+    Alcotest.failf
+      "10^5 point sends into a cut-metered Light trace allocate %.0f minor \
+       words (ceiling 64)"
+      words
+
 (* A list-mode program is not zero-allocation (Program.step speaks in
    lists, and Fastpath.of_program rebuilds each inbox as one), but its
    run on the flat loop must stay linear in delivered messages.  The
@@ -211,6 +238,8 @@ let () =
             test_par_stage_alloc_per_round;
           Alcotest.test_case "trace replay under a pool is allocation-free"
             `Quick test_par_replay_alloc_per_round;
+          Alcotest.test_case "Light point sends are allocation-free" `Quick
+            test_point_send_alloc;
           Alcotest.test_case "list mode stays linear" `Quick
             test_list_alloc_per_message;
           Alcotest.test_case "row-only rounds hold no delivery arena" `Quick
