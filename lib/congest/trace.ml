@@ -126,10 +126,18 @@ let bump vec i d =
   done;
   Dynvec.set vec i (Dynvec.get vec i + d)
 
-let mix_int h x = (h lxor x) * 0x100000001b3 lxor (h lsr 29)
-
-let[@inline] send_mix ~h ~round ~src ~dst ~bits =
-  mix_int (mix_int (mix_int (mix_int h round) src) dst) bits
+(* The Light digest's mix, defined on 63-bit ints as
+   [((h lxor x) * 0x100000001b3) lxor (h lsr 29)] mod 2⁶³ and computed
+   here in untagged Int64, whose low 63 bits carry the int: [logxor]
+   and [mul] keep them exact whatever bit 63 holds, the shift needs
+   bit 63 cleared first (off the critical path, which is xor, imul,
+   xor), and [Int64.to_int] drops it again.  Tagged ints pay a tag
+   fix-up around every [imul] of the fold's serial chain. *)
+let[@inline] mix63 h x =
+  let open Int64 in
+  logxor
+    (mul (logxor h x) 0x100000001b3L)
+    (shift_right_logical (logand h 0x7FFF_FFFF_FFFF_FFFFL) 29)
 
 let flush_round t =
   if t.open_round >= 0 then begin
@@ -173,15 +181,19 @@ let record_send t ~round ~src ~dst ~bits =
   | Some c when c.part.(src) <> c.part.(dst) ->
       add_crossings c ~round ~side:c.part.(src) ~count:1 ~bits
   | _ -> ());
-  if t.mode = Light then
-    t.h_sends <- send_mix ~h:t.h_sends ~round ~src ~dst ~bits
+  if t.mode = Light then begin
+    let open Int64 in
+    let h = mix63 (mix63 (of_int t.h_sends) (of_int round)) (of_int src) in
+    t.h_sends <- to_int (mix63 (mix63 h (of_int dst)) (of_int bits))
+  end
 
 (* A whole row: [bits] from [src] to each of [adj.(lo) .. adj.(hi-1)],
    in that order.  Full mode retains each send, so it is the
    [record_send] loop; Light mode touches the totals and the open round
    once, then one pass over the row folds the digest per recipient and
    counts the row's cut crossings — the same state [hi - lo]
-   [record_send]s leave. *)
+   [record_send]s leave.  The digest stays in one unboxed Int64 across
+   the row, and the crossing count adds a bool instead of branching. *)
 let record_row t ~round ~src ~adj ~lo ~hi ~bits =
   if t.mode = Full then
     for r = lo to hi - 1 do
@@ -189,11 +201,15 @@ let record_row t ~round ~src ~adj ~lo ~hi ~bits =
     done
   else if hi > lo then begin
     add_sends t ~round ~count:(hi - lo) ~bits:((hi - lo) * bits);
-    let h = ref t.h_sends in
+    let round64 = Int64.of_int round
+    and src64 = Int64.of_int src
+    and bits64 = Int64.of_int bits in
+    let h = ref (Int64.of_int t.h_sends) in
     (match t.cut with
     | None ->
         for r = lo to hi - 1 do
-          h := send_mix ~h:!h ~round ~src ~dst:adj.(r) ~bits
+          let hs = mix63 (mix63 !h round64) src64 in
+          h := mix63 (mix63 hs (Int64.of_int adj.(r))) bits64
         done
     | Some c ->
         let part = c.part in
@@ -201,12 +217,13 @@ let record_row t ~round ~src ~adj ~lo ~hi ~bits =
         let x = ref 0 in
         for r = lo to hi - 1 do
           let dst = adj.(r) in
-          if part.(dst) <> side then incr x;
-          h := send_mix ~h:!h ~round ~src ~dst ~bits
+          x := !x + Bool.to_int (part.(dst) <> side);
+          let hs = mix63 (mix63 !h round64) src64 in
+          h := mix63 (mix63 hs (Int64.of_int dst)) bits64
         done;
         let x = !x in
         if x > 0 then add_crossings c ~round ~side ~count:x ~bits:(x * bits));
-    t.h_sends <- !h
+    t.h_sends <- Int64.to_int !h
   end
 
 let send_digest_state t = t.h_sends
@@ -249,11 +266,12 @@ let record_fault t ~round ~src ~dst ~bits ~kind =
       | Duplicated -> c.c_duplicated <- c.c_duplicated + bits
       | Corrupted | Delayed _ | Crashed -> ())
   | _ -> ());
-  if t.mode = Light then
-    t.h_faults <-
-      mix_int
-        (mix_int (mix_int (mix_int (mix_int t.h_faults round) src) dst) bits)
-        code
+  if t.mode = Light then begin
+    let open Int64 in
+    let h = mix63 (mix63 (of_int t.h_faults) (of_int round)) (of_int src) in
+    let h = mix63 (mix63 h (of_int dst)) (of_int bits) in
+    t.h_faults <- to_int (mix63 h (of_int code))
+  end
 
 let observe_edge_total t total =
   if total > t.max_edge_obs then t.max_edge_obs <- total
@@ -466,10 +484,9 @@ let digest t =
   | Light ->
       (* Streamed variant: same replay guarantee (a pure function of the
          recorded event sequence), different numeric values than Full. *)
-      Int64.of_int
-        (mix_int
-           (mix_int (mix_int light_basis t.executed_rounds) t.h_sends)
-           t.h_faults)
+      let open Int64 in
+      let h = mix63 (of_int light_basis) (of_int t.executed_rounds) in
+      of_int (to_int (mix63 (mix63 h (of_int t.h_sends)) (of_int t.h_faults)))
 
 let pp ppf t =
   Format.fprintf ppf "trace(rounds=%d, msgs=%d, bits=%d, faults=%d)" (rounds t)
