@@ -210,7 +210,13 @@ let checked body trace =
    domains never bump the same cache line. *)
 let shard_pad = 8
 
-let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
+(* Slots of [run_flat]'s [phases] hook. *)
+let phase_stage = 0
+let phase_replay = 1
+let phase_filter = 2
+let phase_merge = 3
+
+let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     (fp : 'out Fastpath.t) c =
   let trace = make_trace trace in
   let n = Csr.n c in
@@ -219,6 +225,24 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
   | Some p when Array.length p < jobs ->
       invalid_arg "Runtime.run_flat: alloc_probe shorter than pool width"
   | _ -> ());
+  (match phases with
+  | Some p when Array.length p < 4 ->
+      invalid_arg "Runtime.run_flat: phases shorter than 4"
+  | _ -> ());
+  (* [lap i] adds the calling domain's clock time since the last lap to
+     phase [i]; a round's first lap runs from [start_laps]. *)
+  let lap_mark = [| 0.0 |] in
+  let start_laps () =
+    match phases with None -> () | Some _ -> lap_mark.(0) <- Obs.Span.now ()
+  in
+  let lap i =
+    match phases with
+    | None -> ()
+    | Some p ->
+        let now = Obs.Span.now () in
+        p.(i) <- p.(i) +. (now -. lap_mark.(0));
+        lap_mark.(0) <- now
+  in
   (match Trace.registered_cut trace with
   | Some part when Array.length part <> n ->
       invalid_arg
@@ -782,6 +806,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
     end
   in
   while !round < config.max_rounds && not (all_halted ()) do
+    start_laps ();
     Fastpath.store_advance store;
     Option.iter (fun (_, crash_at) -> crash_due crash_at) faulty;
     (match range f_stage with
@@ -795,8 +820,11 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
             ()
         | _ -> replay_violation_prefix ());
         Printexc.raise_with_backtrace e bt);
+    lap phase_stage;
     replay_sends (jobs - 1);
+    lap phase_replay;
     Option.iter (fun (inj, _) -> filter inj) faulty;
+    lap phase_filter;
     let halted = ref 0 and staged = ref 0 and rows = ref 0 in
     let msgs = ref 0 in
     for s = 0 to jobs - 1 do
@@ -833,6 +861,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?pool
       range f_pass_b;
       range f_scatter
     end;
+    lap phase_merge;
     incr round
   done;
   Trace.set_rounds trace !round;

@@ -114,6 +114,7 @@ val run_flat :
   ?config:config ->
   ?trace:Trace.t ->
   ?alloc_probe:float array ->
+  ?phases:float array ->
   ?pool:Exec.Pool.t ->
   'out Fastpath.t ->
   Wgraph.Csr.t ->
@@ -169,8 +170,15 @@ val run_flat :
     [alloc_probe] (a test hook; length ≥ the shard count, 1 without a
     pool) accumulates, per shard, the minor words its stage phase
     allocates each round — the per-domain allocation guard reads it.
-    Raises [Invalid_argument] before round 0 if [alloc_probe] is too
-    short or [trace]'s registered cut does not have [n] entries, and when a
+    [phases] (a test hook; length ≥ 4) accumulates the calling domain's
+    [Obs.Span.now] time per round phase: slot 0 the stage phase
+    (from the top of the round through the stage barrier), 1 the trace
+    replay, 2 the fault filter, 3 the tallies and merge passes.  The
+    slots sum to at most the run's time on that clock; off, it costs
+    one [None] match per phase per round.
+    Raises [Invalid_argument] before round 0 if [alloc_probe] or
+    [phases] is too short or [trace]'s registered cut does not have
+    [n] entries, and when a
     node of an {!Fastpath.of_program} kernel sends under a pool (its
     message store is written only on the calling domain). *)
 

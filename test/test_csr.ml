@@ -500,15 +500,16 @@ let list_sender = Congest.Fastpath.of_program (Congest.Algo_flood.max_id ~rounds
 let test_flat_rejects () =
   let c = Csr.of_graph (Build.path 4) in
   let fp = Congest.Fastpath.max_id ~rounds:4 in
-  let rejects what ?alloc_probe ?pool fp =
+  let rejects what ?alloc_probe ?phases ?pool fp =
     try
-      ignore (Congest.Runtime.run_flat ?alloc_probe ?pool fp c);
+      ignore (Congest.Runtime.run_flat ?alloc_probe ?phases ?pool fp c);
       Alcotest.fail (what ^ " accepted")
     with Invalid_argument _ -> ()
   in
   Exec.Pool.with_pool ~jobs:2 (fun p ->
       rejects "short alloc_probe" ~alloc_probe:[| 0.0 |] ~pool:p fp;
       rejects "empty alloc_probe" ~alloc_probe:[||] fp;
+      rejects "short phases" ~phases:[| 0.0; 0.0; 0.0 |] fp;
       rejects "list program under a pool" ~pool:p list_sender);
   (* A kernel whose halted bytes do not cover n is refused before the
      run counts as one. *)
@@ -1123,6 +1124,58 @@ let luby_rounds = Congest.Runtime.default_config.Congest.Runtime.max_rounds
 let config rounds =
   { Congest.Runtime.default_config with Congest.Runtime.max_rounds = rounds }
 
+(* The [phases] hook times stage, trace replay, fault filter and merge
+   on the calling domain between barriers: every slot is non-negative,
+   together they fit inside the run's own time on the same clock, and
+   the timed run is the untimed one (same rounds and Light digest).
+   The cut-metered flood runs with and without a pool, with and without
+   a drop plan, so every phase has work. *)
+let test_phase_timers () =
+  let c = sparse_csr 2_000 in
+  let cut = Array.init 2_000 (fun v -> v mod 3) in
+  let plan =
+    Congest.Faults.plan ~default:(Congest.Faults.link ~drop:0.01 ()) 0x9a5e
+  in
+  Obs.Span.set_clock Unix.gettimeofday;
+  Fun.protect
+    ~finally:(fun () -> Obs.Span.set_clock Sys.time)
+    (fun () ->
+      Exec.Pool.with_pool ~jobs:2 (fun p ->
+          List.iter
+            (fun (what, pool, faults) ->
+              let config = { (config sweep_rounds) with faults } in
+              let run ?phases () =
+                let trace =
+                  Congest.Trace.create ~mode:Congest.Trace.Light ~cut ()
+                in
+                let r =
+                  Congest.Runtime.run_flat ~config ~trace ?phases ?pool
+                    (Congest.Fastpath.max_id ~rounds:sweep_rounds) c
+                in
+                (r.Congest.Runtime.rounds_executed, Congest.Trace.digest trace)
+              in
+              let phases = Array.make 4 0.0 in
+              let t0 = Obs.Span.now () in
+              let timed = run ~phases () in
+              let wall = Obs.Span.now () -. t0 in
+              Alcotest.(check (pair int int64))
+                (what ^ ": timed run = untimed run") (run ()) timed;
+              Array.iteri
+                (fun i t ->
+                  if t < 0.0 then
+                    Alcotest.failf "%s: phase %d reads %g s" what i t)
+                phases;
+              let sum = Array.fold_left ( +. ) 0.0 phases in
+              if sum > wall then
+                Alcotest.failf "%s: phases sum to %g s in a %g s run" what sum
+                  wall)
+            [
+              ("no pool", None, None);
+              ("jobs=2", Some p, None);
+              ("no pool, drop plan", None, Some plan);
+              ("jobs=2, drop plan", Some p, Some plan);
+            ]))
+
 let light_run ?pool ~rounds fp c =
   let trace = Congest.Trace.create ~mode:Congest.Trace.Light () in
   let r = Congest.Runtime.run_flat ~config:(config rounds) ~trace ?pool fp c in
@@ -1353,6 +1406,8 @@ let () =
         [
           Alcotest.test_case "run_flat rejects" `Quick test_flat_rejects;
           Alcotest.test_case "run_flat_par rejects" `Quick test_par_rejects;
+          Alcotest.test_case "phase timers fit the run" `Quick
+            test_phase_timers;
           Alcotest.test_case "violations: pool = no pool" `Quick
             test_violation_parity;
           Alcotest.test_case "emit enforces declared widths" `Quick
