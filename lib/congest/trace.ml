@@ -61,7 +61,7 @@ type t = {
   mutable max_edge_obs : int;
   cut : cut option;
   (* Streaming 63-bit digests for Light mode, where the Int64 replay
-     digest cannot fold a retained log. *)
+     digest cannot fold a retained log; folded through [mix63]. *)
   mutable h_sends : int;
   mutable h_faults : int;
 }
@@ -139,6 +139,10 @@ let[@inline] mix63 h x =
     (mul (logxor h x) 0x100000001b3L)
     (shift_right_logical (logand h 0x7FFF_FFFF_FFFF_FFFFL) 29)
 
+(* One send's four dependent steps of the Light send digest. *)
+let[@inline] send_mix63 h ~round ~src ~dst ~bits =
+  mix63 (mix63 (mix63 (mix63 h round) src) dst) bits
+
 let flush_round t =
   if t.open_round >= 0 then begin
     bump t.r_bits t.open_round t.open_bits;
@@ -181,11 +185,12 @@ let record_send t ~round ~src ~dst ~bits =
   | Some c when c.part.(src) <> c.part.(dst) ->
       add_crossings c ~round ~side:c.part.(src) ~count:1 ~bits
   | _ -> ());
-  if t.mode = Light then begin
-    let open Int64 in
-    let h = mix63 (mix63 (of_int t.h_sends) (of_int round)) (of_int src) in
-    t.h_sends <- to_int (mix63 (mix63 h (of_int dst)) (of_int bits))
-  end
+  if t.mode = Light then
+    t.h_sends <-
+      Int64.(
+        to_int
+          (send_mix63 (of_int t.h_sends) ~round:(of_int round)
+             ~src:(of_int src) ~dst:(of_int dst) ~bits:(of_int bits)))
 
 (* A whole row: [bits] from [src] to each of [adj.(lo) .. adj.(hi-1)],
    in that order.  Full mode retains each send, so it is the
@@ -208,8 +213,9 @@ let record_row t ~round ~src ~adj ~lo ~hi ~bits =
     (match t.cut with
     | None ->
         for r = lo to hi - 1 do
-          let hs = mix63 (mix63 !h round64) src64 in
-          h := mix63 (mix63 hs (Int64.of_int adj.(r))) bits64
+          h :=
+            send_mix63 !h ~round:round64 ~src:src64
+              ~dst:(Int64.of_int adj.(r)) ~bits:bits64
         done
     | Some c ->
         let part = c.part in
@@ -218,8 +224,9 @@ let record_row t ~round ~src ~adj ~lo ~hi ~bits =
         for r = lo to hi - 1 do
           let dst = adj.(r) in
           x := !x + Bool.to_int (part.(dst) <> side);
-          let hs = mix63 (mix63 !h round64) src64 in
-          h := mix63 (mix63 hs (Int64.of_int dst)) bits64
+          h :=
+            send_mix63 !h ~round:round64 ~src:src64 ~dst:(Int64.of_int dst)
+              ~bits:bits64
         done;
         let x = !x in
         if x > 0 then add_crossings c ~round ~side ~count:x ~bits:(x * bits));
@@ -266,12 +273,14 @@ let record_fault t ~round ~src ~dst ~bits ~kind =
       | Duplicated -> c.c_duplicated <- c.c_duplicated + bits
       | Corrupted | Delayed _ | Crashed -> ())
   | _ -> ());
-  if t.mode = Light then begin
-    let open Int64 in
-    let h = mix63 (mix63 (of_int t.h_faults) (of_int round)) (of_int src) in
-    let h = mix63 (mix63 h (of_int dst)) (of_int bits) in
-    t.h_faults <- to_int (mix63 h (of_int code))
-  end
+  if t.mode = Light then
+    t.h_faults <-
+      Int64.(
+        to_int
+          (mix63
+             (send_mix63 (of_int t.h_faults) ~round:(of_int round)
+                ~src:(of_int src) ~dst:(of_int dst) ~bits:(of_int bits))
+             (of_int code)))
 
 let observe_edge_total t total =
   if total > t.max_edge_obs then t.max_edge_obs <- total
