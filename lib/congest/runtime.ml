@@ -194,7 +194,11 @@ let checked body trace =
    registered cut or a Full log needs every (src, dst) in order — and
    the event sequence is the same at every width.  [bits] is the fifth
    word because both the replay and a fault plan's filter read a staged
-   entry's size after stage.
+   entry's size after stage.  The replay is a serial fold — four
+   dependent mixes per message into a Light trace's digest — so it runs
+   at that chain's latency; [Trace] computes the mix in untagged Int64,
+   bit-identical to its mod-2⁶³ int definition (docs/PERF.md, "The
+   Light digest's latency floor").
 
    Worker deaths are never retried (a chunk mutates node state and PRNG
    streams in place, so re-running half a chunk would corrupt the run):
@@ -216,6 +220,20 @@ let phase_replay = 1
 let phase_filter = 2
 let phase_merge = 3
 
+(* [lap phases mark i] adds the clock time since [mark.(0)] to phase
+   [i] and moves the mark; [start_laps] sets it at the top of a round.
+   Top-level, so that the hook allocates nothing in a run without it. *)
+let start_laps phases mark =
+  match phases with None -> () | Some _ -> mark.(0) <- Obs.Span.now ()
+
+let lap phases mark i =
+  match phases with
+  | None -> ()
+  | Some p ->
+      let now = Obs.Span.now () in
+      p.(i) <- p.(i) +. (now -. mark.(0));
+      mark.(0) <- now
+
 let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     (fp : 'out Fastpath.t) c =
   let trace = make_trace trace in
@@ -229,20 +247,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
   | Some p when Array.length p < 4 ->
       invalid_arg "Runtime.run_flat: phases shorter than 4"
   | _ -> ());
-  (* [lap i] adds the calling domain's clock time since the last lap to
-     phase [i]; a round's first lap runs from [start_laps]. *)
-  let lap_mark = [| 0.0 |] in
-  let start_laps () =
-    match phases with None -> () | Some _ -> lap_mark.(0) <- Obs.Span.now ()
-  in
-  let lap i =
-    match phases with
-    | None -> ()
-    | Some p ->
-        let now = Obs.Span.now () in
-        p.(i) <- p.(i) +. (now -. lap_mark.(0));
-        lap_mark.(0) <- now
-  in
+  let mark = match phases with None -> [||] | Some _ -> [| 0.0 |] in
   (match Trace.registered_cut trace with
   | Some part when Array.length part <> n ->
       invalid_arg
@@ -806,7 +811,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     end
   in
   while !round < config.max_rounds && not (all_halted ()) do
-    start_laps ();
+    start_laps phases mark;
     Fastpath.store_advance store;
     Option.iter (fun (_, crash_at) -> crash_due crash_at) faulty;
     (match range f_stage with
@@ -820,11 +825,11 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
             ()
         | _ -> replay_violation_prefix ());
         Printexc.raise_with_backtrace e bt);
-    lap phase_stage;
+    lap phases mark phase_stage;
     replay_sends (jobs - 1);
-    lap phase_replay;
+    lap phases mark phase_replay;
     Option.iter (fun (inj, _) -> filter inj) faulty;
-    lap phase_filter;
+    lap phases mark phase_filter;
     let halted = ref 0 and staged = ref 0 and rows = ref 0 in
     let msgs = ref 0 in
     for s = 0 to jobs - 1 do
@@ -861,7 +866,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
       range f_pass_b;
       range f_scatter
     end;
-    lap phase_merge;
+    lap phases mark phase_merge;
     incr round
   done;
   Trace.set_rounds trace !round;

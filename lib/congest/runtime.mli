@@ -175,7 +175,7 @@ val run_flat :
     (from the top of the round through the stage barrier), 1 the trace
     replay, 2 the fault filter, 3 the tallies and merge passes.  The
     slots sum to at most the run's time on that clock; off, it costs
-    one [None] match per phase per round.
+    one [None] match per phase per round and allocates nothing.
     Raises [Invalid_argument] before round 0 if [alloc_probe] or
     [phases] is too short or [trace]'s registered cut does not have
     [n] entries, and when a
