@@ -64,6 +64,12 @@ val mode : t -> mode
 val registered_cut : t -> int array option
 
 val record_send : t -> round:int -> src:int -> dst:int -> bits:int -> unit
+(** Records one send.  In [Light] mode it folds [round], [src], [dst]
+    and [bits], in that order, into the send digest through four
+    dependent mixes, each [((h lxor x) * 0x100000001b3) lxor (h lsr 29)]
+    on 63-bit ints (mod 2⁶³); the fold runs in untagged [Int64], whose
+    low 63 bits equal that definition bit for bit, and allocates
+    nothing. *)
 
 val record_row :
   t -> round:int -> src:int -> adj:int array -> lo:int -> hi:int -> bits:int ->
@@ -74,7 +80,9 @@ val record_row :
     over the row.  In [Full] mode it is that fold; in [Light] mode it
     updates the totals and the open round once, then makes one pass
     over the row that folds the digest per recipient and counts the
-    row's crossings of the registered cut.  [lo >= hi] records
+    row's crossings of the registered cut.  That pass keeps the digest
+    in one unboxed [Int64] (the {!record_send} fold, mod 2⁶³, untagged)
+    and counts crossings without a branch.  [lo >= hi] records
     nothing.  {!Runtime.run_flat} records every row send through it. *)
 
 val send_digest_state : t -> int
@@ -180,6 +188,10 @@ val digest : t -> int64
     [(config, plan)] produce identical digests — the replay guarantee the
     fault layer is tested against.  [Full] traces produce the historical
     fold-based values; [Light] traces stream an equivalent (but
-    numerically different) digest as events arrive. *)
+    numerically different) digest as events arrive: the send and fault
+    accumulators and their final combine with the round count are
+    folds of the {!record_send} mix, defined mod 2⁶³ and computed in
+    untagged [Int64].  test_congest's [Light digests pinned] case,
+    perfbench's self-test and test_golden pin its values. *)
 
 val pp : Format.formatter -> t -> unit
