@@ -218,6 +218,93 @@ let test_fault_decisions_pool_independent () =
           check_int (label ^ ": OPT") reference.Simulation.opt d.Simulation.opt))
     [ 2; 3 ]
 
+(* The ℓ = 4, t = 3 gather trace, pinned literally: a decision's Light
+   trace over the registered player cut, for the first intersecting and
+   the first disjoint input of perfbench's seed-1 theorem5-gather batch.
+   Every gather message is a point send, so these values pin the point
+   replay of the round loop (and the gather kernel's send order) as
+   well as the Light fold; any rewrite of either must reproduce them.
+   The traffic depends on the topology alone, which both inputs share;
+   OPT, read from the gathered facts, tells them apart. *)
+let gather_trace_fingerprint inst =
+  let module T = Congest.Trace in
+  let g = inst.Family.graph in
+  let part = inst.Family.partition in
+  let trace = T.create ~mode:T.Light ~cut:part () in
+  let result =
+    Runtime.run_flat ~trace
+      (Congest.Algo_gather.exact_maxis_flat ~m:(Wgraph.Graph.edge_count g))
+      (Wgraph.Csr.of_graph g)
+  in
+  check "all halted" true result.Runtime.all_halted;
+  let by_round = T.cut_bits_by_round trace part in
+  check_int "per-round cut bits sum to the cut bits" (T.cut_bits trace part)
+    (Array.fold_left ( + ) 0 by_round);
+  ( [
+      ("digest", Int64.to_string (T.digest trace));
+      ("send_digest_state", string_of_int (T.send_digest_state trace));
+      ( "cut_bits_by_side",
+        String.concat ","
+          (Array.to_list (Array.map string_of_int (T.cut_bits_by_side trace part)))
+      );
+      ( "cut_bits_by_round fold",
+        string_of_int
+          (Array.fold_left (fun h b -> (h * 1_000_003) lxor b) 0 by_round) );
+    ],
+    [
+      ("messages", T.total_messages trace);
+      ("bits", T.total_bits trace);
+      ("rounds", T.rounds trace);
+      ("cut_bits", T.cut_bits trace part);
+      ("cut_messages", T.cut_messages trace part);
+      ("OPT", Option.value ~default:(-1) result.Runtime.outputs.(0));
+    ] )
+
+let test_gather_trace_pinned () =
+  List.iter
+    (fun (seed, intersecting, (strings, ints)) ->
+      let inst, _ = instance seed p3 ~intersecting in
+      let got_strings, got_ints = gather_trace_fingerprint inst in
+      let label = Printf.sprintf "seed %d" seed in
+      Alcotest.(check (list (pair string string)))
+        (label ^ ": digests and cut split") strings got_strings;
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": counts") ints got_ints)
+    [
+      ( 1000,
+        true,
+        ( [
+            ("digest", "691551084246397407");
+            ("send_digest_state", "-3448252315493313835");
+            ("cut_bits_by_side", "3828000,3828000,3828000");
+            ("cut_bits_by_round fold", "64841171112838496");
+          ],
+          [
+            ("messages", 1_357_200);
+            ("bits", 29_858_400);
+            ("rounds", 870);
+            ("cut_bits", 11_484_000);
+            ("cut_messages", 522_000);
+            ("OPT", 27);
+          ] ) );
+      ( 1001,
+        false,
+        ( [
+            ("digest", "691551084246397407");
+            ("send_digest_state", "-3448252315493313835");
+            ("cut_bits_by_side", "3828000,3828000,3828000");
+            ("cut_bits_by_round fold", "64841171112838496");
+          ],
+          [
+            ("messages", 1_357_200);
+            ("bits", 29_858_400);
+            ("rounds", 870);
+            ("cut_bits", 11_484_000);
+            ("cut_messages", 522_000);
+            ("OPT", 21);
+          ] ) );
+    ]
+
 let test_oversend_failure_same_on_every_engine () =
   (* At bandwidth factor 1 the gather's first facts exceed the edge budget
      in round 0; every pool width must stop at the same violation and hand back
@@ -480,6 +567,8 @@ let () =
             test_fault_decisions_pool_independent;
           Alcotest.test_case "oversend failure on every engine" `Quick
             test_oversend_failure_same_on_every_engine;
+          Alcotest.test_case "ℓ = 4, t = 3 gather trace pinned" `Quick
+            test_gather_trace_pinned;
         ] );
       ( "player-protocol",
         [
