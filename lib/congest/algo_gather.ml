@@ -18,7 +18,14 @@ module Graph = Wgraph.Graph
    fault-free run learns exactly n + m facts per node, so neither
    grows.  Corrupted facts can push a node past n + m; the table and
    the log then double as they fill.  The flat runtime's
-   zero-allocation guarantee covers delivery, not program state. *)
+   zero-allocation guarantee covers delivery, not program state.
+
+   A step does two passes, one per kind of work.  Over the inbox, each
+   fact is first looked up in its home cell: most arrivals are facts
+   the node already knows, and only a miss (an empty or foreign home
+   cell) calls [learn] and its probe loop.  Over the row, one walk
+   sends each neighbour its next fact and notes whether any neighbour
+   is still behind, so the halting test needs no second walk. *)
 
 type facts = {
   mutable table : int array;  (** power-of-two length, -1 = empty *)
@@ -104,14 +111,6 @@ let gather_flat ~m ~solve =
             learn known.(v) (pack ~kind:0 ~a:(min id nb) ~b:(max id nb))
           done
         done;
-        let drained v =
-          let len = known.(v).len in
-          let all = ref true in
-          for r = xadj.(v) to xadj.(v + 1) - 1 do
-            if cursor.(r) < len then all := false
-          done;
-          !all
-        in
         let reconstruct v =
           let g = Graph.create n in
           let st = known.(v) in
@@ -126,19 +125,27 @@ let gather_flat ~m ~solve =
         let step ~v ~round:_ inbox em =
           let st = known.(v) in
           for k = 0 to Fastpath.in_len inbox - 1 do
-            if Fastpath.in_tag inbox k = Fastpath.tag_int then
-              learn st (Fastpath.in_word inbox k)
-          done;
-          (* Highest neighbor first: the send order decides which
-             sends precede an oversend, and the goldens pin it. *)
-          for r = xadj.(v + 1) - 1 downto xadj.(v) do
-            if cursor.(r) < st.len then begin
-              Fastpath.emit em ~dst:adj.(r) ~tag:Fastpath.tag_int
-                ~bits:fact_bits ~word:st.log.(cursor.(r));
-              cursor.(r) <- cursor.(r) + 1
+            if Fastpath.in_tag inbox k = Fastpath.tag_int then begin
+              let f = Fastpath.in_word inbox k in
+              if st.table.(slot st f) <> f then learn st f
             end
           done;
-          if st.len >= n + m && drained v then begin
+          (* Highest neighbor first: the send order decides which
+             sends precede an oversend, and the goldens pin it.  The
+             same walk finds out whether every neighbour has now been
+             sent every known fact. *)
+          let len = st.len and log = st.log in
+          let drained = ref true in
+          for r = xadj.(v + 1) - 1 downto xadj.(v) do
+            let c = cursor.(r) in
+            if c < len then begin
+              Fastpath.emit em ~dst:adj.(r) ~tag:Fastpath.tag_int
+                ~bits:fact_bits ~word:log.(c);
+              cursor.(r) <- c + 1;
+              if c + 1 < len then drained := false
+            end
+          done;
+          if len >= n + m && !drained then begin
             result.(v) <- Some (solve (reconstruct v));
             Bytes.set halted v '\001'
           end

@@ -194,11 +194,16 @@ let checked body trace =
    registered cut or a Full log needs every (src, dst) in order — and
    the event sequence is the same at every width.  [bits] is the fifth
    word because both the replay and a fault plan's filter read a staged
-   entry's size after stage.  The replay is a serial fold — four
-   dependent mixes per message into a Light trace's digest — so it runs
-   at that chain's latency; [Trace] computes the mix in untagged Int64,
+   entry's size after stage.  Each shard's staged round is one
+   [Trace.record_staged] call, which reads the quints in place: a Light
+   trace folds the point sends into one unboxed Int64 accumulator and
+   counts them (and their cut crossings) in locals, touching the
+   trace's totals once per shard, and hands each row to
+   [Trace.record_row].  The replay is a serial fold — four dependent
+   mixes per message into a Light trace's digest — so it runs at that
+   chain's latency; [Trace] computes the mix in untagged Int64,
    bit-identical to its mod-2⁶³ int definition (docs/PERF.md, "The
-   Light digest's latency floor").
+   Light digest's latency floor" and "Point-send replay").
 
    Worker deaths are never retried (a chunk mutates node state and PRNG
    streams in place, so re-running half a chunk would corrupt the run):
@@ -220,8 +225,11 @@ let phase_replay = 1
 let phase_filter = 2
 let phase_merge = 3
 
-(* [lap phases mark i] adds the clock time since [mark.(0)] to phase
-   [i] and moves the mark; [start_laps] sets it at the top of a round.
+(* [lap phases mark i] adds the [Obs.Span.now] time since [mark.(0)] to
+   phase [i] and moves the mark; [start_laps] sets it at the top of a
+   round.  That clock is whatever [Obs.Span.set_clock] installed: by
+   default [Sys.time], the process's CPU time summed over every domain,
+   so under a pool the stage slot counts the workers' time too.
    Top-level, so that the hook allocates nothing in a run without it. *)
 let start_laps phases mark =
   match phases with None -> () | Some _ -> mark.(0) <- Obs.Span.now ()
@@ -655,19 +663,9 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
   (* Record the staged quints of shards [0, last] into the trace, in
      ascending shard = source order. *)
   let replay_sends last =
-    let rnd = !round in
     for s = 0 to last do
-      let st = sh_stage.(s) in
-      for i = 0 to sh_len.(s * shard_pad) - 1 do
-        let b = 5 * i in
-        let dst = Array.unsafe_get st b
-        and src = Array.unsafe_get st (b + 1)
-        and bits = Array.unsafe_get st (b + 4) in
-        if dst >= 0 then Trace.record_send trace ~round:rnd ~src ~dst ~bits
-        else
-          Trace.record_row trace ~round:rnd ~src ~adj ~lo:xadj.(src)
-            ~hi:xadj.(src + 1) ~bits
-      done
+      Trace.record_staged trace ~round:!round ~st:sh_stage.(s)
+        ~len:sh_len.(s * shard_pad) ~xadj ~adj
     done
   in
   (* Trace prefix of a round torn by a model violation: every staged

@@ -138,7 +138,8 @@ val run_flat :
 
     Every node's validated sends are staged, and the trace is recorded
     from the staged entries on the calling domain after the stage phase,
-    in ascending source order — one path with or without a pool.
+    in ascending source order, one {!Trace.record_staged} call per
+    shard — one path with or without a pool.
     Without [pool] the round's phases run on the caller.  With [pool]
     every per-node and per-destination phase runs as an
     {!Exec.Pool.run_range} barrier over private per-shard staging
@@ -170,12 +171,19 @@ val run_flat :
     [alloc_probe] (a test hook; length ≥ the shard count, 1 without a
     pool) accumulates, per shard, the minor words its stage phase
     allocates each round — the per-domain allocation guard reads it.
-    [phases] (a test hook; length ≥ 4) accumulates the calling domain's
-    [Obs.Span.now] time per round phase: slot 0 the stage phase
-    (from the top of the round through the stage barrier), 1 the trace
-    replay, 2 the fault filter, 3 the tallies and merge passes.  The
-    slots sum to at most the run's time on that clock; off, it costs
-    one [None] match per phase per round and allocates nothing.
+    [phases] (a test hook; length ≥ 4) accumulates, per round phase,
+    the time that [Obs.Span.now] reads between the phase's start and
+    end on the calling domain: slot 0 the stage phase (from the top of
+    the round through the stage barrier), 1 the trace replay, 2 the
+    fault filter, 3 the tallies and merge passes.  [Obs.Span.now] reads
+    the clock installed by [Obs.Span.set_clock], by default [Sys.time]:
+    process CPU time, summed over every domain, so under a pool the
+    stage slot also counts the workers' time and can exceed the wall
+    time it spans.  A caller that wants wall time per phase (a
+    per-layer metric, say) must install a wall clock first, e.g.
+    [Obs.Span.set_clock Unix.gettimeofday].  The slots sum to at most
+    the run's time on that clock; off, it costs one [None] match per
+    phase per round and allocates nothing.
     Raises [Invalid_argument] before round 0 if [alloc_probe] or
     [phases] is too short or [trace]'s registered cut does not have
     [n] entries, and when a

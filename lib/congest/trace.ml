@@ -233,6 +233,81 @@ let record_row t ~round ~src ~adj ~lo ~hi ~bits =
     t.h_sends <- Int64.to_int !h
   end
 
+(* One shard's staged (dst, src, tag, word, bits) quints, [st.(5i) ..
+   st.(5i + 4)] for [i < len]; [dst < 0] is a row of [src] over its CSR
+   row [adj.(xadj.(src)) .. adj.(xadj.(src + 1) - 1)].  Full mode
+   retains each send, so it is the per-send loop.  Light mode folds the
+   point sends into one unboxed Int64 accumulator and counts their
+   messages, bits and cut crossings in locals, then touches the totals,
+   the open round and the cut's round vector once; a row entry hands
+   the accumulator to [record_row] and takes it back, so the fold order
+   is the per-send order. *)
+let record_staged t ~round ~st ~len ~xadj ~adj =
+  if t.mode = Full then
+    for i = 0 to len - 1 do
+      let b = 5 * i in
+      let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
+      if dst >= 0 then record_send t ~round ~src ~dst ~bits
+      else record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1) ~bits
+    done
+  else begin
+    let round64 = Int64.of_int round in
+    let h = ref (Int64.of_int t.h_sends) in
+    let msgs = ref 0 and sum = ref 0 in
+    let x_msgs = ref 0 and x_bits = ref 0 in
+    (match t.cut with
+    | None ->
+        for i = 0 to len - 1 do
+          let b = 5 * i in
+          let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
+          if dst >= 0 then begin
+            h :=
+              send_mix63 !h ~round:round64 ~src:(Int64.of_int src)
+                ~dst:(Int64.of_int dst) ~bits:(Int64.of_int bits);
+            incr msgs;
+            sum := !sum + bits
+          end
+          else begin
+            t.h_sends <- Int64.to_int !h;
+            record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1)
+              ~bits;
+            h := Int64.of_int t.h_sends
+          end
+        done
+    | Some c ->
+        let part = c.part and by_side = c.by_side in
+        for i = 0 to len - 1 do
+          let b = 5 * i in
+          let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
+          if dst >= 0 then begin
+            h :=
+              send_mix63 !h ~round:round64 ~src:(Int64.of_int src)
+                ~dst:(Int64.of_int dst) ~bits:(Int64.of_int bits);
+            incr msgs;
+            sum := !sum + bits;
+            let side = part.(src) in
+            if part.(dst) <> side then begin
+              incr x_msgs;
+              x_bits := !x_bits + bits;
+              by_side.(side) <- by_side.(side) + bits
+            end
+          end
+          else begin
+            t.h_sends <- Int64.to_int !h;
+            record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1)
+              ~bits;
+            h := Int64.of_int t.h_sends
+          end
+        done;
+        if !x_msgs > 0 then begin
+          c.c_bits <- c.c_bits + !x_bits;
+          c.c_msgs <- c.c_msgs + !x_msgs;
+          bump c.by_round round !x_bits
+        end);
+    t.h_sends <- Int64.to_int !h;
+    if !msgs > 0 then add_sends t ~round ~count:!msgs ~bits:!sum
+  end
+
 let send_digest_state t = t.h_sends
 
 let fault_code = function

@@ -83,7 +83,26 @@ val record_row :
     row's crossings of the registered cut.  That pass keeps the digest
     in one unboxed [Int64] (the {!record_send} fold, mod 2⁶³, untagged)
     and counts crossings without a branch.  [lo >= hi] records
-    nothing.  {!Runtime.run_flat} records every row send through it. *)
+    nothing.  {!record_staged} hands it every staged row. *)
+
+val record_staged :
+  t -> round:int -> st:int array -> len:int -> xadj:int array ->
+  adj:int array -> unit
+(** [record_staged t ~round ~st ~len ~xadj ~adj] records one shard's
+    staged round, [len] quints [(dst, src, tag, word, bits)] laid out
+    as [st.(5i) .. st.(5i + 4)] for [i < len].  [dst >= 0] is a point
+    send of [bits] from [src] to [dst]; [dst < 0] is a row: [bits] from
+    [src] to each of [adj.(xadj.(src)) .. adj.(xadj.(src + 1) - 1)].
+    [tag] and [word] are not read.  Every query afterwards reads exactly
+    as after the {!record_send} / {!record_row} fold over the quints in
+    order.  In [Full] mode it is that fold.  In [Light] mode the point
+    sends fold into one unboxed [Int64] digest accumulator, their
+    message, bit and cut-crossing counts stay in locals, [by_side] is
+    written per crossing, and the totals, the open round and the cut's
+    per-round vector are touched once per call; a row goes through
+    {!record_row} in place, so the fold order is unchanged.  [len = 0]
+    records nothing.  {!Runtime.run_flat} replays each shard's staged
+    round through it. *)
 
 val send_digest_state : t -> int
 (** Current Light-mode send-digest accumulator (also defined, but

@@ -530,6 +530,43 @@ let test_gather_corrupt_heavy () =
   check "distinct facts past n + m" true
     (Trace.total_messages trace > (n + m) * 2 * m)
 
+(* Every query a trace answers over [n] nodes, the cut queries against
+   [part] (registered, or folded from a Full log), for comparing two
+   ways of recording the same stream. *)
+let observe_trace ~n ~part t =
+  let r = Trace.rounds t in
+  let cut =
+    if Trace.mode t = Trace.Full || Trace.registered_cut t <> None then
+      Some
+        ( Trace.cut_bits t part,
+          Trace.cut_messages t part,
+          Trace.cut_bits_by_side t part,
+          Trace.cut_bits_by_round t part )
+    else None
+  in
+  let edges =
+    if Trace.mode t = Trace.Full then
+      Some
+        ( List.init (n * n) (fun k ->
+              Trace.bits_on_edge t ~src:(k / n) ~dst:(k mod n)),
+          Trace.max_bits_per_edge_round t )
+    else None
+  in
+  ( (Trace.digest t, Trace.send_digest_state t, r),
+    (Trace.total_messages t, Trace.total_bits t),
+    List.init (r + 2) (fun i ->
+        (Trace.bits_in_round t (i - 1), Trace.messages_in_round t (i - 1))),
+    cut,
+    edges )
+
+let trace_modes part =
+  [
+    (Trace.Full, None);
+    (Trace.Full, Some part);
+    (Trace.Light, None);
+    (Trace.Light, Some part);
+  ]
+
 (* [Trace.record_row] is the [record_send] fold over the row, in both
    modes, with and without a registered cut: seeded streams of rows and
    single sends (rounds mostly ascending, sometimes revisited; rows
@@ -573,43 +610,98 @@ let prop_record_row_is_fold =
           ops;
         t
       in
-      let observe t =
-        let r = Trace.rounds t in
-        let cut =
-          if Trace.mode t = Trace.Full || Trace.registered_cut t <> None then
-            Some
-              ( Trace.cut_bits t part,
-                Trace.cut_messages t part,
-                Trace.cut_bits_by_side t part,
-                Trace.cut_bits_by_round t part )
-          else None
-        in
-        let edges =
-          if Trace.mode t = Trace.Full then
-            Some
-              ( List.init (n * n) (fun k ->
-                    Trace.bits_on_edge t ~src:(k / n) ~dst:(k mod n)),
-                Trace.max_bits_per_edge_round t )
-          else None
-        in
-        ( (Trace.digest t, Trace.send_digest_state t, r),
-          (Trace.total_messages t, Trace.total_bits t),
-          List.init (r + 2) (fun i ->
-              (Trace.bits_in_round t (i - 1), Trace.messages_in_round t (i - 1))),
-          cut,
-          edges )
-      in
+      let observe = observe_trace ~n ~part in
       List.for_all
         (fun (mode, cut) ->
           let fresh () = Trace.create ~mode ?cut () in
           observe (record ~by_row:true (fresh ()))
           = observe (record ~by_row:false (fresh ())))
-        [
-          (Trace.Full, None);
-          (Trace.Full, Some part);
-          (Trace.Light, None);
-          (Trace.Light, Some part);
-        ])
+        (trace_modes part))
+
+(* [Trace.record_staged] is the per-send fold over a staged buffer:
+   seeded streams of shard buffers — (dst, src, tag, word, bits)
+   quints mixing point sends and rows ([dst < 0], any negative value,
+   over a random CSR), with garbage in [tag], [word] and past [len],
+   empty buffers and truncated prefixes ([len] below the entries
+   written), some sizes near 2⁴⁰ — recorded both ways answer every
+   query alike in both modes, with and without a registered cut.  An
+   empty buffer records nothing: it leaves [rounds] where it was. *)
+let prop_record_staged_is_fold =
+  QCheck.Test.make ~name:"record_staged = record_send fold" ~count:100
+    QCheck.(pair small_int small_int)
+    (fun (seed, nn) ->
+      let rng = Prng.create (Hashtbl.hash (seed, nn, "record_staged")) in
+      let n = 2 + (nn mod 20) in
+      let part = Array.init n (fun _ -> Prng.int rng 3) in
+      let deg = Array.init n (fun _ -> Prng.int rng 6) in
+      let xadj = Array.make (n + 1) 0 in
+      for v = 0 to n - 1 do
+        xadj.(v + 1) <- xadj.(v) + deg.(v)
+      done;
+      let adj = Array.init xadj.(n) (fun _ -> Prng.int rng n) in
+      let bits () =
+        if Prng.int rng 10 = 0 then (1 lsl 40) + Prng.int rng 9
+        else Prng.int rng 20
+      in
+      let buffers =
+        List.init (1 + Prng.int rng 12) (fun i ->
+            let round = if Prng.int rng 5 = 0 then Prng.int rng 4 else i / 2 in
+            let entries = Prng.int rng 9 in
+            let st =
+              Array.init (5 * (entries + Prng.int rng 3)) (fun _ ->
+                  Prng.int rng 1_000 - 500)
+            in
+            for e = 0 to entries - 1 do
+              let b = 5 * e in
+              st.(b) <-
+                (if Prng.int rng 3 = 0 then -1 - Prng.int rng 3
+                 else Prng.int rng n);
+              st.(b + 1) <- Prng.int rng n;
+              st.(b + 4) <- bits ()
+            done;
+            let len =
+              match Prng.int rng 4 with
+              | 0 -> 0
+              | 1 -> Prng.int rng (entries + 1)
+              | _ -> entries
+            in
+            (round, st, len))
+      in
+      let half = List.length buffers / 2 in
+      let record ~staged t =
+        List.iteri
+          (fun i (round, st, len) ->
+            if i = half && Trace.mode t = Trace.Full then
+              ignore (Trace.bits_on_edge t ~src:0 ~dst:1);
+            if staged then Trace.record_staged t ~round ~st ~len ~xadj ~adj
+            else
+              for e = 0 to len - 1 do
+                let b = 5 * e in
+                let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
+                if dst >= 0 then Trace.record_send t ~round ~src ~dst ~bits
+                else
+                  for r = xadj.(src) to xadj.(src + 1) - 1 do
+                    Trace.record_send t ~round ~src ~dst:adj.(r) ~bits
+                  done
+              done)
+          buffers;
+        t
+      in
+      let observe = observe_trace ~n ~part in
+      List.for_all
+        (fun (mode, cut) ->
+          let fresh () = Trace.create ~mode ?cut () in
+          let empty = fresh () in
+          Trace.record_staged empty ~round:5 ~st:[| 0; 1; 0; 0; 3 |] ~len:0
+            ~xadj ~adj;
+          let staged = record ~staged:true (fresh ()) in
+          let rounds = Trace.rounds staged in
+          Trace.record_staged staged ~round:(rounds + 3) ~st:[||] ~len:0 ~xadj
+            ~adj;
+          Trace.rounds empty = 0
+          && Trace.rounds staged = rounds
+          && observe staged = observe (record ~staged:false (fresh ())))
+        (trace_modes part))
 
 (* Literal Light digests: the digest is a streamed 63-bit fold, and its
    values are pinned here and in perfbench and test_golden, so any
@@ -884,5 +976,6 @@ let () =
           prop_coloring_always_proper;
           prop_matching_always_maximal;
           prop_record_row_is_fold;
+          prop_record_staged_is_fold;
         ];
     ]

@@ -147,6 +147,35 @@ let test_point_send_alloc () =
        words (ceiling 64)"
       words
 
+(* The round loop's replay of a shard's staged point sends: 10⁵
+   (dst, src, tag, word, bits) quints, one [record_staged] call, into a
+   warmed cut-metered Light trace within one round.  The digest stays in
+   one unboxed Int64 and the counts in locals, so the call allocates
+   nothing per send. *)
+let test_staged_point_alloc () =
+  let module T = Congest.Trace in
+  let cut = Array.init n (fun v -> v land 1) in
+  let trace = T.create ~mode:T.Light ~cut () in
+  let sends = 100_000 in
+  let st = Array.make (5 * sends) 0 in
+  for i = 0 to sends - 1 do
+    st.(5 * i) <- ((i * 7) + 1) land (n - 1);
+    st.((5 * i) + 1) <- i land (n - 1);
+    st.((5 * i) + 4) <- 9
+  done;
+  let xadj = Array.make (n + 1) 0 and adj = [||] in
+  T.record_staged trace ~round:3 ~st ~len:1_000 ~xadj ~adj;
+  let before = Gc.minor_words () in
+  T.record_staged trace ~round:3 ~st ~len:sends ~xadj ~adj;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every quint recorded" (1_000 + sends)
+    (T.total_messages trace);
+  if words > 64.0 then
+    Alcotest.failf
+      "replaying 10^5 staged point sends into a cut-metered Light trace \
+       allocates %.0f minor words (ceiling 64)"
+      words
+
 (* A list-mode program is not zero-allocation (Program.step speaks in
    lists, and Fastpath.of_program rebuilds each inbox as one), but its
    run on the flat loop must stay linear in delivered messages.  The
@@ -240,6 +269,8 @@ let () =
             `Quick test_par_replay_alloc_per_round;
           Alcotest.test_case "Light point sends are allocation-free" `Quick
             test_point_send_alloc;
+          Alcotest.test_case "staged point replay is allocation-free" `Quick
+            test_staged_point_alloc;
           Alcotest.test_case "list mode stays linear" `Quick
             test_list_alloc_per_message;
           Alcotest.test_case "row-only rounds hold no delivery arena" `Quick
