@@ -251,61 +251,45 @@ let record_staged t ~round ~st ~len ~xadj ~adj =
       else record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1) ~bits
     done
   else begin
+    let metered = Option.is_some t.cut in
+    let part = match t.cut with Some c -> c.part | None -> [||] in
+    let by_side = match t.cut with Some c -> c.by_side | None -> [||] in
     let round64 = Int64.of_int round in
     let h = ref (Int64.of_int t.h_sends) in
     let msgs = ref 0 and sum = ref 0 in
     let x_msgs = ref 0 and x_bits = ref 0 in
-    (match t.cut with
-    | None ->
-        for i = 0 to len - 1 do
-          let b = 5 * i in
-          let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
-          if dst >= 0 then begin
-            h :=
-              send_mix63 !h ~round:round64 ~src:(Int64.of_int src)
-                ~dst:(Int64.of_int dst) ~bits:(Int64.of_int bits);
-            incr msgs;
-            sum := !sum + bits
+    for i = 0 to len - 1 do
+      let b = 5 * i in
+      let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
+      if dst >= 0 then begin
+        h :=
+          send_mix63 !h ~round:round64 ~src:(Int64.of_int src)
+            ~dst:(Int64.of_int dst) ~bits:(Int64.of_int bits);
+        incr msgs;
+        sum := !sum + bits;
+        if metered then begin
+          let side = part.(src) in
+          if part.(dst) <> side then begin
+            incr x_msgs;
+            x_bits := !x_bits + bits;
+            by_side.(side) <- by_side.(side) + bits
           end
-          else begin
-            t.h_sends <- Int64.to_int !h;
-            record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1)
-              ~bits;
-            h := Int64.of_int t.h_sends
-          end
-        done
-    | Some c ->
-        let part = c.part and by_side = c.by_side in
-        for i = 0 to len - 1 do
-          let b = 5 * i in
-          let dst = st.(b) and src = st.(b + 1) and bits = st.(b + 4) in
-          if dst >= 0 then begin
-            h :=
-              send_mix63 !h ~round:round64 ~src:(Int64.of_int src)
-                ~dst:(Int64.of_int dst) ~bits:(Int64.of_int bits);
-            incr msgs;
-            sum := !sum + bits;
-            let side = part.(src) in
-            if part.(dst) <> side then begin
-              incr x_msgs;
-              x_bits := !x_bits + bits;
-              by_side.(side) <- by_side.(side) + bits
-            end
-          end
-          else begin
-            t.h_sends <- Int64.to_int !h;
-            record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1)
-              ~bits;
-            h := Int64.of_int t.h_sends
-          end
-        done;
-        if !x_msgs > 0 then begin
-          c.c_bits <- c.c_bits + !x_bits;
-          c.c_msgs <- c.c_msgs + !x_msgs;
-          bump c.by_round round !x_bits
-        end);
+        end
+      end
+      else begin
+        t.h_sends <- Int64.to_int !h;
+        record_row t ~round ~src ~adj ~lo:xadj.(src) ~hi:xadj.(src + 1) ~bits;
+        h := Int64.of_int t.h_sends
+      end
+    done;
     t.h_sends <- Int64.to_int !h;
-    if !msgs > 0 then add_sends t ~round ~count:!msgs ~bits:!sum
+    if !msgs > 0 then add_sends t ~round ~count:!msgs ~bits:!sum;
+    match t.cut with
+    | Some c when !x_msgs > 0 ->
+        c.c_bits <- c.c_bits + !x_bits;
+        c.c_msgs <- c.c_msgs + !x_msgs;
+        bump c.by_round round !x_bits
+    | _ -> ()
   end
 
 let send_digest_state t = t.h_sends
