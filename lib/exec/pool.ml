@@ -1,17 +1,24 @@
-(* A fixed-size, self-healing pool of worker domains fed by a per-batch
-   atomic task counter.
+(* A fixed-size, self-healing pool of worker domains.
+
+   One batch protocol serves [map] and [run_range].  Each call builds a
+   fresh [batch] record with its own claim counter [next] and completion
+   count [filled], installs it under [sh.m] (bumping the generation the
+   workers chase), drains it alongside the workers and supervises it to
+   completion.  A worker still holding an earlier batch can only claim
+   from that batch's exhausted counter, so it finds nothing and goes
+   back to waiting: nothing is ever reset under a running worker.
 
    Determinism does not come from scheduling (tasks are claimed
    first-come-first-served) but from indexing: task [i] publishes only
-   slot [i] of the result array, and the caller reassembles slots in
-   input order.  Slot publication is CAS-once ([pub.(i)]: 0 -> 1), so
-   [filled] counts slots, not publish calls: the batch is complete at
-   [filled = count] only if no slot publishes twice, and the CAS makes
-   that hold by construction rather than resting on the claim protocol
-   alone (which hands a slot to one executor at a time, and publishes a
-   killed slot's poison verdict only after its executor died).  The
-   [Atomic.incr filled] after a winning CAS is the happens-before edge
-   that makes the (nonatomic) slot write visible to whoever later reads
+   slot [i], and the caller reassembles slots in input order.  Slot
+   publication is CAS-once (0 -> 1), so [filled] counts slots, not
+   publish calls: the batch is complete at [filled = count] only if no
+   slot publishes twice, and the CAS makes that hold by construction
+   rather than resting on the claim protocol alone (which hands a slot
+   to one executor at a time, and publishes a killed slot's poison
+   verdict only after its executor died).  The [Atomic.incr filled]
+   after a winning CAS is the happens-before edge that makes the
+   (nonatomic) slot write visible to whoever later reads
    [filled = count].
 
    Supervision model.  OCaml domains cannot be killed from outside, and
@@ -19,10 +26,11 @@
    things:
 
    - a worker whose task raises {!Chaos_kill} (the chaos harness's
-     simulated crash) runs a death protocol on the way out: its claimed
-     slot is re-enqueued, its kill is charged to that slot, and the
-     caller is woken.  The caller itself drains re-enqueued slots, so
-     it can always make progress even if every worker is gone;
+     simulated crash) runs a death protocol on the way out: its kill is
+     charged to its claimed slot, which is re-enqueued ([map]) or
+     poisoned at once ([run_range]), and the caller is woken.  The
+     caller itself drains re-enqueued slots, so it can always make
+     progress even if every worker is gone;
    - a slot whose executions have killed [kill_limit] workers is a
      {e poison task}: it is quarantined by publishing
      [Error.Worker_death] as its result instead of re-enqueueing, so a
@@ -37,13 +45,10 @@ exception Chaos_kill
 
 type batch = {
   count : int;
-  mutable exec : int -> unit;
-      (* compute + publish slot i; may raise Chaos_kill.  Mutable only
-         so the reusable [run_range] batch can be wired up after the
-         record exists; [map] never reassigns it. *)
-  mutable poison : int -> int -> unit;
-      (* publish Worker_death for (slot, kills) *)
+  exec : int -> unit;  (* compute + publish slot i; may raise Chaos_kill *)
+  poison : int -> int -> unit;  (* publish Worker_death for (slot, kills) *)
   next : int Atomic.t;  (* next unclaimed primary index *)
+  filled : int Atomic.t;  (* slots published; the batch is done at [count] *)
   requeued : int Queue.t;  (* slots orphaned by dead workers; under [m] *)
   kills : int array;  (* worker deaths charged per slot; under [m] *)
   retry : bool;
@@ -69,25 +74,17 @@ type worker = {
          it could not be spawned *)
 }
 
-(* Reusable state for {!run_range}: one chunk per pool slot, rebuilt
-   never — the same batch record, publication flags and error slots are
-   reset in place each call, so a settled barrier round allocates
-   nothing (the closures below are created once per pool, not per
-   call). *)
-type range_state = {
-  mutable rs_f : int -> int -> unit;  (* body for the current call *)
-  mutable rs_lo : int;
-  mutable rs_hi : int;
-  mutable rs_gen : int;  (* generation the current call is wired for *)
-  rs_pub : int Atomic.t array;
-      (* chunk publication, generation-tagged because the record is
-         reused: [g] = open for generation [g], [-g] = published for
-         generation [g], [0] = never opened (matches no generation, so
-         nothing can publish before the first call). *)
-  rs_err : (exn * Printexc.raw_backtrace) option array;
-  rs_filled : int Atomic.t;
-  rs_batch : batch;
-  mutable rs_job : batch option;  (* preallocated [Some rs_batch] *)
+(* [run_range]'s per-pool slots, one per chunk: publication flags
+   (CAS-once, 0 -> 1, as in [map]), error slots and kill tallies, and
+   the requeue queue, which stays empty because ranges never retry.
+   Only the batch record is fresh per call, which keeps a barrier to one
+   small allocation; each call leaves the slots clean before it
+   returns. *)
+type range_slots = {
+  r_pub : int Atomic.t array;
+  r_err : (exn * Printexc.raw_backtrace) option array;
+  r_kills : int array;
+  r_requeued : int Queue.t;
 }
 
 type t = {
@@ -97,7 +94,7 @@ type t = {
   mutable workers : worker array;
   mutable alive : bool;
   mutable restarts : int;  (* workers respawned over the pool's life *)
-  mutable range : range_state option;  (* lazily built on first run_range *)
+  range : range_slots;
 }
 
 (* Workers one slot may kill before it is quarantined as poison. *)
@@ -141,21 +138,24 @@ let live_workers t =
 (* ------------------------------------------------------------------ *)
 (* Batch mechanics *)
 
-(* Claim the next slot: the primary counter first, then (under the lock)
-   a slot orphaned by a dead worker. *)
+(* Claim the next slot, or -1: the primary counter first, then (under
+   the lock, for a batch that retries) a slot orphaned by a dead
+   worker. *)
 let claim sh b =
   let i = Atomic.fetch_and_add b.next 1 in
-  if i < b.count then Some i
+  if i < b.count then i
+  else if not b.retry then -1
   else begin
     Mutex.lock sh.m;
-    let r = if Queue.is_empty b.requeued then None else Some (Queue.pop b.requeued) in
+    let r = if Queue.is_empty b.requeued then -1 else Queue.pop b.requeued in
     Mutex.unlock sh.m;
     r
   end
 
 (* Charge a worker death to slot [i]: re-enqueue it for survivors, or —
-   once it has killed [kill_limit] workers — quarantine it as poison by
-   publishing [Worker_death].  Call with [sh.m] held. *)
+   once it has killed [kill_limit] workers, or at once if the batch
+   never retries — quarantine it as poison by publishing
+   [Worker_death].  Call with [sh.m] held. *)
 let handle_kill b i =
   b.kills.(i) <- b.kills.(i) + 1;
   if (not b.retry) || b.kills.(i) >= kill_limit then b.poison i b.kills.(i)
@@ -169,10 +169,9 @@ let poison_message i k =
 
 (* Worker's share of a batch. *)
 let rec drain_worker sh b =
-  match claim sh b with
-  | None -> `Done
-  | Some i -> (
-      match b.exec i with () -> drain_worker sh b | exception _ -> `Died i)
+  let i = claim sh b in
+  if i < 0 then `Done
+  else match b.exec i with () -> drain_worker sh b | exception _ -> `Died i
 
 let rec worker_loop sh (w : worker) seen =
   Mutex.lock sh.m;
@@ -317,7 +316,13 @@ let create ~jobs () =
       workers = [||];
       alive = true;
       restarts = 0;
-      range = None;
+      range =
+        {
+          r_pub = Array.init jobs (fun _ -> Atomic.make 0);
+          r_err = Array.make jobs None;
+          r_kills = Array.make jobs 0;
+          r_requeued = Queue.create ();
+        };
     }
   in
   (match t.shared with
@@ -327,6 +332,60 @@ let create ~jobs () =
       Obs.Metrics.set m_workers (live_workers t);
       register t);
   t
+
+(* ------------------------------------------------------------------ *)
+(* The batch protocol *)
+
+(* The calling domain is worker number [jobs]: it drains the counter
+   alongside the workers and absorbs its own Chaos_kills (the caller
+   cannot die — each one is charged as a kill, and the slot re-enqueued
+   or poisoned). *)
+let rec drain_caller sh b =
+  let i = claim sh b in
+  if i >= 0 then begin
+    (try b.exec i
+     with Chaos_kill ->
+       Mutex.lock sh.m;
+       handle_kill b i;
+       Mutex.unlock sh.m);
+    drain_caller sh b
+  end
+
+(* After its own share the caller supervises: it drains slots that
+   deaths re-enqueued until every slot has published.  Every progress
+   event (publish-then-idle, death, requeue) broadcasts [finished] under
+   [sh.m], and the predicate is rechecked under [sh.m], so no wakeup can
+   be lost. *)
+let rec supervise sh b =
+  drain_caller sh b;
+  if Atomic.get b.filled < b.count then begin
+    Mutex.lock sh.m;
+    if Atomic.get b.filled < b.count && Queue.is_empty b.requeued then
+      Condition.wait sh.finished sh.m;
+    Mutex.unlock sh.m;
+    supervise sh b
+  end
+
+(* Install [b] as the pool's batch and wake the workers.  A task
+   calling back into its own pool, or a second caller, finds the batch
+   slot taken and raises [Invalid_argument nested] before anything of
+   the running batch is touched. *)
+let install sh ~nested b =
+  Mutex.lock sh.m;
+  if sh.job <> None then begin
+    Mutex.unlock sh.m;
+    invalid_arg nested
+  end;
+  sh.job <- Some b;
+  sh.gen <- sh.gen + 1;
+  Condition.broadcast sh.ready;
+  Mutex.unlock sh.m
+
+(* Free the batch slot once the batch has completed. *)
+let release sh =
+  Mutex.lock sh.m;
+  sh.job <- None;
+  Mutex.unlock sh.m
 
 (* ------------------------------------------------------------------ *)
 (* map *)
@@ -370,13 +429,11 @@ let map t f xs =
           end
         in
         let exec i =
-          let r =
-            try Ok (f xs.(i))
-            with
-            | Chaos_kill as e -> raise e
-            | e -> Error (e, Printexc.get_raw_backtrace ())
-          in
-          publish i r
+          publish i
+            (match f xs.(i) with
+            | v -> Ok v
+            | exception (Chaos_kill as e) -> raise e
+            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
         in
         let poison i k =
           publish i
@@ -390,54 +447,15 @@ let map t f xs =
             exec;
             poison;
             next = Atomic.make 0;
+            filled;
             requeued = Queue.create ();
             kills = Array.make n 0;
             retry = true;
           }
         in
-        Mutex.lock sh.m;
-        if sh.job <> None then begin
-          Mutex.unlock sh.m;
-          invalid_arg "Exec.Pool.map: nested or concurrent map on one pool"
-        end;
-        sh.job <- Some b;
-        sh.gen <- sh.gen + 1;
-        Condition.broadcast sh.ready;
-        Mutex.unlock sh.m;
-        (* The calling domain is worker number [jobs]: it drains the
-           primary counter alongside the workers, absorbs its own
-           Chaos_kills (the caller cannot die — each one is charged as a
-           kill and the slot re-enqueued or poisoned), and afterwards
-           supervises: draining orphaned slots until every slot has
-           published. *)
-        let rec drain_caller () =
-          match claim sh b with
-          | None -> ()
-          | Some i ->
-              (try b.exec i
-               with Chaos_kill ->
-                 Mutex.lock sh.m;
-                 handle_kill b i;
-                 Mutex.unlock sh.m);
-              drain_caller ()
-        in
-        let rec supervise () =
-          drain_caller ();
-          if Atomic.get filled < n then begin
-            (* Every progress event (publish-then-idle, death, requeue)
-               broadcasts [finished] under [sh.m], and the predicate is
-               rechecked under [sh.m], so no wakeup can be lost. *)
-            Mutex.lock sh.m;
-            if Atomic.get filled < n && Queue.is_empty b.requeued then
-              Condition.wait sh.finished sh.m;
-            Mutex.unlock sh.m;
-            supervise ()
-          end
-        in
-        supervise ();
-        Mutex.lock sh.m;
-        sh.job <- None;
-        Mutex.unlock sh.m;
+        install sh ~nested:"Exec.Pool.map: nested or concurrent map on one pool" b;
+        supervise sh b;
+        release sh;
         (* Reassemble in input order; re-raise the lowest-index failure
            (what a sequential loop would have raised first). *)
         Array.iter
@@ -469,132 +487,42 @@ let m_range_batches = Obs.Metrics.counter "pool_range_batches_total"
 let range_poison_message =
   "range chunk killed its worker; quarantined without retry"
 
+(* Start of chunk [i] of [jobs] over [lo, hi), for [0 <= i <= jobs]:
+   chunk [i] is [\[chunk_start i, chunk_start (i + 1))]. *)
+let chunk_start ~jobs ~lo ~hi i =
+  let len = hi - lo in
+  let q = len / jobs and r = len mod jobs in
+  lo + (i * q) + if i < r then i else r
+
 let chunk_bounds ~jobs ~lo ~hi i =
   if jobs < 1 then invalid_arg "Exec.Pool.chunk_bounds: jobs must be >= 1";
   if i < 0 || i >= jobs then
     invalid_arg "Exec.Pool.chunk_bounds: chunk index out of range";
-  let len = hi - lo in
-  let q = len / jobs and r = len mod jobs in
-  let clo = lo + (i * q) + min i r in
-  (clo, clo + q + if i < r then 1 else 0)
+  (chunk_start ~jobs ~lo ~hi i, chunk_start ~jobs ~lo ~hi (i + 1))
 
-let dummy_range_f _ _ = ()
-
-let dummy_exec (_ : int) = ()
-
-let dummy_poison (_ : int) (_ : int) = ()
-
-(* Publication is generation-tagged: a slot opened for generation [gen]
-   holds [gen] and publishes by CAS [gen -> -gen], so each chunk
-   publishes at most once per call, and only under the generation its
-   executor read at chunk entry.  Every execution publishes within its
-   own call (a killed chunk never publishes; its poison verdict is
-   published for it, from the same call), so [rs_filled] counts the
-   current call's chunks exactly once.  [rs_err] is written only after
-   a winning CAS, and the [rs_filled] increment after that write is the
-   happens-before edge publishing it to the caller. *)
-let publish_range rs gen err i =
-  if Atomic.compare_and_set rs.rs_pub.(i) gen (-gen) then begin
-    rs.rs_err.(i) <- err;
-    Atomic.incr rs.rs_filled
+(* [r_err] is written only after a winning CAS, and the [filled]
+   increment after that write publishes it to the caller. *)
+let range_publish r filled i err =
+  if Atomic.compare_and_set r.r_pub.(i) 0 1 then begin
+    r.r_err.(i) <- err;
+    Atomic.incr filled
   end
 
-(* Built once per pool; closes over [rs] only.  Generation and bounds
-   are read at entry: the claim that led here observed [run_range]'s
-   reset of [next], which is stored after them, so they are the
-   current call's. *)
-let range_exec rs i =
-  let gen = rs.rs_gen in
-  let jobs = Array.length rs.rs_pub in
-  let len = rs.rs_hi - rs.rs_lo in
-  let q = len / jobs and r = len mod jobs in
-  let clo = rs.rs_lo + (i * q) + if i < r then i else r in
-  let chi = clo + q + if i < r then 1 else 0 in
-  let err =
-    try
-      rs.rs_f clo chi;
-      None
-    with
-    | Chaos_kill as e -> raise e
-    | e -> Some (e, Printexc.get_raw_backtrace ())
-  in
-  publish_range rs gen err i
-
-(* Reached via [handle_kill] while the batch being poisoned is the
-   current one, so [rs_gen] is the generation the kill belongs to. *)
-let range_poison rs i _kills =
-  publish_range rs rs.rs_gen
-    (Some
-       ( Error.Error (Error.Worker_death range_poison_message),
-         Printexc.get_callstack 0 ))
-    i
-
-let range_state t =
-  match t.range with
-  | Some rs -> rs
-  | None ->
-      let jobs = t.jobs in
-      let rs =
-        {
-          rs_f = dummy_range_f;
-          rs_lo = 0;
-          rs_hi = 0;
-          rs_gen = 0;
-          rs_pub = Array.init jobs (fun _ -> Atomic.make 0);
-          rs_err = Array.make jobs None;
-          rs_filled = Atomic.make 0;
-          rs_batch =
-            {
-              count = jobs;
-              exec = dummy_exec;
-              poison = dummy_poison;
-              next = Atomic.make 0;
-              requeued = Queue.create ();
-              kills = Array.make jobs 0;
-              retry = false;
-            };
-          rs_job = None;
-        }
-      in
-      (* Wire the once-per-pool closures after the record exists (the
-         batch and the state reference each other). *)
-      rs.rs_batch.exec <- range_exec rs;
-      rs.rs_batch.poison <- range_poison rs;
-      rs.rs_job <- Some rs.rs_batch;
-      t.range <- Some rs;
-      rs
-
-(* Caller's share: claim chunks off the primary counter (no requeue
-   exists when [retry = false]) and absorb its own Chaos_kills as
-   immediate poison, mirroring a worker death. *)
-let rec range_drain_caller sh (b : batch) =
-  let i = Atomic.fetch_and_add b.next 1 in
-  if i < b.count then begin
-    (try b.exec i
-     with Chaos_kill ->
-       Mutex.lock sh.m;
-       handle_kill b i;
-       Mutex.unlock sh.m);
-    range_drain_caller sh b
+(* Clear chunks [i..] for the next call and return the lowest-index
+   failure among them, or [first].  Every chunk has published, and an
+   executor touches its chunk's slots only up to its publish (a death
+   is charged, and its poison published, before that), so no worker
+   races these stores; the next install, under [sh.m], publishes
+   them. *)
+let rec range_settle r i first =
+  if i = Array.length r.r_pub then first
+  else begin
+    let first = match first with None -> r.r_err.(i) | some -> some in
+    Atomic.set r.r_pub.(i) 0;
+    r.r_err.(i) <- None;
+    r.r_kills.(i) <- 0;
+    range_settle r (i + 1) first
   end
-
-let rec range_supervise sh rs =
-  range_drain_caller sh rs.rs_batch;
-  if Atomic.get rs.rs_filled < rs.rs_batch.count then begin
-    Mutex.lock sh.m;
-    if Atomic.get rs.rs_filled < rs.rs_batch.count then
-      Condition.wait sh.finished sh.m;
-    Mutex.unlock sh.m;
-    range_supervise sh rs
-  end
-
-let rec range_reraise rs i =
-  if i < Array.length rs.rs_err then
-    match rs.rs_err.(i) with
-    | Some (e, bt) ->
-        rs.rs_err.(i) <- None;
-        Printexc.raise_with_backtrace e bt
-    | None -> range_reraise rs (i + 1)
 
 let run_range t ~lo ~hi f =
   if not t.alive then invalid_arg "Exec.Pool.run_range: pool was shut down";
@@ -608,57 +536,50 @@ let run_range t ~lo ~hi f =
       try f lo hi
       with Chaos_kill ->
         raise (Error.Error (Error.Worker_death range_poison_message)))
-  | Some sh ->
+  | Some sh -> (
       if Array.exists (fun (w : worker) -> not (Atomic.get w.alive)) t.workers
       then respawn_dead t sh;
-      let rs = range_state t in
-      let jobs = t.jobs in
-      Mutex.lock sh.m;
-      (* The nested/concurrent check must precede every write to [rs]:
-         the range state is preallocated and shared, so a nested call
-         from inside a chunk body would otherwise clobber the in-flight
-         batch's cursors before discovering it must raise. *)
-      if sh.job <> None then begin
-        Mutex.unlock sh.m;
-        invalid_arg "Exec.Pool.run_range: nested or concurrent batch on one pool"
-      end;
-      sh.gen <- sh.gen + 1;
-      rs.rs_f <- f;
-      rs.rs_lo <- lo;
-      rs.rs_hi <- hi;
-      rs.rs_gen <- sh.gen;
-      Array.fill rs.rs_batch.kills 0 jobs 0;
-      for i = 0 to jobs - 1 do
-        Atomic.set rs.rs_pub.(i) rs.rs_gen;
-        rs.rs_err.(i) <- None
-      done;
-      Atomic.set rs.rs_filled 0;
-      sh.job <- rs.rs_job;
-      (* The primary counter is reset LAST.  A worker from the previous
-         barrier sitting between its final publish and its next claim
-         does not hold [sh.m], so until this store it must keep seeing
-         the exhausted old counter (>= count — every chunk is claimed
-         through [next] exactly once, so completion implies exhaustion)
-         and exit cleanly.  Resetting [next] any earlier would let that
-         worker claim a chunk of THIS call while the publication slots
-         are still mid-reset: the chunk would execute but its publish
-         would be lost (CAS against a stale tag, or the filled
-         increment wiped by the reset below it), and with no retry the
-         barrier would hang forever.  This store is also the
-         publication edge: a claim that does observe the fresh counter
-         happens-after it and therefore sees the new
-         [rs_f]/[rs_lo]/[rs_hi]/[rs_gen]. *)
-      Atomic.set rs.rs_batch.next 0;
-      Condition.broadcast sh.ready;
-      Mutex.unlock sh.m;
-      range_supervise sh rs;
-      Mutex.lock sh.m;
-      sh.job <- None;
-      Mutex.unlock sh.m;
-      rs.rs_f <- dummy_range_f;
+      let r = t.range and jobs = t.jobs in
+      let filled = Atomic.make 0 in
+      let exec i =
+        range_publish r filled i
+          (match
+             f (chunk_start ~jobs ~lo ~hi i) (chunk_start ~jobs ~lo ~hi (i + 1))
+           with
+          | () -> None
+          | exception (Chaos_kill as e) -> raise e
+          | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+      in
+      let poison i _kills =
+        range_publish r filled i
+          (Some
+             ( Error.Error (Error.Worker_death range_poison_message),
+               Printexc.get_callstack 0 ))
+      in
+      let b =
+        {
+          count = jobs;
+          exec;
+          poison;
+          next = Atomic.make 0;
+          filled;
+          requeued = r.r_requeued;
+          kills = r.r_kills;
+          retry = false;
+        }
+      in
+      install sh
+        ~nested:"Exec.Pool.run_range: nested or concurrent batch on one pool" b;
+      supervise sh b;
+      (* Settle before [release]: the slots are the pool's, and the next
+         batch may be installed as soon as the slot is free. *)
+      let first = range_settle r 0 None in
+      release sh;
       (* Lowest-index failure first: what ascending sequential chunk
          execution would have raised. *)
-      range_reraise rs 0
+      match first with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ())
 
 let with_pool ~jobs f =
   let t = create ~jobs () in

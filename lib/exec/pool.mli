@@ -1,8 +1,9 @@
 (** Deterministic, self-healing fixed-size domain worker pool.
 
     The execution engine behind every fan-out in the repository: parameter
-    sweeps, per-trial exact MaxIS solves, the parallel branch-and-bound
-    split, the verification audit.  The design goal is a hard determinism
+    sweeps, per-trial exact MaxIS solves, the verification audit, the
+    solve daemon's batches and the rounds of the domain-sharded CONGEST
+    executor.  The design goal is a hard determinism
     contract, because the bench harness promises byte-identical tables for
     any [--jobs] setting:
 
@@ -18,8 +19,9 @@
 
     Pools hold [jobs - 1] worker domains blocked on a condition variable;
     the calling domain participates in every batch, so [jobs] is the true
-    parallel width.  Tasks must not themselves call {!map} on the same pool
-    (that raises [Invalid_argument] rather than deadlocking).
+    parallel width.  Tasks must not themselves call {!map} or {!run_range}
+    on the same pool (that raises [Invalid_argument] rather than
+    deadlocking).
 
     {2 Supervision}
 
@@ -76,24 +78,30 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f xs] is [Array.map f xs], computed by up to [jobs pool]
     domains.  Results are in input order; see the determinism and
     supervision contracts above for exceptions and worker deaths.
-    Raises [Invalid_argument] on a nested or concurrent [map] over the
-    same pool, or (at any width, including 1) after {!shutdown}. *)
+    Raises [Invalid_argument] on a nested or concurrent batch ([map] or
+    {!run_range}) over the same pool, or (at any width, including 1)
+    after {!shutdown}. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!map}; same contract. *)
 
 val run_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [run_range pool ~lo ~hi f] is the reusable barrier primitive behind
-    the domain-sharded flat executor (docs/PERF.md).  The interval
+(** [run_range pool ~lo ~hi f] is the barrier primitive behind the
+    domain-sharded flat executor (docs/PERF.md).  The interval
     [\[lo, hi)] is split into exactly [jobs pool] contiguous chunks (see
     {!chunk_bounds}); every pool slot — the persistent workers plus the
     calling domain — executes [f clo chi] for one chunk, and the call
     returns only once all chunks have published.  Empty chunks still
     invoke [f clo clo], so per-shard state is reset at every width.
 
-    The barrier reuses one preallocated batch record per pool: a settled
-    call allocates no closures and no per-call arrays, which is what
-    keeps the parallel round loop at zero minor words per round.
+    Each call runs the same batch protocol as {!map} on one fresh,
+    small batch record with its own claim counter, so a worker left
+    over from an earlier call can claim nothing of this one.  The
+    chunks' publication flags, error slots and kill tallies belong to
+    the pool and are left clean for the next call.  On the calling
+    domain a pooled call therefore allocates that one record and its
+    chunk closures, a few dozen minor words whatever [jobs] is, and
+    nothing per chunk; at [jobs = 1] it runs [f lo hi] in place.
 
     Exception contract: a chunk body that raises an ordinary exception
     records it; after the barrier the {e lowest-index} failure is
@@ -106,7 +114,8 @@ val run_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
     the identical exception at every [jobs], including 1.
 
     Raises [Invalid_argument] if [hi < lo], on a nested or concurrent
-    batch over the same pool, or after {!shutdown}. *)
+    batch ({!map} or [run_range]) over the same pool, or after
+    {!shutdown}. *)
 
 val chunk_bounds : jobs:int -> lo:int -> hi:int -> int -> int * int
 (** [chunk_bounds ~jobs ~lo ~hi i] is the half-open interval

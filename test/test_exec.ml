@@ -199,15 +199,16 @@ let test_run_range_exception_lowest_chunk () =
     widths
 
 let test_run_range_rapid_reuse () =
-  (* Regression for the barrier-reuse race: run_range reuses one batch
-     record, so a worker from barrier k sitting between its final
-     publish and its next claim overlaps barrier k+1's reset.  Before
-     the reset made the primary-counter zeroing its LAST store, that
-     worker could claim a chunk of the new barrier mid-reset, lose its
-     publication, and hang the barrier forever (no retry exists for
-     ranges).  Tiny bodies in a tight back-to-back loop maximise the
-     window; pre-fix this hung within a few thousand iterations at
-     jobs >= 2. *)
+  (* Back-to-back barriers overlap: a worker from barrier k can sit
+     between its final publish and its next claim while barrier k+1 is
+     installed.  Each call has its own claim counter, so that worker
+     finds barrier k's counter exhausted and goes back to waiting; it
+     can never claim a chunk of barrier k+1 or publish into the pool's
+     slots, which barrier k cleared before it returned.  (When the
+     pool reset one reused batch record in place, a counter reset that
+     came too early let such a worker lose a publication and hang the
+     barrier, as no retry exists for ranges.)  Tiny bodies in a tight
+     loop maximise the window. *)
   List.iter
     (fun jobs ->
       Pool.with_pool ~jobs (fun pool ->
@@ -228,6 +229,47 @@ let test_run_range_nested_rejected () =
           try Pool.run_range pool ~lo:0 ~hi:1 (fun _ _ -> ())
           with Invalid_argument _ -> ignore (Atomic.fetch_and_add nested_ok 1));
       check_int "every chunk's nested call raised" 2 (Atomic.get nested_ok))
+
+(* [map] and [run_range] install their batches through one step, so
+   each refuses the other when nested, and the refused call leaves the
+   running batch and the next one intact. *)
+let test_map_range_nested_rejected () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let refused =
+            Pool.map pool
+              (fun x ->
+                match Pool.run_range pool ~lo:0 ~hi:4 (fun _ _ -> ()) with
+                | () -> -1
+                | exception Invalid_argument _ -> x)
+              [| 0; 1; 2; 3; 4 |]
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "run_range inside map raises (jobs=%d)" jobs)
+            [| 0; 1; 2; 3; 4 |] refused;
+          let nested_ok = Atomic.make 0 and covered = Atomic.make 0 in
+          Pool.run_range pool ~lo:0 ~hi:30 (fun clo chi ->
+              ignore (Atomic.fetch_and_add covered (chi - clo));
+              try ignore (Pool.map pool succ [| 1; 2 |])
+              with Invalid_argument _ -> Atomic.incr nested_ok);
+          check_int
+            (Printf.sprintf "map inside every chunk raises (jobs=%d)" jobs)
+            jobs (Atomic.get nested_ok);
+          check_int
+            (Printf.sprintf "outer run_range completes (jobs=%d)" jobs)
+            30 (Atomic.get covered);
+          let sum = Atomic.make 0 in
+          Pool.run_range pool ~lo:0 ~hi:30 (fun clo chi ->
+              ignore (Atomic.fetch_and_add sum (chi - clo)));
+          check_int
+            (Printf.sprintf "clean run_range afterwards (jobs=%d)" jobs)
+            30 (Atomic.get sum);
+          Alcotest.(check (array int))
+            (Printf.sprintf "clean map afterwards (jobs=%d)" jobs)
+            [| 1; 2; 3 |]
+            (Pool.map pool succ [| 0; 1; 2 |])))
+    [ 2; 3 ]
 
 let test_run_range_after_shutdown () =
   let pool = Pool.create ~jobs:2 () in
@@ -867,6 +909,8 @@ let () =
             test_run_range_nested_rejected;
           Alcotest.test_case "run_range after shutdown" `Quick
             test_run_range_after_shutdown;
+          Alcotest.test_case "map and run_range refuse each other when nested"
+            `Quick test_map_range_nested_rejected;
         ] );
       ( "cache",
         [

@@ -66,7 +66,8 @@ let test_flat_cut_alloc_per_round () =
 
 (* Under a pool the calling domain records every round into the trace
    after the stage barrier, replaying the shards' staged entries, and
-   drives the barriers themselves.  Its whole-run minor words (minor
+   drives the barriers themselves, each of which allocates one small
+   batch record (see the run_range case).  Its whole-run minor words (minor
    heaps are per-domain, so this is the caller's share only) are held
    to the same ceiling, with the cut registered so the replay classifies
    every send. *)
@@ -119,6 +120,33 @@ let test_par_stage_alloc_per_round () =
                the parallel stage phase is no longer allocation-free"
               s jobs per_round per_domain_ceiling)
         probe)
+
+(* Every [Exec.Pool.run_range] call installs one fresh batch record
+   (its own claim counter, completion count and chunk closures) and
+   reuses the pool's publication flags, error slots and kill tallies,
+   so on the calling domain a barrier costs a few dozen minor words
+   whatever the width; anything allocated per chunk would grow with
+   [jobs]. *)
+let test_run_range_alloc_per_call () =
+  let calls = 10_000 in
+  List.iter
+    (fun jobs ->
+      Exec.Pool.with_pool ~jobs (fun pool ->
+          let body _ _ = () in
+          for _ = 1 to 1000 do
+            Exec.Pool.run_range pool ~lo:0 ~hi:jobs body
+          done;
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            Exec.Pool.run_range pool ~lo:0 ~hi:jobs body
+          done;
+          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+          if per_call > 64.0 then
+            Alcotest.failf
+              "run_range at jobs=%d allocates %.1f minor words per call \
+               (ceiling 64)"
+              jobs per_call))
+    [ 2; 3; 8 ]
 
 (* Point sends reach the trace through [Trace.record_send] one at a
    time (the theorem5-gather path), never through a row, so the guards
@@ -267,6 +295,8 @@ let () =
             test_par_stage_alloc_per_round;
           Alcotest.test_case "trace replay under a pool is allocation-free"
             `Quick test_par_replay_alloc_per_round;
+          Alcotest.test_case "run_range allocates one small record per call"
+            `Quick test_run_range_alloc_per_call;
           Alcotest.test_case "Light point sends are allocation-free" `Quick
             test_point_send_alloc;
           Alcotest.test_case "staged point replay is allocation-free" `Quick
