@@ -184,8 +184,8 @@ let checked body trace =
    recipients.  Rows are expanded one message at a time only where
    messages must exist one by one: the row-tally pass and scatter of a
    merged round, the fault filter, and the trace (through
-   [Trace.record_row]).  Hence the per-shard counts: [sh_len] staged
-   entries, [sh_rows] of them rows, [sh_msgs] messages.
+   [Trace.record_row]).  Hence the per-shard tallies: [t_len] staged
+   entries, [t_rows] of them rows, [t_msgs] messages.
 
    The trace is recorded one way, with or without a pool: after the
    stage barrier the calling domain replays the staged quints of every
@@ -215,9 +215,27 @@ let checked body trace =
    before the failing one — before re-raising, so [run_flat_checked]
    returns identical post-mortem traces with or without a pool. *)
 
-(* Per-shard hot tallies are spread [shard_pad] ints apart so two
-   domains never bump the same cache line. *)
-let shard_pad = 8
+(* Per-shard hot tallies live in one int block: a leading [tally_pad]
+   words, then [tally_stride] words per shard, its [tally_fields]
+   tallies followed by [tally_pad] words nothing touches.  Every shard's
+   tallies thus have at least 64 bytes on either side that no domain
+   writes, so no two domains bump the same cache line, whatever the
+   block's alignment and whatever was allocated next to it. *)
+let t_token = 0 (* last (sender, round) token stamped into the book *)
+let t_len = 1 (* staged entries *)
+let t_msgs = 2
+let t_rows = 3
+let t_round_bits = 4
+let t_halted = 5
+let t_edge_obs = 6
+let t_failed = 7
+let t_ct = 8 (* pass A: the destination chunk's grand total *)
+let tally_fields = 9
+let tally_pad = 8
+let tally_stride = tally_fields + tally_pad
+
+(* Index of shard [s]'s first tally. *)
+let tally_slot s = tally_pad + (s * tally_stride)
 
 (* Slots of [run_flat]'s [phases] hook. *)
 let phase_stage = 0
@@ -363,15 +381,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     Array.init jobs (fun _ -> Array.make (3 * Csr.max_degree c) 0)
   in
   let sh_em = Array.init jobs (fun _ -> Fastpath.make_emitter ()) in
-  let sh_token = Array.make (jobs * shard_pad) 0 in
-  let sh_len = Array.make (jobs * shard_pad) 0 in
-  let sh_msgs = Array.make (jobs * shard_pad) 0 in
-  let sh_rows = Array.make (jobs * shard_pad) 0 in
-  let sh_round_bits = Array.make (jobs * shard_pad) 0 in
-  let sh_halted = Array.make (jobs * shard_pad) 0 in
-  let sh_edge_obs = Array.make (jobs * shard_pad) 0 in
-  let sh_failed = Array.make (jobs * shard_pad) 0 in
-  let ct = Array.make (jobs * shard_pad) 0 in
+  let tally = Array.make (tally_pad + (jobs * tally_stride)) 0 in
   let cb = Array.make jobs 0 in
   let round = ref 0 in
   (* Metric totals are flushed once per run, not per send: atomic bumps
@@ -381,14 +391,14 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
   let sent = ref 0 in
   let sent_bits = ref 0 in
   (* Phase 1: step + stage.  The hot counters live in locals, written
-     back to the shard's padded slots at the end of the chunk; [sh_len]
+     back to the shard's tallies at the end of the chunk; [t_len]
      is also written after every emitting node and before every raise,
      since a torn shard's staged prefix is what the violation replay
      reads. *)
   let stage_body clo chi s =
-    let slot = s * shard_pad in
-    sh_len.(slot) <- 0;
-    sh_failed.(slot) <- 0;
+    let slot = tally_slot s in
+    tally.(slot + t_len) <- 0;
+    tally.(slot + t_failed) <- 0;
     let pulling = !pull and delivered = !arena and scratch = sh_scratch.(s) in
     let counts = sh_counts.(s) in
     (* A merged round leaves write cursors in the tallies; a pulled one
@@ -400,7 +410,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     let len = ref 0 and msgs = ref 0 and round_bits = ref 0 in
     let rows = ref 0 in
     let halted = ref 0 in
-    let edge_obs = ref sh_edge_obs.(slot) in
+    let edge_obs = ref tally.(slot + t_edge_obs) in
     let st = ref sh_stage.(s) in
     let prev = rnd - 1 and prev_rec = 3 * ((rnd - 1) land 1) in
     let cur_rec = 3 * (rnd land 1) in
@@ -445,7 +455,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
           if hi > lo then begin
             let bits = Array.unsafe_get em.Fastpath.e_bits 0 in
             if bits > limit then begin
-              sh_len.(slot) <- !len;
+              tally.(slot + t_len) <- !len;
               raise
                 (Bandwidth_exceeded
                    {
@@ -480,12 +490,12 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
               (Array.unsafe_get em.Fastpath.e_tag 0);
             Array.unsafe_set rowrec (b + 2)
               (Array.unsafe_get em.Fastpath.e_word 0);
-            sh_len.(slot) <- !len
+            tally.(slot + t_len) <- !len
           end
         end
         else if e_len > 0 then begin
-          let tok = sh_token.(slot) + 1 in
-          sh_token.(slot) <- tok;
+          let tok = tally.(slot + t_token) + 1 in
+          tally.(slot + t_token) <- tok;
           (* Stamp the sender's row: neighbour validation is then one
              book read per send, and the same pass zeroes the per-edge
              bit tallies. *)
@@ -507,13 +517,13 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
             let dst = Array.unsafe_get e_dst k in
             if dst < 0 || dst >= n || Array.unsafe_get book (2 * dst) <> tok
             then begin
-              sh_len.(slot) <- !len;
+              tally.(slot + t_len) <- !len;
               raise (Illegal_recipient { round = rnd; src = v; dst })
             end;
             let bits = Array.unsafe_get e_bits k in
             let total = Array.unsafe_get book ((2 * dst) + 1) + bits in
             if total > limit then begin
-              sh_len.(slot) <- !len;
+              tally.(slot + t_len) <- !len;
               raise
                 (Bandwidth_exceeded
                    { round = rnd; src = v; dst; bits = total; limit })
@@ -535,17 +545,17 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
             round_bits := !round_bits + bits;
             Array.unsafe_set counts dst (Array.unsafe_get counts dst + 1)
           done;
-          sh_len.(slot) <- !len;
+          tally.(slot + t_len) <- !len;
           msgs := !msgs + e_len
         end;
         if Bytes.unsafe_get halted_b v <> '\000' then incr halted
       end
     done;
-    sh_msgs.(slot) <- !msgs;
-    sh_rows.(slot) <- !rows;
-    sh_round_bits.(slot) <- !round_bits;
-    sh_halted.(slot) <- !halted;
-    sh_edge_obs.(slot) <- !edge_obs
+    tally.(slot + t_msgs) <- !msgs;
+    tally.(slot + t_rows) <- !rows;
+    tally.(slot + t_round_bits) <- !round_bits;
+    tally.(slot + t_halted) <- !halted;
+    tally.(slot + t_edge_obs) <- !edge_obs
   in
   let f_stage clo chi =
     if clo < chi then begin
@@ -559,7 +569,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
       | e ->
           (* Model violation (or a program bug): remember which shard so
              the caller can replay the trace prefix. *)
-          sh_failed.(shard_pad * s) <- 1;
+          tally.(tally_slot s + t_failed) <- 1;
           raise e);
       match alloc_probe with
       | None -> ()
@@ -573,7 +583,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     if clo < chi then begin
       let s = shard_of clo in
       let st = sh_stage.(s) and counts = sh_counts.(s) in
-      for i = 0 to sh_len.(s * shard_pad) - 1 do
+      for i = 0 to tally.(tally_slot s + t_len) - 1 do
         let bs = 5 * i in
         if Array.unsafe_get st bs < 0 then begin
           let src = Array.unsafe_get st (bs + 1) in
@@ -588,7 +598,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
   in
   (* Phase 2 (pass A): over destination chunks — turn the per-shard
      per-dst tallies into within-column prefixes, leaving the column
-     total in [col] and this chunk's grand total in [ct]. *)
+     total in [col] and this chunk's grand total in [t_ct]. *)
   let f_pass_a dlo dhi =
     if dlo < dhi then begin
       let s = shard_of dlo in
@@ -604,7 +614,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
         Array.unsafe_set col d !running;
         t := !t + !running
       done;
-      ct.(s * shard_pad) <- !t
+      tally.(tally_slot s + t_ct) <- !t
     end
   in
   (* Phase 3 (pass B): write the global windows and lift the per-shard
@@ -632,7 +642,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     if clo < chi then begin
       let s = shard_of clo in
       let st = sh_stage.(s) and counts = sh_counts.(s) and a = !arena in
-      for i = 0 to sh_len.(s * shard_pad) - 1 do
+      for i = 0 to tally.(tally_slot s + t_len) - 1 do
         let bs = 5 * i in
         let dst = Array.unsafe_get st bs in
         let src = Array.unsafe_get st (bs + 1)
@@ -665,7 +675,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
   let replay_sends last =
     for s = 0 to last do
       Trace.record_staged trace ~round:!round ~st:sh_stage.(s)
-        ~len:sh_len.(s * shard_pad) ~xadj ~adj
+        ~len:tally.(tally_slot s + t_len) ~xadj ~adj
     done
   in
   (* Trace prefix of a round torn by a model violation: every staged
@@ -673,7 +683,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
      shard's own staged prefix. *)
   let replay_violation_prefix () =
     List.init jobs Fun.id
-    |> List.find_opt (fun s -> sh_failed.(s * shard_pad) <> 0)
+    |> List.find_opt (fun s -> tally.(tally_slot s + t_failed) <> 0)
     |> Option.iter replay_sends
   in
   (* Fault plans.  The plan acts as one delivery filter on the calling
@@ -778,7 +788,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     in
     for s = 0 to jobs - 1 do
       let st = sh_stage.(s) in
-      for i = 0 to sh_len.(s * shard_pad) - 1 do
+      for i = 0 to tally.(tally_slot s + t_len) - 1 do
         let b = 5 * i in
         let dst = st.(b) and src = st.(b + 1) and tag = st.(b + 2)
         and word = st.(b + 3) and bits = st.(b + 4) in
@@ -788,12 +798,12 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
             attempt ~src ~dst:adj.(r) ~tag ~word ~bits
           done
       done;
-      sh_len.(s * shard_pad) <- 0
+      tally.(tally_slot s + t_len) <- 0
     done;
     release_upto max_int;
     spare := sh_stage.(0);
     sh_stage.(0) <- !out;
-    sh_len.(0) <- !len
+    tally.(tally_slot 0 + t_len) <- !len
   in
   (* Post-round halted totals come from the shard tallies; before the
      first round there are none, so scan once. *)
@@ -831,12 +841,12 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
     let halted = ref 0 and staged = ref 0 and rows = ref 0 in
     let msgs = ref 0 in
     for s = 0 to jobs - 1 do
-      msgs := !msgs + sh_msgs.(s * shard_pad);
-      sent := !sent + sh_msgs.(s * shard_pad);
-      sent_bits := !sent_bits + sh_round_bits.(s * shard_pad);
-      halted := !halted + sh_halted.(s * shard_pad);
-      staged := !staged + sh_len.(s * shard_pad);
-      rows := !rows + sh_rows.(s * shard_pad)
+      msgs := !msgs + tally.(tally_slot s + t_msgs);
+      sent := !sent + tally.(tally_slot s + t_msgs);
+      sent_bits := !sent_bits + tally.(tally_slot s + t_round_bits);
+      halted := !halted + tally.(tally_slot s + t_halted);
+      staged := !staged + tally.(tally_slot s + t_len);
+      rows := !rows + tally.(tally_slot s + t_rows)
     done;
     halted_sum := !halted;
     (* A round without point sends, carrying at least one message per
@@ -855,7 +865,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
       let accb = ref 0 in
       for s = 0 to jobs - 1 do
         cb.(s) <- !accb;
-        accb := !accb + ct.(s * shard_pad)
+        accb := !accb + tally.(tally_slot s + t_ct)
       done;
       let total = !accb in
       offs.(n) <- total;
@@ -870,7 +880,7 @@ let run_flat ?(config = default_config) ?trace ?alloc_probe ?phases ?pool
   Trace.set_rounds trace !round;
   let edge_obs = ref 0 in
   for s = 0 to jobs - 1 do
-    edge_obs := max !edge_obs sh_edge_obs.(s * shard_pad)
+    edge_obs := max !edge_obs tally.(tally_slot s + t_edge_obs)
   done;
   Trace.observe_edge_total trace !edge_obs;
   Obs.Metrics.add mx.m_rounds !round;
