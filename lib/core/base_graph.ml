@@ -38,9 +38,9 @@ let node_kind p ~offset v =
 (* CSR twin of [build_into]: [Csr.Builder] has no edge removal, so the
    v_m ↔ Code \ Code_m connections are built directly — for each position
    the codeword's own symbol is skipped instead of added-then-removed.
-   Labels are optional: at n ≥ 10⁵ the per-node strings cost more than
-   the edges, and the large-n sweeps never read them. *)
-let build_csr_into ?(labels = false) p b ~offset ~copy_name =
+   No labels: at n ≥ 10⁵ the per-node strings cost more than the edges,
+   and the large-n sweeps never read them. *)
+let build_csr_into p b ~offset =
   let module B = Wgraph.Csr.Builder in
   let clique nodes =
     let n = Array.length nodes in
@@ -62,20 +62,7 @@ let build_csr_into ?(labels = false) p b ~offset ~copy_name =
         if r <> w.(h) then B.add_edge b vm (sigma_node p ~offset ~h ~r)
       done
     done
-  done;
-  if labels then begin
-    for m = 0 to Params.k p - 1 do
-      B.set_label b (a_node p ~offset ~m)
-        (Printf.sprintf "v%s_%d" copy_name (m + 1))
-    done;
-    for h = 0 to Params.positions p - 1 do
-      for r = 0 to Params.q p - 1 do
-        B.set_label b
-          (sigma_node p ~offset ~h ~r)
-          (Printf.sprintf "s%s_(%d,%d)" copy_name (h + 1) (r + 1))
-      done
-    done
-  end
+  done
 
 let build_into p g ~offset ~copy_name =
   (* The clique A. *)

@@ -38,19 +38,13 @@ val node_kind : Params.t -> offset:int -> int -> [ `A of int | `Sigma of int * i
 (** Inverse of the layout within one copy: which role does a node play?
     Raises [Invalid_argument] if the node is outside the copy. *)
 
-val build_csr_into :
-  ?labels:bool ->
-  Params.t ->
-  Wgraph.Csr.Builder.t ->
-  offset:int ->
-  copy_name:string ->
-  unit
+val build_csr_into : Params.t -> Wgraph.Csr.Builder.t -> offset:int -> unit
 (** CSR twin of [build_into], for large-n sweeps: identical edge set,
     built directly (the codeword's own code nodes are skipped rather than
-    connected and removed).  Node labels are only materialized with
-    [~labels:true] (default off — they dominate build cost at n ≥ 10⁵).
-    test/test_csr.ml pins [Csr.equal] against [Csr.of_graph] of the
-    bitset construction. *)
+    connected and removed).  It sets no node labels: they would dominate
+    build cost at n ≥ 10⁵, so every node keeps its index as its label.
+    test/test_csr.ml pins [Csr.equal] (which ignores labels) against
+    [Csr.of_graph] of the bitset construction. *)
 
 val build_into : Params.t -> Wgraph.Graph.t -> offset:int -> copy_name:string -> unit
 (** Wire one copy of [H] into the graph at [offset]: the [A] clique, the

@@ -54,11 +54,10 @@ let connect_copies_csr p b =
     done
   done
 
-let fixed_csr ?(labels = false) p =
+let fixed_csr p =
   let b = Wgraph.Csr.Builder.create (n_nodes p) in
   for i = 0 to p.Params.players - 1 do
-    Base_graph.build_csr_into ~labels p b ~offset:(copy_offset p i)
-      ~copy_name:(Printf.sprintf "^%d" (i + 1))
+    Base_graph.build_csr_into p b ~offset:(copy_offset p i)
   done;
   connect_copies_csr p b;
   let partition =

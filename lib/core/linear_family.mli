@@ -28,14 +28,11 @@ val instance : Params.t -> Commcx.Inputs.t -> Family.instance
     [Invalid_argument] if the inputs don't match the parameters ([t]
     strings of length [k]). *)
 
-val fixed_csr :
-  ?labels:bool ->
-  Params.t ->
-  Wgraph.Csr.t * int array
+val fixed_csr : Params.t -> Wgraph.Csr.t * int array
 (** CSR twin of {!fixed}: identical edge set and partition, built through
     {!Base_graph.build_csr_into} without the n²-bit adjacency matrix, so
-    Theorem-1 sweeps reach n in the 10⁵–10⁶ range.  Labels off by
-    default (they dominate build cost at scale).  Construction is
+    Theorem-1 sweeps reach n in the 10⁵–10⁶ range.  No node labels
+    (they would dominate build cost at scale).  Construction is
     linear in the edge count ({!Wgraph.Csr.Builder.finish} sorts no
     row).  test/test_csr.ml pins
     [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)

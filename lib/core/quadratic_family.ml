@@ -79,13 +79,11 @@ let connect_side_csr p b ~side =
 
 (* The fixed structure staged into a builder, shared by [fixed_csr] and
    [instance_csr] (which must add its input edges before [finish]). *)
-let fixed_csr_builder ~labels p =
+let fixed_csr_builder p =
   let b = Wgraph.Csr.Builder.create (n_nodes p) in
   for i = 0 to p.Params.players - 1 do
     for side = 0 to 1 do
-      Base_graph.build_csr_into ~labels p b
-        ~offset:(copy_offset p ~player:i ~side)
-        ~copy_name:(Printf.sprintf "^(%d,%d)" (i + 1) (side + 1))
+      Base_graph.build_csr_into p b ~offset:(copy_offset p ~player:i ~side)
     done
   done;
   connect_side_csr p b ~side:0;
@@ -102,8 +100,8 @@ let fixed_csr_builder ~labels p =
 let partition_csr p =
   Array.init (n_nodes p) (fun v -> v / (2 * Base_graph.copy_size p))
 
-let fixed_csr ?(labels = false) p =
-  let b = fixed_csr_builder ~labels p in
+let fixed_csr p =
+  let b = fixed_csr_builder p in
   (Wgraph.Csr.Builder.finish b, partition_csr p)
 
 let instance_csr p x =
@@ -111,7 +109,7 @@ let instance_csr p x =
     invalid_arg "Quadratic_family.instance_csr: wrong number of players";
   if x.Inputs.k <> string_length p then
     invalid_arg "Quadratic_family.instance_csr: wrong string length";
-  let b = fixed_csr_builder ~labels:false p in
+  let b = fixed_csr_builder p in
   let k = Params.k p in
   for i = 0 to p.Params.players - 1 do
     let off1 = copy_offset p ~player:i ~side:0

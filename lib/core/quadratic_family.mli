@@ -33,14 +33,11 @@ val instance : Params.t -> Commcx.Inputs.t -> Family.instance
 (** [F_x̄]: [F] plus the input edges.  Raises [Invalid_argument] on
     mismatched inputs ([t] strings of length [k²]). *)
 
-val fixed_csr :
-  ?labels:bool ->
-  Params.t ->
-  Wgraph.Csr.t * int array
+val fixed_csr : Params.t -> Wgraph.Csr.t * int array
 (** CSR twin of {!fixed}: identical edge set, weights and partition,
     built without the n²-bit adjacency matrix so Theorem-2 sweeps reach
     the same n range as the linear family, in time linear in the edge
-    count.  test/test_csr.ml pins
+    count.  No node labels.  test/test_csr.ml pins
     [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)
 
 val instance_csr :
