@@ -28,22 +28,6 @@ let chaos_journal_dir = Filename.concat chaos_root "journal"
 
 let verdicts_csv = Filename.concat "results" "chaos_verdicts.csv"
 
-(* Fresh fault state every run: the leg's claims are about one seeded
-   chaos episode, not an accumulation of previous ones. *)
-let rm_rf root =
-  let fs = Stdx.Fsio.real in
-  let rec go path =
-    if fs.Stdx.Fsio.file_exists path then
-      if fs.Stdx.Fsio.is_directory path then begin
-        Array.iter
-          (fun f -> go (Filename.concat path f))
-          (fs.Stdx.Fsio.readdir path);
-        try fs.Stdx.Fsio.rmdir path with Sys_error _ -> ()
-      end
-      else try fs.Stdx.Fsio.remove path with Sys_error _ -> ()
-  in
-  go root
-
 (* ------------------------------------------------------------------ *)
 (* The sweep cells: exact OPT of seeded Erdős–Rényi instances.  Pure in
    the cell index, so every execution path must reproduce the same row

@@ -14,6 +14,23 @@ let note fmt = Printf.printf ("  " ^^ fmt ^^ "\n")
    re-runs and reorderings reproduce bit-identical tables. *)
 let rng_for id = Stdx.Prng.create (Hashtbl.hash id)
 
+(* Remove a directory tree, best effort.  The CHAOS, SERVE and NETCHAOS
+   legs start from an empty root each run: their claims are about one
+   seeded episode, not an accumulation of previous ones. *)
+let rm_rf root =
+  let fs = Stdx.Fsio.real in
+  let rec go path =
+    if fs.Stdx.Fsio.file_exists path then
+      if fs.Stdx.Fsio.is_directory path then begin
+        Array.iter
+          (fun f -> go (Filename.concat path f))
+          (fs.Stdx.Fsio.readdir path);
+        try fs.Stdx.Fsio.rmdir path with Sys_error _ -> ()
+      end
+      else try fs.Stdx.Fsio.remove path with Sys_error _ -> ()
+  in
+  go root
+
 (* ------------------------------------------------------------------ *)
 (* Execution context.
 

@@ -33,18 +33,6 @@ let root = Filename.concat "results" "netchaos-bench"
 
 let verdict_csv = Filename.concat "results" "netchaos_verdicts.csv"
 
-let rm_rf path =
-  let fs = Stdx.Fsio.real in
-  let rec go path =
-    if fs.Stdx.Fsio.file_exists path then
-      if fs.Stdx.Fsio.is_directory path then begin
-        Array.iter (fun f -> go (Filename.concat path f)) (fs.Stdx.Fsio.readdir path);
-        try fs.Stdx.Fsio.rmdir path with Sys_error _ -> ()
-      end
-      else try fs.Stdx.Fsio.remove path with Sys_error _ -> ()
-  in
-  go path
-
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in

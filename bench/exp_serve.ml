@@ -39,20 +39,6 @@ let capability_csv = Filename.concat "results" "serve_capabilities.csv"
 
 let max_line_bytes = 65536
 
-let rm_rf root =
-  let fs = Stdx.Fsio.real in
-  let rec go path =
-    if fs.Stdx.Fsio.file_exists path then
-      if fs.Stdx.Fsio.is_directory path then begin
-        Array.iter
-          (fun f -> go (Filename.concat path f))
-          (fs.Stdx.Fsio.readdir path);
-        try fs.Stdx.Fsio.rmdir path with Sys_error _ -> ()
-      end
-      else try fs.Stdx.Fsio.remove path with Sys_error _ -> ()
-  in
-  go root
-
 (* ------------------------------------------------------------------ *)
 (* Request corpus: small gadget instances, cheap enough that the load
    phase is socket-bound rather than solver-bound once the cache is
