@@ -429,11 +429,13 @@ let map t f xs =
           end
         in
         let exec i =
-          publish i
-            (match f xs.(i) with
-            | v -> Ok v
-            | exception (Chaos_kill as e) -> raise e
-            | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+          let r =
+            try Ok (f xs.(i))
+            with
+            | Chaos_kill as e -> raise e
+            | e -> Error (e, Printexc.get_raw_backtrace ())
+          in
+          publish i r
         in
         let poison i k =
           publish i
