@@ -1369,6 +1369,152 @@ let test_linear_gadget_1000 () =
        inst);
   check_int "cut bits" 597_080 (Congest.Trace.cut_bits trace part)
 
+(* ------------------------------------------------------------------ *)
+(* Gadget pins: literal censuses of every family builder *)
+
+(* [n; edges; cut; edge digest; weight digest; label digest].  Each
+   digest sums (mod 2⁶³) one hash per edge [(min, max)], per
+   [(node, weight)] or per [(node, label)], so it ignores the order the
+   builder produced them in.  The CSR side carries no labels and pins 0. *)
+let census ~n ~iter_edges ~weight ?label part =
+  let m = ref 0 and cut = ref 0 and ed = ref 0 in
+  iter_edges (fun u v ->
+      incr m;
+      if part.(u) <> part.(v) then incr cut;
+      ed := !ed + Hashtbl.hash (min u v, max u v));
+  let wd = ref 0 and ld = ref 0 in
+  for v = 0 to n - 1 do
+    wd := !wd + Hashtbl.hash (v, weight v);
+    Option.iter (fun l -> ld := !ld + Hashtbl.hash (v, l v)) label
+  done;
+  [ n; !m; !cut; !ed; !wd; !ld ]
+
+let graph_census (g, part) =
+  census ~n:(Graph.n g)
+    ~iter_edges:(fun f -> Graph.iter_edges f g)
+    ~weight:(Graph.weight g) ~label:(Graph.label g) part
+
+let csr_census (c, part) =
+  census ~n:(Csr.n c)
+    ~iter_edges:(fun f -> Csr.iter_edges f c)
+    ~weight:(Csr.weight c) part
+
+(* [fixed], [fixed_csr], then [instance] and [instance_csr] on one seeded
+   promise input; every measured cut must equal [expected_cut_size]. *)
+let check_pins name ~fixed ~fixed_csr ~instance ~instance_csr ~expected_cut
+    ~string_length pins =
+  List.iter
+    (fun (p, seed, intersecting, expected) ->
+      let x =
+        Commcx.Inputs.gen_promise (Prng.create seed) ~k:(string_length p)
+          ~t:p.Maxis_core.Params.players ~intersecting
+      in
+      let inst = instance p x in
+      let got =
+        [
+          graph_census (fixed p);
+          csr_census (fixed_csr p);
+          graph_census (inst.Maxis_core.Family.graph, inst.partition);
+          csr_census (instance_csr p x);
+        ]
+      in
+      let label =
+        Format.asprintf "%s %a seed %d" name Maxis_core.Params.pp p seed
+      in
+      List.iter
+        (fun c -> check_int (label ^ " cut") (expected_cut p) (List.nth c 2))
+        got;
+      Alcotest.(check (list (list int))) label expected got)
+    pins
+
+let test_linear_pins () =
+  let module LF = Maxis_core.Linear_family in
+  let mk ell t = Maxis_core.Params.make ~alpha:1 ~ell ~players:t in
+  check_pins "linear" ~fixed:LF.fixed ~fixed_csr:LF.fixed_csr
+    ~instance:LF.instance ~instance_csr:LF.instance_csr
+    ~expected_cut:LF.expected_cut_size ~string_length:Maxis_core.Params.k
+    [
+      ( mk 4 2, 1, true,
+        [
+          [ 60; 420; 100; 224052974827; 30380556074; 32124736160 ];
+          [ 60; 420; 100; 224052974827; 30380556074; 0 ];
+          [ 60; 420; 100; 224052974827; 30560789799; 32124736160 ];
+          [ 60; 420; 100; 224052974827; 30560789799; 0 ];
+        ] );
+      ( mk 19 2, 2, false,
+        [
+          [ 960; 38220; 10120; 20542599193457; 514609137900; 512397266158 ];
+          [ 960; 38220; 10120; 20542599193457; 514609137900; 0 ];
+          [ 960; 38220; 10120; 20542599193457; 514250619317; 512397266158 ];
+          [ 960; 38220; 10120; 20542599193457; 514250619317; 0 ];
+        ] );
+      ( mk 5 3, 3, false,
+        [
+          [ 144; 1827; 756; 994803113059; 75188631861; 80884060890 ];
+          [ 144; 1827; 756; 994803113059; 75188631861; 0 ];
+          [ 144; 1827; 756; 994803113059; 76035862643; 80884060890 ];
+          [ 144; 1827; 756; 994803113059; 76035862643; 0 ];
+        ] );
+      ( mk 19 3, 4, true,
+        [
+          [ 1440; 72510; 30360; 39005025182660; 768145099335; 758117187132 ];
+          [ 1440; 72510; 30360; 39005025182660; 768145099335; 0 ];
+          [ 1440; 72510; 30360; 39005025182660; 768363789523; 758117187132 ];
+          [ 1440; 72510; 30360; 39005025182660; 768363789523; 0 ];
+        ] );
+      ( mk 6 4, 5, true,
+        [
+          [ 224; 3612; 1764; 1941778309860; 118194442351; 119079708328 ];
+          [ 224; 3612; 1764; 1941778309860; 118194442351; 0 ];
+          [ 224; 3612; 1764; 1941778309860; 119569918806; 119079708328 ];
+          [ 224; 3612; 1764; 1941778309860; 119569918806; 0 ];
+        ] );
+      ( mk 19 4, 6, false,
+        [
+          [ 1920; 116920; 60720; 62867323997773; 1026287742735; 1003387556951 ];
+          [ 1920; 116920; 60720; 62867323997773; 1026287742735; 0 ];
+          [ 1920; 116920; 60720; 62867323997773; 1025653281384; 1003387556951 ];
+          [ 1920; 116920; 60720; 62867323997773; 1025653281384; 0 ];
+        ] );
+    ]
+
+let test_quadratic_pins () =
+  let module QF = Maxis_core.Quadratic_family in
+  let fig t = Maxis_core.Params.figure_params ~players:t in
+  check_pins "quadratic" ~fixed:QF.fixed ~fixed_csr:QF.fixed_csr
+    ~instance:QF.instance ~instance_csr:QF.instance_csr
+    ~expected_cut:QF.expected_cut_size ~string_length:QF.string_length
+    [
+      ( fig 2, 7, true,
+        [
+          [ 48; 156; 36; 84102705390; 27696208765; 25708665948 ];
+          [ 48; 156; 36; 84102705390; 27696208765; 0 ];
+          [ 48; 170; 36; 92756801332; 27696208765; 25708665948 ];
+          [ 48; 170; 36; 92756801332; 27696208765; 0 ];
+        ] );
+      ( fig 3, 8, false,
+        [
+          [ 72; 288; 108; 154273583151; 39672005146; 36952474921 ];
+          [ 72; 288; 108; 154273583151; 39672005146; 0 ];
+          [ 72; 312; 108; 166457469479; 39672005146; 36952474921 ];
+          [ 72; 312; 108; 166457469479; 39672005146; 0 ];
+        ] );
+      ( fig 4, 9, true,
+        [
+          [ 96; 456; 216; 250866332704; 53366370451; 50822728996 ];
+          [ 96; 456; 216; 250866332704; 53366370451; 0 ];
+          [ 96; 488; 216; 268700170850; 53366370451; 50822728996 ];
+          [ 96; 488; 216; 268700170850; 53366370451; 0 ];
+        ] );
+      ( Maxis_core.Params.make ~alpha:1 ~ell:6 ~players:2, 10, false,
+        [
+          [ 224; 2436; 588; 1320167070771; 123565992748; 120506372617 ];
+          [ 224; 2436; 588; 1320167070771; 123565992748; 0 ];
+          [ 224; 2510; 588; 1359498760029; 123565992748; 120506372617 ];
+          [ 224; 2510; 588; 1359498760029; 123565992748; 0 ];
+        ] );
+    ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1451,5 +1597,10 @@ let () =
             test_quadratic_instance_csr_matches;
           Alcotest.test_case "linear ell=19 pinned" `Quick
             test_linear_gadget_1000;
+        ] );
+      ( "gadget-pins",
+        [
+          Alcotest.test_case "linear t=2..4" `Quick test_linear_pins;
+          Alcotest.test_case "quadratic t=2..4" `Quick test_quadratic_pins;
         ] );
     ]

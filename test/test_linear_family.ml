@@ -154,6 +154,17 @@ let test_instance_input_validation () =
     (Invalid_argument "Linear_family.instance: wrong number of players") (fun () ->
       ignore (LF.instance p (Inputs.of_bit_lists ~k:(P.k p) [ []; [] ])))
 
+let test_instance_csr_input_validation () =
+  let p = p3 in
+  Alcotest.check_raises "wrong k"
+    (Invalid_argument "Linear_family.instance_csr: wrong string length")
+    (fun () ->
+      ignore (LF.instance_csr p (Inputs.of_bit_lists ~k:4 [ []; []; [] ])));
+  Alcotest.check_raises "wrong t"
+    (Invalid_argument "Linear_family.instance_csr: wrong number of players")
+    (fun () ->
+      ignore (LF.instance_csr p (Inputs.of_bit_lists ~k:(P.k p) [ []; [] ])))
+
 (* ------------------------------------------------------------------ *)
 (* Property-1 set and the gap *)
 
@@ -305,6 +316,8 @@ let () =
           Alcotest.test_case "weights follow inputs" `Quick test_instance_weights;
           Alcotest.test_case "edges fixed" `Quick test_instance_edges_equal_fixed;
           Alcotest.test_case "validation" `Quick test_instance_input_validation;
+          Alcotest.test_case "instance_csr validation" `Quick
+            test_instance_csr_input_validation;
         ] );
       ( "gap",
         [

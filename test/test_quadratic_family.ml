@@ -139,6 +139,18 @@ let test_instance_validation () =
     (Invalid_argument "Quadratic_family.instance: wrong string length")
     (fun () -> ignore (QF.instance p2 (Inputs.of_bit_lists ~k:3 [ []; [] ])))
 
+let test_instance_players_validation () =
+  let x = Inputs.of_bit_lists ~k:(QF.string_length p2) [ []; []; [] ] in
+  Alcotest.check_raises "wrong t"
+    (Invalid_argument "Quadratic_family.instance: wrong number of players")
+    (fun () -> ignore (QF.instance p2 x));
+  Alcotest.check_raises "wrong t (csr)"
+    (Invalid_argument "Quadratic_family.instance_csr: wrong number of players")
+    (fun () -> ignore (QF.instance_csr p2 x));
+  Alcotest.check_raises "wrong length (csr)"
+    (Invalid_argument "Quadratic_family.instance_csr: wrong string length")
+    (fun () -> ignore (QF.instance_csr p2 (Inputs.of_bit_lists ~k:3 [ []; [] ])))
+
 (* ------------------------------------------------------------------ *)
 (* Condition 1 (differential locality) *)
 
@@ -242,6 +254,8 @@ let () =
           Alcotest.test_case "count = zero bits" `Quick test_input_edges_count;
           Alcotest.test_case "internal to players" `Quick test_input_edges_are_internal;
           Alcotest.test_case "validation" `Quick test_instance_validation;
+          Alcotest.test_case "players and csr validation" `Quick
+            test_instance_players_validation;
           Alcotest.test_case "condition 1" `Quick test_condition1_locality;
         ] );
       ( "gap",
