@@ -27,8 +27,7 @@ let dump name dot =
 let fig1 () =
   section "F1" "Figure 1: the base graph H (ell=2, alpha=1, k=3)";
   let p = P.figure_params ~players:2 in
-  let g = Graph.create (BG.copy_size p) in
-  BG.build_into p g ~offset:0 ~copy_name:"";
+  let g = BG.graph p in
   let table =
     T.create [ T.column ~align:T.Left "quantity"; T.column "value"; T.column "paper" ]
   in

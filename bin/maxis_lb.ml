@@ -415,9 +415,7 @@ let figure_cmd =
       match which with
       | 1 ->
           (* Figure 1: one copy of H. *)
-          let g = Wgraph.Graph.create (Maxis_core.Base_graph.copy_size p2) in
-          Maxis_core.Base_graph.build_into p2 g ~offset:0 ~copy_name:"";
-          Wgraph.Dot.to_dot ~name:"Figure1_H" g
+          Wgraph.Dot.to_dot ~name:"Figure1_H" (Maxis_core.Base_graph.graph p2)
       | 3 ->
           (* Figure 3: the t=3 construction with the Property-1 set
              highlighted. *)

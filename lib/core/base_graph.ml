@@ -35,58 +35,67 @@ let node_kind p ~offset v =
     let c = rel - Params.k p in
     `Sigma (c / Params.q p, c mod Params.q p)
 
-(* CSR twin of [build_into]: [Csr.Builder] has no edge removal, so the
-   v_m ↔ Code \ Code_m connections are built directly — for each position
-   the codeword's own symbol is skipped instead of added-then-removed.
-   No labels: at n ≥ 10⁵ the per-node strings cost more than the edges,
-   and the large-n sweeps never read them. *)
-let build_csr_into p b ~offset =
-  let module B = Wgraph.Csr.Builder in
-  let clique nodes =
-    let n = Array.length nodes in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        B.add_edge b nodes.(i) nodes.(j)
-      done
+let iter_clique nodes f =
+  let n = Array.length nodes in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      f nodes.(i) nodes.(j)
     done
-  in
-  clique (a_nodes p ~offset);
+  done
+
+(* The paper connects v_m to every code node and then removes Code_m;
+   here each position's codeword symbol is skipped instead, so the edges
+   come out once and need no removal. *)
+let iter_edges p ~offset f =
+  iter_clique (a_nodes p ~offset) f;
   for h = 0 to Params.positions p - 1 do
-    clique (code_clique p ~offset ~h)
+    iter_clique (code_clique p ~offset ~h) f
   done;
   for m = 0 to Params.k p - 1 do
     let vm = a_node p ~offset ~m in
     let w = Params.codeword p m in
     for h = 0 to Params.positions p - 1 do
       for r = 0 to Params.q p - 1 do
-        if r <> w.(h) then B.add_edge b vm (sigma_node p ~offset ~h ~r)
+        if r <> w.(h) then f vm (sigma_node p ~offset ~h ~r)
       done
     done
   done
 
-let build_into p g ~offset ~copy_name =
-  (* The clique A. *)
-  Wgraph.Build.make_clique_array g (a_nodes p ~offset);
-  (* The code-gadget cliques C_h. *)
+let iter_code_links p ~offset ~offset' f =
   for h = 0 to Params.positions p - 1 do
-    Wgraph.Build.make_clique_array g (code_clique p ~offset ~h)
-  done;
-  (* v_m ↔ Code \ Code_m: connect v_m to every code node, then remove the
-     codeword's own nodes. *)
-  for m = 0 to Params.k p - 1 do
-    let vm = a_node p ~offset ~m in
-    Array.iter (fun u -> Graph.add_edge g vm u) (all_code_nodes p ~offset);
-    Array.iter (fun u -> Graph.remove_edge g vm u) (code_nodes p ~offset ~m)
-  done;
-  (* Labels, 1-based like the paper. *)
-  for m = 0 to Params.k p - 1 do
-    Graph.set_label g (a_node p ~offset ~m)
-      (Printf.sprintf "v%s_%d" copy_name (m + 1))
-  done;
-  for h = 0 to Params.positions p - 1 do
-    for r = 0 to Params.q p - 1 do
-      Graph.set_label g
-        (sigma_node p ~offset ~h ~r)
-        (Printf.sprintf "s%s_(%d,%d)" copy_name (h + 1) (r + 1))
+    let xs = code_clique p ~offset ~h and ys = code_clique p ~offset:offset' ~h in
+    for a = 0 to Array.length xs - 1 do
+      for c = 0 to Array.length ys - 1 do
+        if a <> c then f xs.(a) ys.(c)
+      done
     done
   done
+
+let label p ~copy_name ~offset v =
+  match node_kind p ~offset v with
+  | `A m -> Printf.sprintf "v%s_%d" copy_name (m + 1)
+  | `Sigma (h, r) -> Printf.sprintf "s%s_(%d,%d)" copy_name (h + 1) (r + 1)
+
+let graph_of_edges ~n ~weight ~label edges =
+  let g = Graph.create n in
+  edges (fun u v -> Graph.add_edge g u v);
+  for v = 0 to n - 1 do
+    Graph.set_weight g v (weight v);
+    Graph.set_label g v (label v)
+  done;
+  g
+
+let csr_of_edges ~n ~weight edges =
+  let module B = Wgraph.Csr.Builder in
+  let b = B.create n in
+  edges (fun u v -> B.add_edge b u v);
+  for v = 0 to n - 1 do
+    B.set_weight b v (weight v)
+  done;
+  B.finish b
+
+let graph p =
+  graph_of_edges ~n:(copy_size p)
+    ~weight:(fun _ -> 1)
+    ~label:(label p ~copy_name:"" ~offset:0)
+    (iter_edges p ~offset:0)

@@ -10,7 +10,14 @@
 
     The lower-bound constructions use [t] (or [2t]) disjoint copies of [H]
     laid out consecutively; all indexing here is relative to a copy
-    [offset], so the same functions serve both families. *)
+    [offset], so the same functions serve both families.
+
+    Each family states its edges once, as an iterator
+    [(int -> int -> unit) -> unit] built from {!iter_edges} and
+    {!iter_code_links}, with one weight and one label function per node.
+    {!graph_of_edges} feeds that source to a bitset {!Wgraph.Graph.t},
+    {!csr_of_edges} to a {!Wgraph.Csr.Builder.t}; the two builders differ
+    only in the container. *)
 
 val copy_size : Params.t -> int
 (** Number of nodes of one copy: [k + (ℓ+α)·q]. *)
@@ -38,16 +45,39 @@ val node_kind : Params.t -> offset:int -> int -> [ `A of int | `Sigma of int * i
 (** Inverse of the layout within one copy: which role does a node play?
     Raises [Invalid_argument] if the node is outside the copy. *)
 
-val build_csr_into : Params.t -> Wgraph.Csr.Builder.t -> offset:int -> unit
-(** CSR twin of [build_into], for large-n sweeps: identical edge set,
-    built directly (the codeword's own code nodes are skipped rather than
-    connected and removed).  It sets no node labels: they would dominate
-    build cost at n ≥ 10⁵, so every node keeps its index as its label.
-    test/test_csr.ml pins [Csr.equal] (which ignores labels) against
-    [Csr.of_graph] of the bitset construction. *)
+val iter_edges : Params.t -> offset:int -> (int -> int -> unit) -> unit
+(** [iter_edges p ~offset f] calls [f] once per edge of the copy of [H] at
+    [offset]: the [A] clique, the code cliques [C_h], and
+    [v_m ↔ Code \ Code_m] (for each position, every symbol but the
+    codeword's own). *)
 
-val build_into : Params.t -> Wgraph.Graph.t -> offset:int -> copy_name:string -> unit
-(** Wire one copy of [H] into the graph at [offset]: the [A] clique, the
-    code-gadget cliques, and the [v_m ↔ Code \ Code_m] edges; also sets
-    node labels ["v^<copy>_<m>"] and ["s^<copy>_(h,r)"] (1-based like the
-    paper). *)
+val iter_code_links :
+  Params.t -> offset:int -> offset':int -> (int -> int -> unit) -> unit
+(** The inter-copy connections of both families (Figure 2): for every
+    position [h], each edge between [C_h] of the copy at [offset] and
+    [C_h] of the copy at [offset'] except the natural perfect matching
+    [σ_{(h,r)} ↔ σ_{(h,r)}]. *)
+
+val label : Params.t -> copy_name:string -> offset:int -> int -> string
+(** The node's label, from {!node_kind}: ["v<copy_name>_<m>"] or
+    ["s<copy_name>_(h,r)"], 1-based like the paper. *)
+
+val graph_of_edges :
+  n:int ->
+  weight:(int -> int) ->
+  label:(int -> string) ->
+  ((int -> int -> unit) -> unit) ->
+  Wgraph.Graph.t
+(** A bitset graph on [n] nodes with the given edge source, weights and
+    labels. *)
+
+val csr_of_edges :
+  n:int -> weight:(int -> int) -> ((int -> int -> unit) -> unit) -> Wgraph.Csr.t
+(** The same source through {!Wgraph.Csr.Builder}, without the n²-bit
+    adjacency matrix and in time linear in the edge count.  It sets no
+    labels: at n ≥ 10⁵ the per-node strings would cost more than the
+    edges, so every node keeps its index as its label. *)
+
+val graph : Params.t -> Wgraph.Graph.t
+(** One labelled copy of [H] at offset 0 with unit weights (Figure 1);
+    labels carry no copy name. *)

@@ -1,4 +1,3 @@
-module Graph = Wgraph.Graph
 module Inputs = Commcx.Inputs
 module Bitset = Stdx.Bitset
 
@@ -6,95 +5,57 @@ let copy_offset p i = i * Base_graph.copy_size p
 
 let n_nodes p = p.Params.players * Base_graph.copy_size p
 
-(* Inter-copy code connections: for i < j and every position h, all edges
-   between C^i_h and C^j_h except the natural perfect matching (Figure 2). *)
-let connect_copies p g =
+let partition p = Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
+
+(* Every edge of G: the t copies of H, then for i < j the code links
+   between copies i and j (Figure 2). *)
+let iter_edges p f =
   let t = p.Params.players in
   for i = 0 to t - 1 do
+    Base_graph.iter_edges p ~offset:(copy_offset p i) f
+  done;
+  for i = 0 to t - 1 do
     for j = i + 1 to t - 1 do
-      for h = 0 to Params.positions p - 1 do
-        Wgraph.Build.connect_complement_of_matching g
-          (Base_graph.code_clique p ~offset:(copy_offset p i) ~h)
-          (Base_graph.code_clique p ~offset:(copy_offset p j) ~h)
-      done
+      Base_graph.iter_code_links p ~offset:(copy_offset p i)
+        ~offset':(copy_offset p j) f
     done
   done
 
-let fixed p =
-  let g = Graph.create (n_nodes p) in
-  for i = 0 to p.Params.players - 1 do
-    Base_graph.build_into p g ~offset:(copy_offset p i)
-      ~copy_name:(Printf.sprintf "^%d" (i + 1))
-  done;
-  connect_copies p g;
-  let partition =
-    Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
-  in
-  (g, partition)
+(* w(v^i_m) = ℓ when x^i_m = 1; every other node weighs 1. *)
+let weight p x v =
+  let i = v / Base_graph.copy_size p in
+  match Base_graph.node_kind p ~offset:(copy_offset p i) v with
+  | `A m when Inputs.bit x ~player:i m -> Params.ell p
+  | _ -> 1
 
-(* CSR construction path: same node layout, same edge set, built without
-   the n²-bit adjacency matrix so Theorem-1 sweeps reach n in the 10⁵–10⁶
-   range. *)
+let label p =
+  let names = Array.init p.Params.players (fun i -> Printf.sprintf "^%d" (i + 1)) in
+  fun v ->
+    let i = v / Base_graph.copy_size p in
+    Base_graph.label p ~copy_name:names.(i) ~offset:(copy_offset p i) v
 
-let connect_copies_csr p b =
-  let module B = Wgraph.Csr.Builder in
-  let t = p.Params.players in
-  for i = 0 to t - 1 do
-    for j = i + 1 to t - 1 do
-      for h = 0 to Params.positions p - 1 do
-        let xs = Base_graph.code_clique p ~offset:(copy_offset p i) ~h in
-        let ys = Base_graph.code_clique p ~offset:(copy_offset p j) ~h in
-        let q = Array.length xs in
-        for a = 0 to q - 1 do
-          for c = 0 to q - 1 do
-            if a <> c then B.add_edge b xs.(a) ys.(c)
-          done
-        done
-      done
-    done
-  done
+let graph p ~weight =
+  Base_graph.graph_of_edges ~n:(n_nodes p) ~weight ~label:(label p) (iter_edges p)
 
-let fixed_csr p =
-  let b = Wgraph.Csr.Builder.create (n_nodes p) in
-  for i = 0 to p.Params.players - 1 do
-    Base_graph.build_csr_into p b ~offset:(copy_offset p i)
-  done;
-  connect_copies_csr p b;
-  let partition =
-    Array.init (n_nodes p) (fun v -> v / Base_graph.copy_size p)
-  in
-  (Wgraph.Csr.Builder.finish b, partition)
+let csr p ~weight = Base_graph.csr_of_edges ~n:(n_nodes p) ~weight (iter_edges p)
 
-let instance_csr p x =
+let check_inputs fn p x =
   if Inputs.t_players x <> p.Params.players then
-    invalid_arg "Linear_family.instance_csr: wrong number of players";
+    invalid_arg ("Linear_family." ^ fn ^ ": wrong number of players");
   if x.Inputs.k <> Params.k p then
-    invalid_arg "Linear_family.instance_csr: wrong string length";
-  let g, partition = fixed_csr p in
-  let size = Base_graph.copy_size p in
-  let weight_of v =
-    let i = v / size in
-    match Base_graph.node_kind p ~offset:(i * size) v with
-    | `A m -> if Inputs.bit x ~player:i m then Params.ell p else 1
-    | `Sigma _ -> 1
-  in
-  (Wgraph.Csr.reweight g weight_of, partition)
+    invalid_arg ("Linear_family." ^ fn ^ ": wrong string length")
+
+let fixed p = (graph p ~weight:(fun _ -> 1), partition p)
+
+let fixed_csr p = (csr p ~weight:(fun _ -> 1), partition p)
 
 let instance p x =
-  if Inputs.t_players x <> p.Params.players then
-    invalid_arg "Linear_family.instance: wrong number of players";
-  if x.Inputs.k <> Params.k p then
-    invalid_arg "Linear_family.instance: wrong string length";
-  let g, partition = fixed p in
-  for i = 0 to p.Params.players - 1 do
-    for m = 0 to Params.k p - 1 do
-      if Inputs.bit x ~player:i m then
-        Graph.set_weight g
-          (Base_graph.a_node p ~offset:(copy_offset p i) ~m)
-          (Params.ell p)
-    done
-  done;
-  { Family.graph = g; partition; params = p }
+  check_inputs "instance" p x;
+  { Family.graph = graph p ~weight:(weight p x); partition = partition p; params = p }
+
+let instance_csr p x =
+  check_inputs "instance_csr" p x;
+  (csr p ~weight:(weight p x), partition p)
 
 let property1_set p ~m =
   let s = Bitset.create (n_nodes p) in

@@ -20,30 +20,27 @@ val n_nodes : Params.t -> int
 (** [t · (k + (ℓ+α)q)]. *)
 
 val fixed : Params.t -> Wgraph.Graph.t * int array
-(** The fixed construction [G] (unit weights) and the player partition
-    [node ↦ i]. *)
+(** The fixed construction [G] (unit weights, labels ["v^<i>_<m>"] and
+    ["s^<i>_(h,r)"]) and the player partition [node ↦ i]. *)
 
 val instance : Params.t -> Commcx.Inputs.t -> Family.instance
-(** [G_x̄]: the fixed graph re-weighted by the inputs.  Raises
+(** [G_x̄]: the fixed graph weighted by the inputs.  Raises
     [Invalid_argument] if the inputs don't match the parameters ([t]
     strings of length [k]). *)
 
 val fixed_csr : Params.t -> Wgraph.Csr.t * int array
-(** CSR twin of {!fixed}: identical edge set and partition, built through
-    {!Base_graph.build_csr_into} without the n²-bit adjacency matrix, so
-    Theorem-1 sweeps reach n in the 10⁵–10⁶ range.  No node labels
-    (they would dominate build cost at scale).  Construction is
-    linear in the edge count ({!Wgraph.Csr.Builder.finish} sorts no
-    row).  test/test_csr.ml pins
-    [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)
+(** {!fixed} through {!Wgraph.Csr.Builder}: the same edge source and
+    partition, without the n²-bit adjacency matrix, so Theorem-1 sweeps
+    reach n in the 10⁵–10⁶ range in time linear in the edge count.  No
+    node labels (they would dominate build cost at scale). *)
 
 val instance_csr :
   Params.t ->
   Commcx.Inputs.t ->
   Wgraph.Csr.t * int array
-(** CSR twin of {!instance}: the fixed CSR construction re-weighted (by
-    structure-sharing {!Wgraph.Csr.reweight}) according to the input
-    strings.  Same [Invalid_argument] conditions as {!instance}. *)
+(** {!instance} through {!Wgraph.Csr.Builder}: the weights are set in the
+    builder before it is frozen.  Same [Invalid_argument] conditions as
+    {!instance}, named for [instance_csr]. *)
 
 val property1_set : Params.t -> m:int -> Stdx.Bitset.t
 (** The set [(∪ᵢ Codeⁱ_m) ∪ {vⁱ_m | i}] of Property 1 — independent in

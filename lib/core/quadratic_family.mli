@@ -27,27 +27,27 @@ val pair_index : Params.t -> m1:int -> m2:int -> int
 (** Position of the bit [x_{(m₁,m₂)}] in the length-[k²] string. *)
 
 val fixed : Params.t -> Wgraph.Graph.t * int array
-(** [F] with its fixed weights, and the player partition. *)
+(** [F] with its fixed weights and labels ["v^(i,b)_<m>"] and
+    ["s^(i,b)_(h,r)"], and the player partition. *)
 
 val instance : Params.t -> Commcx.Inputs.t -> Family.instance
 (** [F_x̄]: [F] plus the input edges.  Raises [Invalid_argument] on
     mismatched inputs ([t] strings of length [k²]). *)
 
 val fixed_csr : Params.t -> Wgraph.Csr.t * int array
-(** CSR twin of {!fixed}: identical edge set, weights and partition,
-    built without the n²-bit adjacency matrix so Theorem-2 sweeps reach
-    the same n range as the linear family, in time linear in the edge
-    count.  No node labels.  test/test_csr.ml pins
-    [Csr.equal (fst (fixed_csr p)) (Csr.of_graph (fst (fixed p)))]. *)
+(** {!fixed} through {!Wgraph.Csr.Builder}: the same edge source, weights
+    and partition, without the n²-bit adjacency matrix, so Theorem-2
+    sweeps reach the same n range as the linear family in time linear in
+    the edge count.  No node labels. *)
 
 val instance_csr :
   Params.t ->
   Commcx.Inputs.t ->
   Wgraph.Csr.t * int array
-(** CSR twin of {!instance}.  The input-dependent A–A edges go into the
-    builder before [finish] (unlike the linear family, a Theorem-2
-    instance is not a pure reweighting of its fixed graph).  Same
-    [Invalid_argument] conditions as {!instance}. *)
+(** {!instance} through {!Wgraph.Csr.Builder}: the input A–A edges join
+    the fixed edges before the builder is frozen.  Same
+    [Invalid_argument] conditions as {!instance}, named for
+    [instance_csr]. *)
 
 val expected_cut_size : Params.t -> int
 (** [2 · C(t,2) · (ℓ+α) · q(q−1)] — both copies' inter-player code

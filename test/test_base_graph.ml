@@ -105,17 +105,13 @@ let test_code_nodes_follow_codeword () =
 (* ------------------------------------------------------------------ *)
 (* The wired base graph H (via a 1-copy build) *)
 
-let build_h p =
-  let g = Graph.create (BG.copy_size p) in
-  BG.build_into p g ~offset:0 ~copy_name:"";
-  g
 
 let test_h_census_figure () =
   (* Figure 1: A is K3; three 3-cliques; v_m connected to Code \ Code_m,
      i.e. each v_m has 3 + ... A-clique: deg 2 within A, plus 9 - 3 = 6
      code nodes -> degree 8.  Edges: E(A)=3, 3 cliques x 3 = 9,
      A-to-code: 3 nodes x 6 = 18.  Total 30. *)
-  let g = build_h figure in
+  let g = BG.graph figure in
   check_int "n" 12 (Graph.n g);
   check_int "m" 30 (Graph.edge_count g);
   for m = 0 to 2 do
@@ -123,12 +119,12 @@ let test_h_census_figure () =
   done
 
 let test_h_a_is_clique () =
-  let g = build_h figure in
+  let g = BG.graph figure in
   let a = Bitset.of_list (Graph.n g) (Array.to_list (BG.a_nodes figure ~offset:0)) in
   check "A clique" true (Wgraph.Check.is_clique g a)
 
 let test_h_code_cliques () =
-  let g = build_h figure in
+  let g = BG.graph figure in
   for h = 0 to 2 do
     let c =
       Bitset.of_list (Graph.n g)
@@ -140,7 +136,7 @@ let test_h_code_cliques () =
 let test_h_vm_vs_code () =
   (* v_m is adjacent to exactly the code nodes outside Code_m. *)
   let p = figure in
-  let g = build_h p in
+  let g = BG.graph p in
   for m = 0 to P.k p - 1 do
     let vm = BG.a_node p ~offset:0 ~m in
     let code_m =
@@ -160,7 +156,7 @@ let test_h_vm_code_m_independent () =
      cliques C_h (one node each) and v_m avoids them; but two code nodes of
      Code_m in different cliques are non-adjacent within H. *)
   let p = figure in
-  let g = build_h p in
+  let g = BG.graph p in
   for m = 0 to P.k p - 1 do
     let s = Bitset.create (Graph.n g) in
     Bitset.add s (BG.a_node p ~offset:0 ~m);
@@ -169,7 +165,7 @@ let test_h_vm_code_m_independent () =
   done
 
 let test_h_labels () =
-  let g = build_h figure in
+  let g = BG.graph figure in
   Alcotest.(check string) "v label" "v_1" (Graph.label g 0);
   Alcotest.(check string) "sigma label" "s_(1,1)" (Graph.label g 3)
 
@@ -177,14 +173,14 @@ let test_h_maxis_value () =
   (* In one unweighted copy of H, OPT = 1 + (ell + alpha): take v_m and
      Code_m (1 + 3 nodes here), or one node per code clique (3) + best A
      compatible...; the exact value on the figure instance is 4. *)
-  let g = build_h figure in
+  let g = BG.graph figure in
   check_int "OPT(H)" 4 (Mis.Exact.opt g)
 
 let test_h_larger_params () =
   (* ell=3, alpha=2: positions=5, q=5, k=25, copy=25+25=50.  Structural
      invariants hold. *)
   let p = P.make ~alpha:2 ~ell:3 ~players:2 in
-  let g = build_h p in
+  let g = BG.graph p in
   check_int "n" 50 (Graph.n g);
   let a = Bitset.of_list 50 (Array.to_list (BG.a_nodes p ~offset:0)) in
   check "A clique" true (Wgraph.Check.is_clique g a);
@@ -200,7 +196,7 @@ let prop_h_structure_random_params =
     QCheck.(pair small_int small_int) (fun (e, a) ->
       let ell = 1 + (e mod 5) and alpha = 1 + (a mod 2) in
       let p = P.make ~alpha ~ell ~players:2 in
-      let g = build_h p in
+      let g = BG.graph p in
       Graph.n g = BG.copy_size p
       && Wgraph.Check.is_clique g
            (Bitset.of_list (Graph.n g) (Array.to_list (BG.a_nodes p ~offset:0)))
