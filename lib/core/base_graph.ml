@@ -44,29 +44,32 @@ let iter_clique nodes f =
   done
 
 (* The paper connects v_m to every code node and then removes Code_m;
-   here each position's codeword symbol is skipped instead, so the edges
-   come out once and need no removal. *)
+   skipping each position's codeword symbol yields every edge once.
+   [c_h] is the first node of the clique C_h. *)
 let iter_edges p ~offset f =
   iter_clique (a_nodes p ~offset) f;
   for h = 0 to Params.positions p - 1 do
     iter_clique (code_clique p ~offset ~h) f
   done;
+  let q = Params.q p in
   for m = 0 to Params.k p - 1 do
-    let vm = a_node p ~offset ~m in
-    let w = Params.codeword p m in
+    let vm = a_node p ~offset ~m and w = Params.codeword p m in
     for h = 0 to Params.positions p - 1 do
-      for r = 0 to Params.q p - 1 do
-        if r <> w.(h) then f vm (sigma_node p ~offset ~h ~r)
+      let c_h = sigma_node p ~offset ~h ~r:0 in
+      for r = 0 to q - 1 do
+        if r <> w.(h) then f vm (c_h + r)
       done
     done
   done
 
 let iter_code_links p ~offset ~offset' f =
+  let q = Params.q p in
   for h = 0 to Params.positions p - 1 do
-    let xs = code_clique p ~offset ~h and ys = code_clique p ~offset:offset' ~h in
-    for a = 0 to Array.length xs - 1 do
-      for c = 0 to Array.length ys - 1 do
-        if a <> c then f xs.(a) ys.(c)
+    let x_h = sigma_node p ~offset ~h ~r:0
+    and y_h = sigma_node p ~offset:offset' ~h ~r:0 in
+    for a = 0 to q - 1 do
+      for c = 0 to q - 1 do
+        if a <> c then f (x_h + a) (y_h + c)
       done
     done
   done

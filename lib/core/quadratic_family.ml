@@ -37,8 +37,10 @@ let iter_edges p f =
     done
   done
 
-(* The input edges: v^{(i,1)}_{m1} ↔ v^{(i,2)}_{m2} iff x^i_{(m1,m2)} = 0. *)
-let iter_input_edges p x f =
+(* F's edges, then the input edges: v^{(i,1)}_{m1} ↔ v^{(i,2)}_{m2} iff
+   x^i_{(m1,m2)} = 0. *)
+let instance_edges p x f =
+  iter_edges p f;
   let k = Params.k p in
   for i = 0 to p.Params.players - 1 do
     let off1 = copy_offset p ~player:i ~side:0
@@ -75,10 +77,6 @@ let graph p edges =
     edges
 
 let csr p edges = Base_graph.csr_of_edges ~n:(n_nodes p) ~weight:(weight p) edges
-
-let instance_edges p x f =
-  iter_edges p f;
-  iter_input_edges p x f
 
 let check_inputs fn p x =
   if Inputs.t_players x <> p.Params.players then

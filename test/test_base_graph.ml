@@ -103,8 +103,7 @@ let test_code_nodes_follow_codeword () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* The wired base graph H (via a 1-copy build) *)
-
+(* The wired base graph H (Base_graph.graph, one labelled copy) *)
 
 let test_h_census_figure () =
   (* Figure 1: A is K3; three 3-cliques; v_m connected to Code \ Code_m,
