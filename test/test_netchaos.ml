@@ -2,8 +2,8 @@
    determinism, short-read/torn-write bounds), the client's clean-EOF vs
    torn-mid-frame distinction, connection-lifecycle hardening in the
    daemon (slow-loris, read-deadline and idle eviction, max_conns
-   shedding, slow-writer eviction under injected write stalls), fault
-   and fault absorption by a chaos client against a live daemon. *)
+   shedding, slow-writer and drain-deadline eviction under injected
+   write stalls), fault and fault absorption by a chaos client against a live daemon. *)
 
 module J = Stdx.Jsonx
 module Netio = Stdx.Netio
@@ -436,6 +436,52 @@ let test_slow_writer_evicted () =
       check "stalls were injected" true (Serve.Netio.total_injected inj > 0);
       Client.close c)
 
+let wait_until ?(timeout_s = 10.0) cond =
+  let t_end = Unix.gettimeofday () +. timeout_s in
+  while (not (cond ())) && Unix.gettimeofday () < t_end do
+    Unix.sleepf 0.005
+  done;
+  cond ()
+
+let test_drain_deadline_evicts_stalled_reader () =
+  (* Replies never flush (certainty-1 write stalls) and the write
+     deadline is far off, so only the drain deadline can end [run]. *)
+  let inj =
+    Serve.Netio.injector
+      (Serve.Netio.plan
+         ~overrides:[ ("write", Serve.Netio.op_fault ~stall:1.0 ()) ]
+         17)
+  in
+  let sock = fresh_sock () in
+  let drain_deadline_s = 0.2 in
+  let d =
+    Daemon.create
+      {
+        (Daemon.default_config ~listen:(Proto.Unix_sock sock) ()) with
+        Daemon.tick_s = 0.01;
+        netio = Serve.Netio.chaos inj;
+        write_deadline_s = 30.0;
+        drain_deadline_s;
+      }
+  in
+  let h = Domain.spawn (fun () -> Daemon.run d) in
+  let before = evictions "drain" in
+  let c = Client.connect (Proto.Unix_sock sock) in
+  Client.send c (Proto.ping ());
+  check "ping answered before stop" true
+    (wait_until (fun () -> Daemon.requests_served d = 1));
+  let t0 = Unix.gettimeofday () in
+  Daemon.stop d;
+  Domain.join h;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check
+    (Printf.sprintf "run returned within the drain deadline (%.3f s)" elapsed)
+    true
+    (elapsed < drain_deadline_s +. 1.0);
+  check_int "one drain eviction" (before + 1) (evictions "drain");
+  check_int "requests served" 1 (Daemon.requests_served d);
+  Client.close c
+
 (* ------------------------------------------------------------------ *)
 (* Fault absorption: a chaos client against a live daemon *)
 
@@ -526,5 +572,7 @@ let () =
             test_max_conns_shed;
           Alcotest.test_case "slow writer evicted" `Quick
             test_slow_writer_evicted;
+          Alcotest.test_case "drain deadline evicts a stalled reader" `Quick
+            test_drain_deadline_evicts_stalled_reader;
         ] );
     ]
