@@ -30,10 +30,6 @@ type spec = {
 val cut_size : instance -> int
 (** [|cut(G_x̄)|]. *)
 
-val validate_inputs : spec -> Commcx.Inputs.t -> unit
-(** Raises [Invalid_argument] unless the input vector has the spec's
-    string length and player count. *)
-
 (** {1 Condition 1: locality of the input dependence} *)
 
 type locality_report = {
@@ -48,7 +44,9 @@ val check_condition1 :
   spec -> Commcx.Inputs.t -> Commcx.Inputs.t -> player:int -> locality_report
 (** The two inputs must differ only in [player]'s string (raises
     [Invalid_argument] otherwise); the report lists any part of the graph
-    outside that player's region that nevertheless changed. *)
+    outside that player's region that nevertheless changed.  Both
+    instances are built first, so an input of the wrong shape raises
+    [spec.build]'s own [Invalid_argument]. *)
 
 (** {1 Condition 2: the predicate decides [f]} *)
 
@@ -61,5 +59,6 @@ type gap_report = {
 }
 
 val check_condition2 : spec -> Commcx.Inputs.t -> gap_report
-(** Builds the instance, solves MaxIS exactly, and checks the predicate's
-    answer equals [f(x̄)]. *)
+(** Builds the instance (an input of the wrong shape raises
+    [spec.build]'s own [Invalid_argument]), solves MaxIS exactly, and
+    checks the predicate's answer equals [f(x̄)]. *)

@@ -56,27 +56,22 @@ let m_io_errors = Obs.Metrics.counter "serve_io_errors_total"
 let m_queue_depth = Obs.Metrics.gauge "serve_queue_depth"
 let m_conns = Obs.Metrics.gauge "serve_conns"
 
+type eviction = Idle | Slow_writer | Capacity | Drain
+
 (* Pre-interned: evictions happen on the event-loop hot path. *)
-let m_evict_idle =
-  Obs.Metrics.counter ~labels:[ ("reason", "idle") ] "serve_evictions_total"
-
-let m_evict_slow_writer =
-  Obs.Metrics.counter
-    ~labels:[ ("reason", "slow-writer") ]
-    "serve_evictions_total"
-
-let m_evict_capacity =
-  Obs.Metrics.counter ~labels:[ ("reason", "capacity") ] "serve_evictions_total"
-
-let m_evict_drain =
-  Obs.Metrics.counter ~labels:[ ("reason", "drain") ] "serve_evictions_total"
-
-let m_evictions = function
-  | "idle" -> m_evict_idle
-  | "slow-writer" -> m_evict_slow_writer
-  | "capacity" -> m_evict_capacity
-  | "drain" -> m_evict_drain
-  | reason -> Obs.Metrics.counter ~labels:[ ("reason", reason) ] "serve_evictions_total"
+let m_evictions =
+  let counter reason =
+    Obs.Metrics.counter ~labels:[ ("reason", reason) ] "serve_evictions_total"
+  in
+  let idle = counter "idle" in
+  let slow_writer = counter "slow-writer" in
+  let capacity = counter "capacity" in
+  let drain = counter "drain" in
+  function
+  | Idle -> idle
+  | Slow_writer -> slow_writer
+  | Capacity -> capacity
+  | Drain -> drain
 
 let m_latency =
   Obs.Metrics.histogram ~buckets:Obs.Metrics.default_latency_buckets
@@ -388,37 +383,6 @@ let drop_conn d conn =
   close_fd conn.fd;
   Obs.Metrics.set m_conns (Hashtbl.length d.conns)
 
-(* The one write-with-deadline loop (satellite of the scrape-only
-   deadline this generalizes): push [data] down a nonblocking [fd],
-   waiting on select between partial writes, for at most [deadline_s].
-   [true] iff every byte went out.  Used by the scrape path, capacity
-   shedding, and eviction courtesy lines — anywhere the event loop must
-   write without letting a non-reading peer stall request serving. *)
-let write_with_deadline d ?deadline_s fd data =
-  let deadline_s =
-    match deadline_s with Some s -> s | None -> d.cfg.write_deadline_s
-  in
-  let n = String.length data in
-  let deadline = d.cfg.clock () +. deadline_s in
-  let off = ref 0 in
-  let stalled = ref false in
-  (try
-     while !off < n && not !stalled do
-       match d.cfg.netio.Netio.write fd data !off (n - !off) with
-       | w -> off := !off + w
-       | exception
-           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-         -> (
-           let left = deadline -. d.cfg.clock () in
-           if left <= 0.0 then stalled := true
-           else
-             match Unix.select [] [ fd ] [] (Float.min left 0.05) with
-             | _ -> ()
-             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-     done
-   with Unix.Unix_error _ -> stalled := true);
-  !off >= n && not !stalled
-
 (* Move filled FIFO-head replies into the outgoing byte buffer. *)
 let promote_replies conn =
   let rec go () =
@@ -467,6 +431,22 @@ let try_write d conn =
         drop_conn d conn;
         false
 
+(* A structured error line for a peer about to be closed: one
+   nonblocking write attempt, retried only on EINTR.  A peer that does
+   not read loses the line (or its tail); it cannot hold the loop. *)
+let send_notice d fd reason =
+  let line =
+    Proto.encode_reply (Proto.Error_reply { id = J.Null; op = "?"; reason })
+    ^ "\n"
+  in
+  let rec attempt () =
+    match d.cfg.netio.Netio.write fd line 0 (String.length line) with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> attempt ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  attempt ()
+
 let read_chunk = Bytes.create 65536
 
 (* [true] when more bytes may come later, [false] at EOF. *)
@@ -487,49 +467,70 @@ let read_into d conn =
       conn.eof <- true;
       false
 
-(* Reject-and-close at capacity: the shed peer gets a structured error
-   line (bounded by the write deadline), never a silent close, and the
-   shed is accounted as an eviction.  The cap bounds select() fan-in and
-   memory, so one flood cannot starve established connections. *)
-let shed_conn d fd =
-  Obs.Metrics.inc m_evict_capacity;
-  let line =
-    Proto.encode_reply
-      (Proto.Error_reply
-         {
-           id = J.Null;
-           op = "?";
-           reason =
-             Printf.sprintf "server at connection capacity (max_conns=%d)"
-               d.cfg.max_conns;
-         })
-    ^ "\n"
-  in
-  ignore (write_with_deadline d fd line);
-  close_fd fd
+(* Take every byte the socket holds now, then answer the complete lines. *)
+let read_conn d conn =
+  while (not conn.eof) && read_into d conn do
+    ()
+  done;
+  process_input d conn
 
-let accept_wire d =
+let add_conn d fd ~eof ~out =
+  let now = d.cfg.clock () in
+  let outbuf = Buffer.create (max 256 (String.length out)) in
+  Buffer.add_string outbuf out;
+  Hashtbl.replace d.conns fd
+    {
+      fd;
+      inbuf = Buffer.create 256;
+      slots = Queue.create ();
+      outbuf;
+      outpos = 0;
+      skipping = false;
+      eof;
+      last_read = now;
+      last_wmove = now;
+    };
+  Obs.Metrics.set m_conns (Hashtbl.length d.conns)
+
+(* One scrape = one connection that starts with the Prometheus rendering
+   of the live registry already queued as a minimal HTTP response, and
+   nothing to read.  It is flushed and reaped like a reply, so a scraper
+   that stops reading is a slow writer like any other. *)
+let scrape_response () =
+  let body = Obs.Export.prometheus (Obs.Metrics.snapshot ()) in
+  Printf.sprintf
+    "HTTP/1.0 200 OK\r\n\
+     Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+     Content-Length: %d\r\n\
+     Connection: close\r\n\
+     \r\n\
+     %s"
+    (String.length body) body
+
+(* Accept everything pending on [listener].  A wire accept at capacity is
+   shed: the peer gets a structured error line, never a silent close,
+   and the shed is accounted as an eviction.  The cap bounds select()
+   fan-in and memory, so one flood cannot starve established
+   connections. *)
+let accept d listener =
   let rec go () =
-    match d.cfg.netio.Netio.accept d.wire with
+    match d.cfg.netio.Netio.accept listener with
     | fd, _ ->
         Unix.set_nonblock fd;
-        Obs.Metrics.inc m_connections;
-        if Hashtbl.length d.conns >= d.cfg.max_conns then shed_conn d fd
+        if listener <> d.wire then begin
+          Obs.Metrics.inc m_scrapes;
+          add_conn d fd ~eof:true ~out:(scrape_response ())
+        end
         else begin
-          let now = d.cfg.clock () in
-          Hashtbl.replace d.conns fd
-            {
-              fd;
-              inbuf = Buffer.create 256;
-              slots = Queue.create ();
-              outbuf = Buffer.create 256;
-              outpos = 0;
-              skipping = false;
-              eof = false;
-              last_read = now;
-              last_wmove = now;
-            };
-          Obs.Metrics.set m_conns (Hashtbl.length d.conns)
+          Obs.Metrics.inc m_connections;
+          if Hashtbl.length d.conns >= d.cfg.max_conns then begin
+            Obs.Metrics.inc (m_evictions Capacity);
+            send_notice d fd
+              (Printf.sprintf "server at connection capacity (max_conns=%d)"
+                 d.cfg.max_conns);
+            close_fd fd
+          end
+          else add_conn d fd ~eof:false ~out:""
         end;
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -538,32 +539,6 @@ let accept_wire d =
     | exception Unix.Unix_error (_, _, _) -> Obs.Metrics.inc m_io_errors
   in
   go ()
-
-(* One scrape = one connection: accept, write the Prometheus rendering
-   of the live registry as a minimal HTTP response, close.  The scrape
-   shares the single event-loop thread, so it uses the shared
-   write-with-deadline loop: a scraper that connects and never reads
-   gets dropped instead of stalling request serving. *)
-let serve_scrape d fd =
-  match d.cfg.netio.Netio.accept fd with
-  | client, _ ->
-      Obs.Metrics.inc m_scrapes;
-      let body = Obs.Export.prometheus (Obs.Metrics.snapshot ()) in
-      let data =
-        Printf.sprintf
-          "HTTP/1.0 200 OK\r\n\
-           Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-           Content-Length: %d\r\n\
-           Connection: close\r\n\
-           \r\n\
-           %s"
-          (String.length body) body
-      in
-      (try Unix.set_nonblock client with Unix.Unix_error _ -> ());
-      if not (write_with_deadline d client data) then
-        Obs.Metrics.inc m_io_errors;
-      close_fd client
-  | exception Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The event loop *)
@@ -579,20 +554,9 @@ let awaiting_us conn =
 
 let evict d conn reason =
   Obs.Metrics.inc (m_evictions reason);
-  (* Courtesy line, best-effort with a token deadline: an evicted peer
-     that still reads learns why; one that does not cannot stall us. *)
-  (if reason = "idle" then
-     let line =
-       Proto.encode_reply
-         (Proto.Error_reply
-            {
-              id = J.Null;
-              op = "?";
-              reason = "connection evicted: " ^ reason ^ " past deadline";
-            })
-       ^ "\n"
-     in
-     ignore (write_with_deadline d ~deadline_s:0.05 conn.fd line));
+  (* An idle peer that still reads learns why. *)
+  if reason = Idle then
+    send_notice d conn.fd "connection evicted: idle past deadline";
   drop_conn d conn
 
 (* The connection watchdog sweep: once per tick, against the injectable
@@ -603,18 +567,18 @@ let sweep_lifecycle d now =
     (fun _ conn ->
       let reason =
         if flushable conn && now -. conn.last_wmove > d.cfg.write_deadline_s
-        then Some "slow-writer"
+        then Some Slow_writer
         else if
           (not conn.eof)
           && (Buffer.length conn.inbuf > 0 || conn.skipping)
           && now -. conn.last_read > d.cfg.read_deadline_s
-        then Some "idle"  (* a partial request line, stalled mid-frame *)
+        then Some Idle  (* a partial request line, stalled mid-frame *)
         else if
           (not conn.eof)
           && (not (awaiting_us conn))
           && Buffer.length conn.inbuf = 0
           && now -. conn.last_read > d.cfg.idle_timeout_s
-        then Some "idle"  (* no traffic, nothing owed either way *)
+        then Some Idle  (* no traffic, nothing owed either way *)
         else None
       in
       match reason with
@@ -623,63 +587,54 @@ let sweep_lifecycle d now =
     d.conns;
   List.iter (fun (conn, r) -> evict d conn r) !victims
 
+let close_listeners d =
+  close_fd d.wire;
+  Option.iter close_fd d.scrape;
+  List.iter
+    (function
+      | Proto.Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+      | Proto.Tcp _ -> ())
+    (d.cfg.listen :: Option.to_list d.cfg.metrics)
+
 let run d =
   if d.ran then invalid_arg "Serve.Daemon.run: already ran";
   d.ran <- true;
   (* A client that disconnects mid-reply must cost EPIPE, not the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let drain_by = ref infinity in
   let finished = ref false in
   while not !finished do
-    (* Entering drain: close the front door, take one last sweep of the
-       bytes already queued on accepted connections, then answer
-       everything admitted. *)
+    (* Entering drain: close the front door, parse the bytes already
+       received on accepted connections and answer everything admitted.
+       The flush grace starts after that; the loop below is the same one
+       that serves, minus the listeners and the watchdog. *)
     if Atomic.get d.stop_flag && not d.draining then begin
       d.draining <- true;
-      close_fd d.wire;
-      (match d.scrape with Some fd -> close_fd fd | None -> ());
-      (match d.cfg.listen with
-      | Proto.Unix_sock path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-      | Proto.Tcp _ -> ());
-      (match d.cfg.metrics with
-      | Some (Proto.Unix_sock path) ->
-          (try Unix.unlink path with Unix.Unix_error _ -> ())
-      | _ -> ());
+      close_listeners d;
       Hashtbl.iter
         (fun _ conn ->
-          while (not conn.eof) && read_into d conn do
-            ()
-          done;
-          conn.eof <- true;
-          process_input d conn)
-        d.conns
+          read_conn d conn;
+          conn.eof <- true)
+        d.conns;
+      dispatch d;
+      drain_by := d.cfg.clock () +. d.cfg.drain_deadline_s
     end;
-    if not d.draining then begin
-      let read_fds =
-        d.wire
-        :: (match d.scrape with Some fd -> [ fd ] | None -> [])
-        @ Hashtbl.fold (fun fd c acc -> if c.eof then acc else fd :: acc) d.conns []
-      in
-      let write_fds =
-        Hashtbl.fold (fun fd c acc -> if flushable c then fd :: acc else acc) d.conns []
-      in
-      (match Unix.select read_fds write_fds [] d.cfg.tick_s with
-      | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              if fd = d.wire then accept_wire d
-              else if d.scrape = Some fd then serve_scrape d fd
-              else
-                match Hashtbl.find_opt d.conns fd with
-                | None -> ()
-                | Some conn ->
-                    while (not conn.eof) && read_into d conn do
-                      ()
-                    done;
-                    process_input d conn)
-            readable
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    end;
+    let read_fds =
+      (if d.draining then [] else d.wire :: Option.to_list d.scrape)
+      @ Hashtbl.fold (fun fd c acc -> if c.eof then acc else fd :: acc) d.conns []
+    in
+    let write_fds =
+      Hashtbl.fold (fun fd c acc -> if flushable c then fd :: acc else acc) d.conns []
+    in
+    (match Unix.select read_fds write_fds [] d.cfg.tick_s with
+    | readable, _, _ ->
+        List.iter
+          (fun fd ->
+            if fd = d.wire || Some fd = d.scrape then accept d fd
+            else Option.iter (read_conn d) (Hashtbl.find_opt d.conns fd))
+          readable
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     dispatch d;
     (* Flush replies; reap connections that are done. *)
     let now = d.cfg.clock () in
@@ -699,37 +654,12 @@ let run d =
           then done_conns := conn :: !done_conns)
       d.conns;
     List.iter (drop_conn d) !done_conns;
-    if not d.draining then sweep_lifecycle d (d.cfg.clock ());
-    if d.draining then begin
-      (* Everything is admitted and dispatched; all that remains is
-         pushing bytes.  A peer that never drains its socket gets a
-         bounded grace period, then is dropped — and accounted. *)
-      let deadline = d.cfg.clock () +. d.cfg.drain_deadline_s in
-      let rec final_flush () =
-        let pending =
-          Hashtbl.fold (fun _ c acc -> if flushable c then c :: acc else acc) d.conns []
-        in
-        if pending <> [] && d.cfg.clock () < deadline then begin
-          (match
-             Unix.select [] (List.map (fun c -> c.fd) pending) [] d.cfg.tick_s
-           with
-          | _, writable, _ ->
-              List.iter
-                (fun fd ->
-                  match Hashtbl.find_opt d.conns fd with
-                  | Some c ->
-                      promote_replies c;
-                      ignore (try_write d c)
-                  | None -> ())
-                writable
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-          final_flush ()
-        end
-      in
-      final_flush ();
+    if not d.draining then sweep_lifecycle d (d.cfg.clock ())
+    else if Hashtbl.length d.conns = 0 || d.cfg.clock () >= !drain_by then begin
+      (* A peer that never drains its socket got its grace period. *)
       Hashtbl.iter
         (fun _ conn ->
-          if flushable conn then Obs.Metrics.inc m_evict_drain;
+          if flushable conn then Obs.Metrics.inc (m_evictions Drain);
           close_fd conn.fd)
         d.conns;
       Hashtbl.reset d.conns;

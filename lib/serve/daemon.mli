@@ -13,6 +13,13 @@
     connection.  A second listener serves the Prometheus rendering of
     the process metrics registry to any connection that scrapes it.
 
+    Every byte leaves through one path: each connection's out buffer,
+    flushed by the event loop as the socket takes it, so no peer can
+    hold the loop.  A scrape is such a connection, its HTTP response
+    queued at accept and nothing to read; the one-line error sent to a
+    shed or evicted peer is a single nonblocking write attempt before
+    the socket closes.
+
     Failure containment: a request whose execution raises gets an
     [error] reply and the connection lives on; a task that kills its
     pool worker ({!Exec.Pool.Chaos_kill} — enabled only with
@@ -23,27 +30,29 @@
     nothing else.
 
     Connection lifecycle (a deadline watchdog over sockets; every
-    deadline reads the injectable [clock]): at most
-    [max_conns] connections are held at once — excess accepts are shed
-    with a structured error line and closed, never silently dropped; a
-    connection holding a partial request line longer than
-    [read_deadline_s] without new bytes is evicted (slow-loris); a
-    connection with pending output that accepts no bytes for
-    [write_deadline_s] is evicted (slow writer — the generalization of
-    the scrape write deadline); a connection with no traffic and nothing
-    owed for [idle_timeout_s] is evicted.  Evictions are counted in
+    deadline reads the injectable [clock]): at most [max_conns]
+    connections, scrapes in flight included, are held at once — excess
+    wire accepts are shed with a structured error line and closed, never
+    silently dropped; a connection holding a partial request line longer
+    than [read_deadline_s] without new bytes is evicted (slow-loris); a
+    connection, scrape or reply, with pending output that accepts no
+    bytes for [write_deadline_s] is evicted (slow writer); a connection
+    with no traffic and nothing owed for [idle_timeout_s] is evicted.
+    Evictions are counted in
     [serve_evictions_total{reason="idle"|"slow-writer"|"capacity"|"drain"}]
-    and the live connection count is the [serve_conns] gauge.  All
-    socket operations go through the pluggable [netio] record, so the
-    netchaos harness can inject seeded faults ({!Serve.Netio.chaos}) on
-    a live daemon.
+    and the live connection count, scrapes included, is the
+    [serve_conns] gauge.  All socket operations go through the pluggable
+    [netio] record, so the netchaos harness can inject seeded faults
+    ({!Serve.Netio.chaos}) on a live daemon.
 
     Shutdown: {!stop} (or SIGINT/SIGTERM in the CLI wrapper, which calls
     it) drains — listeners close, already-received bytes are parsed,
     every admitted request runs to its terminal reply (budget caps bound
-    the wait), buffers flush for at most [drain_deadline_s], sockets
-    close, the pool shuts down.  Metrics: [serve_*] counters/gauges/
-    histograms, catalogued in docs/SERVING.md. *)
+    the wait), then the same event loop flushes until no connection is
+    left or [drain_deadline_s] has passed; connections still holding
+    output then close as [drain] evictions, and the pool shuts down.
+    Metrics: [serve_*] counters/gauges/histograms, catalogued in
+    docs/SERVING.md. *)
 
 type config = {
   listen : Proto.addr;
@@ -60,8 +69,9 @@ type config = {
   tick_s : float;  (** event-loop poll period (drain/stop latency) *)
   allow_chaos : bool;  (** honor [chaos-kill] requests (tests/benches) *)
   max_conns : int;
-      (** connection cap; accepts beyond it are shed with a structured
-          error reply and counted as [capacity] evictions *)
+      (** connection cap, scrapes in flight included; wire accepts
+          beyond it are shed with a structured error reply and counted
+          as [capacity] evictions *)
   idle_timeout_s : float;
       (** a connection with no traffic and nothing owed either way for
           this long is evicted ([idle]) *)
@@ -71,8 +81,8 @@ type config = {
           bound *)
   write_deadline_s : float;
       (** pending output must make progress within this long, or the
-          connection is evicted ([slow-writer]); also bounds scrape
-          responses and capacity-shed error lines *)
+          connection is evicted ([slow-writer]); a scrape response is
+          pending output like any reply *)
   drain_deadline_s : float;
       (** grace period for flushing replies during shutdown drain;
           connections still holding bytes at the deadline are dropped

@@ -222,6 +222,14 @@ let test_condition1_locality () =
     (Invalid_argument "Family.check_condition1: inputs differ outside the varied player")
     (fun () -> ignore (Family.check_condition1 spec x1 x3 ~player:1))
 
+let test_condition2_rejects_wrong_shape () =
+  (* The family's own input check names a bad shape. *)
+  Alcotest.check_raises "wrong k"
+    (Invalid_argument "Linear_family.instance: wrong string length") (fun () ->
+      ignore
+        (Family.check_condition2 (LF.spec p3)
+           (Inputs.of_bit_lists ~k:4 [ []; []; [] ])))
+
 let test_claim3_exact_tightness () =
   (* The Property-1 set realizes exactly the Claim-3 bound, and on sparse
      intersecting instances OPT equals it (nothing better exists). *)
@@ -332,6 +340,8 @@ let () =
             test_condition1_catches_leaky_family;
           Alcotest.test_case "condition 1 catches leaky edges" `Quick
             test_condition1_catches_leaky_edges;
+          Alcotest.test_case "condition 2 rejects a wrong shape" `Quick
+            test_condition2_rejects_wrong_shape;
           Alcotest.test_case "claim 3 tight" `Quick test_claim3_exact_tightness;
         ] );
       qsuite "gap-props"

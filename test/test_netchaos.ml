@@ -482,6 +482,56 @@ let test_drain_deadline_evicts_stalled_reader () =
   check_int "requests served" 1 (Daemon.requests_served d);
   Client.close c
 
+(* A Prometheus body far above the socket buffer, from one counter
+   no other test registers: the registry is process-wide. *)
+let scrape_ballast =
+  lazy
+    (Obs.Metrics.counter
+       ~labels:[ ("pad", String.make (2 lsl 20) 'x') ]
+       "netchaos_test_scrape_ballast_total")
+
+let test_non_reading_scraper_does_not_stall () =
+  ignore (Lazy.force scrape_ballast);
+  let msock = fresh_sock () in
+  let write_deadline_s = 2.0 in
+  with_daemon
+    ~configure:(fun cfg ->
+      {
+        cfg with
+        Daemon.metrics = Some (Proto.Unix_sock msock);
+        write_deadline_s;
+      })
+    (fun addr _d ->
+      let scrapes_before =
+        Obs.Metrics.value (Obs.Metrics.counter "serve_scrapes_total")
+      in
+      let slow_before = evictions "slow-writer" in
+      (* The scraper connects and never reads. *)
+      let scraper = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close scraper with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect scraper (Unix.ADDR_UNIX msock);
+          check "scrape accepted" true
+            (wait_until (fun () ->
+                 Obs.Metrics.value (Obs.Metrics.counter "serve_scrapes_total")
+                 > scrapes_before));
+          let c = Client.connect addr in
+          let t0 = Unix.gettimeofday () in
+          let r = Client.request c (Proto.ping ()) in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Client.close c;
+          check_string "ping answered" "ok" (Proto.reply_status r);
+          check
+            (Printf.sprintf "ping not held by the scraper (%.3f s)" elapsed)
+            true
+            (elapsed < write_deadline_s /. 4.0);
+          check "stalled scrape evicted as slow-writer" true
+            (wait_until ~timeout_s:(write_deadline_s +. 5.0) (fun () ->
+                 evictions "slow-writer" > slow_before));
+          check_int "exactly one slow-writer eviction" (slow_before + 1)
+            (evictions "slow-writer")))
+
 (* ------------------------------------------------------------------ *)
 (* Fault absorption: a chaos client against a live daemon *)
 
@@ -574,5 +624,7 @@ let () =
             test_slow_writer_evicted;
           Alcotest.test_case "drain deadline evicts a stalled reader" `Quick
             test_drain_deadline_evicts_stalled_reader;
+          Alcotest.test_case "non-reading scraper does not stall serving"
+            `Quick test_non_reading_scraper_does_not_stall;
         ] );
     ]

@@ -154,25 +154,33 @@ let test_instance_players_validation () =
 (* ------------------------------------------------------------------ *)
 (* Condition 1 (differential locality) *)
 
+(* A spec built by hand: the predicate may be formally invalid at these
+   params, but neither condition 1 nor an input-shape check involves it. *)
+let hand_spec p =
+  {
+    Family.name = "quadratic-test";
+    string_length = QF.string_length p;
+    players = 2;
+    build = QF.instance p;
+    predicate = Maxis_core.Predicate.make ~name:"dummy" ~high:1000 ~low:0;
+    func = Commcx.Functions.promise_pairwise_disjointness;
+  }
+
 let test_condition1_locality () =
   let p = p2 in
-  (* Build a spec by hand (predicate may be formally invalid at these
-     params, but condition 1 doesn't involve the predicate). *)
   let sl = QF.string_length p in
-  let spec =
-    {
-      Family.name = "quadratic-test";
-      string_length = sl;
-      players = 2;
-      build = QF.instance p;
-      predicate = Maxis_core.Predicate.make ~name:"dummy" ~high:1000 ~low:0;
-      func = Commcx.Functions.promise_pairwise_disjointness;
-    }
-  in
+  let spec = hand_spec p in
   let x1 = Inputs.of_bit_lists ~k:sl [ [ 0; 1 ]; [ 2 ] ] in
   let x2 = Inputs.of_bit_lists ~k:sl [ [ 0; 1 ]; [ 2; 5; 7 ] ] in
   let r = Family.check_condition1 spec x1 x2 ~player:1 in
   check "edges change only inside V^2" true r.Family.ok
+
+let test_condition2_rejects_wrong_players () =
+  (* The family's own input check names a bad shape. *)
+  let x = Inputs.of_bit_lists ~k:(QF.string_length p2) [ []; []; [] ] in
+  Alcotest.check_raises "wrong t"
+    (Invalid_argument "Quadratic_family.instance: wrong number of players")
+    (fun () -> ignore (Family.check_condition2 (hand_spec p2) x))
 
 (* ------------------------------------------------------------------ *)
 (* The gap (Claims 6 and 7, empirically) *)
@@ -257,6 +265,8 @@ let () =
           Alcotest.test_case "players and csr validation" `Quick
             test_instance_players_validation;
           Alcotest.test_case "condition 1" `Quick test_condition1_locality;
+          Alcotest.test_case "condition 2 rejects wrong players" `Quick
+            test_condition2_rejects_wrong_players;
         ] );
       ( "gap",
         [
