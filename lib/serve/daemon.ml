@@ -476,7 +476,7 @@ let read_conn d conn =
 
 let add_conn d fd ~eof ~out =
   let now = d.cfg.clock () in
-  let outbuf = Buffer.create (max 256 (String.length out)) in
+  let outbuf = Buffer.create 256 in
   Buffer.add_string outbuf out;
   Hashtbl.replace d.conns fd
     {
