@@ -340,9 +340,9 @@ let () =
             test_condition1_catches_leaky_family;
           Alcotest.test_case "condition 1 catches leaky edges" `Quick
             test_condition1_catches_leaky_edges;
+          Alcotest.test_case "claim 3 tight" `Quick test_claim3_exact_tightness;
           Alcotest.test_case "condition 2 rejects a wrong shape" `Quick
             test_condition2_rejects_wrong_shape;
-          Alcotest.test_case "claim 3 tight" `Quick test_claim3_exact_tightness;
         ] );
       qsuite "gap-props"
         [ prop_gap_over_random_promise_inputs; prop_cut_independent_of_inputs ];
